@@ -7,8 +7,12 @@ stdout tail, so the line carries the slowest-10 query timings plus
 totals; the complete per-query map is written to BENCH_detail.json):
   {"metric": ..., "value": <total sec>, "unit": "sec",
    "queries": {slowest10: sec}, "n_queries": N, "queries_total_sec": s,
-   "detail_file": "BENCH_detail.json", "sf": ..., "num_cpus": N,
-   "headline": {...}}
+   "failed": [names], "detail_file": "BENCH_detail.json", "sf": ...,
+   "num_cpus": N, "headline": {...}}
+
+A query that raises is contained: it is listed in ``failed`` (its
+``{"error": ...}`` goes to BENCH_detail.json), the line still prints,
+and the exit code is 1.
 
 ``--scaling`` runs the headline job at two parallelism levels (the
 GATING 2→8-cpu pair, exact 4× actor ratio, best-of-3 per level) in
@@ -27,8 +31,12 @@ import os
 import subprocess
 import sys
 import time
+import traceback
 
 DEFAULT_SF_DIR = "/root/testdata/sf0.1"
+# the complete per-query map (errors included) lands here
+DETAIL_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "BENCH_detail.json")
 
 # bench corpus: wide waves over ~2k concurrent cursor chains
 # (chain-parallelism is the throughput ceiling: restart-token pagination
@@ -257,7 +265,9 @@ def run_headline(workdir: str, num_cpus: int, scaling_mode: bool = False) -> dic
     }
 
 
-def run_queries(sf_dir: str) -> dict[str, float]:
+def run_queries(sf_dir: str) -> dict[str, float | dict]:
+    """Seconds per bench query; a query that raises is recorded as
+    ``{"error": "<type>: <msg>"}`` instead."""
     import ray.data as rd
 
     from crawler_tjce_ray.pipelines.registry import build_queries
@@ -267,12 +277,19 @@ def run_queries(sf_dir: str) -> dict[str, float]:
     rd.range(1000).map_batches(lambda b: b).materialize()
 
     qs = build_queries()
-    out: dict[str, float] = {}
+    out: dict[str, float | dict] = {}
     for name in BENCH_QUERIES:
         t0 = time.perf_counter()
-        res = qs[name](sf_dir)
-        if hasattr(res, "to_pandas"):
-            res.to_pandas()
+        try:
+            res = qs[name](sf_dir)
+            if hasattr(res, "to_pandas"):
+                res.to_pandas()
+        except Exception as e:
+            # contained: one broken query must not erase every other
+            # number; main() still exits nonzero on any failure
+            traceback.print_exc(file=sys.stderr)
+            out[name] = {"error": f"{type(e).__name__}: {e}"[:300]}
+            continue
         out[name] = round(time.perf_counter() - t0, 3)
     return out
 
@@ -323,7 +340,8 @@ def main_once(sf_dir: str, headline_only: bool = False,
     workdir = f"/tmp/crawler_tjce_bench/cpus{num_cpus}"
     headline = run_headline(workdir, num_cpus, scaling_mode=scaling_mode)
     queries = {} if headline_only else run_queries(sf_dir)
-    total = headline["seconds"] + sum(queries.values())
+    times = {k: v for k, v in queries.items() if not isinstance(v, dict)}
+    total = headline["seconds"] + sum(times.values())
     # The driver captures only a ~2 KB stdout tail: the full per-query
     # map (140+ entries) outgrew it in round 3 and the line failed to
     # parse.  The stdout line stays compact — slowest 10 queries only —
@@ -333,9 +351,10 @@ def main_once(sf_dir: str, headline_only: bool = False,
         "metric": "frontier fetch+parse URLs/s + query suite wall time",
         "value": round(total, 3),
         "unit": "sec",
-        "queries": dict(sorted(queries.items(), key=lambda kv: -kv[1])[:10]),
-        "n_queries": len(queries),
-        "queries_total_sec": round(sum(queries.values()), 3),
+        "queries": dict(sorted(times.items(), key=lambda kv: -kv[1])[:10]),
+        "n_queries": len(times),
+        "queries_total_sec": round(sum(times.values()), 3),
+        "failed": sorted(set(queries) - set(times)),
         "detail_file": "BENCH_detail.json",
         "sf": sf_dir,
         "num_cpus": num_cpus,
@@ -344,9 +363,7 @@ def main_once(sf_dir: str, headline_only: bool = False,
     if scaling is not None:
         out["scaling"] = scaling
     if queries:
-        detail_path = os.path.join(
-            os.path.dirname(os.path.abspath(__file__)), "BENCH_detail.json")
-        with open(detail_path, "w") as f:
+        with open(DETAIL_PATH, "w") as f:
             json.dump({**out, "queries": queries}, f, indent=1)
     return out
 
@@ -428,17 +445,25 @@ def main_scaling(sf_dir: str) -> dict:
     return out
 
 
-if __name__ == "__main__":
+def main(argv: list[str]) -> int:
+    """Print the one JSON line; the exit code is nonzero when any
+    query failed (the line is printed either way)."""
     sf_dir = os.environ.get("GRAFT_SF_DIR", DEFAULT_SF_DIR)
-    if "--scaling" in sys.argv:
+    if "--scaling" in argv:
         out = main_scaling(sf_dir)
-    elif "--one-headline" in sys.argv:
+    elif "--one-headline" in argv:
         out = main_once(sf_dir, headline_only=True,
-                        scaling_mode="--scaling-mode" in sys.argv)
+                        scaling_mode="--scaling-mode" in argv)
     else:
         out = main_once(sf_dir)
-    print(json.dumps(out))
+    print(json.dumps(out), flush=True)
+    return 1 if out.get("failed") else 0
+
+
+if __name__ == "__main__":
+    rc = main(sys.argv[1:])
     import ray
 
     if ray.is_initialized():
         ray.shutdown()
+    sys.exit(rc)

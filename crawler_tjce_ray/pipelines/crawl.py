@@ -3,7 +3,8 @@ architecture):
 
     seeds → frontier ──per wave──►
       select (priority sort + per-host politeness cap + wave cap)
-      → URL-seen filter (sharded cuckoo actors, check-and-add)
+      → URL-seen filter (cuckoo shards hosted in the fetch actors,
+        check-and-add)
       → fetch (actor pool: page-store lookup + robots + token bucket)
       → parse (stateless DSR extract) → records/<kind>/wave=k parquet
       → outlinks → frontier ∪ new urls
@@ -103,6 +104,8 @@ class CrawlConfig:
     wave_size: int = 256
     per_host_budget: int = 8          # politeness: fetches per host per wave
     max_waves: int = 100              # O7 crawl depth cap (reference max_pages)
+    # URL-seen shards, hosted in the fetch actors (shard s on actor
+    # s % n_fetch); the count, not the actor count, fixes the checkpoint
     n_seen_shards: int = 4
     log2_buckets: int = 16
     store_buckets: int = DEFAULT_STORE_BUCKETS
@@ -319,7 +322,6 @@ def run_crawl(
         cfg.store_buckets,
     )
 
-    seen = ShardedSeenSet(cfg.n_seen_shards, cfg.log2_buckets)
     # cap the long-lived fetch pool so per-wave tasks (Dataset
     # conversions, checkpoint IO) always have worker slots — actors
     # holding every core deadlock task scheduling on small clusters
@@ -337,216 +339,228 @@ def run_crawl(
         max_retries=cfg.fetch_max_retries,
         robots_ttl_waves=cfg.robots_ttl_waves,
     )
-    start_wave = 0
-    if resume:
-        latest = _latest_checkpoint(workdir)
-        if latest is not None:
-            frontier, pending = _load_checkpoint(
-                workdir, latest, seen, cfg.distributed_select_threshold
-            )
-            start_wave = latest + 1
-            # a crash between record writes and the wave checkpoint
-            # leaves partial records for waves >= start_wave; the
-            # re-run may use a different actor count and therefore a
-            # different part layout, so stale parts would survive and
-            # duplicate that wave's records — wipe them first
-            _drop_record_waves(os.path.join(workdir, "records"), start_wave)
-        else:
-            resume = False
-    if not resume:
-        shutil.rmtree(os.path.join(workdir, "ckpt"), ignore_errors=True)
-        shutil.rmtree(os.path.join(workdir, "records"), ignore_errors=True)
-        frontier = make_frontier_rows(seeds, priority=0, wave=0, depth=0, seed="root")
-        pending = len(frontier)
-
-    import ray.data as rd
-
-    metrics_all: list[dict] = []
-    wave = start_wave
-    for wave in range(start_wave, cfg.max_waves):
-        if pending == 0:
-            break
-        distributed = pending > cfg.distributed_select_threshold
-        if distributed:
-            # large-frontier route: the frontier lives as a Dataset the
-            # whole wave — selection, membership checks and the
-            # checkpoint write all run as Dataset ops, and the frontier
-            # re-enters the next wave from the checkpoint's Parquet.
-            # The driver holds only wave-sized frames and counters.
-            if isinstance(frontier, pd.DataFrame):
-                # entering Dataset mode: the distributed defer filters
-                # by url_key membership, so duplicate keys would
-                # silently drop rows — assert the invariant once at the
-                # boundary (Dataset-mode updates keep it by
-                # construction: outlink adds anti-join pending keys)
-                assert_frontier_unique(frontier)
-                frontier = rd.from_pandas(frontier.reset_index(drop=True))
-            selected, deferred = select_wave_distributed(
-                frontier, wave, cfg.wave_size, cfg.per_host_budget
-            )
-            if selected.empty:
-                # eligible set empty: the defer pass is a no-op — keep
-                # the untouched (shallow) plan and try the next wave
-                continue
-            frontier = deferred
-        else:
-            if not isinstance(frontier, pd.DataFrame):
-                # shrunk below the threshold: collapse to driver pandas
-                frontier = frontier.to_pandas()
-                if frontier.empty:
-                    # an empty Dataset drops its schema — restore the
-                    # canonical frontier columns for concat/sort
-                    frontier = make_frontier_rows([])
-                else:
-                    frontier["url_key"] = frontier["url_key"].astype("uint64")
-            selected, frontier = select_wave(
-                frontier, wave, cfg.wave_size, cfg.per_host_budget
-            )
-            if selected.empty:
-                # nothing eligible this wave but future work remains
-                if (frontier["next_fetch_wave"] > wave).all() and not frontier.empty:
-                    continue
-                break
-
-        t_mark = time.perf_counter()
-        phase_t: dict[str, float] = {}
-
-        def _lap(name: str) -> None:
-            nonlocal t_mark
-            now = time.perf_counter()
-            phase_t[name] = round(now - t_mark, 4)
-            t_mark = now
-
-        seen_mask = seen.check_and_add(selected["url_key"].to_numpy(dtype=np.uint64))
-        selected = selected.assign(status=np.where(seen_mask, "dup", "pending"))
-        todo = selected[~seen_mask].reset_index(drop=True)
-        _lap("t_seen")
-
-        fetched_df = pd.DataFrame()
-        outlinks = pd.DataFrame(columns=["out_url", "seed", "depth"])
-        adds: list[pd.DataFrame] = []  # Dataset-mode wave-sized additions
-        if not todo.empty:
-            # fetch+parse run fused inside the actor pool (records are
-            # written there, before the actors reply, so the wave's
-            # records are durable before its checkpoint); the returned
-            # table carries only url/status/links — never html
-            fetched_tbl = pool.fetch(todo, wave)  # bounded by wave_size
-            _lap("t_fetch")
-
-            # outlinks were discovered inside the fetch actors (the
-            # page body never comes back to the driver for re-parsing);
-            # here we only flatten the small list column — vectorized
-            outlinks = _flatten_outlinks(fetched_tbl).to_pandas()
-            _lap("t_extract")
-            fetched_df = fetched_tbl.select(["url", "status"]).to_pandas()
-
-            # politeness-denied urls must NOT be lost: they were marked
-            # seen before the fetch, so un-see them and requeue for the
-            # next wave (the lineage still records this wave's denial)
-            denied = set(
-                fetched_df.loc[fetched_df["status"] == "budget_denied", "url"]
-            )
-            if denied:
-                requeue = todo[todo["url"].isin(denied)]
-                seen.remove(requeue["url_key"].to_numpy(dtype=np.uint64))
-                requeue = requeue[FRONTIER_COLUMNS].copy()
-                requeue["next_fetch_wave"] = np.int32(wave + 1)
-                if distributed:
-                    # just-selected urls cannot still be pending: defer
-                    # dropped them, so the requeue needs no anti-join
-                    adds.append(requeue)
-                else:
-                    frontier = pd.concat([frontier, requeue], ignore_index=True)
-
-        # merge fetch statuses into the wave lineage
-        lineage = selected[["url", "seed", "status"]].copy()
-        if not fetched_df.empty:
-            smap = dict(zip(fetched_df["url"], fetched_df["status"]))
-            lineage["status"] = [
-                smap.get(u, s) for u, s in zip(lineage["url"], lineage["status"])
-            ]
-        lineage.insert(0, "wave", wave)
-        lineage.insert(1, "order_in_wave", np.arange(len(lineage)))
-
-        # frontier update: add new outlinks (drop urls already pending).
-        # Dedup survivor is chosen by a DETERMINISTIC sort key
-        # (out_url, depth, seed) — not arrival order, which would vary
-        # with the fetch-pool actor count across environments and break
-        # the byte-identical resume contract.  Vectorized throughout
-        # (columns, never Python row loops).
-        if not outlinks.empty:
-            dedup = outlinks.copy()
-            # canonicalize BEFORE dedup/membership: raw link variants
-            # ('…/x' vs '…/x/') would otherwise pass the frontier
-            # check and become duplicate canonical rows
-            dedup["out_url"] = dedup["out_url"].map(canonicalize_url)
-            dedup = (
-                dedup.sort_values(["out_url", "depth", "seed"], kind="mergesort")
-                .drop_duplicates("out_url")
-            )
-            if distributed:
-                # anti-join against this wave's requeues locally, then
-                # against the pending Dataset via one streaming
-                # semi-join probe (the driver never sees the frontier)
-                requeued_urls = set(pd.concat(adds)["url"]) if adds else set()
-                dedup = dedup[~dedup["out_url"].isin(requeued_urls)]
-                if len(dedup):
-                    add = make_frontier_rows(
-                        dedup["out_url"].tolist(), priority=0,
-                        wave=wave + 1, depth=0, seed="",
-                    )
-                    add["seed"] = dedup["seed"].to_numpy()
-                    add["depth"] = dedup["depth"].to_numpy(dtype=np.int32)
-                    add["priority"] = add["depth"]  # BFS: shallower first
-                    present = _keys_present(
-                        frontier, add["url_key"].to_numpy(dtype=np.uint64)
-                    )
-                    if len(present):
-                        add = add[~add["url_key"].isin(present)]
-                    if len(add):
-                        adds.append(add)
+    try:
+        seen = ShardedSeenSet(cfg.n_seen_shards, cfg.log2_buckets, pool.actors)
+        start_wave = 0
+        if resume:
+            latest = _latest_checkpoint(workdir)
+            if latest is not None:
+                frontier, pending = _load_checkpoint(
+                    workdir, latest, seen, cfg.distributed_select_threshold
+                )
+                start_wave = latest + 1
+                # a crash between record writes and the wave checkpoint
+                # leaves partial records for waves >= start_wave; the
+                # re-run may use a different actor count and therefore a
+                # different part layout, so stale parts would survive and
+                # duplicate that wave's records — wipe them first
+                _drop_record_waves(os.path.join(workdir, "records"), start_wave)
             else:
-                dedup = dedup[~dedup["out_url"].isin(set(frontier["url"]))]
-                if len(dedup):
-                    add = make_frontier_rows(
-                        dedup["out_url"].tolist(), priority=0,
-                        wave=wave + 1, depth=0, seed="",
-                    )
-                    add["seed"] = dedup["seed"].to_numpy()
-                    add["depth"] = dedup["depth"].to_numpy(dtype=np.int32)
-                    add["priority"] = add["depth"]  # BFS: shallower first
-                    frontier = pd.concat([frontier, add], ignore_index=True)
+                resume = False
+        if not resume:
+            shutil.rmtree(os.path.join(workdir, "ckpt"), ignore_errors=True)
+            shutil.rmtree(os.path.join(workdir, "records"), ignore_errors=True)
+            frontier = make_frontier_rows(seeds, priority=0, wave=0, depth=0, seed="root")
+            pending = len(frontier)
 
-        wave_metrics = {
-            "wave": wave,
-            "selected": int(len(selected)),
-            "dup": int(seen_mask.sum()),
-            "fetched_ok": int((fetched_df["status"] == "ok").sum()) if not fetched_df.empty else 0,
-            "outlinks": int(len(outlinks)),
-            "seen_total": int(sum(seen.counts())),
-            **phase_t,
-        }
-        # _write_checkpoint counts the frontier during the write and
-        # injects metrics['frontier_pending'] — no extra counting pass
-        if distributed:
-            new_frontier = frontier
-            if adds:
-                small = pd.concat(adds, ignore_index=True)[FRONTIER_COLUMNS]
-                new_frontier = new_frontier.union(rd.from_pandas(small))
-            pending = _write_checkpoint(
-                workdir, wave, new_frontier, seen, lineage, wave_metrics
-            )
-            # re-enter the next wave from the checkpoint Parquet: the
-            # per-wave plan stays (read → select) instead of an
-            # ever-growing defer/union lineage
-            fdir = os.path.join(_ckpt_dir(workdir, wave), _FRONTIER_DIRNAME)
-            frontier = rd.read_parquet(fdir) if pending else make_frontier_rows([])
-        else:
-            pending = _write_checkpoint(
-                workdir, wave, frontier, seen, lineage, wave_metrics
-            )
-        wave_metrics["t_ckpt"] = round(time.perf_counter() - t_mark, 4)
-        metrics_all.append(wave_metrics)
+        import ray.data as rd
+
+        metrics_all: list[dict] = []
+        wave = start_wave
+        for wave in range(start_wave, cfg.max_waves):
+            if pending == 0:
+                break
+            distributed = pending > cfg.distributed_select_threshold
+            if distributed:
+                # large-frontier route: the frontier lives as a Dataset the
+                # whole wave — selection, membership checks and the
+                # checkpoint write all run as Dataset ops, and the frontier
+                # re-enters the next wave from the checkpoint's Parquet.
+                # The driver holds only wave-sized frames and counters.
+                if isinstance(frontier, pd.DataFrame):
+                    # entering Dataset mode: the distributed defer filters
+                    # by url_key membership, so duplicate keys would
+                    # silently drop rows — assert the invariant once at the
+                    # boundary (Dataset-mode updates keep it by
+                    # construction: outlink adds anti-join pending keys)
+                    assert_frontier_unique(frontier)
+                    frontier = rd.from_pandas(frontier.reset_index(drop=True))
+                selected, deferred = select_wave_distributed(
+                    frontier, wave, cfg.wave_size, cfg.per_host_budget
+                )
+                if selected.empty:
+                    # eligible set empty: the defer pass is a no-op — keep
+                    # the untouched (shallow) plan and try the next wave
+                    continue
+                frontier = deferred
+            else:
+                if not isinstance(frontier, pd.DataFrame):
+                    # shrunk below the threshold: collapse to driver pandas
+                    frontier = frontier.to_pandas()
+                    if frontier.empty:
+                        # an empty Dataset drops its schema — restore the
+                        # canonical frontier columns for concat/sort
+                        frontier = make_frontier_rows([])
+                    else:
+                        frontier["url_key"] = frontier["url_key"].astype("uint64")
+                selected, frontier = select_wave(
+                    frontier, wave, cfg.wave_size, cfg.per_host_budget
+                )
+                if selected.empty:
+                    # nothing eligible this wave but future work remains
+                    if (frontier["next_fetch_wave"] > wave).all() and not frontier.empty:
+                        continue
+                    break
+
+            t_mark = time.perf_counter()
+            phase_t: dict[str, float] = {}
+
+            def _lap(name: str) -> None:
+                nonlocal t_mark
+                now = time.perf_counter()
+                phase_t[name] = round(now - t_mark, 4)
+                t_mark = now
+
+            seen_mask = seen.check_and_add(selected["url_key"].to_numpy(dtype=np.uint64))
+            selected = selected.assign(status=np.where(seen_mask, "dup", "pending"))
+            todo = selected[~seen_mask].reset_index(drop=True)
+            _lap("t_seen")
+
+            fetched_df = pd.DataFrame()
+            outlinks = pd.DataFrame(columns=["out_url", "seed", "depth"])
+            adds: list[pd.DataFrame] = []  # Dataset-mode wave-sized additions
+            if not todo.empty:
+                # fetch+parse run fused inside the actor pool (records are
+                # written there, before the actors reply, so the wave's
+                # records are durable before its checkpoint); the returned
+                # table carries only url/status/links — never html
+                fetched_tbl = pool.fetch(todo, wave)  # bounded by wave_size
+                _lap("t_fetch")
+
+                # outlinks were discovered inside the fetch actors (the
+                # page body never comes back to the driver for re-parsing);
+                # here we only flatten the small list column — vectorized
+                outlinks = _flatten_outlinks(fetched_tbl).to_pandas()
+                _lap("t_extract")
+                fetched_df = fetched_tbl.select(["url", "status"]).to_pandas()
+
+                # politeness-denied urls must NOT be lost: they were marked
+                # seen before the fetch, so un-see them and requeue for the
+                # next wave (the lineage still records this wave's denial)
+                denied = set(
+                    fetched_df.loc[fetched_df["status"] == "budget_denied", "url"]
+                )
+                if denied:
+                    requeue = todo[todo["url"].isin(denied)]
+                    seen.remove(requeue["url_key"].to_numpy(dtype=np.uint64))
+                    requeue = requeue[FRONTIER_COLUMNS].copy()
+                    requeue["next_fetch_wave"] = np.int32(wave + 1)
+                    if distributed:
+                        # just-selected urls cannot still be pending: defer
+                        # dropped them, so the requeue needs no anti-join
+                        adds.append(requeue)
+                    else:
+                        frontier = pd.concat([frontier, requeue], ignore_index=True)
+
+            # merge fetch statuses into the wave lineage
+            lineage = selected[["url", "seed", "status"]].copy()
+            if not fetched_df.empty:
+                smap = dict(zip(fetched_df["url"], fetched_df["status"]))
+                lineage["status"] = [
+                    smap.get(u, s) for u, s in zip(lineage["url"], lineage["status"])
+                ]
+            lineage.insert(0, "wave", wave)
+            lineage.insert(1, "order_in_wave", np.arange(len(lineage)))
+
+            # frontier update: add new outlinks (drop urls already pending).
+            # Dedup survivor is chosen by a DETERMINISTIC sort key
+            # (out_url, depth, seed) — not arrival order, which would vary
+            # with the fetch-pool actor count across environments and break
+            # the byte-identical resume contract.  Vectorized throughout
+            # (columns, never Python row loops).
+            if not outlinks.empty:
+                dedup = outlinks.copy()
+                # canonicalize BEFORE dedup/membership: raw link variants
+                # ('…/x' vs '…/x/') would otherwise pass the frontier
+                # check and become duplicate canonical rows
+                dedup["out_url"] = dedup["out_url"].map(canonicalize_url)
+                dedup = (
+                    dedup.sort_values(["out_url", "depth", "seed"], kind="mergesort")
+                    .drop_duplicates("out_url")
+                )
+                if distributed:
+                    # anti-join against this wave's requeues locally, then
+                    # against the pending Dataset via one streaming
+                    # semi-join probe (the driver never sees the frontier)
+                    requeued_urls = set(pd.concat(adds)["url"]) if adds else set()
+                    dedup = dedup[~dedup["out_url"].isin(requeued_urls)]
+                    if len(dedup):
+                        add = make_frontier_rows(
+                            dedup["out_url"].tolist(), priority=0,
+                            wave=wave + 1, depth=0, seed="",
+                        )
+                        add["seed"] = dedup["seed"].to_numpy()
+                        add["depth"] = dedup["depth"].to_numpy(dtype=np.int32)
+                        add["priority"] = add["depth"]  # BFS: shallower first
+                        present = _keys_present(
+                            frontier, add["url_key"].to_numpy(dtype=np.uint64)
+                        )
+                        if len(present):
+                            add = add[~add["url_key"].isin(present)]
+                        if len(add):
+                            adds.append(add)
+                else:
+                    dedup = dedup[~dedup["out_url"].isin(set(frontier["url"]))]
+                    if len(dedup):
+                        add = make_frontier_rows(
+                            dedup["out_url"].tolist(), priority=0,
+                            wave=wave + 1, depth=0, seed="",
+                        )
+                        add["seed"] = dedup["seed"].to_numpy()
+                        add["depth"] = dedup["depth"].to_numpy(dtype=np.int32)
+                        add["priority"] = add["depth"]  # BFS: shallower first
+                        frontier = pd.concat([frontier, add], ignore_index=True)
+            # requeue, lineage merge and outlink canonicalize/dedup/
+            # concat, timed before the checkpoint so metrics.json has it
+            _lap("t_frontier")
+
+            wave_metrics = {
+                "wave": wave,
+                "selected": int(len(selected)),
+                "dup": int(seen_mask.sum()),
+                "fetched_ok": int((fetched_df["status"] == "ok").sum()) if not fetched_df.empty else 0,
+                "outlinks": int(len(outlinks)),
+                "seen_total": int(sum(seen.counts())),
+                **phase_t,
+            }
+            # _write_checkpoint counts the frontier during the write and
+            # injects metrics['frontier_pending'] — no extra counting pass
+            if distributed:
+                new_frontier = frontier
+                if adds:
+                    small = pd.concat(adds, ignore_index=True)[FRONTIER_COLUMNS]
+                    new_frontier = new_frontier.union(rd.from_pandas(small))
+                pending = _write_checkpoint(
+                    workdir, wave, new_frontier, seen, lineage, wave_metrics
+                )
+                # re-enter the next wave from the checkpoint Parquet: the
+                # per-wave plan stays (read → select) instead of an
+                # ever-growing defer/union lineage
+                fdir = os.path.join(_ckpt_dir(workdir, wave), _FRONTIER_DIRNAME)
+                frontier = rd.read_parquet(fdir) if pending else make_frontier_rows([])
+            else:
+                pending = _write_checkpoint(
+                    workdir, wave, frontier, seen, lineage, wave_metrics
+                )
+            wave_metrics["t_ckpt"] = round(time.perf_counter() - t_mark, 4)
+            metrics_all.append(wave_metrics)
+
+        actor_stats = pool.stats()
+    finally:
+        # the pool owns every crawl actor process, seen shards
+        # included: none outlives the crawl, even when a wave raises
+        # (e.g. a cuckoo overflow out of the seen check)
+        pool.shutdown()
 
     # assemble the full trace from the per-wave lineage checkpoints
     parts = []
@@ -559,9 +573,6 @@ def run_crawl(
     trace = pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
         columns=["wave", "order_in_wave", "url", "seed", "status"]
     )
-    actor_stats = pool.stats()
-    seen.shutdown()
-    pool.shutdown()
     waves_run = (metrics_all[-1]["wave"] + 1) if metrics_all else start_wave
     return CrawlResult(workdir=workdir, waves_run=waves_run, trace=trace,
                        metrics=metrics_all, actor_stats=actor_stats)

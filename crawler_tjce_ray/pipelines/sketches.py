@@ -27,19 +27,6 @@ def _col_f64(t: pa.Table, col: str) -> np.ndarray:
     return t[col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
 
 
-def _group_codes(t: pa.Table, col: str) -> tuple[list, np.ndarray]:
-    """(keys, codes) dictionary encoding of a group column — the
-    vectorized per-batch replacement for ``df.groupby(col)``.  Null
-    keys get code -1 so callers can exclude them (pandas drops the
-    NaN group; Arrow's own group_by would keep it)."""
-    arr = t[col].combine_chunks()
-    da = arr.dictionary_encode()
-    idx = da.indices
-    if idx.null_count:
-        import pyarrow.compute as pc
-        idx = pc.fill_null(idx, -1)
-    return da.dictionary.to_pylist(), idx.to_numpy().astype(np.int64, copy=False)
-
 HLL_P = 12
 HLL_M = 1 << HLL_P
 
@@ -349,7 +336,7 @@ def q_value_histogram(sf_dir: str):
     w = (mx - mn) / HIST_BINS
 
     def hist(t: pa.Table) -> pa.Table:
-        v = _derive_value(t)
+        v = _col_f64(t, "value")
         v = v[~np.isnan(v)]
         b = np.minimum(
             np.floor((v - mn) / w), HIST_BINS - 1

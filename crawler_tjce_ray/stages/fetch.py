@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from crawler_tjce_ray.state.cuckoo import CuckooFilter
 from crawler_tjce_ray.state.frontier import url_sha1_64
 
 DEFAULT_STORE_BUCKETS = 32
@@ -311,6 +312,11 @@ class FetchActor:
     Input batch: url, host, plus a constant ``wave`` passed per call.
     Output: url, host, status (ok | missing | robots_denied |
     budget_denied), links (+ html only when extraction is NOT fused).
+
+    The actor also hosts URL-seen cuckoo shards (``seen_*`` methods,
+    driven by ``stages.seen.ShardedSeenSet``): the seen test runs in
+    the long-lived actors that own the url-hash partitions, so the
+    seen set needs no processes of its own.
     """
 
     def __init__(self, store_dir: str, n_buckets: int = DEFAULT_STORE_BUCKETS,
@@ -360,6 +366,7 @@ class FetchActor:
         self.budget = TokenBucket(per_host_rate)
         self.records_dir = records_dir
         self.actor_id = actor_id
+        self.seen_shards: dict[int, CuckooFilter] = {}
         self.extractors = {}
         if records_dir is not None:
             # per-actor setup, once (the actor-pool contract): build
@@ -468,6 +475,26 @@ class FetchActor:
             if name not in out:
                 out[name] = batch[name]
         return pa.table(out)
+
+    # ---- URL-seen shards hosted here: every call carries
+    # {shard_id: payload} for this actor's shards only ----
+    def seen_init(self, shard_ids: list[int], log2_buckets: int) -> None:
+        self.seen_shards = {s: CuckooFilter(log2_buckets) for s in shard_ids}
+
+    def seen_check_and_add(self, keys: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+        return {s: self.seen_shards[s].check_and_add(k) for s, k in keys.items()}
+
+    def seen_remove(self, keys: dict[int, np.ndarray]) -> int:
+        return sum(self.seen_shards[s].remove(k) for s, k in keys.items())
+
+    def seen_counts(self) -> dict[int, int]:
+        return {s: f.count for s, f in self.seen_shards.items()}
+
+    def seen_to_bytes(self) -> dict[int, bytes]:
+        return {s: f.to_bytes() for s, f in self.seen_shards.items()}
+
+    def seen_load_bytes(self, blobs: dict[int, bytes]) -> None:
+        self.seen_shards = {s: CuckooFilter.from_bytes(b) for s, b in blobs.items()}
 
     def stats(self) -> dict[str, int]:
         """T8 metrics export: this actor's lifetime counters (merged

@@ -1,11 +1,16 @@
-"""Sharded URL-seen set: cuckoo-filter shards in Ray actors.
+"""Sharded URL-seen set: cuckoo-filter shards hosted in the fetch actors.
 
 A shared mutable index is the one piece the Dataset API cannot
-express (SURVEY.md §7.4), so the shards are raw ``@ray.remote``
-actors; everything talks to them in *batched, vectorized* calls
-(numpy key arrays, one call per shard per wave).  Shard count is
-fixed at creation (resharding = rebuild) and every shard serializes
-to bytes for the per-partition checkpoint.
+express (SURVEY.md §7.4), so the shards live in long-lived Ray actors
+— the crawl's fetch pool, whose url-hash-partitioned actors already
+run for the whole crawl.  Shard ``s`` is a plain ``CuckooFilter`` on
+``hosts[s % len(hosts)]`` (the Mercator layout: the URL-seen test runs
+at the node that owns the URL's partition), so the seen set costs no
+processes of its own.  Everything talks to the shards in *batched,
+vectorized* calls: one call per host actor per operation, carrying
+``{shard_id: keys}``.  Shard count is fixed at creation and does not
+depend on the host count (resharding = rebuild); every shard
+serializes to bytes for the per-partition checkpoint.
 
 Scale path: shard count ≈ cluster cores; each shard holds
 ``2^log2_buckets × 4`` 16-bit fingerprints (a 2^26-bucket shard ≈
@@ -17,45 +22,28 @@ from __future__ import annotations
 import numpy as np
 import ray
 
-from crawler_tjce_ray.state.cuckoo import CuckooFilter
-
-
-@ray.remote(num_cpus=0)
-class SeenShardActor:
-    """num_cpus=0: membership checks are sub-millisecond bitset ops —
-    reserving cores here starved task scheduling on small clusters
-    (long-lived bookkeeping actors must never hold worker slots that
-    fetch/extract tasks need)."""
-
-    def __init__(self, log2_buckets: int = 16):
-        self.filter = CuckooFilter(log2_buckets)
-
-    def check_and_add(self, keys: np.ndarray) -> np.ndarray:
-        return self.filter.check_and_add(keys)
-
-    def contains(self, keys: np.ndarray) -> np.ndarray:
-        return self.filter.contains(keys)
-
-    def remove(self, keys: np.ndarray) -> int:
-        return self.filter.remove(keys)
-
-    def to_bytes(self) -> bytes:
-        return self.filter.to_bytes()
-
-    def load_bytes(self, blob: bytes) -> int:
-        self.filter = CuckooFilter.from_bytes(blob)
-        return self.filter.count
-
-    def count(self) -> int:
-        return self.filter.count
-
 
 class ShardedSeenSet:
-    """Driver-side handle over K seen-set shards."""
+    """Driver-side handle over K seen-set shards spread over the host
+    actors (any actor exposing the ``seen_*`` methods of
+    ``stages.fetch.FetchActor``).  The hosts' owner (``FetchPool``)
+    owns their processes; this handle never kills them."""
 
-    def __init__(self, n_shards: int = 4, log2_buckets: int = 16):
+    def __init__(self, n_shards: int, log2_buckets: int, hosts: list):
         self.n_shards = n_shards
-        self.actors = [SeenShardActor.remote(log2_buckets) for i in range(n_shards)]
+        self.hosts = list(hosts)
+        # blocking: actor start-up is paid (and start-up errors surface)
+        # here, before the first wave, not inside the wave's seen check
+        ray.get([
+            h.seen_init.remote(ids, log2_buckets)
+            for h, ids in self._host_shards().items()
+        ])
+
+    def _host_shards(self) -> dict:
+        """host actor → its shard ids (shard s on hosts[s % n_hosts])."""
+        n = len(self.hosts)
+        return {h: list(range(i, self.n_shards, n))
+                for i, h in enumerate(self.hosts[:self.n_shards])}
 
     def _route(self, keys: np.ndarray) -> np.ndarray:
         # route on HIGH bits: the cuckoo primary bucket is key & mask
@@ -64,21 +52,32 @@ class ShardedSeenSet:
         # overflow at ~0.72 load instead of ~0.97)
         return ((keys >> np.uint64(32)) % np.uint64(self.n_shards)).astype(np.int64)
 
+    def _scatter(self, keys: np.ndarray) -> dict:
+        """host actor → {shard_id: row indices into ``keys``}, for the
+        non-empty shards only."""
+        shard = self._route(keys)
+        out: dict = {}
+        for s in range(self.n_shards):
+            idx = np.nonzero(shard == s)[0]
+            if idx.size:
+                out.setdefault(self.hosts[s % len(self.hosts)], {})[s] = idx
+        return out
+
     def check_and_add(self, keys: np.ndarray) -> np.ndarray:
         """True per key ⇔ already seen; unseen keys become seen.
-        One batched actor call per shard, issued in parallel."""
+        One batched call per host actor, issued in parallel."""
         keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return np.zeros(0, dtype=bool)
-        shard = self._route(keys)
         out = np.zeros(len(keys), dtype=bool)
-        futures = {}
-        for s in range(self.n_shards):
-            idx = np.where(shard == s)[0]
-            if idx.size:
-                futures[s] = (idx, self.actors[s].check_and_add.remote(keys[idx]))
-        for s, (idx, fut) in futures.items():
-            out[idx] = ray.get(fut)
+        if keys.size == 0:
+            return out
+        parts = self._scatter(keys)
+        masks = ray.get([
+            h.seen_check_and_add.remote({s: keys[i] for s, i in rows.items()})
+            for h, rows in parts.items()
+        ])
+        for rows, by_shard in zip(parts.values(), masks):
+            for s, mask in by_shard.items():
+                out[rows[s]] = mask
         return out
 
     def remove(self, keys: np.ndarray) -> int:
@@ -87,25 +86,30 @@ class ShardedSeenSet:
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return 0
-        shard = self._route(keys)
-        futs = []
-        for s in range(self.n_shards):
-            idx = np.where(shard == s)[0]
-            if idx.size:
-                futs.append(self.actors[s].remove.remote(keys[idx]))
-        return sum(ray.get(futs))
+        return sum(ray.get([
+            h.seen_remove.remote({s: keys[i] for s, i in rows.items()})
+            for h, rows in self._scatter(keys).items()
+        ]))
+
+    def _gather(self, method: str) -> list:
+        """Call ``method`` on every host and return its per-shard
+        values as a list in shard order."""
+        merged: dict = {}
+        for part in ray.get([
+            getattr(h, method).remote() for h in self._host_shards()
+        ]):
+            merged.update(part)
+        return [merged[s] for s in range(self.n_shards)]
 
     def counts(self) -> list[int]:
-        return ray.get([a.count.remote() for a in self.actors])
+        return self._gather("seen_counts")
 
     def checkpoint(self) -> list[bytes]:
-        return ray.get([a.to_bytes.remote() for a in self.actors])
+        return self._gather("seen_to_bytes")
 
     def restore(self, blobs: list[bytes]) -> None:
         assert len(blobs) == self.n_shards, "shard count is fixed at creation"
-        ray.get([a.load_bytes.remote(b) for a, b in zip(self.actors, blobs)])
-
-    def shutdown(self) -> None:
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []
+        ray.get([
+            h.seen_load_bytes.remote({s: blobs[s] for s in ids})
+            for h, ids in self._host_shards().items()
+        ])

@@ -18,6 +18,47 @@ from crawler_tjce_ray.state.frontier import (
 N_ENTITIES, TOTAL_PAGES, ROWS = 8, 40, 20
 
 
+def _final_seen(workdir, n_shards=2):
+    """The seen-shard blobs of a crawl's last checkpoint."""
+    base = os.path.join(workdir, "ckpt")
+    last = sorted(os.listdir(base))[-1]
+    return [
+        open(os.path.join(base, last, f"seen_shard_{i}.bin"), "rb").read()
+        for i in range(n_shards)
+    ]
+
+
+def _actor_table():
+    # GCS actor table: ray.util.state needs the dashboard, which the
+    # test session does not start
+    import ray
+
+    return ray._private.state.actors()
+
+
+def _actor_ids():
+    return set(_actor_table())
+
+
+def _actor_classes(ids):
+    table = _actor_table()
+    return sorted(table[i]["ActorClassName"] for i in ids)
+
+
+def _assert_all_dead(ids, timeout_s=10.0):
+    """ray.kill is asynchronous: allow the GCS a moment to record it."""
+    import time
+
+    deadline = time.monotonic() + timeout_s
+    while True:
+        table = _actor_table()
+        alive = [i for i in ids if table[i]["State"] != "DEAD"]
+        if not alive or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert not alive, [table[i]["ActorClassName"] for i in alive]
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("pages"))
@@ -119,15 +160,59 @@ class TestCrawl:
             full.trace.reset_index(drop=True), resumed.trace.reset_index(drop=True)
         )
         # seen state equality via the final checkpoint blobs
-        def final_seen(workdir):
-            base = os.path.join(workdir, "ckpt")
-            last = sorted(os.listdir(base))[-1]
-            return [
-                open(os.path.join(base, last, f"seen_shard_{i}.bin"), "rb").read()
-                for i in range(2)
-            ]
+        assert _final_seen(workdir_full) == _final_seen(workdir_cut)
 
-        assert final_seen(workdir_full) == final_seen(workdir_cut)
+    def test_resume_on_fewer_seen_hosts(self, corpus, tmp_path):
+        """The seen shards live in the fetch actors (shard s on actor
+        s % n_actors), but their count is CrawlConfig.n_seen_shards:
+        a crawl cut on 2 fetch actors and resumed on 1 reproduces the
+        uninterrupted trace and the same final shard blobs.  Each crawl
+        starts only its fetch actors, and none outlives run_crawl."""
+        pages, _ = corpus
+        workdir_full = str(tmp_path / "full")
+        full = self._run(corpus, workdir_full)
+
+        def cfg(fetch_concurrency, max_waves):
+            return CrawlConfig(wave_size=64, per_host_budget=4,
+                               max_waves=max_waves, n_seen_shards=2,
+                               log2_buckets=12, extract_records=False,
+                               fetch_concurrency=fetch_concurrency)
+
+        workdir_cut = str(tmp_path / "cut")
+        before = _actor_ids()
+        run_crawl(pages, workdir_cut, config=cfg(2, 3))  # "killed" after wave 2
+        cut_actors = _actor_ids() - before
+        resumed = run_crawl(pages, workdir_cut, config=cfg(1, 60), resume=True)
+        resume_actors = _actor_ids() - before - cut_actors
+
+        pd.testing.assert_frame_equal(
+            full.trace.reset_index(drop=True), resumed.trace.reset_index(drop=True)
+        )
+        assert _final_seen(workdir_full) == _final_seen(workdir_cut)
+        # 4-cpu session: n_fetch = min(fetch_concurrency, cpus - 2)
+        assert _actor_classes(cut_actors) == ["FetchActor"] * 2
+        assert _actor_classes(resume_actors) == ["FetchActor"]
+        _assert_all_dead(cut_actors | resume_actors)
+
+    def test_seen_overflow_fails_wave_and_frees_actors(self, corpus, tmp_path):
+        """A cuckoo overflow inside a host actor raises out of run_crawl
+        before that wave's checkpoint is written, and the pool's actors
+        (and with them the seen shards) are still torn down."""
+        pages, _ = corpus
+        workdir = str(tmp_path / "run")
+        cfg = CrawlConfig(wave_size=64, per_host_budget=4, max_waves=60,
+                          n_seen_shards=2, log2_buckets=1,  # 2 × 8 slots
+                          fetch_concurrency=2, extract_records=False)
+        before = _actor_ids()
+        with pytest.raises(RuntimeError, match="over capacity"):
+            run_crawl(pages, workdir, config=cfg)
+        # the failing wave never started its checkpoint write: no tmp
+        # dir, every checkpoint present is a complete earlier wave
+        ckpt = os.path.join(workdir, "ckpt")
+        for name in os.listdir(ckpt):
+            assert not name.endswith(".tmp")
+            assert os.path.exists(os.path.join(ckpt, name, "_SUCCESS"))
+        _assert_all_dead(_actor_ids() - before)
 
     def test_robots_denied(self, corpus, tmp_path):
         pages, _ = corpus

@@ -384,3 +384,22 @@ class TestValueHistogram:
         assert out["bin"].is_monotonic_increasing
         # bin_lo is the shared left edge: strictly increasing with bin
         assert out["bin_lo"].is_monotonic_increasing
+
+    def test_matches_sql_oracle(self):
+        """The per-block ``hist`` kernel runs on pyarrow batches; its
+        result must equal ``SQL_VALUE_HISTOGRAM`` exactly (same bins,
+        same counts, same left edges)."""
+        import duckdb
+
+        from crawler_tjce_ray.pipelines.sketches import (
+            SQL_VALUE_HISTOGRAM, q_value_histogram,
+        )
+
+        con = duckdb.connect()
+        con.execute(f"CREATE VIEW events AS SELECT * FROM '{SF_DIR}/events.parquet'")
+        ref = con.execute(SQL_VALUE_HISTOGRAM).df()
+        out = q_value_histogram(SF_DIR)
+        assert list(out["bin"]) == [int(b) for b in ref["bin"]]
+        assert list(out["cnt"]) == [int(c) for c in ref["cnt"]]
+        np.testing.assert_array_equal(out["bin_lo"].to_numpy(),
+                                      ref["bin_lo"].round(6).to_numpy())
