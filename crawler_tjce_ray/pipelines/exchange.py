@@ -1,13 +1,22 @@
-"""Exchange fan-out sizing for coarse-bucket shuffles.
+"""Key-bucket exchanges: the one single-input shuffle and its fan-out.
 
-Every ``groupby("kb").map_groups(fn)`` exchange in this package
-materializes ONE bucket as ONE in-task frame.  For exchanges that
-carry *partials* (bounded per-key aggregates) a fixed 64-way fan-out
-is fine at any corpus size — the bucket payload is O(keys/64), not
-O(rows).  For exchanges that carry *row-level data* (big-big joins,
-text-carrying dedup hops) the bucket payload is O(corpus/buckets), so
-the fan-out must grow with the input: at 100 TB a 64-way exchange
-puts ~1.5 TB in a single task.
+``shuffle(ds, key, nb, finalize, combine=None)`` is the one path for a
+single-input exchange on an integer key.  ONE pyarrow ``map_batches``
+applies the optional per-batch ``combine`` (Arrow table in, bounded
+per-key partials out) and appends ``kb = key & (nb-1)``; then
+``groupby("kb").map_groups(finalize)`` hands each bucket to
+``finalize`` as ONE pandas frame.  The Ray plan is one map operator,
+one all-to-all and one map operator.  Neither UDF needs an
+empty-input guard: Ray Data passes an empty block through a
+``map_batches`` UDF without calling it, and ``map_groups`` never
+forms an empty group (pinned by tests/test_exchange_fanout.py).
+
+Fan-out.  For exchanges that carry *partials* (bounded per-key
+aggregates) a fixed 64-way fan-out is fine at any corpus size — the
+bucket payload is O(keys/64), not O(rows).  For exchanges that carry
+*row-level data* (big-big joins, text-carrying dedup hops) the bucket
+payload is O(corpus/buckets), so the fan-out must grow with the
+input: at 100 TB a 64-way exchange puts ~1.5 TB in a single task.
 
 ``buckets_for_bytes`` derives a power-of-two fan-out from the
 estimated input bytes so one bucket's decompressed payload targets
@@ -21,6 +30,9 @@ invariant by construction, not by luck.
 
 Ops override order: ``set_forced_buckets()`` (tests) >
 ``CRAWLER_EXCHANGE_BUCKETS`` env > size-derived value.
+
+Two-sided exchanges (a ``.union`` of tagged sides) and string-keyed
+exchanges (``kb_words``) still tag by hand.
 """
 
 from __future__ import annotations
@@ -108,6 +120,26 @@ def kb_arrow(key: pa.ChunkedArray | pa.Array, nb: int) -> pa.ChunkedArray:
     """key & (nb-1) as a pyarrow kernel — exact mod for non-negative
     keys and power-of-two nb."""
     return pc.bit_wise_and(pc.cast(key, pa.int64()), pa.scalar(nb - 1, pa.int64()))
+
+
+def shuffle(ds, key: str, nb: int, finalize, combine=None):
+    """Exchange ``ds`` on the integer column ``key`` over ``nb`` (a
+    power of two) buckets and run ``finalize`` (pandas frame → pandas
+    frame, the ``kb`` column included) once per bucket.  ``combine``,
+    if given, pre-reduces each Arrow batch in the same map as the tag,
+    and ``key`` then names a column of its output.  Returns the lazy
+    dataset."""
+
+    def tag(t: pa.Table) -> pa.Table:
+        if combine is not None:
+            t = combine(t)
+        return t.append_column("kb", kb_arrow(t[key], nb))
+
+    return (
+        ds.map_batches(tag, batch_format="pyarrow")
+        .groupby("kb")
+        .map_groups(finalize, batch_format="pandas")
+    )
 
 
 def kb_numpy(key: np.ndarray, nb: int) -> np.ndarray:

@@ -6,7 +6,11 @@ a Ray Data pipeline and names every computed column identically to its
 oracle.  Scale notes are on each function: reads are column-pruned,
 small sides are broadcast (never shuffled), aggregates pre-combine
 per-batch where the key-space is small, and only provably small
-results are materialized.
+results are materialized.  A single-input exchange on an integer
+column is one ``exchange.shuffle`` call (optional Arrow combine + ``kb``
+tag in one map, then a pandas finalize per bucket); two-sided joins
+(a ``.union`` of tagged sides) and the hops keyed by a hash or a range
+of a column tag by hand.
 """
 
 from __future__ import annotations
@@ -52,6 +56,78 @@ def _const(n: int, v, dtype) -> pa.Array:
     if v is None:
         return pa.nulls(n, dtype)
     return pa.array(np.full(n, v), type=dtype)
+
+
+def _cents(x) -> pa.ChunkedArray:
+    """Dollar amounts snapped to integer cents, FLOOR(x·100 + 0.5) —
+    the oracles' rounding — so every later sum is exact and
+    order-independent."""
+    return pc.cast(pc.floor(pc.add(
+        pc.multiply(x, pa.scalar(100.0)), pa.scalar(0.5))), pa.int64())
+
+
+def _spend_partial(t: pa.Table) -> pa.Table:
+    """Per-batch (custkey, spend_c) combine over orders: integer-cent
+    ``o_totalprice`` summed per customer."""
+    g = pa.table({
+        "custkey": pc.cast(t["o_custkey"], pa.int64()),
+        "spend_c": _cents(t["o_totalprice"]),
+    }).group_by("custkey").aggregate([("spend_c", "sum")])
+    return pa.table({
+        "custkey": pc.cast(g["custkey"], pa.int64()),
+        "spend_c": pc.cast(g["spend_c_sum"], pa.int64()),
+    })
+
+
+def _sum_hist(ds, key: str, val: str, nb: int, combine) -> pd.DataFrame:
+    """Value-count histogram of per-key integer sums, ascending by
+    ``val``: ``combine`` emits per-batch (key, val) partials, ONE
+    key-bucket exchange finalizes each key's exact sum, each bucket
+    emits (val, n) rows and the driver folds O(distinct sums) rows —
+    the ``chars_percent_rank`` discipline."""
+
+    def hist_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        per = g.groupby(key, as_index=False)[val].sum()
+        h = per.groupby(val, as_index=False).size() \
+            .rename(columns={"size": "n"})
+        return h.astype({val: "int64", "n": "int64"})
+
+    return (
+        _ex.shuffle(ds, key, nb, hist_in_bucket, combine=combine)
+        .to_pandas()
+        .groupby(val, as_index=False)["n"].sum()
+        .sort_values(val).reset_index(drop=True)
+    )
+
+
+def _hist_gini(hist: pd.DataFrame, val: str, top_k):
+    """(n, Σx, Gini, sum of the ``top_k(n)`` largest x) from an
+    ascending ``_sum_hist`` histogram.  Gini uses the ROW_NUMBER form
+    (2·Σr·x − (n+1)·Σx)/(n·Σx), which is tie-order invariant because
+    tied ranks multiply equal values; the top cut is value-invariant
+    at the boundary for the same reason.  Rank sums are
+    arbitrary-precision Python ints (Σ rank·x at 10¹⁰ keys overflows
+    int64), so every input to the final division is an exact
+    integer."""
+    vals = [int(v) for v in hist[val]]
+    cnts = [int(c) for c in hist["n"]]
+    n = sum(cnts)
+    tot = sum(v * c for v, c in zip(vals, cnts))
+    # Σ rank·x with ranks 1..n ascending: a value v with count c and
+    # C strictly-smaller keys owns ranks C+1..C+c
+    rs, below = 0, 0
+    for v, c in zip(vals, cnts):
+        rs += v * (c * below + c * (c + 1) // 2)
+        below += c
+    top, need = 0, top_k(n)
+    for v, c in zip(reversed(vals), reversed(cnts)):
+        take = min(c, need)
+        top += v * take
+        need -= take
+        if need == 0:
+            break
+    gini = (2.0 * rs - (n + 1.0) * tot) / (float(n) * tot) if tot else 0.0
+    return n, tot, gini, top
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +223,6 @@ def q_min_max_dates(sf_dir: str):
 
     def partial(t: pa.Table) -> pa.Table:
         ts_type = t.schema.field("ts").type
-        if t.num_rows == 0:
-            # an empty block must emit a correctly TYPED empty table —
-            # [None] would be a null-typed column that conflicts with
-            # the timestamp blocks at schema unification
-            return pa.table({
-                "min_ts": pa.array([], ts_type),
-                "max_ts": pa.array([], ts_type),
-            })
         return pa.table({
             "min_ts": pa.array([pc.min(t["ts"]).as_py()], ts_type),
             "max_ts": pa.array([pc.max(t["ts"]).as_py()], ts_type),
@@ -470,22 +538,13 @@ def q_topk_per_user(sf_dir: str):
 
     nb = _nb_rows(sf_dir, "events")  # row-carrying exchange: size fan-out
 
-    def bucket(t: pa.Table) -> pa.Table:
-        kb = _ex.kb_arrow(t["user_id"], nb)
-        return t.append_column("kb", kb)
-
     def head3(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         return g.groupby("user_id", sort=False).head(3)[
             ["user_id", "event_id", "ts"]
         ]
 
-    out = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(head3, batch_format="pandas")
-        .to_pandas()
-    )
+    out = _ex.shuffle(ds, "user_id", nb, head3).to_pandas()
     return out.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
 
 
@@ -820,10 +879,6 @@ def q_sessionize(sf_dir: str):
 
     nb = _nb_rows(sf_dir, "events")  # row-carrying exchange: size fan-out
 
-    def bucket(t: pa.Table) -> pa.Table:
-        kb = _ex.kb_arrow(t["user_id"], nb)
-        return t.append_column("kb", kb)
-
     def assign(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         g = g.reset_index(drop=True)
@@ -832,9 +887,7 @@ def q_sessionize(sf_dir: str):
         return g[["user_id", "event_id", "session_id"]]
 
     out = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(assign, batch_format="pandas")
+        _ex.shuffle(ds, "user_id", nb, assign)
         .to_pandas()
         .astype({"user_id": "int64", "event_id": "int64", "session_id": "int64"})
     )
@@ -869,10 +922,6 @@ def q_event_dwell(sf_dir: str):
 
     nb = _nb_rows(sf_dir, "events")  # row-carrying exchange: size fan-out
 
-    def bucket(t: pa.Table) -> pa.Table:
-        kb = _ex.kb_arrow(t["user_id"], nb)
-        return t.append_column("kb", kb)
-
     def dwell(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         nxt = g["ts"].shift(-1)
@@ -886,9 +935,7 @@ def q_event_dwell(sf_dir: str):
         return out
 
     out = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(dwell, batch_format="pandas")
+        _ex.shuffle(ds, "user_id", nb, dwell)
         .to_pandas()
         .astype({"event_id": "int64", "user_id": "int64", "dwell_us": "int64"})
     )
@@ -923,10 +970,6 @@ def q_cohort_matrix(sf_dir: str):
 
     nb = _nb_rows(sf_dir, "events")  # row-carrying exchange: size fan-out
 
-    def bucket(t: pa.Table) -> pa.Table:
-        kb = _ex.kb_arrow(t["user_id"], nb)
-        return t.append_column("kb", kb)
-
     def cells(g: pd.DataFrame) -> pd.DataFrame:
         day = g["ts"].dt.floor("D")
         week = day - pd.to_timedelta(day.dt.weekday, unit="D")
@@ -939,12 +982,7 @@ def q_cohort_matrix(sf_dir: str):
             n_users=("user_id", "size"))
         return out.astype({"week_age": "int64", "n_users": "int64"})
 
-    parts = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(cells, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = _ex.shuffle(ds, "user_id", nb, cells).to_pandas()
     out = parts.groupby(["cohort_week", "week_age"], as_index=False)[
         "n_users"].sum()
     out["n_users"] = out["n_users"].astype("int64")
@@ -986,34 +1024,17 @@ def q_big_spenders(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
-    def spend_partial(t: pa.Table) -> pa.Table:
-        # typed empty: pyarrow group_by on an empty block loses the
-        # schema, and Ray then drops the columns from the whole union
-        if t.num_rows == 0:
-            return pa.table({
-                "custkey": pa.array([], pa.int64()),
-                "kb": pa.array([], pa.int64()),
-                "spend_c": pa.array([], pa.int64()),
-                "segment": pa.array([], pa.string()),
-            })
-        key = pc.cast(t["o_custkey"], pa.int64())
-        cents = pc.cast(pc.floor(pc.add(
-            pc.multiply(t["o_totalprice"], pa.scalar(100.0)),
-            pa.scalar(0.5))), pa.int64())
-        g = pa.table({"custkey": key, "spend_c": cents}) \
-            .group_by("custkey").aggregate([("spend_c", "sum")])
-        key2 = pc.cast(g["custkey"], pa.int64())
-        return pa.table({
-            "custkey": key2, "kb": _ex.kb_arrow(key2, nb),
-            "spend_c": pc.cast(g["spend_c_sum"], pa.int64()),
-            "segment": _const(g.num_rows, None, pa.string()),
-        })
+    def spend_tag(t: pa.Table) -> pa.Table:
+        s = _spend_partial(t)
+        return s.append_column("kb", _ex.kb_arrow(s["custkey"], nb)) \
+            .append_column("segment", _const(s.num_rows, None, pa.string()))
 
     def cust_tag(t: pa.Table) -> pa.Table:
         key = pc.cast(t["c_custkey"], pa.int64())
         return pa.table({
-            "custkey": key, "kb": _ex.kb_arrow(key, nb),
+            "custkey": key,
             "spend_c": _const(t.num_rows, None, pa.int64()),
+            "kb": _ex.kb_arrow(key, nb),
             "segment": t["c_mktsegment"],
         })
 
@@ -1025,7 +1046,7 @@ def q_big_spenders(sf_dir: str):
         return j.astype({"custkey": "int64", "spend_c": "int64"})
 
     per_cust = (
-        orders.map_batches(spend_partial, batch_format="pyarrow")
+        orders.map_batches(spend_tag, batch_format="pyarrow")
         .union(cust.map_batches(cust_tag, batch_format="pyarrow"))
         .groupby("kb")
         .map_groups(join_bucket, batch_format="pandas")
@@ -1033,12 +1054,6 @@ def q_big_spenders(sf_dir: str):
     )
 
     def seg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if "segment" not in df.columns:  # schema-less empty block
-            return pd.DataFrame({
-                "segment": pd.Series([], dtype=object),
-                "tot_c": pd.Series([], dtype="int64"),
-                "n_cust": pd.Series([], dtype="int64"),
-            })
         return df.groupby("segment", as_index=False).agg(
             tot_c=("spend_c", "sum"), n_cust=("spend_c", "size"))
 
@@ -1050,13 +1065,6 @@ def q_big_spenders(sf_dir: str):
     n_by_seg = dict(zip(seg["segment"], seg["n_cust"].astype("int64")))
 
     def pick(df: pd.DataFrame) -> pd.DataFrame:
-        if "segment" not in df.columns:  # schema-less empty block
-            return pd.DataFrame({
-                "custkey": pd.Series([], dtype="int64"),
-                "segment": pd.Series([], dtype=object),
-                "spend": pd.Series([], dtype="float64"),
-                "ratio_to_avg": pd.Series([], dtype="float64"),
-            })
         tot = df["segment"].map(tot_by_seg).to_numpy(np.int64)
         n = df["segment"].map(n_by_seg).to_numpy(np.int64)
         sp = df["spend_c"].to_numpy(np.int64)
@@ -1105,73 +1113,15 @@ def q_concentration_stats(sf_dir: str):
     this corpus/market" (the same question webtext pipelines ask of
     per-domain page counts).
 
-    Recipe: per-batch integer-cent spend partials → ONE custkey-bucket
-    exchange finalizes per-customer spend in-bucket → each bucket
-    emits a VALUE-COUNT histogram partial (spend_c, n) — the
-    chars_percent_rank discipline — and the driver folds O(#distinct
-    spends) rows, computing rank sums with arbitrary-precision Python
-    ints (Σ rank·x at 10¹⁰ customers overflows int64; at that scale
-    the histogram fold itself shards on a value-bucket key first).
-    Gini uses the ROW_NUMBER form (2·Σr·x − (n+1)·Σx)/(n·Σx), which is
-    tie-order invariant because tied ranks multiply equal values; the
-    top-1 % cut is value-invariant at the boundary for the same
-    reason.  Every input to the two final divisions is an exact
-    integer."""
+    Recipe: ``_spend_partial`` per batch → ``_sum_hist`` (ONE
+    custkey-bucket exchange, a (spend_c, n) value-count histogram, the
+    driver folds O(#distinct spends) rows; at 10¹⁰ customers the fold
+    itself would shard on a value-bucket key first) → ``_hist_gini``
+    with the top-1 % head count ceil(n/100)."""
     nb = _nb_rows(sf_dir, 'orders')  # row-carrying exchange
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-
-    def spend_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:  # typed empty (see q_big_spenders)
-            return pa.table({
-                "custkey": pa.array([], pa.int64()),
-                "kb": pa.array([], pa.int64()),
-                "spend_c": pa.array([], pa.int64()),
-            })
-        key = pc.cast(t["o_custkey"], pa.int64())
-        cents = pc.cast(pc.floor(pc.add(
-            pc.multiply(t["o_totalprice"], pa.scalar(100.0)),
-            pa.scalar(0.5))), pa.int64())
-        g = pa.table({"custkey": key, "spend_c": cents}) \
-            .group_by("custkey").aggregate([("spend_c", "sum")])
-        key2 = pc.cast(g["custkey"], pa.int64())
-        return pa.table({
-            "custkey": key2, "kb": _ex.kb_arrow(key2, nb),
-            "spend_c": pc.cast(g["spend_c_sum"], pa.int64()),
-        })
-
-    def hist_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        per_cust = g.groupby("custkey", as_index=False)["spend_c"].sum()
-        h = per_cust.groupby("spend_c", as_index=False).agg(
-            n=("spend_c", "size"))
-        return h.astype({"spend_c": "int64", "n": "int64"})
-
-    hist = (
-        orders.map_batches(spend_partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(hist_in_bucket, batch_format="pandas")
-        .to_pandas()
-        .groupby("spend_c", as_index=False)["n"].sum()
-        .sort_values("spend_c").reset_index(drop=True)
-    )
-    vals = [int(v) for v in hist["spend_c"]]
-    cnts = [int(c) for c in hist["n"]]
-    n = sum(cnts)
-    tot = sum(v * c for v, c in zip(vals, cnts))
-    # Σ rank·x with ranks 1..n ascending: a value v with count c and
-    # C strictly-smaller customers owns ranks C+1..C+c
-    rs, below = 0, 0
-    for v, c in zip(vals, cnts):
-        rs += v * (c * below + c * (c + 1) // 2)
-        below += c
-    k = -(-n // 100)  # ceil(n/100): top-1% head count
-    top_c, need = 0, k
-    for v, c in zip(reversed(vals), reversed(cnts)):
-        take = min(c, need)
-        top_c += v * take
-        need -= take
-        if need == 0:
-            break
-    gini = (2.0 * rs - (n + 1.0) * tot) / (float(n) * tot) if tot else 0.0
+    hist = _sum_hist(orders, "custkey", "spend_c", nb, _spend_partial)
+    n, tot, gini, top_c = _hist_gini(hist, "spend_c", lambda n: -(-n // 100))
     return pd.DataFrame({
         "n_customers": pd.Series([n], dtype="int64"),
         "total_spend": [tot / 100.0],
@@ -1239,15 +1189,13 @@ def q_assoc_rules(sf_dir: str):
             .group_by(["l_orderkey", "l_partkey"]).aggregate([])
         )
         okeys = pc.unique(key)
-        out = pa.concat_tables([
+        return pa.concat_tables([
             hits,
             pa.table({
                 "l_orderkey": okeys,
                 "l_partkey": _const(len(okeys), -1, pa.int64()),
             }),
         ])
-        return out.append_column(
-            "kb", _ex.kb_arrow(out["l_orderkey"], nb))
 
     def support_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         d = g[["l_orderkey", "l_partkey"]].drop_duplicates()
@@ -1260,9 +1208,8 @@ def q_assoc_rules(sf_dir: str):
         return pd.concat([s, n_orders]).astype({"part": "int64", "s": "int64"})
 
     sup = (
-        ds.map_batches(combine_batch, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(support_in_bucket, batch_format="pandas")
+        _ex.shuffle(ds, "l_orderkey", nb, support_in_bucket,
+                    combine=combine_batch)
         .to_pandas()
         .groupby("part", as_index=False)["s"].sum()
     )
@@ -1331,10 +1278,6 @@ def q_drawdown_value_per_user(sf_dir: str):
 
     nb = _nb_rows(sf_dir, "events")  # row-carrying exchange: size fan-out
 
-    def bucket(t: pa.Table) -> pa.Table:
-        kb = _ex.kb_arrow(t["user_id"], nb)
-        return t.append_column("kb", kb)
-
     def dd(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         peak = g.groupby("user_id", sort=False)["value"].cummax()
@@ -1345,9 +1288,7 @@ def q_drawdown_value_per_user(sf_dir: str):
         return agg.astype({"user_id": "int64"})
 
     out = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(dd, batch_format="pandas")
+        _ex.shuffle(ds, "user_id", nb, dd)
         .to_pandas()
         .astype({"user_id": "int64", "peak_value": "float64",
                  "max_drawdown": "float64"})
@@ -1453,10 +1394,6 @@ def q_session_stats(sf_dir: str):
 
     nb = _nb_rows(sf_dir, "events")  # row-carrying exchange: size fan-out
 
-    def bucket(t: pa.Table) -> pa.Table:
-        kb = _ex.kb_arrow(t["user_id"], nb)
-        return t.append_column("kb", kb)
-
     def partial(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         gap = g.groupby("user_id", sort=False)["ts"].diff() > pd.Timedelta(
@@ -1475,9 +1412,7 @@ def q_session_stats(sf_dir: str):
         })
 
     p = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(partial, batch_format="pandas")
+        _ex.shuffle(ds, "user_id", nb, partial)
         .to_pandas().sum()
     )
     ns = int(p["n_sessions"])
@@ -1660,10 +1595,6 @@ def q_path_to_purchase(sf_dir: str):
 
     nb = _nb_rows(sf_dir, "events")  # row-carrying exchange: size fan-out
 
-    def bucket(t: pa.Table) -> pa.Table:
-        kb = _ex.kb_arrow(t["user_id"], nb)
-        return t.append_column("kb", kb)
-
     def count_before(g: pd.DataFrame) -> pd.DataFrame:
         first = g.loc[g["event_type"] == "purchase"] \
             .groupby("user_id")["ts"].min()
@@ -1678,9 +1609,7 @@ def q_path_to_purchase(sf_dir: str):
         return out.astype({"user_id": "int64", "n_before": "int64"})
 
     out = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(count_before, batch_format="pandas")
+        _ex.shuffle(ds, "user_id", nb, count_before)
         .to_pandas()
         .astype({"user_id": "int64", "n_before": "int64"})
     )
@@ -1712,10 +1641,6 @@ def q_session_type_pairs(sf_dir: str):
 
     nb = _nb_rows(sf_dir, "events")  # row-carrying exchange: size fan-out
 
-    def bucket(t: pa.Table) -> pa.Table:
-        kb = _ex.kb_arrow(t["user_id"], nb)
-        return t.append_column("kb", kb)
-
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         gap = g.groupby("user_id", sort=False)["ts"].diff() > pd.Timedelta(
@@ -1731,12 +1656,7 @@ def q_session_type_pairs(sf_dir: str):
                              "size": "n_sessions"})
         return out.astype({"n_sessions": "int64"})
 
-    parts = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(pairs, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = _ex.shuffle(ds, "user_id", nb, pairs).to_pandas()
     out = parts.groupby(["type_a", "type_b"], as_index=False)[
         "n_sessions"].sum()
     out["n_sessions"] = out["n_sessions"].astype("int64")
@@ -1783,25 +1703,13 @@ def q_ltv_by_cohort(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:  # typed empty (see q_big_spenders)
-            return pa.table({
-                "custkey": pa.array([], pa.int64()),
-                "kb": pa.array([], pa.int64()),
-                "yr": pa.array([], pa.int64()),
-                "spend_c": pa.array([], pa.int64()),
-            })
-        key = pc.cast(t["o_custkey"], pa.int64())
-        yr = pc.cast(pc.year(t["o_orderdate"]), pa.int64())
-        cents = pc.cast(pc.floor(pc.add(
-            pc.multiply(t["o_totalprice"], pa.scalar(100.0)),
-            pa.scalar(0.5))), pa.int64())
-        g = pa.table({"custkey": key, "yr": yr, "spend_c": cents}) \
-            .group_by("custkey").aggregate([
-                ("yr", "min"), ("spend_c", "sum"),
-            ])
-        key2 = pc.cast(g["custkey"], pa.int64())
+        g = pa.table({
+            "custkey": pc.cast(t["o_custkey"], pa.int64()),
+            "yr": pc.cast(pc.year(t["o_orderdate"]), pa.int64()),
+            "spend_c": _cents(t["o_totalprice"]),
+        }).group_by("custkey").aggregate([("yr", "min"), ("spend_c", "sum")])
         return pa.table({
-            "custkey": key2, "kb": _ex.kb_arrow(key2, nb),
+            "custkey": pc.cast(g["custkey"], pa.int64()),
             "yr": pc.cast(g["yr_min"], pa.int64()),
             "spend_c": pc.cast(g["spend_c_sum"], pa.int64()),
         })
@@ -1814,12 +1722,8 @@ def q_ltv_by_cohort(sf_dir: str):
         return out.astype({"yr": "int64", "n_customers": "int64",
                            "cents": "int64"})
 
-    parts = (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(cohort_in_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = _ex.shuffle(orders, "custkey", nb, cohort_in_bucket,
+                        combine=partial).to_pandas()
     agg = parts.groupby("yr", as_index=False).sum().sort_values("yr")
     return pd.DataFrame({
         "cohort_year": agg["yr"].astype("int64"),
@@ -1867,18 +1771,8 @@ def q_price_cv_topk(sf_dir: str):
     line = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice"])
 
     def moment_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:  # typed empty
-            return pa.table({
-                "part": pa.array([], pa.int64()),
-                "kb": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s1": pa.array([], pa.int64()),
-                "s2": pa.array([], pa.int64()),
-            })
         part = pc.cast(t["l_partkey"], pa.int64())
-        cents = pc.cast(pc.floor(pc.add(
-            pc.multiply(t["l_extendedprice"], pa.scalar(100.0)),
-            pa.scalar(0.5))), pa.int64())
+        cents = _cents(t["l_extendedprice"])
         sq = pc.multiply(cents, cents)
         g = pa.table({"part": part, "one": pc.cast(
             pc.greater_equal(part, pa.scalar(0)), pa.int64()),
@@ -1886,9 +1780,8 @@ def q_price_cv_topk(sf_dir: str):
             .group_by("part").aggregate([
                 ("one", "sum"), ("s1", "sum"), ("s2", "sum"),
             ])
-        key = pc.cast(g["part"], pa.int64())
         return pa.table({
-            "part": key, "kb": _ex.kb_arrow(key, nb),
+            "part": pc.cast(g["part"], pa.int64()),
             "n": pc.cast(g["one_sum"], pa.int64()),
             "s1": pc.cast(g["s1_sum"], pa.int64()),
             "s2": pc.cast(g["s2_sum"], pa.int64()),
@@ -1918,12 +1811,8 @@ def q_price_cv_topk(sf_dir: str):
         return out.sort_values(["cv", "part"], ascending=[False, True],
                                kind="mergesort").head(PRICE_CV_TOPK)
 
-    parts = (
-        line.map_batches(moment_partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(cv_in_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = _ex.shuffle(line, "part", nb, cv_in_bucket,
+                        combine=moment_partial).to_pandas()
     top = parts.sort_values(["cv", "part"], ascending=[False, True],
                             kind="mergesort").head(PRICE_CV_TOPK)
     return pd.DataFrame({
@@ -1967,10 +1856,6 @@ def q_top_paths(sf_dir: str):
 
     nb = _nb_rows(sf_dir, "events")  # row-carrying exchange: size fan-out
 
-    def bucket(t: pa.Table) -> pa.Table:
-        kb = _ex.kb_arrow(t["user_id"], nb)
-        return t.append_column("kb", kb)
-
     def path_counts(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         g = g.reset_index(drop=True)
@@ -1999,9 +1884,7 @@ def q_top_paths(sf_dir: str):
                               kind="mergesort").head(TOP_PATHS_K)
 
     cand = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(path_counts, batch_format="pandas")
+        _ex.shuffle(ds, "user_id", nb, path_counts)
         .groupby("pb")
         .map_groups(topk_in_bucket, batch_format="pandas")
         .to_pandas()
@@ -2079,8 +1962,7 @@ def q_region_year_revenue(sf_dir: str):
         rid = np.where(sk < len(lookup), lookup[np.minimum(sk, len(lookup) - 1)], -1)
         rev = pc.multiply(
             t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        cents = pc.cast(pc.floor(pc.add(
-            pc.multiply(rev, pa.scalar(100.0)), pa.scalar(0.5))), pa.int64())
+        cents = _cents(rev)
         g = (
             pa.table({"key": key, "rid": pa.array(rid.astype(np.int64)),
                       "rev_c": cents})
@@ -2296,37 +2178,17 @@ def q_orders_per_customer_hist(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_custkey"])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:  # typed empty
-            return pa.table({
-                "custkey": pa.array([], pa.int64()),
-                "kb": pa.array([], pa.int64()),
-                "c": pa.array([], pa.int64()),
-            })
         key = pc.cast(t["o_custkey"], pa.int64())
         g = pa.table({"custkey": key}).group_by("custkey").aggregate([
             ("custkey", "count"),
         ])
-        key2 = pc.cast(g["custkey"], pa.int64())
         return pa.table({
-            "custkey": key2, "kb": _ex.kb_arrow(key2, nb),
+            "custkey": pc.cast(g["custkey"], pa.int64()),
             "c": pc.cast(g["custkey_count"], pa.int64()),
         })
 
-    def hist_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        per = g.groupby("custkey", as_index=False)["c"].sum()
-        out = per.groupby("c", as_index=False).size() \
-            .rename(columns={"c": "n_orders", "size": "n_customers"})
-        return out.astype({"n_orders": "int64", "n_customers": "int64"})
-
-    parts = (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(hist_bucket, batch_format="pandas")
-        .to_pandas()
-        .groupby("n_orders", as_index=False)["n_customers"].sum()
-    )
-    parts["n_customers"] = parts["n_customers"].astype("int64")
-    return parts.sort_values("n_orders").reset_index(drop=True)
+    hist = _sum_hist(orders, "custkey", "c", nb, partial)
+    return hist.rename(columns={"c": "n_orders", "n": "n_customers"})
 
 
 SQL_ORDERS_PER_CUSTOMER_HIST = """
@@ -2537,40 +2399,7 @@ def q_pareto_8020(sf_dir: str):
     count is order-invariant."""
     nb = _nb_rows(sf_dir, 'orders')  # row-carrying exchange
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-
-    def spend_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:  # typed empty (see q_big_spenders)
-            return pa.table({
-                "custkey": pa.array([], pa.int64()),
-                "kb": pa.array([], pa.int64()),
-                "spend_c": pa.array([], pa.int64()),
-            })
-        key = pc.cast(t["o_custkey"], pa.int64())
-        cents = pc.cast(pc.floor(pc.add(
-            pc.multiply(t["o_totalprice"], pa.scalar(100.0)),
-            pa.scalar(0.5))), pa.int64())
-        g = pa.table({"custkey": key, "spend_c": cents}) \
-            .group_by("custkey").aggregate([("spend_c", "sum")])
-        key2 = pc.cast(g["custkey"], pa.int64())
-        return pa.table({
-            "custkey": key2, "kb": _ex.kb_arrow(key2, nb),
-            "spend_c": pc.cast(g["spend_c_sum"], pa.int64()),
-        })
-
-    def hist_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        per = g.groupby("custkey", as_index=False)["spend_c"].sum()
-        h = per.groupby("spend_c", as_index=False).size() \
-            .rename(columns={"size": "n"})
-        return h.astype({"spend_c": "int64", "n": "int64"})
-
-    hist = (
-        orders.map_batches(spend_partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(hist_in_bucket, batch_format="pandas")
-        .to_pandas()
-        .groupby("spend_c", as_index=False)["n"].sum()
-        .sort_values("spend_c", ascending=False).reset_index(drop=True)
-    )
+    hist = _sum_hist(orders, "custkey", "spend_c", nb, _spend_partial)[::-1]
     total = sum(int(v) * int(c) for v, c in zip(hist["spend_c"], hist["n"]))
     n_cust = int(hist["n"].sum())
     if total == 0:
@@ -2639,10 +2468,6 @@ def q_longest_streak_per_user(sf_dir: str):
 
     nb = _nb_rows(sf_dir, "events")  # row-carrying exchange: size fan-out
 
-    def bucket(t: pa.Table) -> pa.Table:
-        kb = _ex.kb_arrow(t["user_id"], nb)
-        return t.append_column("kb", kb)
-
     def streaks(g: pd.DataFrame) -> pd.DataFrame:
         d = pd.DataFrame({
             "u": g["user_id"].astype("int64"),
@@ -2661,9 +2486,7 @@ def q_longest_streak_per_user(sf_dir: str):
                            "n_active_days": "int64"})
 
     out = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(streaks, batch_format="pandas")
+        _ex.shuffle(ds, "user_id", nb, streaks)
         .to_pandas()
         .astype({"user_id": "int64", "longest_streak": "int64",
                  "n_active_days": "int64"})
@@ -2702,10 +2525,6 @@ def q_weekly_churn(sf_dir: str):
 
     nb = _nb_rows(sf_dir, "events")  # row-carrying exchange: size fan-out
 
-    def bucket(t: pa.Table) -> pa.Table:
-        kb = _ex.kb_arrow(t["user_id"], nb)
-        return t.append_column("kb", kb)
-
     def churn(g: pd.DataFrame) -> pd.DataFrame:
         day = g["ts"].dt.floor("D")
         week = day - pd.to_timedelta(day.dt.weekday, unit="D")
@@ -2720,9 +2539,7 @@ def q_weekly_churn(sf_dir: str):
         return out.astype({"active": "int64", "churned": "int64"})
 
     parts = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(churn, batch_format="pandas")
+        _ex.shuffle(ds, "user_id", nb, churn)
         .to_pandas()
         .groupby("w", as_index=False)[["active", "churned"]].sum()
         .sort_values("w").reset_index(drop=True)
@@ -2770,10 +2587,6 @@ def q_median_order_gap(sf_dir: str):
     nb = _nb_rows(sf_dir, 'orders')  # row-carrying exchange
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_orderdate"])
 
-    def bucket(t: pa.Table) -> pa.Table:
-        kb = _ex.kb_arrow(t["o_custkey"], nb)
-        return t.append_column("kb", kb)
-
     def med(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["o_custkey", "o_orderdate", "o_orderkey"],
                           kind="mergesort").reset_index(drop=True)
@@ -2794,9 +2607,7 @@ def q_median_order_gap(sf_dir: str):
         })
 
     out = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(med, batch_format="pandas")
+        _ex.shuffle(ds, "o_custkey", nb, med)
         .to_pandas()
         .astype({"o_custkey": "int64", "n_gaps": "int64",
                  "median_gap_days": "int64"})
@@ -2837,9 +2648,7 @@ def q_revenue_reconciliation(sf_dir: str):
 
     def tag_orders(t: pa.Table) -> pa.Table:
         key = pc.cast(t["o_orderkey"], pa.int64())
-        cents = pc.cast(pc.floor(pc.add(
-            pc.multiply(t["o_totalprice"], pa.scalar(100.0)),
-            pa.scalar(0.5))), pa.int64())
+        cents = _cents(t["o_totalprice"])
         return pa.table({
             "key": key, "kb": _ex.kb_arrow(key, nb),
             "year": pc.cast(pc.year(t["o_orderdate"]), pa.int64()),
@@ -2853,9 +2662,7 @@ def q_revenue_reconciliation(sf_dir: str):
             pc.multiply(t["l_extendedprice"],
                         pc.add(pa.scalar(1.0), t["l_tax"])),
             pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        cents = pc.cast(pc.floor(pc.add(
-            pc.multiply(gross, pa.scalar(100.0)), pa.scalar(0.5))),
-            pa.int64())
+        cents = _cents(gross)
         n = t.num_rows
         return pa.table({
             "key": key, "kb": _ex.kb_arrow(key, nb),
@@ -2931,40 +2738,7 @@ def q_abc_classification(sf_dir: str):
     are interchangeable."""
     nb = _nb_rows(sf_dir, 'orders')  # row-carrying exchange
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-
-    def spend_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:  # typed empty (see q_big_spenders)
-            return pa.table({
-                "custkey": pa.array([], pa.int64()),
-                "kb": pa.array([], pa.int64()),
-                "spend_c": pa.array([], pa.int64()),
-            })
-        key = pc.cast(t["o_custkey"], pa.int64())
-        cents = pc.cast(pc.floor(pc.add(
-            pc.multiply(t["o_totalprice"], pa.scalar(100.0)),
-            pa.scalar(0.5))), pa.int64())
-        g = pa.table({"custkey": key, "spend_c": cents}) \
-            .group_by("custkey").aggregate([("spend_c", "sum")])
-        key2 = pc.cast(g["custkey"], pa.int64())
-        return pa.table({
-            "custkey": key2, "kb": _ex.kb_arrow(key2, nb),
-            "spend_c": pc.cast(g["spend_c_sum"], pa.int64()),
-        })
-
-    def hist_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        per = g.groupby("custkey", as_index=False)["spend_c"].sum()
-        h = per.groupby("spend_c", as_index=False).size() \
-            .rename(columns={"size": "n"})
-        return h.astype({"spend_c": "int64", "n": "int64"})
-
-    hist = (
-        orders.map_batches(spend_partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(hist_in_bucket, batch_format="pandas")
-        .to_pandas()
-        .groupby("spend_c", as_index=False)["n"].sum()
-        .sort_values("spend_c", ascending=False).reset_index(drop=True)
-    )
+    hist = _sum_hist(orders, "custkey", "spend_c", nb, _spend_partial)[::-1]
     total = sum(int(v) * int(c) for v, c in zip(hist["spend_c"], hist["n"]))
     acc = {"A": [0, 0], "B": [0, 0], "C": [0, 0]}  # class -> [n, cents]
     cum = 0
@@ -3096,16 +2870,7 @@ def q_value_outliers_topk(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
 
     def moments(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:  # typed empty
-            return pa.table({
-                "event_type": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-                "s1": pa.array([], pa.int64()),
-                "s2": pa.array([], pa.int64()),
-            })
-        vc = pc.cast(pc.floor(pc.add(
-            pc.multiply(t["value"], pa.scalar(100.0)),
-            pa.scalar(0.5))), pa.int64())
+        vc = _cents(t["value"])
         # int64 exactness ceilings for the in-batch Σvc² partial (the
         # oracle runs HUGEINT): per-element vc² needs |vc| < 2^31
         # (a single event value below ~$21M — documented magnitude
@@ -3213,55 +2978,19 @@ def q_supplier_concentration(sf_dir: str):
                  ["l_suppkey", "l_extendedprice", "l_discount"])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:  # typed empty
-            return pa.table({
-                "suppkey": pa.array([], pa.int64()),
-                "kb": pa.array([], pa.int64()),
-                "rev_c": pa.array([], pa.int64()),
-            })
-        key = pc.cast(t["l_suppkey"], pa.int64())
         rev = pc.multiply(t["l_extendedprice"],
                           pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        cents = pc.cast(pc.floor(pc.add(
-            pc.multiply(rev, pa.scalar(100.0)), pa.scalar(0.5))), pa.int64())
-        g = pa.table({"suppkey": key, "rev_c": cents}) \
-            .group_by("suppkey").aggregate([("rev_c", "sum")])
-        key2 = pc.cast(g["suppkey"], pa.int64())
+        g = pa.table({
+            "suppkey": pc.cast(t["l_suppkey"], pa.int64()),
+            "rev_c": _cents(rev),
+        }).group_by("suppkey").aggregate([("rev_c", "sum")])
         return pa.table({
-            "suppkey": key2, "kb": _ex.kb_arrow(key2, nb),
+            "suppkey": pc.cast(g["suppkey"], pa.int64()),
             "rev_c": pc.cast(g["rev_c_sum"], pa.int64()),
         })
 
-    def hist_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        per = g.groupby("suppkey", as_index=False)["rev_c"].sum()
-        h = per.groupby("rev_c", as_index=False).size() \
-            .rename(columns={"size": "n"})
-        return h.astype({"rev_c": "int64", "n": "int64"})
-
-    hist = (
-        line.map_batches(partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(hist_in_bucket, batch_format="pandas")
-        .to_pandas()
-        .groupby("rev_c", as_index=False)["n"].sum()
-        .sort_values("rev_c").reset_index(drop=True)
-    )
-    vals = [int(v) for v in hist["rev_c"]]
-    cnts = [int(c) for c in hist["n"]]
-    n = sum(cnts)
-    tot = sum(v * c for v, c in zip(vals, cnts))
-    rs, below = 0, 0
-    for v, c in zip(vals, cnts):
-        rs += v * (c * below + c * (c + 1) // 2)
-        below += c
-    top5, need = 0, 5
-    for v, c in zip(reversed(vals), reversed(cnts)):
-        take = min(c, need)
-        top5 += v * take
-        need -= take
-        if need == 0:
-            break
-    gini = (2.0 * rs - (n + 1.0) * tot) / (float(n) * tot) if tot else 0.0
+    hist = _sum_hist(line, "suppkey", "rev_c", nb, partial)
+    n, tot, gini, top5 = _hist_gini(hist, "rev_c", lambda n: 5)
     return pd.DataFrame({
         "n_suppliers": pd.Series([n], dtype="int64"),
         "total_revenue": [tot / 100.0],
@@ -3836,8 +3565,7 @@ def q_segment_year_revenue(sf_dir: str):
         # snap each term to integer cents FIRST (identical IEEE ops to
         # the oracle), then pre-combine per orderkey within the batch:
         # int sums commute, so the partial is exact
-        cents = pc.cast(pc.floor(pc.add(
-            pc.multiply(rev, pa.scalar(100.0)), pa.scalar(0.5))), pa.int64())
+        cents = _cents(rev)
         g = pa.table({"key": key, "rev_c": cents}) \
             .group_by("key").aggregate([
                 ("rev_c", "sum"), ("rev_c", "count"),
@@ -4280,21 +4008,12 @@ def _bucketed_orders_window(sf_dir: str, kernel):
                ["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"])
     nb = _nb_rows(sf_dir, "orders")
 
-    def bucket(t: pa.Table) -> pa.Table:
-        kb = _ex.kb_arrow(t["o_custkey"], nb)
-        return t.append_column("kb", kb)
-
     def run(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["o_custkey", "o_orderdate", "o_orderkey"],
                           kind="mergesort").reset_index(drop=True)
         return kernel(g)
 
-    out = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(run, batch_format="pandas")
-        .to_pandas()
-    )
+    out = _ex.shuffle(ds, "o_custkey", nb, run).to_pandas()
     return out.sort_values("o_orderkey").reset_index(drop=True)
 
 
@@ -4863,10 +4582,6 @@ def q_row_number_ntile(sf_dir: str):
     # document rows ride the tie-rank exchange: size from the table
     nbv = _nb_rows(sf_dir, "documents")
 
-    def bucket(t: pa.Table) -> pa.Table:
-        vb = _ex.kb_arrow(t["n_chars"], nbv)
-        return t.append_column("vb", vb)
-
     def rank_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["n_chars", "doc_id"], kind="mergesort")
         tie = g.groupby("n_chars", sort=False).cumcount().to_numpy()
@@ -4882,12 +4597,7 @@ def q_row_number_ntile(sf_dir: str):
             "decile": decile.astype("int64"),
         })
 
-    out = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("vb")
-        .map_groups(rank_in_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    out = _ex.shuffle(ds, "n_chars", nbv, rank_in_bucket).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -4910,10 +4620,6 @@ def q_rolling_avg3(sf_dir: str):
 
     nb = _nb_rows(sf_dir, "events")  # row-carrying exchange: size fan-out
 
-    def bucket(t: pa.Table) -> pa.Table:
-        kb = _ex.kb_arrow(t["user_id"], nb)
-        return t.append_column("kb", kb)
-
     def roll(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         g = g.reset_index(drop=True)
@@ -4931,12 +4637,7 @@ def q_rolling_avg3(sf_dir: str):
             "avg3": avg3,
         })
 
-    out = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(roll, batch_format="pandas")
-        .to_pandas()
-    )
+    out = _ex.shuffle(ds, "user_id", nb, roll).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -4959,10 +4660,6 @@ def q_user_journey(sf_dir: str):
 
     nb = _nb_rows(sf_dir, "events")  # row-carrying exchange: size fan-out
 
-    def bucket(t: pa.Table) -> pa.Table:
-        kb = _ex.kb_arrow(t["user_id"], nb)
-        return t.append_column("kb", kb)
-
     def assemble(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         g = g.reset_index(drop=True)
@@ -4983,12 +4680,7 @@ def q_user_journey(sf_dir: str):
         nn["n_events"] = n[nn.index].to_numpy(np.int64)
         return out.merge(nn, on="user_id")[["user_id", "n_events", "journey"]]
 
-    out = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(assemble, batch_format="pandas")
-        .to_pandas()
-    )
+    out = _ex.shuffle(ds, "user_id", nb, assemble).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -5277,10 +4969,6 @@ def q_ewma_value_per_user(sf_dir: str):
 
     nb = _nb_rows(sf_dir, "events")  # row-carrying exchange: size fan-out
 
-    def bucket(t: pa.Table) -> pa.Table:
-        kb = _ex.kb_arrow(t["user_id"], nb)
-        return t.append_column("kb", kb)
-
     def scan(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         g = g.reset_index(drop=True)
@@ -5304,12 +4992,7 @@ def q_ewma_value_per_user(sf_dir: str):
             "ewma_value": np.round(ew.to_numpy(np.float64) + 1e-9, 6),
         })
 
-    out = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(scan, batch_format="pandas")
-        .to_pandas()
-    )
+    out = _ex.shuffle(ds, "user_id", nb, scan).to_pandas()
     return out.sort_values(["user_id", "event_id"]).reset_index(drop=True)
 
 
@@ -5349,10 +5032,6 @@ def q_debounce_events(sf_dir: str):
 
     nb = _nb_rows(sf_dir, "events")  # row-carrying exchange: size fan-out
 
-    def bucket(t: pa.Table) -> pa.Table:
-        kb = _ex.kb_arrow(t["user_id"], nb)
-        return t.append_column("kb", kb)
-
     def debounce(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         g = g.reset_index(drop=True)
@@ -5373,12 +5052,7 @@ def q_debounce_events(sf_dir: str):
             "kept": kept.astype("int64"),
         })
 
-    out = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(debounce, batch_format="pandas")
-        .to_pandas()
-    )
+    out = _ex.shuffle(ds, "user_id", nb, debounce).to_pandas()
     return out.sort_values(["user_id", "event_id"]).reset_index(drop=True)
 
 
@@ -5428,9 +5102,6 @@ def q_part_cooccurrence(sf_dir: str):
     nb = _nb_rows(sf_dir, 'lineitem')  # row-carrying exchange
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
-    def bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("kb", _ex.kb_arrow(t["l_orderkey"], nb))
-
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         d = g[["l_orderkey", "l_partkey"]].drop_duplicates()
         # packed-pair identity needs non-negative partkeys < 2^32
@@ -5460,9 +5131,7 @@ def q_part_cooccurrence(sf_dir: str):
         return s.head(100)[["pair", "c"]]
 
     parts = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
+        _ex.shuffle(ds, "l_orderkey", nb, pairs_in_bucket)
         .map_batches(pair_bucket, batch_format="pyarrow")
         .groupby("pb")
         .map_groups(sum_topk_in_bucket, batch_format="pandas")
@@ -5573,9 +5242,6 @@ def q_burstiness_users(sf_dir: str):
     nb = _nb_rows(sf_dir, 'events')  # row-carrying exchange
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
 
-    def bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("kb", _ex.kb_arrow(t["user_id"], nb))
-
     def stats(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         g = g.reset_index(drop=True)
@@ -5599,12 +5265,7 @@ def q_burstiness_users(sf_dir: str):
                 agg["std"].to_numpy(np.float64) / (su / n), 6),
         })
 
-    out = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(stats, batch_format="pandas")
-        .to_pandas()
-    )
+    out = _ex.shuffle(ds, "user_id", nb, stats).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 

@@ -869,45 +869,21 @@ def q_lorenz_deciles(sf_dir: str):
     banding is value-deterministic, never row-order dependent."""
     import math
 
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     from crawler_tjce_ray.pipelines import exchange as _ex
-    from crawler_tjce_ray.pipelines.relational import _nb_rows, _read
+    from crawler_tjce_ray.pipelines.relational import (
+        _nb_rows, _read, _spend_partial,
+    )
 
     nb = _nb_rows(sf_dir, "orders")  # row-carrying exchange
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
-    def spend_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:  # typed empty (see q_big_spenders)
-            return pa.table({
-                "custkey": pa.array([], pa.int64()),
-                "kb": pa.array([], pa.int64()),
-                "spend_c": pa.array([], pa.int64()),
-            })
-        key = pc.cast(t["o_custkey"], pa.int64())
-        cents = pc.cast(pc.floor(pc.add(
-            pc.multiply(t["o_totalprice"], pa.scalar(100.0)),
-            pa.scalar(0.5))), pa.int64())
-        g = pa.table({"custkey": key, "spend_c": cents}) \
-            .group_by("custkey").aggregate([("spend_c", "sum")])
-        key2 = pc.cast(g["custkey"], pa.int64())
-        return pa.table({
-            "custkey": key2, "kb": _ex.kb_arrow(key2, nb),
-            "spend_c": pc.cast(g["spend_c_sum"], pa.int64()),
-        })
-
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("custkey", as_index=False)["spend_c"].sum()
         return out.astype({"custkey": "int64", "spend_c": "int64"})
 
-    per_cust = (
-        orders.map_batches(spend_partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(finalize, batch_format="pandas")
-        .materialize()
-    )
+    per_cust = _ex.shuffle(orders, "custkey", nb, finalize,
+                           combine=_spend_partial).materialize()
 
     def derive(df: pd.DataFrame) -> np.ndarray:
         # cents are < 2^53, so the float64 detour is exact

@@ -30,6 +30,8 @@ import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from crawler_tjce_ray.functions.text import slugify
+
 
 def _json_default(o):
     import base64
@@ -182,6 +184,37 @@ class AppState:
             f"<p>{subtitle}</p>{body}</body></html>"
         )
 
+    def _registry(self):
+        from crawler_tjce_ray.state.entities import EntityRegistry
+
+        return self._cached(
+            "entity_registry", lambda: EntityRegistry.from_corpus(self.corpus))
+
+    # -- metric labels -------------------------------------------------------
+    _ROUTES = frozenset({
+        "/metrics", "/", "/cronologica", "/edital", "/pagamentos",
+        "/api/health", "/api/entities", "/api/editais", "/api/pagamentos",
+        "/api/queries", "/api/fetch",
+    })
+
+    def metric_entity(self, path: str, params: dict) -> str:
+        """The ``entity`` label of one request, from a BOUNDED set: a
+        known entity slug on ``/api/fetch``, else the matched route
+        template (a fixed path, ``/api/query/{name}`` or
+        ``unmatched``).  A raw path or a made-up ``?entity=`` would
+        mint one series per distinct request for the process's
+        life."""
+        ent = params.get("entity")
+        if path == "/api/fetch" and ent:
+            slug = slugify(ent)
+            if self._registry().validate_entity_slug(slug):
+                return slug
+        if path in self._ROUTES:
+            return path
+        if path.startswith("/api/query/"):
+            return "/api/query/{name}"
+        return "unmatched"
+
     # -- routes ------------------------------------------------------------
     def health(self) -> tuple[int, dict]:
         return 200, {"status": "OK", "message": "API está operacional"}
@@ -271,9 +304,7 @@ class AppState:
                 return 400, {"status": "error",
                              "message": "year deve ser inteiro"}
 
-        from crawler_tjce_ray.state.entities import EntityRegistry
-
-        registry = EntityRegistry.from_corpus(self.corpus)
+        registry = self._registry()
         official = registry.get_api_entity_name(entity)
         slug = registry.get_entity_slug(official)
         if not registry.validate_entity_slug(slug):
@@ -418,7 +449,7 @@ class ApiHandler(BaseHTTPRequestHandler):
         params = {k: v[0] for k, v in
                   urllib.parse.parse_qs(parsed.query).items()}
         m = self.state.metrics
-        entity = params.get("entity", parsed.path)
+        entity = self.state.metric_entity(parsed.path, params)
         start = time.time()
         m.active_requests.labels(entity=entity).inc()
         m.requests_total.labels(entity=entity).inc()

@@ -9,6 +9,7 @@ so the size-derived fan-out at 100 TB is covered by construction."""
 
 import duckdb
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from crawler_tjce_ray.pipelines import exchange
@@ -212,6 +213,74 @@ class TestFanoutInvariance:
             SQL_ASSOC_RULES, q_assoc_rules,
         )
         _check(q_assoc_rules, SQL_ASSOC_RULES, con)
+
+    # ---- exchange.shuffle: the shared spend histogram and the combine path
+    @pytest.mark.parametrize("name", [
+        "concentration_stats", "price_cv_topk", "orders_per_customer_hist",
+    ])
+    def test_shuffle_combine(self, name, forced_buckets, con):
+        from crawler_tjce_ray.pipelines import relational
+
+        _check(getattr(relational, f"q_{name}"),
+               getattr(relational, f"SQL_{name.upper()}"), con)
+
+
+def _raise_on_empty():
+    # built per test: cloudpickle ships a nested function by value,
+    # while a module-level one would need this test module on workers
+    def udf(batch):
+        if len(batch) == 0:
+            raise AssertionError("UDF called on an empty batch")
+        return batch
+
+    return udf
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestEmptyBlocksSkipUdfs:
+    """Ray Data passes an empty block through a ``map_batches`` UDF
+    without calling it, and ``map_groups`` never forms an empty group.
+    ``exchange.shuffle`` and every per-batch combine in ``pipelines/``
+    rely on that instead of guarding at UDF entry, so a Ray upgrade
+    that starts calling UDFs on empty batches must fail here."""
+
+    T = pa.table({"k": pa.array([1, 2, 3, 18, 2], pa.int64()),
+                  "v": pa.array([10, 20, 30, 40, 50], pa.int64())})
+
+    @pytest.fixture(params=["no_schema", "zero_rows"])
+    def blocks(self, request):
+        empty = pa.table({}) if request.param == "no_schema" \
+            else self.T.slice(0, 0)
+        return [self.T, empty]
+
+    @pytest.mark.parametrize("fmt", ["pyarrow", "pandas"])
+    def test_map_batches_skips_empty_blocks(self, blocks, fmt):
+        import ray.data as rd
+
+        out = rd.from_arrow(blocks) \
+            .map_batches(_raise_on_empty(), batch_format=fmt).to_pandas()
+        assert sorted(out["k"]) == [1, 2, 2, 3, 18]
+
+    def test_shuffle_combine_ignores_empty_blocks(self, blocks):
+        import ray.data as rd
+
+        check = _raise_on_empty()
+
+        def combine(t):
+            g = check(t).group_by("k").aggregate([("v", "sum")])
+            return pa.table({"k": g["k"], "v": g["v_sum"]})
+
+        def finalize(g):
+            return check(g).groupby("k", as_index=False)["v"].sum()
+
+        def run(bs):
+            out = exchange.shuffle(rd.from_arrow(bs), "k", 4, finalize,
+                                   combine=combine).to_pandas()
+            return out.sort_values("k").reset_index(drop=True)
+
+        got = run(blocks)
+        pd.testing.assert_frame_equal(got, run([self.T]))
+        assert got["v"].tolist() == [10, 70, 30, 40]
 
 
 class TestBucketSizing:

@@ -115,6 +115,44 @@ def _real_slug(ents):
     )
 
 
+class TestMetricsLabels:
+    def test_series_bounded_under_random_paths(self, server):
+        """Random paths and made-up ``?entity=`` values must not mint
+        series: every ``entity`` label is a route template or a known
+        entity slug."""
+        import random
+
+        from crawler_tjce_ray.serve import AppState
+
+        rng = random.Random(11)
+        tokens = []
+        for _ in range(50):
+            tok = "zz" + "".join(rng.choices("abcdefghij0123456789", k=10))
+            tokens.append(tok)
+            path = rng.choice([
+                f"/{tok}", f"/api/{tok}", f"/api/query/{tok}",
+                f"/api/fetch?entity={tok}", f"/api/health?entity={tok}",
+                f"/{tok}?entity={tok}",
+            ])
+            try:
+                urllib.request.urlopen(server + path).read()
+            except urllib.error.HTTPError:
+                pass
+        _, ents = _get(server, "/api/entities")
+        with urllib.request.urlopen(server + "/metrics") as r:
+            text = r.read().decode("utf-8")
+        labels = {
+            ln.split('entity="', 1)[1].split('"', 1)[0]
+            for ln in text.splitlines()
+            if ln.startswith("crawler_requests_total{")
+        }
+        allowed = (set(AppState._ROUTES) | {"/api/query/{name}", "unmatched"}
+                   | {r["slug"] for r in ents["data"]})
+        assert labels <= allowed, labels - allowed
+        assert {"unmatched", "/api/query/{name}", "/api/fetch"} <= labels
+        assert not any(tok in text for tok in tokens)
+
+
 class TestFetchMatchesCli:
     def test_fetch_rows_equal_cli_csv(self, server, tmp_path):
         from crawler_tjce_ray.cli import main as cli_main
