@@ -31,7 +31,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from crawler_tjce_ray.pipelines.relational import _nb_rows
+from crawler_tjce_ray.pipelines.relational import _nb_rows, _read
 from crawler_tjce_ray.pipelines.textops import normalize_text_series
 
 # ---------------------------------------------------------------------------
@@ -637,13 +637,13 @@ def _pairs_empty() -> pd.DataFrame:
 
 
 def _verify_pairs_bucketed(docs, pairs, cand_ids: np.ndarray, tau: float,
-                           nb: int | None = None):
+                           nb: int):
     """Exact-Jaccard verification of candidate pairs with ZERO driver
     text state — the scale tier for dup-heavy corpora where candidate
     docs ≈ corpus and a broadcast shingle dict would OOM the driver.
 
     Same union discipline as ``q_dedup_jaccard_prefix``'s big tier:
-    two 64-bucket shuffles (key = doc_a, then doc_b), identical
+    two bucketed shuffles (key = doc_a, then doc_b), identical
     all-int64 schemas on both union sides.  Gram sets travel as
     distinct uint64 3-gram hashes (``batch_gram_hashes``); per-doc set
     sizes are recounted in-bucket from the gram rows themselves, so
@@ -657,12 +657,9 @@ def _verify_pairs_bucketed(docs, pairs, cand_ids: np.ndarray, tau: float,
     output).
 
     Gram rows are corpus-scale (row-carrying exchange), so the caller
-    passes a size-derived fan-out ``nb``; the default keeps the 64
-    floor."""
+    passes a size-derived fan-out ``nb``."""
     import ray
 
-    if nb is None:
-        nb = 64
     ids_ref = ray.put(np.sort(np.asarray(cand_ids, dtype=np.int64)))
 
     def gram_rows(t: pa.Table) -> pd.DataFrame:
@@ -782,7 +779,7 @@ def q_dedup_minhash_lsh(sf_dir: str):
     # budget (same per-task-payload discipline as every kb exchange);
     # splitting it across the bands keeps the small-corpus group count
     # near the band count (sub-bucketing only widens when the data
-    # does — at the 64 floor this is 2 sub-buckets/band)
+    # does — a budget of 64 gives 2 sub-buckets/band)
     nb_band = exchange.band_subbuckets(
         exchange.buckets_for_bytes(
             exchange.table_bytes(sf_dir, "documents")), LSH_BANDS)
@@ -1053,9 +1050,7 @@ def q_dedup_embedding_nn(sf_dir: str):
     similarity.q_ann_ivf_topk).  Per-group numpy matmul in float64;
     group sizes are bounded by the block key.  Cosine rounded to 6dp
     on both sides."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet")
+    ds = _read(sf_dir, "embeddings")
 
     def nn_in_group(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("vec_id").reset_index(drop=True)
@@ -1234,7 +1229,7 @@ def q_dedup_canonical(sf_dir: str):
 
     Scale recipe: docs pick up their component label from the
     broadcast union-find arrays inside ``map_batches`` and ride ONE
-    64-way cluster-bucket exchange (a cluster lives wholly in its
+    cluster-bucket exchange (a cluster lives wholly in its
     bucket, so the in-bucket winner is the global winner); the
     in-bucket pick is a vectorized sort + ``drop_duplicates`` +
     ``searchsorted`` map-back — no per-cluster Python dispatch, and
@@ -1466,10 +1461,10 @@ def q_dedup_paragraphs(sf_dir: str):
     pipeline.
 
     Fully distributed, zero driver state: (1) explode paragraphs with
-    positions; (2) ONE shuffle on 64 paragraph-hash buckets — every
+    positions; (2) ONE shuffle on paragraph-hash buckets — every
     occurrence of a paragraph lands in the same bucket, so the winner
     (min (doc_id, position)) is decided in-bucket with a vectorized
-    sort + drop_duplicates, no join; (3) ONE shuffle on 64 doc-id
+    sort + drop_duplicates, no join; (3) ONE shuffle on doc-id
     buckets to reassemble each document's survivors in order."""
     nb = _nb_rows(sf_dir, 'documents')  # row-carrying exchange
     docs = _read_docs(sf_dir, ["doc_id", "text"])
@@ -1824,7 +1819,7 @@ def q_dedup_jaccard_prefix(sf_dir: str):
             })
             return out.loc[out["inter"] > 0]
 
-        nblocks = max(8, min(32, int(ray.available_resources().get("CPU", 8))))
+        nblocks = exchange.read_cap()
         bounds = np.linspace(0, len(cand_ids_df), nblocks + 1, dtype=np.int64)
         chunks = [
             cand_ids_df.iloc[lo:hi]

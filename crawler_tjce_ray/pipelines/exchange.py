@@ -1,4 +1,5 @@
-"""Key-bucket exchanges: the one single-input shuffle and its fan-out.
+"""Key-bucket exchanges: the one single-input shuffle, and the plan
+sizing rule for read blocks and exchange fan-out.
 
 ``shuffle(ds, key, nb, finalize, combine=None)`` is the one path for a
 single-input exchange on an integer key.  ONE pyarrow ``map_batches``
@@ -11,24 +12,31 @@ empty-input guard: Ray Data passes an empty block through a
 ``map_batches`` UDF without calling it, and ``map_groups`` never
 forms an empty group (pinned by tests/test_exchange_fanout.py).
 
-Fan-out.  For exchanges that carry *partials* (bounded per-key
-aggregates) a fixed 64-way fan-out is fine at any corpus size — the
-bucket payload is O(keys/64), not O(rows).  For exchanges that carry
-*row-level data* (big-big joins, text-carrying dedup hops) the bucket
-payload is O(corpus/buckets), so the fan-out must grow with the
-input: at 100 TB a 64-way exchange puts ~1.5 TB in a single task.
+Sizing.  A plan's task count follows its input bytes, not a fixed
+shape — the same size-from-input discipline the politeness and
+page-store layers already use:
 
-``buckets_for_bytes`` derives a power-of-two fan-out from the
-estimated input bytes so one bucket's decompressed payload targets
-``TARGET_BUCKET_BYTES`` — the same size-from-input discipline the
-politeness and page-store layers already use.  At test scale the
-estimate clamps to the 64 floor, so small-sf plans (and their strict
-oracle hashes) are unchanged; the fan-out only widens when the data
-does.  Tests pin oracle equality at forced 16- and 128-way fan-outs
-(tests/test_exchange_fanout.py), so correctness is bucket-count
-invariant by construction, not by luck.
+* ``blocks_for_bytes(bytes, cap)`` splits a read into one block per
+  ``TARGET_BLOCK_BYTES`` of decompressed payload, clamped to
+  ``[1, cap]``.  ``read_cap()`` derives the cap from the cluster's CPU
+  count (``ray.cluster_resources``, so a plan does not depend on how
+  busy the cluster is when the query is issued); ``read_blocks(path)``
+  applies both to one file.  A table of up to 1 MiB on disk reads as
+  one block; it takes ``cap`` MiB to reach the cap.
+* ``buckets_for_bytes(bytes)`` gives a power-of-two exchange fan-out.
+  Its floor is ``next_pow2(blocks_for_bytes(bytes, read_cap()))`` —
+  about one bucket per sort partition, since a groupby exchange sorts
+  into as many partitions as its input has blocks — and it grows so
+  one bucket's decompressed payload stays near ``TARGET_BUCKET_BYTES``
+  (row-carrying exchanges — big-big joins, text-carrying dedup hops —
+  put O(corpus/buckets) bytes in each task: at 100 TB a 64-way
+  exchange puts ~1.5 TB in one).  An unknown size keeps 64 buckets.
 
-Ops override order: ``set_forced_buckets()`` (tests) >
+Correctness is bucket- and block-count invariant by construction:
+tests pin oracle equality at forced 16- and 128-way fan-outs and with
+every read split to its cap (tests/test_exchange_fanout.py).
+
+Ops override order for the fan-out: ``set_forced_buckets()`` (tests) >
 ``CRAWLER_EXCHANGE_BUCKETS`` env > size-derived value.
 
 Two-sided exchanges (a ``.union`` of tagged sides) and string-keyed
@@ -50,6 +58,11 @@ TARGET_BUCKET_BYTES = 256 * 1024 * 1024
 # snappy parquet on these schemas decompresses ~4x (measured on the
 # testdata tables; text-heavy tables run closer to 3x)
 PARQUET_INFLATION = 4
+# target decompressed bytes per read block — below this a block's
+# per-task overhead (sort sample, map, reduce, Arrow→pandas) outweighs
+# its work, so a small table reads as one block
+TARGET_BLOCK_BYTES = 4 * 1024 * 1024
+# fan-out when the input size is unknown
 MIN_BUCKETS = 64
 MAX_BUCKETS = 1 << 16
 
@@ -66,12 +79,46 @@ def set_forced_buckets(n: int | None) -> None:
 
 
 def _next_pow2(n: int) -> int:
-    return 1 << max(0, int(n - 1).bit_length())
+    """Smallest power of two ≥ n (1 for n ≤ 1)."""
+    return 1 << (int(max(n, 1)) - 1).bit_length()
+
+
+def read_cap(cpus_per_block: int = 1) -> int:
+    """Most blocks a split read may use: one per ``cpus_per_block``
+    CPUs, within [8, 32].  The CPUs are the whole cluster's, not the
+    momentarily free ones, so a query issued while other tasks run gets
+    the same plan; 8 when Ray is not initialised."""
+    import ray
+
+    cpus = int(ray.cluster_resources().get("CPU", 8)) \
+        if ray.is_initialized() else 8
+    return max(8, min(32, cpus // cpus_per_block))
+
+
+def blocks_for_bytes(est_file_bytes: int | None, cap: int) -> int:
+    """Block count of a read whose on-disk input is roughly
+    ``est_file_bytes``: one block per ``TARGET_BLOCK_BYTES`` of
+    decompressed payload, within [1, cap].  ``None`` (unknown) →
+    ``cap``."""
+    if est_file_bytes is None:
+        return cap
+    need = -(-est_file_bytes * PARQUET_INFLATION // TARGET_BLOCK_BYTES)
+    return max(1, min(cap, need))
+
+
+def read_blocks(path: str, cpus_per_block: int = 1) -> int:
+    """``override_num_blocks`` for a read of the single file ``path``
+    (a single-file table otherwise lands in ONE block and serialises
+    every downstream map).  Text formats inflate less than parquet, so
+    their count errs high, never above the cap."""
+    return blocks_for_bytes(os.path.getsize(path), read_cap(cpus_per_block))
 
 
 def buckets_for_bytes(est_file_bytes: int | None) -> int:
-    """Fan-out for a row-carrying exchange whose payload is roughly
-    the given on-disk input size.  ``None`` (unknown) → the 64 floor."""
+    """Power-of-two fan-out for an exchange whose payload is roughly
+    the given on-disk input size: at least one bucket per sort
+    partition of the input, more once a bucket would exceed
+    ``TARGET_BUCKET_BYTES``.  ``None`` (unknown) → ``MIN_BUCKETS``."""
     if _FORCED is not None:
         return _FORCED
     env = os.environ.get("CRAWLER_EXCHANGE_BUCKETS")
@@ -81,10 +128,11 @@ def buckets_for_bytes(est_file_bytes: int | None) -> int:
             raise ValueError(
                 f"CRAWLER_EXCHANGE_BUCKETS must be a power of two, got {n}")
         return n
-    if not est_file_bytes:
+    if est_file_bytes is None:
         return MIN_BUCKETS
+    floor = _next_pow2(blocks_for_bytes(est_file_bytes, read_cap()))
     need = (est_file_bytes * PARQUET_INFLATION) // TARGET_BUCKET_BYTES
-    return min(MAX_BUCKETS, max(MIN_BUCKETS, _next_pow2(int(need))))
+    return min(MAX_BUCKETS, max(floor, _next_pow2(int(need))))
 
 
 def table_bytes(sf_dir: str, *tables: str) -> int | None:
@@ -107,10 +155,10 @@ def band_subbuckets(total_buckets: int | None, n_bands: int) -> int:
     """Per-band sub-bucket count for LSH-style banding exchanges: the
     size-derived TOTAL group budget (``buckets_for_bytes``) split
     across the bands, floored at 1 and rounded to a power of two so
-    the ``& (nb-1)`` key stays an exact mod.  At the 64-bucket floor a
-    32-band scheme gets 2 sub-buckets/band (near-zero overhead vs
-    band-only grouping); the fan-out only widens when the data
-    does."""
+    the ``& (nb-1)`` key stays an exact mod.  A small input's budget
+    is below the band count, so each band is one group; at a 64-bucket
+    budget a 32-band scheme gets 2 sub-buckets/band; the fan-out only
+    widens when the data does."""
     if not total_buckets:
         return 1
     return _next_pow2(max(1, total_buckets // max(1, n_bands)))

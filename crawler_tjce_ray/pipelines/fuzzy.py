@@ -40,14 +40,13 @@ MAX_EDIT = 1  # del1 neighborhood ⇔ levenshtein <= 1
 
 
 def _read_names(sf_dir: str):
-    import ray
     import ray.data as rd
 
-    cpus = int(ray.available_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_name"],
-        override_num_blocks=max(8, min(32, cpus)),
-    )
+    from crawler_tjce_ray.pipelines.exchange import read_blocks
+
+    path = f"{sf_dir}/customer.parquet"
+    return rd.read_parquet(path, columns=["c_name"],
+                           override_num_blocks=read_blocks(path))
 
 
 def _empty_pairs() -> pd.DataFrame:

@@ -45,7 +45,7 @@ def _edges_ds_and_nodes(sf_dir: str):
     """Weighted directed edges (src part → next part within an order)
     as a materialized Ray Dataset, plus the sorted node array.  An
     order's lineitems may span read blocks, so adjacency is recovered
-    with ONE 64-bucket shuffle on the order key (an order lives wholly
+    with ONE bucketed shuffle on the order key (an order lives wholly
     in its bucket); edge weights finalize per bucket — a (src, dst)
     pair may appear in several buckets, which is fine because every
     consumer is linear in w.  The edge list itself never lands on the
@@ -263,7 +263,7 @@ def q_event_funnel(sf_dir: str):
     conversion rate from the previous stage.
 
     Recipe: filter to the three relevant event types at the read (the
-    rest of the stream never moves) → ONE 64-bucket shuffle on user_id
+    rest of the stream never moves) → ONE bucketed shuffle on user_id
     so each user's stage history is complete in its bucket → vectorized
     in-bucket stage mins → additive per-bucket counts, driver sums a
     64×3 table.  No per-user dispatch anywhere."""
@@ -327,7 +327,7 @@ def q_event_transitions(sf_dir: str):
     count of (event, next event) adjacencies in each user's stream
     ordered by (ts, event_id), row-normalized to P(next | current).
 
-    Recipe: ONE 64-bucket shuffle on user_id (each user's stream is
+    Recipe: ONE bucketed shuffle on user_id (each user's stream is
     complete in its bucket) → in-bucket sort + groupby-shift adjacency
     (vectorized) → additive (src, dst, n) partials → driver merge of
     ≤ 64 × |types|² rows and one exact integer division."""
@@ -385,7 +385,7 @@ def q_event_trigrams(sf_dir: str):
     matrix cannot see (A→B→A ping-pong vs A→B→C funnels).
 
     Same recipe as q_event_transitions, one window longer: ONE
-    64-bucket user_id shuffle (streams complete in-bucket) →
+    bucketed user_id shuffle (streams complete in-bucket) →
     vectorized double shift → additive (t1, t2, t3, n) partials →
     driver merge of ≤ 64 × |types|³ rows, deterministic total order
     (n desc, then t1, t2, t3) before the top-k cut so rank-boundary
@@ -450,7 +450,7 @@ def q_timed_funnel(sf_dir: str):
     the unconstrained ``event_funnel`` cannot express it (a click six
     months later still converts there).
 
-    Same recipe: type-filter at the read, ONE 64-bucket user_id
+    Same recipe: type-filter at the read, ONE bucketed user_id
     shuffle, vectorized in-bucket stage mins with the deadline
     predicate, additive 64×3 partials.  Timestamp comparisons are
     exact integer µs, so no float ambiguity exists."""
@@ -699,7 +699,7 @@ def q_inverted_index(sf_dir: str):
     (ascending, comma-joined).
 
     Recipe: per-batch distinct (token, doc_id) pairs — each document
-    is one row, so batch-local dedup is globally exact → ONE 64-bucket
+    is one row, so batch-local dedup is globally exact → ONE bucketed
     shuffle on hash(token) (a token's full posting set lands in one
     bucket; the pairs ARE the index content, so this shuffle is the
     irreducible minimum) → in-bucket df + sorted posting-head build,
@@ -784,7 +784,7 @@ def q_triangle_count(sf_dir: str):
     v < w, re-keyed by their own lower endpoint v, and additive
     per-node degree partials (u-side counts are complete in-bucket,
     v-side counts are partial — degrees are additive, so both merge
-    downstream).  Shuffle 2 groups everything by that shared 64-bucket
+    downstream).  Shuffle 2 groups everything by that shared bucket
     key: a vectorized inner merge closes wedges against the edge set,
     per-node degrees finalize, and each bucket returns two integers
     (triangle count, Σ d·(d−1)/2).  Wedge volume is the standard
@@ -948,7 +948,7 @@ def q_cumulative_users(sf_dir: str):
     """Per calendar day: how many users were seen for the FIRST time
     that day, and the running total of distinct users to date.
 
-    Recipe: per-batch (user, min day) partials → ONE 64-bucket user
+    Recipe: per-batch (user, min day) partials → ONE bucketed user
     shuffle finalizes each user's first day → additive per-day
     new-user counts → driver cumsum over O(#days) rows.  Active days
     with zero new users still appear (per-batch distinct-day partials

@@ -26,28 +26,26 @@ from crawler_tjce_ray.pipelines import exchange as _ex
 
 
 def _nb_rows(sf_dir: str, *tables: str) -> int:
-    """Size-derived fan-out for a ROW-carrying exchange whose bucket
-    payload scales with the named tables' bytes (events streams, order
-    windows, join sides, per-key partials whose key cardinality grows
-    with the corpus).  64 at test scale — identical plans and strict
-    oracle hashes — widening so one bucket stays ~TARGET_BUCKET_BYTES
-    at 100 TB (see pipelines/exchange.py; invariance pinned by
-    tests/test_exchange_fanout.py at forced 16/128-way)."""
+    """Size-derived fan-out for an exchange whose bucket payload scales
+    with the named tables' bytes (events streams, order windows, join
+    sides, per-key partials whose key cardinality grows with the
+    corpus): about one bucket per read block at small scale (1–2 on
+    the test tables), widening so one bucket stays
+    ~TARGET_BUCKET_BYTES at 100 TB (see pipelines/exchange.py;
+    invariance pinned by tests/test_exchange_fanout.py at forced
+    16/128-way)."""
     return _ex.buckets_for_bytes(_ex.table_bytes(sf_dir, *tables))
 
 
 def _read(sf_dir: str, table: str, columns=None):
-    """Pruned, block-split read: each table ships as ONE parquet file,
-    and without ``override_num_blocks`` the whole table lands in a
-    single block so every downstream map stage runs serially."""
-    import ray
+    """Pruned read of a single-file table, split into blocks sized
+    from its bytes (``exchange.read_blocks``): one block for a small
+    table, up to one per cluster CPU (8–32) for a large one."""
     import ray.data as rd
 
-    cpus = int(ray.available_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return rd.read_parquet(
-        f"{sf_dir}/{table}.parquet", columns=columns,
-        override_num_blocks=max(8, min(32, cpus)),
-    )
+    path = f"{sf_dir}/{table}.parquet"
+    return rd.read_parquet(path, columns=columns,
+                           override_num_blocks=_ex.read_blocks(path))
 
 
 def _const(n: int, v, dtype) -> pa.Array:
@@ -913,7 +911,7 @@ def q_event_dwell(sf_dir: str):
     """Per-event dwell time: seconds until the SAME user's next event
     (LEAD over the user stream; each user's last event drops) — the
     engagement-duration primitive behind bounce/read-time analytics.
-    Same bucketing as q_sessionize: ONE shuffle on 64 coarse
+    Same bucketing as q_sessionize: ONE shuffle on coarse
     size-derived ``user_id`` buckets, in-bucket vectorized sort + shift.
     Dwell is an exact INTEGER microsecond difference (the timestamps
     carry µs precision; a float seconds column would hash-diverge on
@@ -960,7 +958,7 @@ def q_cohort_matrix(sf_dir: str):
     active in.  ``retention`` gives one diagonal of this; the full
     matrix is the operator dashboards actually draw.
 
-    ONE 64-bucket user_id shuffle (a user's whole history lives in its
+    ONE bucketed user_id shuffle (a user's whole history lives in its
     bucket, so both the first-event week and the distinct active weeks
     are exact in-bucket) → additive (cohort_week, week_age,
     n_users) partials (a user contributes to exactly one bucket, so
@@ -1270,7 +1268,7 @@ def q_drawdown_value_per_user(sf_dir: str):
     scan-class risk statistic (ewma is the smoothing scan, this is the
     extremum scan; no window-function SQL idiom exists for "max of
     running-max minus current" without nesting, which is exactly why
-    it earns an operator).  ONE 64-bucket user_id shuffle, in-bucket
+    it earns an operator).  ONE bucketed user_id shuffle, in-bucket
     per-user cummax + subtract — comparisons and subtraction of the
     raw doubles only, never a float SUM, so the result is bit-exact
     against the oracle."""
@@ -1848,7 +1846,7 @@ def q_top_paths(sf_dir: str):
     user's path; this asks which paths dominate).  Stage 1: the same
     user-bucket shuffle assembles each user's head-5 path and emits
     per-(bucket, path) partial counts.  Stage 2: path cardinality
-    grows with the data, so partials re-shuffle on 64 md5(path)
+    grows with the data, so partials re-shuffle on md5(path)
     buckets where counts finalize and each bucket keeps its local
     top-{TOP_PATHS_K}; the driver merges ≤ 64·k candidate rows with a
     (count desc, path) tie-break shared with the oracle."""
@@ -1870,7 +1868,7 @@ def q_top_paths(sf_dir: str):
         c = pd.DataFrame({"path": journey.to_numpy(object)}) \
             .groupby("path", as_index=False).size() \
             .rename(columns={"size": "c"})
-        # vectorized keyed hash for the 64-way path bucket (strings
+        # vectorized keyed hash for the path bucket (strings
         # still ride the shuffle — they ARE the output key)
         c["pb"] = (pd.util.hash_array(
             c["path"].to_numpy(object), hash_key="tjce-shingle-k1!",
@@ -3416,14 +3414,15 @@ def q_hash_join_big(sf_dir: str):
     orderkey with NEITHER side broadcast — the join class
     ``broadcast_join``/``join_agg`` cannot cover when both sides are
     corpus-sized.  Same single-shuffle recipe as ``q_asof_join``: tag
-    each side, union, ONE groupby on 64 coarse key buckets, vectorized
+    each side, union, ONE groupby on coarse key buckets, vectorized
     ``pd.merge`` + per-bucket partial aggregation inside the bucket,
     tiny driver-side final reduce.  Shuffle volume is the pruned
     columns only; the per-bucket output is O(groups), never the joined
     rows.  The exchange carries ROW-LEVEL data (both join sides), so
     its fan-out is sized from the input bytes
-    (``exchange.buckets_for_bytes`` — 64 at test scale, growing so one
-    bucket's payload stays ~TARGET_BUCKET_BYTES at 100 TB)."""
+    (``exchange.buckets_for_bytes`` — about one bucket per read block,
+    growing so one bucket's payload stays ~TARGET_BUCKET_BYTES at
+    100 TB)."""
     import ray.data as rd
 
     from crawler_tjce_ray.pipelines import exchange
@@ -3941,7 +3940,7 @@ FROM events ORDER BY event_id
 def q_left_join_counts(sf_dir: str):
     """LEFT OUTER join shape: every customer with their order count,
     zero-order customers included.  The big (orders) side pre-reduces
-    per batch to (custkey, n) partials BEFORE the single 64-bucket
+    per batch to (custkey, n) partials BEFORE the single bucketed
     shuffle, so the exchange carries counts, not orders; outer
     semantics come from the in-bucket left merge + fillna(0)."""
     nb = _nb_rows(sf_dir, 'customer')  # row-carrying exchange
@@ -4136,7 +4135,7 @@ def q_bloom_anti_join(sf_dir: str):
     Bloom NEGATIVES are definitely not blocked, so they pre-aggregate
     inside the same ``map_batches`` pass and never shuffle; only the
     ~1% of Bloom POSITIVES (true members + false positives) flow into
-    the exact verification — the ``q_hash_join_big`` 64-coarse-bucket
+    the exact verification — the ``q_hash_join_big`` coarse-bucket
     union shuffle against the real blocklist — making the final result
     EXACT (oracle-checked), with shuffle volume proportional to the
     blocklist, not the corpus."""
@@ -4558,7 +4557,7 @@ def q_row_number_ntile(sf_dir: str):
     value-count histogram (O(distinct values) driver state — the
     ``chars_percent_rank`` recipe) whose cumsum gives each value's
     global offset; the within-value tie rank needs all rows of a value
-    together, which ONE 64-coarse-bucket shuffle on the value provides
+    together, which ONE coarse-bucket shuffle on the value provides
     (a value never straddles buckets).  Total is the only other
     broadcast scalar, so NTILE's uneven-bucket arithmetic is local."""
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
@@ -4905,7 +4904,7 @@ def q_first_last_order(sf_dir: str):
             "n": g.size().to_numpy("int64"),
         })
 
-    # one vectorized combine per 64-way custkey bucket (a customer's
+    # one vectorized combine per custkey bucket (a customer's
     # partials all land in one bucket, so the in-bucket idxmin/idxmax
     # is globally exact) — a raw groupby("c_custkey") would dispatch a
     # Python `final` per customer, O(#customers) interpreter overhead
@@ -4958,7 +4957,7 @@ def q_ewma_value_per_user(sf_dir: str):
     event order (α = 0.3, ``adjust=False`` recurrence: y₁ = x₁,
     yₜ = (1−α)·yₜ₋₁ + α·xₜ) — the linear-recurrence *scan* class
     (decayed counters, trend lines) that no associative aggregate
-    covers.  Same plan as sessionize: one shuffle onto 64 coarse
+    covers.  Same plan as sessionize: one shuffle onto coarse
     size-derived ``user_id`` buckets, then the per-user scan runs vectorized
     inside the bucket (pandas' cython ``groupby.ewm``); a user's whole
     stream lives in one bucket, so state never crosses tasks.  The
@@ -5083,10 +5082,10 @@ ORDER BY 1, 2
 def q_part_cooccurrence(sf_dir: str):
     """Market-basket pair mining: the 100 part pairs most often bought
     together in one order.  Stage 1 shuffles (orderkey, partkey) once
-    on 64 coarse orderkey buckets; inside a bucket the pairs fall out
+    on coarse orderkey buckets; inside a bucket the pairs fall out
     of one vectorized dedup + self-merge (orders are disjoint across
     buckets, so bucket pair-counts are exact partials that sum).
-    Stage 2 re-shuffles the packed ``p1<<32|p2`` partials on 64
+    Stage 2 re-shuffles the packed ``p1<<32|p2`` partials on
     pair-hash buckets (xor-folded so both partkeys mix in) — the pair
     space grows with the data, so unlike the tiny combiner queries it
     must NOT merge on the driver.  A pair lands in exactly one bucket,
@@ -5234,7 +5233,7 @@ def q_burstiness_users(sf_dir: str):
     coefficient of variation of the gaps between consecutive events.
     CV≈1 is Poisson arrivals, CV≫1 is bursty — the per-host politeness
     scheduler's admission heuristic, surfaced as a query.  Bucketed
-    like ``sessionize`` (64 coarse user buckets, one shuffle); inside a
+    like ``sessionize`` (coarse user buckets, one shuffle); inside a
     bucket the gap extraction is one vectorized grouped diff.  Users
     with a single event have no gaps and drop out (matching the
     oracle's WHERE); single-gap users get a NULL cv (stddev_samp of
@@ -5291,7 +5290,7 @@ def q_semi_join_vip(sf_dir: str):
     the definite answers; here they are definite NON-members, so they
     drop inside the scan pass and never shuffle.  Only Bloom POSITIVES
     (true members + ~0.24% false positives at m = 16n bits) ride the
-    64-coarse-bucket exchange for exact verification against the real
+    coarse-bucket exchange for exact verification against the real
     list, so the result is EXACT and shuffle volume is proportional to
     the MATCH set, not the corpus — the shape that matters when a
     100 TB fact table is probed against a 10⁷-row dimension.  The
@@ -5385,7 +5384,7 @@ def q_customer_year_setops(sf_dir: str):
     """Distributed set operations (INTERSECT / EXCEPT / UNION-distinct)
     between two derived key sets: customers who ordered in 1995 vs
     1996.  Recipe: per-block DISTINCT (custkey, year-flag) partials →
-    ONE 64-way custkey bucket exchange (a custkey's rows all land in
+    ONE custkey bucket exchange (a custkey's rows all land in
     one bucket, so the in-bucket membership classification is globally
     exact) → each bucket emits four partial counts; the driver sums
     ≤ 64·4 rows.  No full-key materialization anywhere — the classic
@@ -5468,7 +5467,7 @@ def q_dense_rank_topk(sf_dir: str):
     combiner (a row's rank within any subset containing it is ≤ its
     global rank, so no qualifying row is dropped), shrinking the
     exchange to ≤ k distinct price classes per (block, customer); one
-    64-way custkey bucket exchange then ranks exactly — vectorized
+    custkey bucket exchange then ranks exactly — vectorized
     ``groupby.rank(method="dense")``, never a per-customer Python
     dispatch."""
     nb = _nb_rows(sf_dir, 'orders')  # row-carrying exchange
@@ -5585,7 +5584,7 @@ def q_merge_intervals(sf_dir: str):
     islands, reporting islands and total covered time per user — the
     classic sessionized-coverage shape (SQL needs two window passes).
 
-    Scale recipe: ONE 64-way user bucket exchange (a user's events all
+    Scale recipe: ONE user bucket exchange (a user's events all
     land in one bucket, so the in-bucket island sweep is globally
     exact); inside the bucket everything is vectorized pandas — sorted
     per-user cummax of window ends, shift, break-flag cumsum for

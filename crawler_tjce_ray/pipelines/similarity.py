@@ -26,16 +26,15 @@ TOP_K = 5
 
 
 def _read_emb(sf_dir: str, columns=("vec_id", "embedding")):
-    """Pruned, block-split read (a single-file table lands in one block
-    without ``override_num_blocks``, serializing every map stage)."""
-    import ray
+    """Pruned read, split into blocks sized from the file's bytes —
+    at most one per two cluster CPUs, as each block runs a matmul."""
     import ray.data as rd
 
-    cpus = int(ray.available_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=list(columns),
-        override_num_blocks=max(8, min(32, cpus // 2)),
-    )
+    from crawler_tjce_ray.pipelines.exchange import read_blocks
+
+    path = f"{sf_dir}/embeddings.parquet"
+    return rd.read_parquet(path, columns=list(columns),
+                           override_num_blocks=read_blocks(path, 2))
 
 
 def _query_matrix(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:

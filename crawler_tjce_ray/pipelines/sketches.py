@@ -18,6 +18,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from crawler_tjce_ray.pipelines.relational import _read
+
 QUANTILES = [0.5, 0.9, 0.99]
 
 
@@ -31,19 +33,13 @@ HLL_P = 12
 HLL_M = 1 << HLL_P
 
 
-def _read_events(sf_dir: str, columns):
-    import ray.data as rd
-
-    return rd.read_parquet(f"{sf_dir}/events.parquet", columns=columns)
-
-
 def q_value_quantiles(sf_dir: str):
     """Exact quantiles per event_type.  One shuffle by the small type
     key; per-group numpy quantile (linear interpolation — bit-equal to
     DuckDB ``quantile_cont``).  At 100 TB swap the exact per-group sort
     for a t-digest partial in the map stage; the oracle then becomes a
     tolerance check."""
-    ds = _read_events(sf_dir, ["event_type", "value"])
+    ds = _read(sf_dir, "events", ["event_type", "value"])
 
     def qt(g: pd.DataFrame) -> pd.DataFrame:
         v = g["value"].to_numpy(dtype=np.float64)  # np.quantile partitions internally
@@ -116,7 +112,7 @@ def q_approx_distinct_users(sf_dir: str):
     elementwise-max merge on the driver (2^p bytes per block moved,
     independent of cardinality).  Rows-only; the error bound vs the
     exact count is pinned in tests/test_sketches.py."""
-    ds = _read_events(sf_dir, ["user_id"])
+    ds = _read(sf_dir, "events", ["user_id"])
 
     def partial(t: pa.Table) -> pd.DataFrame:
         regs = hll_registers(
@@ -331,7 +327,7 @@ def q_value_histogram(sf_dir: str):
     ``floor((v − mn)/w)`` with w = (mx − mn)/bins, clamped to the last
     bin — the identical expression DuckDB evaluates, so the oracle
     needs no tolerance."""
-    ds = _read_events(sf_dir, ["value"]).materialize()  # two passes
+    ds = _read(sf_dir, "events", ["value"]).materialize()  # two passes
     _, mn, mx = _select_base_stats(ds, _derive_value)
     w = (mx - mn) / HIST_BINS
 
@@ -422,7 +418,7 @@ def q_approx_value_quantiles(sf_dir: str):
     pairs on the driver.  Raw values never shuffle.  Rows-only
     (estimates are not SQL-equal); the ε = 1/(2K) rank bound vs the
     exact quantiles is pinned in tests/test_sketches.py."""
-    ds = _read_events(sf_dir, ["event_type", "value"])
+    ds = _read(sf_dir, "events", ["event_type", "value"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -626,7 +622,7 @@ def q_quantile_select(sf_dir: str):
     passes instead of three."""
     import math
 
-    ds = _read_events(sf_dir, ["value"]).materialize()
+    ds = _read(sf_dir, "events", ["value"]).materialize()
     n, gmin, gmax = _select_base_stats(ds, _derive_value)
     ks = [max(1, math.ceil(q * n)) for q in SELECT_QS]
     return pd.DataFrame({
@@ -656,7 +652,7 @@ def q_mad_value(sf_dir: str):
     so the oracle needs no tolerance."""
     import math
 
-    ds = _read_events(sf_dir, ["value"]).materialize()
+    ds = _read(sf_dir, "events", ["value"]).materialize()
     n, gmin, gmax = _select_base_stats(ds, _derive_value)
     k = max(1, math.ceil(0.5 * n))
     med = _quickselect(ds, _derive_value, k, n, gmin, gmax)
@@ -702,7 +698,7 @@ def _grouped_quantile_select(
     import math
 
     if ds is None:
-        ds = _read_events(sf_dir, ["event_type", "value"]).materialize()
+        ds = _read(sf_dir, "events", ["event_type", "value"]).materialize()
 
     base = ds.map_batches(
         lambda df: df.groupby(group_col, as_index=False).agg(
@@ -870,9 +866,7 @@ def q_lorenz_deciles(sf_dir: str):
     import math
 
     from crawler_tjce_ray.pipelines import exchange as _ex
-    from crawler_tjce_ray.pipelines.relational import (
-        _nb_rows, _read, _spend_partial,
-    )
+    from crawler_tjce_ray.pipelines.relational import _nb_rows, _spend_partial
 
     nb = _nb_rows(sf_dir, "orders")  # row-carrying exchange
 
@@ -955,7 +949,7 @@ def q_grouped_mad_value(sf_dir: str):
     second search's streaming passes — values never shuffle in either
     stage).  Both picks are quantile_disc-exact, so the oracle needs
     no tolerance."""
-    ds = _read_events(sf_dir, ["event_type", "value"]).materialize()
+    ds = _read(sf_dir, "events", ["event_type", "value"]).materialize()
     med = _grouped_quantile_select(sf_dir, 0.5, ds=ds)
 
     def add_dev(df: pd.DataFrame) -> pd.DataFrame:
@@ -999,7 +993,7 @@ def q_winsorized_value_stats(sf_dir: str):
     rounded to 6 dp."""
     import math
 
-    ds = _read_events(sf_dir, ["value"]).materialize()
+    ds = _read(sf_dir, "events", ["value"]).materialize()
     n, gmin, gmax = _select_base_stats(ds, _derive_value)
     ks = [max(1, math.ceil(0.05 * n)), max(1, math.ceil(0.95 * n))]
     lo, hi = _quickselect_multi(ds, _derive_value, ks, n, gmin, gmax)

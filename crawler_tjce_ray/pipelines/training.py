@@ -178,7 +178,7 @@ def q_dup_ngram_docs(sf_dir: str):
     pairs; the pairs table is materialized ONCE and feeds (a) the
     per-doc window-count partials (no shuffle — pairs are doc-locally
     distinct, so per-batch sizes are additive) and (b) the single
-    64-bucket gram shuffle where a gram's global doc-count decides
+    bucketed gram shuffle where a gram's global doc-count decides
     sharedness, emitting per-(doc, bucket) partial shared-counts.
     The shuffle carries 32-byte digests, never window text; driver
     state is O(#docs) — the result itself.  At 100 TB the digest
@@ -351,7 +351,7 @@ def q_retention(sf_dir: str):
 
     Recipe: per-batch distinct (day, user) pairs (the combiner —
     event rows never shuffle, at most one pair per user-day leaves a
-    batch) → ONE 64-bucket shuffle on user_id so each user's day
+    batch) → ONE bucketed shuffle on user_id so each user's day
     history is complete in its bucket → vectorized next-day detection
     (sort + groupby-shift) emitting per-day additive partials →
     driver sum over O(#days × 64) rows."""

@@ -1275,7 +1275,7 @@ def q_curation_pipeline(sf_dir: str):
        never leaves the map stage; each batch emits only
        ``(dkey, doc_id, lang, n_re_tokens)`` for its batch-local
        winners;
-    3. the 64-coarse-bucket shuffle of those fixed-width records picks
+    3. the coarse-bucket shuffle of those fixed-width records picks
        global winners (min doc_id per dkey) and pre-aggregates per
        language INSIDE the bucket, so the driver reduce sees
        O(buckets × langs) rows.

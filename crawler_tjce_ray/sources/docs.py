@@ -12,22 +12,15 @@ prune columns at the scan, so a ``select_columns`` projection drops
 the rest immediately after the read — the payload leaves the object
 store before any shuffle, which is the part that matters.
 
-Block sizing mirrors the parquet path: a single-file table would land
-in ONE block and serialize every per-batch stage, so the read is
-split to keep the CPUs busy.
+Block sizing is the tables' rule (``exchange.read_blocks``): the
+file's bytes decide the block count, at most one block per four
+cluster CPUs, so a small export reads as one block and a large one
+keeps the CPUs busy instead of serializing every per-batch stage.
 """
 
 from __future__ import annotations
 
 import os
-
-
-def _num_blocks() -> int:
-    import ray
-
-    cpus = int(ray.available_resources().get("CPU", 8)) \
-        if ray.is_initialized() else 8
-    return max(8, min(32, cpus // 4))
 
 
 def read_documents(sf_dir: str, columns=None):
@@ -37,15 +30,18 @@ def read_documents(sf_dir: str, columns=None):
     import pyarrow.csv as pacsv
     import ray.data as rd
 
+    from crawler_tjce_ray.pipelines.exchange import read_blocks
+
     pq_path = os.path.join(sf_dir, "documents.parquet")
     if os.path.exists(pq_path):
         return rd.read_parquet(
-            pq_path, columns=columns, override_num_blocks=_num_blocks()
+            pq_path, columns=columns,
+            override_num_blocks=read_blocks(pq_path, 4),
         )
     for name in ("documents.jsonl", "documents.json"):
         p = os.path.join(sf_dir, name)
         if os.path.exists(p):
-            ds = rd.read_json(p, override_num_blocks=_num_blocks())
+            ds = rd.read_json(p, override_num_blocks=read_blocks(p, 4))
             return ds.select_columns(columns) if columns else ds
     csv_path = os.path.join(sf_dir, "documents.csv")
     if os.path.exists(csv_path):
@@ -56,7 +52,7 @@ def read_documents(sf_dir: str, columns=None):
         })
         ds = rd.read_csv(
             csv_path, convert_options=convert,
-            override_num_blocks=_num_blocks(),
+            override_num_blocks=read_blocks(csv_path, 4),
         )
         return ds.select_columns(columns) if columns else ds
     raise FileNotFoundError(

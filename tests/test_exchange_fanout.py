@@ -1,11 +1,12 @@
-"""Exchange fan-out parameterization (r3 verdict item 3): the four
-row-carrying coarse-bucket exchanges — hash_join_big,
-segment_year_revenue, semi_join_vip, dedup_substring_clean (plus the
-jaccard-prefix and minhash scale tiers) — must produce ORACLE-EQUAL
-output at any power-of-two bucket count.  The driver always runs the
-default (64 at test scale); these tests force 16- and 128-way
-fan-outs on the same inputs and require strict equality with DuckDB,
-so the size-derived fan-out at 100 TB is covered by construction."""
+"""Exchange fan-out and read-block parameterization: the row-carrying
+coarse-bucket exchanges — hash_join_big, segment_year_revenue,
+semi_join_vip, dedup_substring_clean (plus the jaccard-prefix and
+minhash scale tiers) — must produce ORACLE-EQUAL output at any
+power-of-two bucket count and any read block count.  The driver runs
+the size-derived default (1–2 blocks and buckets on the test tables);
+these tests force 16- and 128-way fan-outs, and reads split to their
+cap, on the same inputs and require strict equality with DuckDB, so
+the size-derived plan at 100 TB is covered by construction."""
 
 import duckdb
 import pandas as pd
@@ -283,15 +284,106 @@ class TestEmptyBlocksSkipUdfs:
         assert got["v"].tolist() == [10, 70, 30, 40]
 
 
+# (module, query, oracle) per block-split read site and exchange kind
+BLOCK_SPLIT_QUERIES = [
+    # exchange.shuffle with a per-batch combine
+    ("relational", "q_price_cv_topk", "SQL_PRICE_CV_TOPK"),
+    # two-sided .union exchange
+    ("relational", "q_hash_join_big", "SQL_HASH_JOIN_BIG"),
+    # kb_words exchange over a read_documents scan
+    ("training", "q_bigram_lm", "SQL_BIGRAM_LM"),
+    # read_documents scan, paragraph-hash and doc-id exchanges
+    ("dedup", "q_dedup_paragraphs", "SQL_DEDUP_PARAGRAPHS"),
+    # the other split reads: customer names, embeddings, events
+    ("fuzzy", "q_fuzzy_name_pairs", "SQL_FUZZY_NAME_PAIRS"),
+    ("similarity", "q_ann_cosine_topk", "SQL_ANN_COSINE_TOPK"),
+    ("sketches", "q_value_quantiles", "SQL_VALUE_QUANTILES"),
+    ("dedup", "q_dedup_embedding_nn", "SQL_DEDUP_EMBEDDING_NN"),
+]
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestBlockCountInvariance:
+    """The test tables read as one block under the size-derived rule,
+    so the multi-block paths (sort sampling across blocks, per-block
+    combines merged in-bucket) are forced here: a 1-byte block target
+    splits every read to its cap, and the result must still equal the
+    oracle."""
+
+    @pytest.fixture()
+    def split_reads(self, monkeypatch):
+        monkeypatch.setattr(exchange, "TARGET_BLOCK_BYTES", 1)
+
+    def test_reads_split_to_cap(self, split_reads):
+        from crawler_tjce_ray.pipelines.relational import _read
+
+        path = f"{SF}/orders.parquet"
+        assert exchange.read_blocks(path) == exchange.read_cap() > 1
+        assert _read(SF, "orders").materialize().num_blocks() > 1
+
+    @pytest.mark.parametrize(
+        "mod,qfn,sql", BLOCK_SPLIT_QUERIES,
+        ids=[q[1][2:] for q in BLOCK_SPLIT_QUERIES])
+    def test_oracle_equal(self, split_reads, con, mod, qfn, sql):
+        import importlib
+
+        m = importlib.import_module(f"crawler_tjce_ray.pipelines.{mod}")
+        _check(getattr(m, qfn), getattr(m, sql), con)
+
+
 class TestBucketSizing:
     def test_floor_and_growth(self):
+        # unknown size keeps the 64-way fan-out
         assert exchange.buckets_for_bytes(None) == 64
-        assert exchange.buckets_for_bytes(1) == 64
+        # a one-block input gets one bucket, a two-block input two
+        assert exchange.buckets_for_bytes(0) == 1
+        assert exchange.buckets_for_bytes(1) == 1
+        one_block = exchange.TARGET_BLOCK_BYTES // exchange.PARQUET_INFLATION
+        assert exchange.buckets_for_bytes(one_block) == 1
+        assert exchange.buckets_for_bytes(one_block + 1) == 2
         # 100 TB on disk -> 400 TB decompressed -> ~1.6M target tasks,
         # clamped at the 65536 ceiling
         assert exchange.buckets_for_bytes(100 * (1 << 40)) == 65536
         # 1 TB -> 4 TB decompressed / 256 MB = 16384 buckets
         assert exchange.buckets_for_bytes(1 << 40) == 16384
+
+    def test_env_and_forced_precede_size(self, monkeypatch):
+        monkeypatch.setenv("CRAWLER_EXCHANGE_BUCKETS", "16")
+        assert exchange.buckets_for_bytes(1) == 16
+        assert exchange.buckets_for_bytes(None) == 16
+        exchange.set_forced_buckets(128)
+        try:
+            assert exchange.buckets_for_bytes(1 << 40) == 128
+        finally:
+            exchange.set_forced_buckets(None)
+
+    def test_blocks_for_bytes(self):
+        one_block = exchange.TARGET_BLOCK_BYTES // exchange.PARQUET_INFLATION
+        assert exchange.blocks_for_bytes(0, 8) == 1
+        assert exchange.blocks_for_bytes(1, 8) == 1
+        assert exchange.blocks_for_bytes(one_block, 8) == 1
+        assert exchange.blocks_for_bytes(one_block + 1, 8) == 2
+        assert exchange.blocks_for_bytes(3 * one_block, 8) == 3
+        # unknown or huge sizes take the cap
+        assert exchange.blocks_for_bytes(None, 8) == 8
+        assert exchange.blocks_for_bytes(None, 32) == 32
+        assert exchange.blocks_for_bytes(1 << 40, 8) == 8
+        assert exchange.blocks_for_bytes(100 * (1 << 40), 32) == 32
+
+    def test_read_cap_from_cluster_cpus(self, monkeypatch):
+        import ray
+
+        monkeypatch.setattr(ray, "is_initialized", lambda: True)
+        for cpus, per, cap in [(1, 1, 8), (4, 1, 8), (20, 1, 20),
+                               (64, 1, 32), (64, 2, 32), (48, 4, 12),
+                               (16, 4, 8)]:
+            monkeypatch.setattr(ray, "cluster_resources",
+                                lambda: {"CPU": float(cpus)})
+            assert exchange.read_cap(per) == cap
+
+    def test_small_tables_read_as_one_block(self):
+        for t in ("orders", "lineitem", "events", "documents"):
+            assert exchange.read_blocks(f"{SF}/{t}.parquet") == 1
 
     def test_power_of_two_enforced(self):
         with pytest.raises(ValueError):

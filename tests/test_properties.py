@@ -317,13 +317,26 @@ def test_tokens_flat_input_polymorphism(texts):
 @given(st.integers(min_value=0, max_value=1 << 50))
 def test_buckets_for_bytes_pow2_and_monotone(b):
     from crawler_tjce_ray.pipelines.exchange import (
-        MAX_BUCKETS, MIN_BUCKETS, buckets_for_bytes,
+        MAX_BUCKETS, blocks_for_bytes, buckets_for_bytes, read_cap,
     )
 
     n = buckets_for_bytes(b)
-    assert MIN_BUCKETS <= n <= MAX_BUCKETS
+    assert 1 <= n <= MAX_BUCKETS
     assert n & (n - 1) == 0  # power of two
+    assert n >= blocks_for_bytes(b, read_cap())  # a bucket per block
     assert buckets_for_bytes(b * 2) >= n  # monotone in input size
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=1 << 50),
+       st.integers(min_value=1, max_value=64))
+def test_blocks_for_bytes_bounded_and_monotone(b, cap):
+    from crawler_tjce_ray.pipelines.exchange import blocks_for_bytes
+
+    n = blocks_for_bytes(b, cap)
+    assert 1 <= n <= cap
+    assert blocks_for_bytes(b * 2 + 1, cap) >= n  # monotone in size
+    assert blocks_for_bytes(None, cap) == cap
 
 
 @settings(max_examples=50, deadline=None)

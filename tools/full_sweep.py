@@ -3,7 +3,7 @@
 
 Usage: python tools/full_sweep.py [sf_dir]   (default /root/testdata/sf0.01)
 Results land in /tmp/full_sweep.json (keyed by the sf dir's basename when
-a non-default dir is given)."""
+a non-default dir is given).  Exits 1 when any query fails or errors."""
 import json
 import sys
 import time
@@ -67,3 +67,4 @@ out = ("/tmp/full_sweep.json" if SF_DIR.endswith("sf0.01")
        else f"/tmp/full_sweep_{SF_DIR.rstrip('/').rsplit('/', 1)[-1]}.json")
 json.dump({"sf_dir": SF_DIR, "ok": n_ok, "fails": fails}, open(out, "w"))
 ray.shutdown()
+sys.exit(1 if fails else 0)
