@@ -1,5 +1,6 @@
-"""Key-bucket exchanges: the one single-input shuffle, and the plan
-sizing rule for read blocks and exchange fan-out.
+"""Key-bucket exchanges: the one single-input shuffle, the one
+multi-input cogroup, and the plan sizing rule for read blocks and
+exchange fan-out.
 
 ``shuffle(ds, key, nb, finalize, combine=None)`` is the one path for a
 single-input exchange on an integer key.  ONE pyarrow ``map_batches``
@@ -39,8 +40,18 @@ every read split to its cap (tests/test_exchange_fanout.py).
 Ops override order for the fan-out: ``set_forced_buckets()`` (tests) >
 ``CRAWLER_EXCHANGE_BUCKETS`` env > size-derived value.
 
-Two-sided exchanges (a ``.union`` of tagged sides) and string-keyed
-exchanges (``kb_words``) still tag by hand.
+``cogroup(sides, key, nb, finalize)`` is the one path for a join of
+two or more datasets on a shared integer key.  Each side is
+``(ds, schema, project)``: one pyarrow map per side projects (and may
+pre-combine), casts to the side's declared schema, pads every other
+side's columns with typed nulls (columns are namespaced per side, so
+each block has ONE schema) and appends ``kb`` and an int8 side tag;
+one union, one all-to-all, one map.  Each bucket is split by side in
+Arrow and ``finalize(*frames)`` gets one pandas frame per side at its
+declared types — a side absent from the bucket is a typed empty frame,
+and no padding null ever turns a side's int64 column into float.
+
+String-keyed exchanges (``kb_words``) still tag by hand.
 """
 
 from __future__ import annotations
@@ -187,6 +198,54 @@ def shuffle(ds, key: str, nb: int, finalize, combine=None):
         ds.map_batches(tag, batch_format="pyarrow")
         .groupby("kb")
         .map_groups(finalize, batch_format="pandas")
+    )
+
+
+def cogroup(sides, key: str, nb: int, finalize):
+    """Exchange several datasets on the shared integer column ``key``
+    over ``nb`` (a power of two) buckets and run ``finalize(*frames)``
+    once per bucket, one pandas frame per side.  Each side is
+    ``(ds, schema, project)``: ``project`` (Arrow table → Arrow table,
+    ``None`` for identity; it may pre-combine) yields the columns of
+    ``schema`` (a ``pa.schema`` or a name → type mapping that includes
+    ``key``), and each side is cast to its schema.  A side's frame
+    holds only its own columns at their declared types; a side with no
+    rows in the bucket arrives as a typed empty frame.  Returns the
+    lazy dataset."""
+    schemas = [pa.schema(s) for _, s, _ in sides]
+    cols = [(i, f) for i, s in enumerate(schemas) for f in s]
+    # namespaced per side, so two sides may share a column name
+    names = [f"{i}.{f.name}" for i, f in cols] + ["kb", "side"]
+
+    def tag(i, project):
+        def run(t: pa.Table) -> pa.Table:
+            if project is not None:
+                t = project(t)
+            t = t.select(schemas[i].names).cast(schemas[i])
+            n = t.num_rows
+            # every side pads the others with typed nulls: ONE schema
+            # across the union
+            arrays = [t[f.name] if j == i else pa.nulls(n, f.type)
+                      for j, f in cols]
+            return pa.Table.from_arrays(
+                arrays + [kb_arrow(t[key], nb),
+                          pa.array(np.full(n, i, np.int8))], names=names)
+        return run
+
+    def split(g: pa.Table):
+        frames = []
+        for i, s in enumerate(schemas):
+            part = g.filter(pc.equal(g["side"], pa.scalar(i, pa.int8())))
+            frames.append(part.select([f"{i}.{n}" for n in s.names])
+                          .rename_columns(s.names).to_pandas())
+        return finalize(*frames)
+
+    tagged = [ds.map_batches(tag(i, project), batch_format="pyarrow")
+              for i, (ds, _, project) in enumerate(sides)]
+    return (
+        tagged[0].union(*tagged[1:])
+        .groupby("kb")
+        .map_groups(split, batch_format="pyarrow")
     )
 
 

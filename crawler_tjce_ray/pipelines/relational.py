@@ -8,9 +8,10 @@ small sides are broadcast (never shuffled), aggregates pre-combine
 per-batch where the key-space is small, and only provably small
 results are materialized.  A single-input exchange on an integer
 column is one ``exchange.shuffle`` call (optional Arrow combine + ``kb``
-tag in one map, then a pandas finalize per bucket); two-sided joins
-(a ``.union`` of tagged sides) and the hops keyed by a hash or a range
-of a column tag by hand.
+tag in one map, then a pandas finalize per bucket); a two-sided join on
+an integer key is one ``exchange.cogroup`` call (each side projected
+and cast in Arrow, one pandas frame per side per bucket); the hops
+keyed by a hash or a range of a column tag by hand.
 """
 
 from __future__ import annotations
@@ -48,12 +49,16 @@ def _read(sf_dir: str, table: str, columns=None):
                            override_num_blocks=_ex.read_blocks(path))
 
 
-def _const(n: int, v, dtype) -> pa.Array:
-    """Constant column for Arrow-native union tags (sentinel fills).
-    ``None`` yields a null column of the requested type."""
-    if v is None:
-        return pa.nulls(n, dtype)
-    return pa.array(np.full(n, v), type=dtype)
+def _pick(**cols):
+    """``cogroup`` side projection: each output column is the named
+    input column."""
+    return lambda t: pa.table({k: t[v] for k, v in cols.items()})
+
+
+def _str_col(s: pd.Series) -> pd.Series:
+    """A string group-key column with SQL NULL as ``None`` (pandas
+    ``groupby(dropna=False)`` keys the NULL group as NaN)."""
+    return s.astype(object).where(s.notna(), None)
 
 
 def _cents(x) -> pa.ChunkedArray:
@@ -450,9 +455,9 @@ def q_brand_revenue(sf_dir: str):
     are dropped by the inner-join lookup (mirrors the oracle).
 
     Scale note: broadcast holds while the part dim fits the object
-    store comfortably (~20 MB at sf1); past that, hash-bucket BOTH
-    sides on ``partkey % k`` (the asof/range-join union recipe) and
-    keep the per-brand combine inside each bucket."""
+    store comfortably (~20 MB at sf1); past that, ``exchange.cogroup``
+    BOTH sides on partkey (the asof/range-join recipe) and keep the
+    per-brand combine inside each bucket."""
     part = _read(sf_dir, "part", ["p_partkey", "p_brand"]).to_pandas()
     join = _broadcast_inner_lookup(
         part["p_partkey"], part["p_brand"], "l_partkey", "p_brand"
@@ -705,13 +710,12 @@ def q_asof_join(sf_dir: str):
     """As-of join (custom operator Ray Data lacks): each event matched
     to the user's latest order at or before the event time.
 
-    Distributed recipe: pre-reduce the right side to one row per
-    (key, time), tag both sides, ``union`` them, and hash-shuffle ONCE
-    on the key — the per-group merge is a sorted ``np.searchsorted``.
+    Distributed recipe: ONE ``exchange.cogroup`` of events and orders
+    on the key; in-bucket the right side pre-reduces to one row per
+    (key, time) and the merge is a sorted ``pd.merge_asof``.
     Partitioning assumption: a single key's rows fit one group (true
     for user-keyed activity; salt hot keys otherwise)."""
     nb = _nb_rows(sf_dir, 'events', 'orders')  # row-carrying exchange
-    import ray.data as rd  # noqa: F401  (union happens on Datasets)
 
     events = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
     # the deterministic right-side pre-reduce (one row per (custkey,
@@ -726,51 +730,17 @@ def q_asof_join(sf_dir: str):
     # dispatch over thousands of tiny key groups would dwarf the merge
     # work; inside a bucket the as-of is one vectorized
     # pd.merge_asof(by=key)
-
-    # Arrow-native tags: zero-copy column selects + one constant
-    # array per batch — the pandas version copied every batch twice
-    def tag_events(t: pa.Table) -> pa.Table:
-        key = pc.cast(t["user_id"], pa.int64())
-        return pa.table({
-            "key": key,
-            "kb": _ex.kb_arrow(key, nb),
-            "t": pc.cast(t["ts"], pa.timestamp("us")),
-            "side": _const(t.num_rows, 0, pa.int64()),
-            "event_id": pc.cast(t["event_id"], pa.int64()),
-            "o_orderkey": _const(t.num_rows, -1, pa.int64()),
-        })
-
-    def tag_orders(t: pa.Table) -> pa.Table:
-        key = pc.cast(t["o_custkey"], pa.int64())
-        return pa.table({
-            "key": key,
-            "kb": _ex.kb_arrow(key, nb),
-            "t": pc.cast(t["o_orderdate"], pa.timestamp("us")),
-            "side": _const(t.num_rows, 1, pa.int64()),
-            "event_id": _const(t.num_rows, -1, pa.int64()),
-            "o_orderkey": pc.cast(t["o_orderkey"], pa.int64()),
-        })
-
-    u = events.map_batches(tag_events, batch_format="pyarrow").union(
-        o.map_batches(tag_orders, batch_format="pyarrow")
-    )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        left = g[g["side"] == 0].sort_values("t", kind="mergesort")
+    def merge(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
+        left = left.sort_values("t", kind="mergesort")
         right = (
-            g[g["side"] == 1]
-            .groupby(["key", "t"], as_index=False)["o_orderkey"].max()
+            right.groupby(["key", "t"], as_index=False)["o_orderkey"].max()
             .sort_values("t", kind="mergesort")
         )
         if left.empty or right.empty:
             return pd.DataFrame(
                 columns=["event_id", "user_id", "ts", "o_orderkey"]
             )
-        m = pd.merge_asof(
-            left[["key", "t", "event_id"]],
-            right[["key", "t", "o_orderkey"]],
-            on="t", by="key", direction="backward",
-        )
+        m = pd.merge_asof(left, right, on="t", by="key", direction="backward")
         m = m[m["o_orderkey"].notna()]
         return pd.DataFrame({
             "event_id": m["event_id"].to_numpy(),
@@ -779,7 +749,13 @@ def q_asof_join(sf_dir: str):
             "o_orderkey": m["o_orderkey"].to_numpy().astype("int64"),
         })
 
-    out = u.groupby("kb").map_groups(merge, batch_format="pandas").to_pandas()
+    ts = pa.timestamp("us")
+    out = _ex.cogroup([
+        (events, {"key": pa.int64(), "t": ts, "event_id": pa.int64()},
+         _pick(key="user_id", t="ts", event_id="event_id")),
+        (o, {"key": pa.int64(), "t": ts, "o_orderkey": pa.int64()},
+         _pick(key="o_custkey", t="o_orderdate", o_orderkey="o_orderkey")),
+    ], "key", nb, merge).to_pandas()
     out = out.astype({"event_id": "int64", "user_id": "int64", "o_orderkey": "int64"})
     return out.sort_values("event_id").reset_index(drop=True)
 
@@ -800,47 +776,21 @@ def q_range_join(sf_dir: str):
     per order, count its lineitems shipped inside the order's 90-day
     window (key equality + range predicate on the time axis).
 
-    Distributed recipe (same skeleton as ``q_asof_join``): tag both
-    sides, ``union``, hash-shuffle ONCE on coarse size-derived key
-    buckets; inside a bucket one vectorized ``pd.merge`` on the key
+    Distributed recipe (same skeleton as ``q_asof_join``): ONE
+    ``exchange.cogroup`` of orders and lineitems on coarse size-derived
+    key buckets; inside a bucket one vectorized ``pd.merge`` on the key
     followed by the window filter + groupby count.  Partitioning
     assumption: one key's order×lineitem pairs fit a group — bounded
     by lines-per-order; salt hot keys otherwise."""
-    import ray.data as rd  # noqa: F401
-
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
     lines = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
 
     nb = _nb_rows(sf_dir, 'orders', 'lineitem')  # row-carrying exchange
 
-    def tag_orders(t: pa.Table) -> pa.Table:
-        key = pc.cast(t["o_orderkey"], pa.int64())
-        return pa.table({
-            "key": key,
-            "kb": _ex.kb_arrow(key, nb),
-            "side": _const(t.num_rows, 0, pa.int64()),
-            "t": pc.cast(t["o_orderdate"], pa.timestamp("us")),
-        })
-
-    def tag_lines(t: pa.Table) -> pa.Table:
-        key = pc.cast(t["l_orderkey"], pa.int64())
-        return pa.table({
-            "key": key,
-            "kb": _ex.kb_arrow(key, nb),
-            "side": _const(t.num_rows, 1, pa.int64()),
-            "t": pc.cast(t["l_shipdate"], pa.timestamp("us")),
-        })
-
-    u = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        lines.map_batches(tag_lines, batch_format="pyarrow")
-    )
-
-    def count_in_window(g: pd.DataFrame) -> pd.DataFrame:
-        left = g[g["side"] == 0][["key", "t"]]
-        right = g[g["side"] == 1][["key", "t"]].rename(columns={"t": "ship"})
+    def count_in_window(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
         if left.empty:
             return pd.DataFrame(columns=["o_orderkey", "n_shipped_90d"])
-        m = left.merge(right, on="key", how="left")
+        m = left.merge(right.rename(columns={"t": "ship"}), on="key", how="left")
         in_win = (m["ship"] >= m["t"]) & (
             m["ship"] < m["t"] + pd.Timedelta(days=90)
         )
@@ -851,7 +801,11 @@ def q_range_join(sf_dir: str):
             "n_shipped_90d": out["hit"].astype("int64"),
         })
 
-    out = u.groupby("kb").map_groups(count_in_window, batch_format="pandas").to_pandas()
+    side = {"key": pa.int64(), "t": pa.timestamp("us")}
+    out = _ex.cogroup([
+        (orders, side, _pick(key="o_orderkey", t="o_orderdate")),
+        (lines, side, _pick(key="l_orderkey", t="l_shipdate")),
+    ], "key", nb, count_in_window).to_pandas()
     out = out.astype({"o_orderkey": "int64", "n_shipped_90d": "int64"})
     return out.sort_values("o_orderkey").reset_index(drop=True)
 
@@ -1011,7 +965,8 @@ def q_big_spenders(sf_dir: str):
     Three bounded stages: (1) per-batch (custkey, cents) partials over
     orders — spend snaps to integer cents per order, so every later
     sum is order-independent; (2) ONE custkey-bucket exchange joining
-    spend partials with customer's (custkey, segment) — emits the
+    spend partials with customer's (custkey, segment)
+    (``exchange.cogroup``) — emits the
     per-customer spend table, bounded by #customers; (3) segment
     averages fold from additive (segment, tot_cents, n_cust) partials,
     and the filter re-runs over stage-2 blocks with the tiny threshold
@@ -1022,34 +977,18 @@ def q_big_spenders(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
-    def spend_tag(t: pa.Table) -> pa.Table:
-        s = _spend_partial(t)
-        return s.append_column("kb", _ex.kb_arrow(s["custkey"], nb)) \
-            .append_column("segment", _const(s.num_rows, None, pa.string()))
+    def join_bucket(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame:
+        facts = facts.groupby("custkey", as_index=False)["spend_c"].sum()
+        # a NULL segment joins no segment average (SQL NULL ≠ NULL), so
+        # its customers can never be picked
+        return facts.merge(dims.dropna(subset=["segment"]), on="custkey")
 
-    def cust_tag(t: pa.Table) -> pa.Table:
-        key = pc.cast(t["c_custkey"], pa.int64())
-        return pa.table({
-            "custkey": key,
-            "spend_c": _const(t.num_rows, None, pa.int64()),
-            "kb": _ex.kb_arrow(key, nb),
-            "segment": t["c_mktsegment"],
-        })
-
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        facts = g[g["segment"].isna()].groupby("custkey", as_index=False)[
-            "spend_c"].sum()
-        dims = g[g["segment"].notna()][["custkey", "segment"]]
-        j = facts.merge(dims, on="custkey", how="inner")
-        return j.astype({"custkey": "int64", "spend_c": "int64"})
-
-    per_cust = (
-        orders.map_batches(spend_tag, batch_format="pyarrow")
-        .union(cust.map_batches(cust_tag, batch_format="pyarrow"))
-        .groupby("kb")
-        .map_groups(join_bucket, batch_format="pandas")
-        .materialize()
-    )
+    per_cust = _ex.cogroup([
+        (orders, {"custkey": pa.int64(), "spend_c": pa.int64()},
+         _spend_partial),
+        (cust, {"custkey": pa.int64(), "segment": pa.string()},
+         _pick(custkey="c_custkey", segment="c_mktsegment")),
+    ], "custkey", nb, join_bucket).materialize()
 
     def seg_partial(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("segment", as_index=False).agg(
@@ -1191,7 +1130,7 @@ def q_assoc_rules(sf_dir: str):
             hits,
             pa.table({
                 "l_orderkey": okeys,
-                "l_partkey": _const(len(okeys), -1, pa.int64()),
+                "l_partkey": pa.array(np.full(len(okeys), -1, np.int64)),
             }),
         ])
 
@@ -1501,8 +1440,8 @@ def q_ship_latency_by_priority(sf_dir: str):
     count, mean latency and worst case.  The operational-SLA rollup of
     the orders ⋈ lineitem join.
 
-    Same single orderkey-bucket exchange as ``hash_join_big`` (both
-    sides corpus-sized); in-bucket the per-order max-shipdate join is
+    Same single orderkey ``exchange.cogroup`` as ``hash_join_big``
+    (both sides corpus-sized); in-bucket the per-order max-shipdate join is
     vectorized, and only additive (priority, n, Σdays, max_days)
     int64 partials return.  Latency is exact integer days; the mean
     is a driver-side ratio rounded to 6 dp."""
@@ -1511,50 +1450,31 @@ def q_ship_latency_by_priority(sf_dir: str):
                    ["o_orderkey", "o_orderpriority", "o_orderdate"])
     line = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
 
-    def tag_orders(t: pa.Table) -> pa.Table:
-        key = pc.cast(t["o_orderkey"], pa.int64())
-        return pa.table({
-            "key": key, "kb": _ex.kb_arrow(key, nb),
-            "priority": t["o_orderpriority"],
-            "odate": pc.cast(t["o_orderdate"], pa.timestamp("us")),
-            "sdate": _const(t.num_rows, None, pa.timestamp("us")),
-        })
-
-    def tag_line(t: pa.Table) -> pa.Table:
-        key = pc.cast(t["l_orderkey"], pa.int64())
-        return pa.table({
-            "key": key, "kb": _ex.kb_arrow(key, nb),
-            "priority": _const(t.num_rows, None, pa.string()),
-            "odate": _const(t.num_rows, None, pa.timestamp("us")),
-            "sdate": pc.cast(t["l_shipdate"], pa.timestamp("us")),
-        })
-
-    def agg_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        left = g[g["priority"].notna()][["key", "priority", "odate"]]
-        last = g[g["priority"].isna()].groupby("key", as_index=False)[
-            "sdate"].max()
+    def agg_bucket(left: pd.DataFrame, line: pd.DataFrame) -> pd.DataFrame:
+        last = line.groupby("key", as_index=False)["sdate"].max()
         j = left.merge(last, on="key", how="inner")
         days = ((j["sdate"].dt.floor("D") - j["odate"].dt.floor("D"))
                 .dt.days).astype("int64")
         out = pd.DataFrame({"priority": j["priority"], "days": days})
-        agg = out.groupby("priority", as_index=False).agg(
+        agg = out.groupby("priority", as_index=False, dropna=False).agg(
             n_orders=("days", "size"), sum_days=("days", "sum"),
             max_days=("days", "max"))
         return agg.astype({"n_orders": "int64", "sum_days": "int64",
                            "max_days": "int64"})
 
-    parts = (
-        orders.map_batches(tag_orders, batch_format="pyarrow")
-        .union(line.map_batches(tag_line, batch_format="pyarrow"))
-        .groupby("kb")
-        .map_groups(agg_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    out = parts.groupby("priority", as_index=False).agg(
+    ts = pa.timestamp("us")
+    parts = _ex.cogroup([
+        (orders, {"key": pa.int64(), "priority": pa.string(), "odate": ts},
+         _pick(key="o_orderkey", priority="o_orderpriority",
+               odate="o_orderdate")),
+        (line, {"key": pa.int64(), "sdate": ts},
+         _pick(key="l_orderkey", sdate="l_shipdate")),
+    ], "key", nb, agg_bucket).to_pandas()
+    out = parts.groupby("priority", as_index=False, dropna=False).agg(
         n_orders=("n_orders", "sum"), sum_days=("sum_days", "sum"),
         max_days=("max_days", "max"))
     res = pd.DataFrame({
-        "o_orderpriority": out["priority"].astype(object),
+        "o_orderpriority": _str_col(out["priority"]),
         "n_orders": out["n_orders"].astype("int64"),
         "avg_days": (out["sum_days"].to_numpy(np.float64)
                      / out["n_orders"].to_numpy(np.float64)).round(6),
@@ -1921,9 +1841,10 @@ def q_region_year_revenue(sf_dir: str):
     the region attaches in the SCAN via one vectorized ``np.take`` and
     each lineitem batch PRE-COMBINES to (orderkey, region-id,
     cents-sum, count) partials before the ONE unavoidable orderkey
-    exchange (int-cent partials commute exactly); region names only
-    reappear on the driver's ≤ regions × years rows.  Revenue snaps to
-    integer cents per term (the order-independent discipline)."""
+    ``exchange.cogroup`` (int-cent partials commute exactly); region
+    names only reappear on the driver's ≤ regions × years rows.
+    Revenue snaps to integer cents per term (the order-independent
+    discipline)."""
     nb = _nb_rows(sf_dir, 'orders', 'lineitem')  # row-carrying exchange
     import ray
 
@@ -1943,56 +1864,36 @@ def q_region_year_revenue(sf_dir: str):
     line = _read(sf_dir, "lineitem",
                  ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])
 
-    def tag_orders(t: pa.Table) -> pa.Table:
-        key = pc.cast(t["o_orderkey"], pa.int64())
-        return pa.table({
-            "key": key, "kb": _ex.kb_arrow(key, nb),
-            "year": pc.cast(pc.year(t["o_orderdate"]), pa.int64()),
-            "rid": _const(t.num_rows, None, pa.int64()),
-            "rev_c": _const(t.num_rows, None, pa.int64()),
-            "n": _const(t.num_rows, None, pa.int64()),
-        })
+    def year_of(t: pa.Table) -> pa.Table:
+        return pa.table({"key": t["o_orderkey"],
+                         "year": pc.year(t["o_orderdate"])})
 
-    def tag_line(t: pa.Table) -> pa.Table:
+    def combine_line(t: pa.Table) -> pa.Table:
         lookup = ray.get(s2rid_ref)
-        key = pc.cast(t["l_orderkey"], pa.int64())
         sk = t["l_suppkey"].to_numpy().astype(np.int64)
         rid = np.where(sk < len(lookup), lookup[np.minimum(sk, len(lookup) - 1)], -1)
         rev = pc.multiply(
             t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        cents = _cents(rev)
         g = (
-            pa.table({"key": key, "rid": pa.array(rid.astype(np.int64)),
-                      "rev_c": cents})
+            pa.table({"key": t["l_orderkey"], "rid": pa.array(rid.astype(np.int64)),
+                      "rev_c": _cents(rev)})
             .filter(pa.array(rid >= 0))  # inner-join: drop unmapped supps
             .group_by(["key", "rid"])
             .aggregate([("rev_c", "sum"), ("rev_c", "count")])
         )
-        gkey = pc.cast(g["key"], pa.int64())
-        return pa.table({
-            "key": gkey, "kb": _ex.kb_arrow(gkey, nb),
-            "year": _const(g.num_rows, None, pa.int64()),
-            "rid": pc.cast(g["rid"], pa.int64()),
-            "rev_c": pc.cast(g["rev_c_sum"], pa.int64()),
-            "n": pc.cast(g["rev_c_count"], pa.int64()),
-        })
+        return pa.table({"key": g["key"], "rid": g["rid"],
+                         "rev_c": g["rev_c_sum"], "n": g["rev_c_count"]})
 
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        left = g[g["rid"].isna()][["key", "year"]]
-        right = g[g["rid"].notna()][["key", "rid", "rev_c", "n"]]
+    def join_bucket(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
         j = right.merge(left, on="key", how="inner")
-        out = j.groupby(["rid", "year"], as_index=False).agg(
+        return j.groupby(["rid", "year"], as_index=False).agg(
             rev_c=("rev_c", "sum"), n_items=("n", "sum"))
-        return out.astype({"rid": "int64", "year": "int64",
-                           "rev_c": "int64", "n_items": "int64"})
 
-    parts = (
-        orders.map_batches(tag_orders, batch_format="pyarrow")
-        .union(line.map_batches(tag_line, batch_format="pyarrow"))
-        .groupby("kb")
-        .map_groups(join_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    i64 = pa.int64()
+    parts = _ex.cogroup([
+        (orders, {"key": i64, "year": i64}, year_of),
+        (line, {"key": i64, "rid": i64, "rev_c": i64, "n": i64}, combine_line),
+    ], "key", nb, join_bucket).to_pandas()
     agg = parts.groupby(["rid", "year"], as_index=False).agg(
         rev_c=("rev_c", "sum"), n_items=("n_items", "sum"))
     out = pd.DataFrame({
@@ -2270,29 +2171,14 @@ def q_join_coverage_audit(sf_dir: str):
     relationship: customers with/without orders, orders whose custkey
     has no customer row, and match coverage — the data-quality panel
     run before any join-dependent pipeline is trusted.  Customer keys
-    and per-batch deduped order custkeys ride one custkey-bucket
-    exchange; each bucket emits four additive counters."""
+    and per-batch deduped order custkeys ride one custkey
+    ``exchange.cogroup``; each bucket emits four additive counters."""
     nb = _nb_rows(sf_dir, 'customer', 'orders')  # row-carrying exchange
     orders = _read(sf_dir, "orders", ["o_custkey"])
     cust = _read(sf_dir, "customer", ["c_custkey"])
 
-    def tag_orders(t: pa.Table) -> pa.Table:
-        key = pc.unique(pc.cast(t["o_custkey"], pa.int64()))
-        return pa.table({
-            "key": key, "kb": _ex.kb_arrow(key, nb),
-            "side": _const(len(key), 1, pa.int8()),
-        })
-
-    def tag_cust(t: pa.Table) -> pa.Table:
-        key = pc.cast(t["c_custkey"], pa.int64())
-        return pa.table({
-            "key": key, "kb": _ex.kb_arrow(key, nb),
-            "side": _const(t.num_rows, 0, pa.int8()),
-        })
-
-    def audit(g: pd.DataFrame) -> pd.DataFrame:
-        c = set(g.loc[g["side"] == 0, "key"])
-        o = set(g.loc[g["side"] == 1, "key"])
+    def audit(c: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
+        c, o = set(c["key"]), set(o["key"])
         return pd.DataFrame({
             "n_customers": [len(c)],
             "with_orders": [len(c & o)],
@@ -2300,13 +2186,11 @@ def q_join_coverage_audit(sf_dir: str):
             "orphan_order_keys": [len(o - c)],
         })
 
-    p = (
-        orders.map_batches(tag_orders, batch_format="pyarrow")
-        .union(cust.map_batches(tag_cust, batch_format="pyarrow"))
-        .groupby("kb")
-        .map_groups(audit, batch_format="pandas")
-        .to_pandas().sum()
-    )
+    side = {"key": pa.int64()}
+    p = _ex.cogroup([
+        (cust, side, _pick(key="c_custkey")),
+        (orders, side, lambda t: pa.table({"key": pc.unique(t["o_custkey"])})),
+    ], "key", nb, audit).to_pandas().sum()
     nc, w = int(p["n_customers"]), int(p["with_orders"])
     return pd.DataFrame({
         "n_customers": pd.Series([nc], dtype="int64"),
@@ -2637,55 +2521,40 @@ def q_revenue_reconciliation(sf_dir: str):
     sides snap to integer cents per term, so the partials are additive
     int64 and the delta is exact; the per-year fold is driver-sized.
     The lineitem side needs the order year, so it rides the ONE
-    orderkey-bucket exchange with the header's (orderkey, year)."""
+    orderkey ``exchange.cogroup`` with the header's (orderkey, year)."""
     nb = _nb_rows(sf_dir, 'orders', 'lineitem')  # row-carrying exchange
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderdate", "o_totalprice"])
     line = _read(sf_dir, "lineitem",
                  ["l_orderkey", "l_extendedprice", "l_discount", "l_tax"])
 
-    def tag_orders(t: pa.Table) -> pa.Table:
-        key = pc.cast(t["o_orderkey"], pa.int64())
-        cents = _cents(t["o_totalprice"])
-        return pa.table({
-            "key": key, "kb": _ex.kb_arrow(key, nb),
-            "year": pc.cast(pc.year(t["o_orderdate"]), pa.int64()),
-            "hdr_c": cents,
-            "line_c": _const(t.num_rows, None, pa.int64()),
-        })
+    def header(t: pa.Table) -> pa.Table:
+        return pa.table({"key": t["o_orderkey"],
+                         "year": pc.year(t["o_orderdate"]),
+                         "hdr_c": _cents(t["o_totalprice"])})
 
-    def tag_line(t: pa.Table) -> pa.Table:
-        key = pc.cast(t["l_orderkey"], pa.int64())
+    def line_cents(t: pa.Table) -> pa.Table:
         gross = pc.multiply(
             pc.multiply(t["l_extendedprice"],
                         pc.add(pa.scalar(1.0), t["l_tax"])),
             pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        cents = _cents(gross)
-        n = t.num_rows
-        return pa.table({
-            "key": key, "kb": _ex.kb_arrow(key, nb),
-            "year": _const(n, None, pa.int64()),
-            "hdr_c": _const(n, None, pa.int64()),
-            "line_c": cents,
-        })
+        return pa.table({"key": t["l_orderkey"], "line_c": _cents(gross)})
 
-    def recon(g: pd.DataFrame) -> pd.DataFrame:
-        hdr = g[g["year"].notna()][["key", "year", "hdr_c"]]
-        ln = g[g["year"].isna()].groupby("key", as_index=False)[
-            "line_c"].sum()
+    def recon(hdr: pd.DataFrame, line: pd.DataFrame) -> pd.DataFrame:
+        ln = line.groupby("key", as_index=False)["line_c"].sum()
         j = hdr.merge(ln, on="key", how="left")
         j["line_c"] = j["line_c"].fillna(0)
         out = j.groupby("year", as_index=False).agg(
             hdr_c=("hdr_c", "sum"), line_c=("line_c", "sum"),
             n_orders=("key", "size"))
-        return out.astype({"year": "int64", "hdr_c": "int64",
-                           "line_c": "int64", "n_orders": "int64"})
+        return out.astype({"line_c": "int64"})
 
+    i64 = pa.int64()
     parts = (
-        orders.map_batches(tag_orders, batch_format="pyarrow")
-        .union(line.map_batches(tag_line, batch_format="pyarrow"))
-        .groupby("kb")
-        .map_groups(recon, batch_format="pandas")
+        _ex.cogroup([
+            (orders, {"key": i64, "year": i64, "hdr_c": i64}, header),
+            (line, {"key": i64, "line_c": i64}, line_cents),
+        ], "key", nb, recon)
         .to_pandas()
         .groupby("year", as_index=False)[["hdr_c", "line_c", "n_orders"]]
         .sum().sort_values("year").reset_index(drop=True)
@@ -3413,22 +3282,16 @@ def q_hash_join_big(sf_dir: str):
     """Big-big repartition (shuffle hash) join: orders ⋈ lineitem on
     orderkey with NEITHER side broadcast — the join class
     ``broadcast_join``/``join_agg`` cannot cover when both sides are
-    corpus-sized.  Same single-shuffle recipe as ``q_asof_join``: tag
-    each side, union, ONE groupby on coarse key buckets, vectorized
-    ``pd.merge`` + per-bucket partial aggregation inside the bucket,
-    tiny driver-side final reduce.  Shuffle volume is the pruned
-    columns only; the per-bucket output is O(groups), never the joined
-    rows.  The exchange carries ROW-LEVEL data (both join sides), so
-    its fan-out is sized from the input bytes
-    (``exchange.buckets_for_bytes`` — about one bucket per read block,
-    growing so one bucket's payload stays ~TARGET_BUCKET_BYTES at
-    100 TB)."""
-    import ray.data as rd
-
-    from crawler_tjce_ray.pipelines import exchange
-
-    nb = exchange.buckets_for_bytes(
-        exchange.table_bytes(sf_dir, "orders", "lineitem"))
+    corpus-sized.  Same single-shuffle recipe as ``q_asof_join``: ONE
+    ``exchange.cogroup`` of the two sides on coarse key buckets,
+    vectorized ``pd.merge`` + per-bucket partial aggregation inside
+    the bucket, tiny driver-side final reduce.  Shuffle volume is the
+    pruned columns only; the per-bucket output is O(groups), never the
+    joined rows.  The exchange carries ROW-LEVEL data (both join
+    sides), so its fan-out is sized from the input bytes (``_nb_rows``
+    — about one bucket per read block, growing so one bucket's payload
+    stays ~TARGET_BUCKET_BYTES at 100 TB)."""
+    nb = _nb_rows(sf_dir, "orders", "lineitem")
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     line = _read(
@@ -3436,60 +3299,30 @@ def q_hash_join_big(sf_dir: str):
         ["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
     )
 
-    # Arrow-native tags with the bucket key folded in (the pandas
-    # version ran a third copy-the-batch pass just to add kb)
-    def tag_orders(t: pa.Table) -> pa.Table:
-        key = pc.cast(t["o_orderkey"], pa.int64())
-        n = t.num_rows
-        return pa.table({
-            "key": key,
-            "kb": exchange.kb_arrow(key, nb),
-            "priority": t["o_orderpriority"],
-            "price": _const(n, None, pa.float64()),
-            "disc": _const(n, None, pa.float64()),
-            "flag": _const(n, None, pa.string()),
-            "side": _const(n, 0, pa.int8()),
-        })
-
-    def tag_line(t: pa.Table) -> pa.Table:
-        key = pc.cast(t["l_orderkey"], pa.int64())
-        n = t.num_rows
-        return pa.table({
-            "key": key,
-            "kb": exchange.kb_arrow(key, nb),
-            "priority": _const(n, None, pa.string()),
-            "price": pc.cast(t["l_extendedprice"], pa.float64()),
-            "disc": pc.cast(t["l_discount"], pa.float64()),
-            "flag": t["l_returnflag"],
-            "side": _const(n, 1, pa.int8()),
-        })
-
-    both = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        line.map_batches(tag_line, batch_format="pyarrow")
-    )
-
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        left = g[g["side"] == 0][["key", "priority"]]
-        right = g[g["side"] == 1][["key", "price", "disc", "flag"]]
+    def join_bucket(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
         j = right.merge(left, on="key", how="inner")
         j["rev"] = j["price"] * (1.0 - j["disc"])
-        return j.groupby(["priority", "flag"], as_index=False).agg(
-            revenue=("rev", "sum"), n_items=("rev", "size")
-        )
+        return j.groupby(["priority", "flag"], as_index=False,
+                         dropna=False).agg(revenue=("rev", "sum"),
+                                           n_items=("rev", "size"))
 
-    parts = (
-        both.groupby("kb")
-        .map_groups(join_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    out = parts.groupby(["priority", "flag"], as_index=False).agg(
+    parts = _ex.cogroup([
+        (orders, {"key": pa.int64(), "priority": pa.string()},
+         _pick(key="o_orderkey", priority="o_orderpriority")),
+        (line, {"key": pa.int64(), "price": pa.float64(),
+                "disc": pa.float64(), "flag": pa.string()},
+         _pick(key="l_orderkey", price="l_extendedprice", disc="l_discount",
+               flag="l_returnflag")),
+    ], "key", nb, join_bucket).to_pandas()
+    out = parts.groupby(["priority", "flag"], as_index=False, dropna=False).agg(
         revenue=("revenue", "sum"), n_items=("n_items", "sum")
     )
-    out["revenue"] = out["revenue"].round(2)
-    out["n_items"] = out["n_items"].astype("int64")
-    out = out.rename(columns={"priority": "o_orderpriority", "flag": "l_returnflag"})
-    out["l_returnflag"] = out["l_returnflag"].astype(object)
-    out["o_orderpriority"] = out["o_orderpriority"].astype(object)
+    out = pd.DataFrame({
+        "o_orderpriority": _str_col(out["priority"]),
+        "l_returnflag": _str_col(out["flag"]),
+        "revenue": out["revenue"].round(2),
+        "n_items": out["n_items"].astype("int64"),
+    })
     return out.sort_values(["o_orderpriority", "l_returnflag"]).reset_index(drop=True)
 
 
@@ -3511,17 +3344,18 @@ def q_segment_year_revenue(sf_dir: str):
     is TWO successive bucket exchanges that each carry only pruned
     columns and shrink between hops:
 
-    1. orderkey exchange — orders rows ride as (orderkey, custkey,
-       year); lineitem rows PRE-COMBINE per batch to (orderkey,
+    1. orderkey ``exchange.cogroup`` — orders rows ride as (orderkey,
+       custkey, year); lineitem rows PRE-COMBINE per batch to (orderkey,
        cents-sum, count) partials before the exchange (each term is
        already snapped to integer cents, so batch-level partial sums
        commute exactly), cutting hop-1 shuffle volume by the mean
        lineitems-per-order factor; in-bucket merge pre-aggregates to
        (custkey, year, rev, n) partials, so what leaves hop 1 is
        bounded by #customers × years, not joined rows;
-    2. custkey exchange — hop-1 partials union customer's (custkey,
-       mktsegment); in-bucket merge emits (mktsegment, year) partials;
-       the driver folds ≤ 64 × segments × years additive rows.
+    2. custkey ``exchange.cogroup`` — hop-1 partials against
+       customer's (custkey, mktsegment); in-bucket merge emits
+       (mktsegment, year) partials; the driver folds
+       ≤ buckets × segments × years additive rows.
 
     Each revenue term is snapped to INTEGER CENTS before any sum
     (floor(x·100 + 0.5) — identical IEEE ops in both engines), so the
@@ -3534,102 +3368,40 @@ def q_segment_year_revenue(sf_dir: str):
     sized from orders+lineitem bytes; hop 2's biggest rider is the
     customer table, so it sizes from that (hop-1 partials are bounded
     by customers × years)."""
-    from crawler_tjce_ray.pipelines import exchange
-
-    nb1 = exchange.buckets_for_bytes(
-        exchange.table_bytes(sf_dir, "orders", "lineitem"))
-    nb2 = exchange.buckets_for_bytes(
-        exchange.table_bytes(sf_dir, "customer"))
+    nb1 = _nb_rows(sf_dir, "orders", "lineitem")
+    nb2 = _nb_rows(sf_dir, "customer")
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
     line = _read(sf_dir, "lineitem",
                  ["l_orderkey", "l_extendedprice", "l_discount"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
-    def tag_orders(t: pa.Table) -> pa.Table:
-        key = pc.cast(t["o_orderkey"], pa.int64())
-        return pa.table({
-            "key": key, "kb": exchange.kb_arrow(key, nb1),
-            "custkey": pc.cast(t["o_custkey"], pa.int64()),
-            "year": pc.cast(pc.year(t["o_orderdate"]), pa.int64()),
-            "rev_c": _const(t.num_rows, None, pa.int64()),
-            "side": _const(t.num_rows, 0, pa.int8()),
-        })
+    def order_rows(t: pa.Table) -> pa.Table:
+        return pa.table({"key": t["o_orderkey"], "custkey": t["o_custkey"],
+                         "year": pc.year(t["o_orderdate"])})
 
-    def tag_line(t: pa.Table) -> pa.Table:
-        key = pc.cast(t["l_orderkey"], pa.int64())
+    def combine_line(t: pa.Table) -> pa.Table:
         rev = pc.multiply(
             t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"])
         )
         # snap each term to integer cents FIRST (identical IEEE ops to
         # the oracle), then pre-combine per orderkey within the batch:
         # int sums commute, so the partial is exact
-        cents = _cents(rev)
-        g = pa.table({"key": key, "rev_c": cents}) \
+        g = pa.table({"key": t["l_orderkey"], "rev_c": _cents(rev)}) \
             .group_by("key").aggregate([
                 ("rev_c", "sum"), ("rev_c", "count"),
             ])
-        gkey = pc.cast(g["key"], pa.int64())
-        n = g.num_rows
-        return pa.table({
-            "key": gkey, "kb": exchange.kb_arrow(gkey, nb1),
-            "custkey": _const(n, None, pa.int64()),
-            "year": pc.cast(g["rev_c_count"], pa.int64()),  # rides in year
-            "rev_c": pc.cast(g["rev_c_sum"], pa.int64()),
-            "side": _const(n, 1, pa.int8()),
-        })
+        return pa.table({"key": g["key"], "rev_c": g["rev_c_sum"],
+                         "n": g["rev_c_count"]})
 
-    def join_orderkey(g: pd.DataFrame) -> pa.Table:
-        left = g[g["side"] == 0][["key", "custkey", "year"]]
-        right = g[g["side"] == 1][["key", "rev_c"]].copy()
-        # the lineitem partial reuses the year slot for its count
-        right["n"] = g.loc[g["side"] == 1, "year"].to_numpy(np.int64)
+    def join_orderkey(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
         j = right.merge(left, on="key", how="inner")
-        out = j.groupby(["custkey", "year"], as_index=False).agg(
-            rev_c=("rev_c", "sum"), n_items=("n", "sum"))
-        ck = out["custkey"].to_numpy(np.int64)
-        # typed Arrow out-block (empty buckets emit schemaless frames)
-        return pa.table({
-            "custkey": pa.array(ck),
-            "year": pa.array(out["year"].to_numpy(np.int64)),
-            "rev_c": pa.array(out["rev_c"].to_numpy(np.int64)),
-            "n_items": pa.array(out["n_items"].to_numpy(np.int64)),
-            "kb2": pa.array(exchange.kb_numpy(ck, nb2)),
-        })
+        return j.groupby(["custkey", "year"], as_index=False).agg(
+            rev_c=("rev_c", "sum"), n_items=("n", "sum")).astype("int64")
 
-    hop1 = (
-        orders.map_batches(tag_orders, batch_format="pyarrow")
-        .union(line.map_batches(tag_line, batch_format="pyarrow"))
-        .groupby("kb")
-        .map_groups(join_orderkey, batch_format="pandas")
-    )
-
-    def tag_cust(t: pa.Table) -> pa.Table:
-        key = pc.cast(t["c_custkey"], pa.int64())
-        n = t.num_rows
-        return pa.table({
-            "custkey": key, "kb2": exchange.kb_arrow(key, nb2),
-            "year": _const(n, None, pa.int64()),
-            "rev_c": _const(n, None, pa.int64()),
-            "n_items": _const(n, None, pa.int64()),
-            "segment": t["c_mktsegment"],
-        })
-
-    def tag_hop1(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "custkey": pc.cast(t["custkey"], pa.int64()),
-            "kb2": pc.cast(t["kb2"], pa.int64()),
-            "year": pc.cast(t["year"], pa.int64()),
-            "rev_c": pc.cast(t["rev_c"], pa.int64()),
-            "n_items": pc.cast(t["n_items"], pa.int64()),
-            "segment": _const(t.num_rows, None, pa.string()),
-        })
-
-    def join_custkey(g: pd.DataFrame) -> pa.Table:
-        facts = g[g["segment"].isna()][["custkey", "year", "rev_c", "n_items"]]
-        dims = g[g["segment"].notna()][["custkey", "segment"]]
+    def join_custkey(facts: pd.DataFrame, dims: pd.DataFrame) -> pa.Table:
         j = facts.merge(dims, on="custkey", how="inner")
-        out = j.groupby(["segment", "year"], as_index=False).agg(
+        out = j.groupby(["segment", "year"], as_index=False, dropna=False).agg(
             rev_c=("rev_c", "sum"), n_items=("n_items", "sum"))
         # typed Arrow out-block: an empty bucket otherwise emits a
         # schemaless frame (executor schema-mismatch warnings)
@@ -3640,17 +3412,21 @@ def q_segment_year_revenue(sf_dir: str):
             "n_items": pa.array(out["n_items"].to_numpy(np.int64)),
         })
 
-    parts = (
-        hop1.map_batches(tag_hop1, batch_format="pyarrow")
-        .union(cust.map_batches(tag_cust, batch_format="pyarrow"))
-        .groupby("kb2")
-        .map_groups(join_custkey, batch_format="pandas")
-        .to_pandas()
-    )
-    out = parts.groupby(["segment", "year"], as_index=False).agg(
+    i64 = pa.int64()
+    hop1 = _ex.cogroup([
+        (orders, {"key": i64, "custkey": i64, "year": i64}, order_rows),
+        (line, {"key": i64, "rev_c": i64, "n": i64}, combine_line),
+    ], "key", nb1, join_orderkey)
+    parts = _ex.cogroup([
+        (hop1, {"custkey": i64, "year": i64, "rev_c": i64, "n_items": i64},
+         None),
+        (cust, {"custkey": i64, "segment": pa.string()},
+         _pick(custkey="c_custkey", segment="c_mktsegment")),
+    ], "custkey", nb2, join_custkey).to_pandas()
+    out = parts.groupby(["segment", "year"], as_index=False, dropna=False).agg(
         rev_c=("rev_c", "sum"), n_items=("n_items", "sum"))
     out = pd.DataFrame({
-        "c_mktsegment": out["segment"].astype(object),
+        "c_mktsegment": _str_col(out["segment"]),
         "order_year": out["year"].astype("int64"),
         "revenue": out["rev_c"].astype("int64").to_numpy(np.float64) / 100.0,
         "n_items": out["n_items"].astype("int64"),
@@ -3940,53 +3716,31 @@ FROM events ORDER BY event_id
 def q_left_join_counts(sf_dir: str):
     """LEFT OUTER join shape: every customer with their order count,
     zero-order customers included.  The big (orders) side pre-reduces
-    per batch to (custkey, n) partials BEFORE the single bucketed
-    shuffle, so the exchange carries counts, not orders; outer
-    semantics come from the in-bucket left merge + fillna(0)."""
+    per batch to (custkey, n) partials BEFORE the single
+    ``exchange.cogroup``, so the exchange carries counts, not orders;
+    outer semantics come from the in-bucket left merge + fillna(0)."""
     nb = _nb_rows(sf_dir, 'customer')  # row-carrying exchange
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     orders = _read(sf_dir, "orders", ["o_custkey"])
 
-    def tag_cust(t: pa.Table) -> pa.Table:
-        key = pc.cast(t["c_custkey"], pa.int64())
-        return pa.table({
-            "key": key, "kb": _ex.kb_arrow(key, nb),
-            "seg": t["c_mktsegment"],
-            "n": _const(t.num_rows, 0, pa.int64()),
-            "side": _const(t.num_rows, 0, pa.int8()),
-        })
-
     def partial_counts(t: pa.Table) -> pa.Table:
         g = t.group_by("o_custkey").aggregate([("o_custkey", "count")])
-        key = pc.cast(g["o_custkey"], pa.int64())
-        return pa.table({
-            "key": key, "kb": _ex.kb_arrow(key, nb),
-            "seg": _const(g.num_rows, None, pa.string()),
-            "n": pc.cast(g["o_custkey_count"], pa.int64()),
-            "side": _const(g.num_rows, 1, pa.int8()),
-        })
+        return pa.table({"key": g["o_custkey"], "n": g["o_custkey_count"]})
 
-    u = cust.map_batches(tag_cust, batch_format="pyarrow").union(
-        orders.map_batches(partial_counts, batch_format="pyarrow")
-    )
-
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        left = g[g["side"] == 0][["key", "seg"]]
-        right = (
-            g[g["side"] == 1].groupby("key", as_index=False)["n"].sum()
-        )
+    def merge_bucket(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
+        right = right.groupby("key", as_index=False)["n"].sum()
         m = left.merge(right, on="key", how="left")
         return pd.DataFrame({
-            "c_custkey": m["key"].astype("int64"),
-            "c_mktsegment": m["seg"].astype(object),
+            "c_custkey": m["key"],
+            "c_mktsegment": m["seg"],
             "n_orders": m["n"].fillna(0).astype("int64"),
         })
 
-    out = (
-        u.groupby("kb")
-        .map_groups(merge_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    out = _ex.cogroup([
+        (cust, {"key": pa.int64(), "seg": pa.string()},
+         _pick(key="c_custkey", seg="c_mktsegment")),
+        (orders, {"key": pa.int64(), "n": pa.int64()}, partial_counts),
+    ], "key", nb, merge_bucket).to_pandas()
     return out.sort_values("c_custkey").reset_index(drop=True)
 
 
@@ -4124,100 +3878,75 @@ def _bloom_test(packed: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return bits[_bloom_positions(keys, len(bits))].all(axis=0)
 
 
+def _bloom_ref(cust, mask):
+    """``ray.put`` Bloom filter over the ``c_custkey`` of the customer
+    rows ``mask`` (Arrow table → boolean array) selects.  A cheap count
+    pass sizes it so it never saturates as the list grows (m ≈ 16·n
+    bits → ~0.24% FPs at any cardinality; a fixed m would trend to
+    ~100% FPs at kn/m ≫ 1); per-batch partials of O(m/8) bytes
+    OR-merge on the driver."""
+    import ray
+
+    def count(t: pa.Table) -> pa.Table:
+        return pa.table({"n": [t.filter(mask(t)).num_rows]})
+
+    m = _bloom_size(int(
+        cust.map_batches(count, batch_format="pyarrow").to_pandas()["n"].sum()))
+
+    def partial(t: pa.Table) -> pa.Table:
+        keys = t.filter(mask(t))["c_custkey"].to_numpy().astype(np.int64)
+        return pa.table({"bloom": [_bloom_build(keys, m).tobytes()]})
+
+    packed = np.zeros(m // 8, dtype=np.uint8)
+    for blob in cust.map_batches(partial, batch_format="pyarrow") \
+            .to_pandas()["bloom"]:
+        packed |= np.frombuffer(blob, dtype=np.uint8)
+    return ray.put(packed)
+
+
 def q_bloom_anti_join(sf_dir: str):
     """Big-big ANTI-join via a Bloom prefilter: orders whose customer
     is NOT on the blocklist (negative-balance customers), per order
     priority.  The big-big form of ``anti_join_seen``: when the right
     side is too large to broadcast exactly, broadcast a Bloom filter
-    instead — sized from a cheap count pass (m ≈ 16·n bits → ~0.24%
-    FPs at any blocklist cardinality) and built from per-batch
-    OR-merged partials of O(m/8) bytes each.
+    instead (``_bloom_ref``).
     Bloom NEGATIVES are definitely not blocked, so they pre-aggregate
-    inside the same ``map_batches`` pass and never shuffle; only the
-    ~1% of Bloom POSITIVES (true members + false positives) flow into
-    the exact verification — the ``q_hash_join_big`` coarse-bucket
-    union shuffle against the real blocklist — making the final result
-    EXACT (oracle-checked), with shuffle volume proportional to the
+    inside the same ``map_batches`` pass and ride the exchange as
+    (custkey −1, priority, count) rows — −1 matches no blocklist key;
+    only the ~1% of Bloom POSITIVES (true members + false positives)
+    ride as rows for the exact verification — ONE ``exchange.cogroup``
+    against the real blocklist — making the final result EXACT
+    (oracle-checked), with shuffle volume proportional to the
     blocklist, not the corpus."""
-    nb = _nb_rows(sf_dir, 'orders')  # row-carrying exchange
-    import ray.data as rd
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
-
-    # cheap count pass sizes the filter so it never saturates as the
-    # blocklist grows (fixed m would trend to ~100% FPs at kn/m >> 1)
-    def count_partial(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"n": [int((df["c_acctbal"] < 0).sum())]})
-
-    n_block = int(
-        cust.map_batches(count_partial, batch_format="pandas").to_pandas()["n"].sum()
-    )
-    m = _bloom_size(n_block)
-
-    def bloom_partial(df: pd.DataFrame) -> pd.DataFrame:
-        keys = df.loc[df["c_acctbal"] < 0, "c_custkey"].to_numpy(np.int64)
-        return pd.DataFrame({"bloom": [_bloom_build(keys, m).tobytes()]})
-
-    parts = cust.map_batches(bloom_partial, batch_format="pandas").to_pandas()
-    packed = np.zeros(m // 8, dtype=np.uint8)
-    for blob in parts["bloom"]:
-        packed |= np.frombuffer(blob, dtype=np.uint8)
     import ray
 
-    bloom_ref = ray.put(packed)
+    nb = _nb_rows(sf_dir, 'orders')  # row-carrying exchange
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
 
-    # one pass over orders: definite-keeps pre-aggregate in place
-    # (side 2), Bloom positives become verification candidates (side 0)
+    def blocked(t: pa.Table) -> pa.Array:
+        return pc.less(t["c_acctbal"], pa.scalar(0.0))
+
+    bloom_ref = _bloom_ref(cust, blocked)
+
     def split_orders(t: pa.Table) -> pa.Table:
-        bloom = ray.get(bloom_ref)
-        keys = t["o_custkey"].to_numpy().astype(np.int64)
-        pos = _bloom_test(bloom, keys)
-        # definite negatives pre-aggregate in-batch (Arrow group_by);
-        # possible positives ride the bucket shuffle for verification
+        pos = _bloom_test(ray.get(bloom_ref),
+                          t["o_custkey"].to_numpy().astype(np.int64))
         keep = t.filter(pa.array(~pos)).group_by("o_orderpriority") \
             .aggregate([("o_custkey", "count")])
         cand = t.filter(pa.array(pos))
-        ckey = pc.cast(cand["o_custkey"], pa.int64())
-        pre = pa.table({
-            "kb": _const(keep.num_rows, 0, pa.int64()),
-            "side": _const(keep.num_rows, 2, pa.int8()),
-            "custkey": _const(keep.num_rows, -1, pa.int64()),
-            "priority": keep["o_orderpriority"],
-            "n": pc.cast(keep["o_custkey_count"], pa.int64()),
-        })
-        candidates = pa.table({
-            "kb": _ex.kb_arrow(ckey, nb),
-            "side": _const(cand.num_rows, 0, pa.int8()),
-            "custkey": ckey,
-            "priority": cand["o_orderpriority"],
-            "n": _const(cand.num_rows, 1, pa.int64()),
-        })
-        return pa.concat_tables([pre, candidates])
+        return pa.concat_tables([
+            pa.table({"custkey": pa.array(np.full(keep.num_rows, -1, np.int64)),
+                      "priority": keep["o_orderpriority"],
+                      "n": keep["o_custkey_count"]}),
+            pa.table({"custkey": cand["o_custkey"],
+                      "priority": cand["o_orderpriority"],
+                      "n": pa.array(np.ones(cand.num_rows, np.int64))}),
+        ])
 
-    def tag_blocklist(t: pa.Table) -> pa.Table:
-        b = t.filter(pc.less(t["c_acctbal"], pa.scalar(0.0)))
-        key = pc.cast(b["c_custkey"], pa.int64())
-        return pa.table({
-            "kb": _ex.kb_arrow(key, nb),
-            "side": _const(b.num_rows, 1, pa.int8()),
-            "custkey": key,
-            "priority": _const(b.num_rows, None, pa.string()),
-            "n": _const(b.num_rows, 0, pa.int64()),
-        })
-
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-    both = orders.map_batches(split_orders, batch_format="pyarrow").union(
-        cust.map_batches(tag_blocklist, batch_format="pyarrow")
-    )
-
-    def verify_bucket(g: pd.DataFrame) -> pa.Table:
-        blocked = g.loc[g["side"] == 1, "custkey"].to_numpy(np.int64)
-        cand = g[g["side"] == 0]
-        ok = cand.loc[~np.isin(cand["custkey"].to_numpy(np.int64), blocked)]
-        pre = g[g["side"] == 2]
-        out = pd.concat(
-            [ok[["priority", "n"]], pre[["priority", "n"]]], ignore_index=True
-        ).groupby("priority", as_index=False)["n"].sum()
+    def verify_bucket(cand: pd.DataFrame, block: pd.DataFrame) -> pa.Table:
+        ok = cand[~np.isin(cand["custkey"].to_numpy(),
+                           block["custkey"].to_numpy())]
+        out = ok.groupby("priority", as_index=False, dropna=False)["n"].sum()
         # typed Arrow out-block: an empty bucket otherwise yields an
         # object-dtype pandas column Ray's size estimator can't measure
         return pa.table({
@@ -4225,14 +3954,18 @@ def q_bloom_anti_join(sf_dir: str):
             "n": pa.array(out["n"].to_numpy(np.int64), type=pa.int64()),
         })
 
-    parts = (
-        both.groupby("kb").map_groups(verify_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    out = parts.groupby("priority", as_index=False)["n"].sum()
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
+    i64 = pa.int64()
+    parts = _ex.cogroup([
+        (orders, {"custkey": i64, "priority": pa.string(), "n": i64},
+         split_orders),
+        (cust, {"custkey": i64},
+         lambda t: pa.table({"custkey": t.filter(blocked(t))["c_custkey"]})),
+    ], "custkey", nb, verify_bucket).to_pandas()
+    out = parts.groupby("priority", as_index=False, dropna=False)["n"].sum()
     return (
         pd.DataFrame({
-            "o_orderpriority": out["priority"].astype(str),
+            "o_orderpriority": _str_col(out["priority"]),
             "n_orders": out["n"].astype("int64"),
         })
         .sort_values("o_orderpriority")
@@ -5290,80 +5023,44 @@ def q_semi_join_vip(sf_dir: str):
     the definite answers; here they are definite NON-members, so they
     drop inside the scan pass and never shuffle.  Only Bloom POSITIVES
     (true members + ~0.24% false positives at m = 16n bits) ride the
-    coarse-bucket exchange for exact verification against the real
-    list, so the result is EXACT and shuffle volume is proportional to
-    the MATCH set, not the corpus — the shape that matters when a
-    100 TB fact table is probed against a 10⁷-row dimension.  The
-    verify exchange carries the Bloom-positive rows (∝ match set ⊆
-    orders), so its fan-out sizes from the orders bytes."""
+    coarse-bucket ``exchange.cogroup`` for exact verification against
+    the real list, so the result is EXACT and shuffle volume is
+    proportional to the MATCH set, not the corpus — the shape that
+    matters when a 100 TB fact table is probed against a 10⁷-row
+    dimension.  The verify exchange carries the Bloom-positive rows
+    (∝ match set ⊆ orders), so its fan-out sizes from the orders
+    bytes."""
     import ray
-    import ray.data as rd  # noqa: F401
 
-    from crawler_tjce_ray.pipelines import exchange
-
-    nb = exchange.buckets_for_bytes(exchange.table_bytes(sf_dir, "orders"))
-
+    nb = _nb_rows(sf_dir, "orders")
     cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
 
-    def count_partial(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"n": [int((df["c_acctbal"] > 9000).sum())]})
+    def vip(t: pa.Table) -> pa.Array:
+        return pc.greater(t["c_acctbal"], pa.scalar(9000.0))
 
-    n_vip = int(
-        cust.map_batches(count_partial, batch_format="pandas").to_pandas()["n"].sum()
-    )
-    m = _bloom_size(n_vip)
+    bloom_ref = _bloom_ref(cust, vip)
 
-    def bloom_partial(df: pd.DataFrame) -> pd.DataFrame:
-        keys = df.loc[df["c_acctbal"] > 9000, "c_custkey"].to_numpy(np.int64)
-        return pd.DataFrame({"bloom": [_bloom_build(keys, m).tobytes()]})
-
-    parts = cust.map_batches(bloom_partial, batch_format="pandas").to_pandas()
-    packed = np.zeros(m // 8, dtype=np.uint8)
-    for blob in parts["bloom"]:
-        packed |= np.frombuffer(blob, dtype=np.uint8)
-    bloom_ref = ray.put(packed)
-
-    def split_orders(t: pa.Table) -> pa.Table:
-        bloom = ray.get(bloom_ref)
+    def candidates(t: pa.Table) -> pa.Table:
         keys = t["o_custkey"].to_numpy().astype(np.int64)
-        cand = t.filter(pa.array(_bloom_test(bloom, keys)))
-        ckey = pc.cast(cand["o_custkey"], pa.int64())
-        return pa.table({
-            "kb": exchange.kb_arrow(ckey, nb),
-            "side": _const(cand.num_rows, 0, pa.int8()),
-            "custkey": ckey,
-            "priority": cand["o_orderpriority"],
-        })
+        cand = t.filter(pa.array(_bloom_test(ray.get(bloom_ref), keys)))
+        return pa.table({"custkey": cand["o_custkey"],
+                         "priority": cand["o_orderpriority"]})
 
-    def tag_vip(t: pa.Table) -> pa.Table:
-        v = t.filter(pc.greater(t["c_acctbal"], pa.scalar(9000.0)))
-        key = pc.cast(v["c_custkey"], pa.int64())
-        return pa.table({
-            "kb": exchange.kb_arrow(key, nb),
-            "side": _const(v.num_rows, 1, pa.int8()),
-            "custkey": key,
-            "priority": _const(v.num_rows, None, pa.string()),
-        })
+    def verify_bucket(cand: pd.DataFrame, vips: pd.DataFrame) -> pd.DataFrame:
+        ok = cand[np.isin(cand["custkey"].to_numpy(), vips["custkey"].to_numpy())]
+        return ok.groupby("priority", as_index=False, dropna=False) \
+            .agg(n=("priority", "size"))
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-    both = orders.map_batches(split_orders, batch_format="pyarrow").union(
-        cust.map_batches(tag_vip, batch_format="pyarrow")
-    )
-
-    def verify_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        vip = g.loc[g["side"] == 1, "custkey"].to_numpy(np.int64)
-        cand = g[g["side"] == 0]
-        ok = cand.loc[np.isin(cand["custkey"].to_numpy(np.int64), vip)]
-        return ok.groupby("priority", as_index=False).agg(n=("priority", "size"))
-
-    parts = (
-        both.groupby("kb").map_groups(verify_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    out = parts.groupby("priority", as_index=False)["n"].sum()
+    parts = _ex.cogroup([
+        (orders, {"custkey": pa.int64(), "priority": pa.string()}, candidates),
+        (cust, {"custkey": pa.int64()},
+         lambda t: pa.table({"custkey": t.filter(vip(t))["c_custkey"]})),
+    ], "custkey", nb, verify_bucket).to_pandas()
+    out = parts.groupby("priority", as_index=False, dropna=False)["n"].sum()
     return (
         pd.DataFrame({
-            "o_orderpriority": out["priority"].astype(str),
+            "o_orderpriority": _str_col(out["priority"]),
             "n_orders": out["n"].astype("int64"),
         })
         .sort_values("o_orderpriority")

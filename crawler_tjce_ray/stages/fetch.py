@@ -401,24 +401,6 @@ class FetchActor:
                 out, os.path.join(dest, f"part-a{self.actor_id:03d}.parquet")
             )
 
-    # ---- legacy injection/metric surface (tests + FetchPool.stats
-    # read these off the actor; they delegate to the transport) ----
-    @property
-    def _read_table(self):
-        return self.transport._read_table
-
-    @_read_table.setter
-    def _read_table(self, fn):
-        self.transport._read_table = fn
-
-    @property
-    def fetch_retries(self) -> int:
-        return self.transport.fetch_retries
-
-    @property
-    def bucket_loads(self) -> int:
-        return self.transport.bucket_loads
-
     def __call__(self, batch: pa.Table, wave: int = 0) -> pa.Table:
         urls = batch["url"].to_pylist()
         hosts = batch["host"].to_pylist()
@@ -503,8 +485,7 @@ class FetchActor:
         return {
             **self.counters,
             "pages_failed": sum(e.pages_failed for e in self.extractors.values()),
-            "fetch_retries": self.fetch_retries,
-            "bucket_loads": self.bucket_loads,
+            **self.transport.stats(),
             "robots_cache_hits": self.robots.hits,
             "robots_cache_misses": self.robots.misses,
             "robots_cache_expired": self.robots.expired,

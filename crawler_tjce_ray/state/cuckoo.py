@@ -166,7 +166,3 @@ class CuckooFilter:
         f.count = int(header[1])
         f.table = np.frombuffer(blob[16:], dtype=np.uint16).reshape(f.n_buckets, _SLOTS).copy()
         return f
-
-    @property
-    def load_factor(self) -> float:
-        return self.count / (self.n_buckets * _SLOTS)

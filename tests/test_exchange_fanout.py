@@ -6,7 +6,9 @@ power-of-two bucket count and any read block count.  The driver runs
 the size-derived default (1–2 blocks and buckets on the test tables);
 these tests force 16- and 128-way fan-outs, and reads split to their
 cap, on the same inputs and require strict equality with DuckDB, so
-the size-derived plan at 100 TB is covered by construction."""
+the size-derived plan at 100 TB is covered by construction.  The
+``exchange.cogroup`` contract (typed per-side frames) and SQL NULL
+group keys at the cogroup join sites are pinned here too."""
 
 import duckdb
 import pandas as pd
@@ -215,6 +217,19 @@ class TestFanoutInvariance:
         )
         _check(q_assoc_rules, SQL_ASSOC_RULES, con)
 
+    # ---- exchange.cogroup sites with no test of their own above
+    @pytest.mark.parametrize("name,sql", [
+        ("range_join", "SQL_RANGE_JOIN"),
+        ("big_spenders", "SQL_BIG_SPENDERS"),
+        ("ship_latency_by_priority", "SQL_SHIP_LATENCY"),
+        ("join_coverage_audit", "SQL_JOIN_COVERAGE_AUDIT"),
+        ("revenue_reconciliation", "SQL_REVENUE_RECONCILIATION"),
+    ])
+    def test_cogroup_join(self, name, sql, forced_buckets, con):
+        from crawler_tjce_ray.pipelines import relational
+
+        _check(getattr(relational, f"q_{name}"), getattr(relational, sql), con)
+
     # ---- exchange.shuffle: the shared spend histogram and the combine path
     @pytest.mark.parametrize("name", [
         "concentration_stats", "price_cv_topk", "orders_per_customer_hist",
@@ -224,6 +239,80 @@ class TestFanoutInvariance:
 
         _check(getattr(relational, f"q_{name}"),
                getattr(relational, f"SQL_{name.upper()}"), con)
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestCogroup:
+    """``exchange.cogroup`` hands ``finalize`` one typed pandas frame
+    per side, whatever the other sides carry."""
+
+    I64 = pa.int64()
+
+    def _run(self, sides, nb=4):
+        import ray.data as rd
+
+        def finalize(*frames):
+            return pd.DataFrame({
+                "side": range(len(frames)),
+                "rows": [len(f) for f in frames],
+                "cols": [",".join(f"{c}:{f[c].dtype}" for c in f.columns)
+                         for f in frames],
+                "vals": [repr(sorted(f.itertuples(index=False)))
+                         for f in frames],
+            })
+
+        return exchange.cogroup(
+            [(rd.from_arrow(t), s, None) for t, s in sides],
+            "k", nb, finalize).to_pandas()
+
+    def test_absent_side_is_typed_empty_frame(self):
+        # bucket 1 holds only side 0's key, bucket 2 only side 1's
+        a = pa.table({"k": pa.array([1], self.I64),
+                      "ts": pa.array([0], pa.timestamp("us"))})
+        b = pa.table({"k": pa.array([2], self.I64),
+                      "s": pa.array(["x"], pa.string())})
+        out = self._run([(a, {"k": self.I64, "ts": pa.timestamp("us")}),
+                         (b, {"k": self.I64, "s": pa.string()})])
+        assert len(out) == 4  # two buckets × two sides
+        empty = out[out["rows"] == 0].sort_values("side")
+        assert empty["cols"].tolist() == ["k:int64,ts:datetime64[us]",
+                                          "k:int64,s:object"]
+
+    def test_int64_above_2_53_is_exact(self):
+        big = 2**53 + 1
+        a = pa.table({"k": pa.array([1, 2], self.I64),
+                      "v": pa.array([big, 5], self.I64)})
+        b = pa.table({"k": pa.array([1], self.I64),
+                      "w": pa.array([1.5], pa.float64())})
+        out = self._run([(a, {"k": self.I64, "v": self.I64}),
+                         (b, {"k": self.I64, "w": pa.float64()})], nb=1)
+        side0 = out[out["side"] == 0].iloc[0]
+        assert side0["cols"] == "k:int64,v:int64"
+        assert str(big) in side0["vals"]
+
+    def test_sides_may_share_a_column_name(self):
+        a = pa.table({"k": pa.array([1, 1], self.I64),
+                      "t": pa.array([10, 11], self.I64)})
+        b = pa.table({"k": pa.array([1], self.I64),
+                      "t": pa.array(["late"], pa.string())})
+        out = self._run([(a, {"k": self.I64, "t": self.I64}),
+                         (b, {"k": self.I64, "t": pa.string()})], nb=1)
+        assert out["cols"].tolist() == ["k:int64,t:int64", "k:int64,t:object"]
+        assert out["rows"].tolist() == [2, 1]
+        assert "'late'" in out["vals"][1]
+
+    def test_three_sides_and_cast_to_schema(self):
+        # side 2 arrives as int32 and is cast to its declared int64
+        a = pa.table({"k": pa.array([1, 2], self.I64)})
+        b = pa.table({"k": pa.array([2], self.I64),
+                      "x": pa.array([7], self.I64)})
+        c = pa.table({"k": pa.array([1, 1, 2], pa.int32()),
+                      "y": pa.array([3, 4, 5], pa.int32())})
+        out = self._run([(a, {"k": self.I64}),
+                         (b, {"k": self.I64, "x": self.I64}),
+                         (c, {"k": self.I64, "y": self.I64})], nb=1)
+        assert out["rows"].tolist() == [2, 1, 3]
+        assert out["cols"].tolist()[2] == "k:int64,y:int64"
 
 
 def _raise_on_empty():
@@ -288,7 +377,7 @@ class TestEmptyBlocksSkipUdfs:
 BLOCK_SPLIT_QUERIES = [
     # exchange.shuffle with a per-batch combine
     ("relational", "q_price_cv_topk", "SQL_PRICE_CV_TOPK"),
-    # two-sided .union exchange
+    # two-sided exchange.cogroup
     ("relational", "q_hash_join_big", "SQL_HASH_JOIN_BIG"),
     # kb_words exchange over a read_documents scan
     ("training", "q_bigram_lm", "SQL_BIGRAM_LM"),
@@ -329,6 +418,62 @@ class TestBlockCountInvariance:
 
         m = importlib.import_module(f"crawler_tjce_ray.pipelines.{mod}")
         _check(getattr(m, qfn), getattr(m, sql), con)
+
+
+# every 50th o_orderpriority and every 40th c_mktsegment set to NULL
+NULL_EVERY = {("orders", "o_orderpriority"): 50,
+              ("customer", "c_mktsegment"): 40}
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestNullGroupKeys:
+    """SQL ``GROUP BY`` keeps a NULL group and a join on a NULL key
+    matches nothing: the join-then-group queries must agree with the
+    oracle on a copy of the test tables with NULL string keys."""
+
+    @pytest.fixture(scope="class")
+    def null_sf(self, tmp_path_factory):
+        import numpy as np
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+
+        out = tmp_path_factory.mktemp("sf_null")
+        for t in TABLES:
+            table = pq.read_table(f"{SF}/{t}.parquet")
+            for (nt, col), every in NULL_EVERY.items():
+                if nt == t:
+                    arr = table[col]
+                    mask = pa.array(np.arange(len(arr)) % every == 0)
+                    table = table.set_column(
+                        table.schema.get_field_index(col), col,
+                        pc.if_else(mask, pa.nulls(len(arr), arr.type), arr))
+            pq.write_table(table, out / f"{t}.parquet")
+        return str(out)
+
+    @pytest.mark.parametrize("name,sql", [
+        ("ship_latency_by_priority", "SQL_SHIP_LATENCY"),
+        ("hash_join_big", "SQL_HASH_JOIN_BIG"),
+        ("segment_year_revenue", "SQL_SEGMENT_YEAR_REVENUE"),
+        ("semi_join_vip", "SQL_SEMI_JOIN_VIP"),
+        ("bloom_anti_join", "SQL_BLOOM_ANTI_JOIN"),
+        ("big_spenders", "SQL_BIG_SPENDERS"),
+    ])
+    def test_oracle_equal(self, null_sf, name, sql):
+        import warnings
+
+        from crawler_tjce_ray.pipelines import relational
+
+        c = duckdb.connect()
+        for t in TABLES:
+            c.execute(f"CREATE VIEW {t} AS SELECT * FROM '{null_sf}/{t}.parquet'")
+        ref = c.execute(getattr(relational, sql)).df()
+        mine = getattr(relational, f"q_{name}")(null_sf)
+        # NULL must come back as None, not NaN or the string "None"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pd.testing.assert_frame_equal(
+                mine.reset_index(drop=True), ref, check_dtype=False)
+        assert ref.isna().any().any() or name == "big_spenders"
 
 
 class TestBucketSizing:

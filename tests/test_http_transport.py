@@ -135,5 +135,5 @@ class TestActorTransportSeam:
         out_store = store_actor(batch, wave=0)
         out_http = http_actor(batch, wave=0)
         assert out_http.equals(out_store)
-        assert http_actor.bucket_loads == 0  # never touched the store
-        assert store_actor.bucket_loads > 0
+        assert http_actor.transport.bucket_loads == 0  # never touched the store
+        assert store_actor.transport.bucket_loads > 0

@@ -61,22 +61,22 @@ class TestFetchRetry:
         batch = _batch(corpus)
         clean = FetchActor(store, retry_backoff=0.001)
         flaky = FetchActor(store, retry_backoff=0.001)
-        flaky._read_table = FlakyReader(fail_n=2)
+        flaky.transport._read_table = FlakyReader(fail_n=2)
 
         out_clean = clean(batch, wave=0)
         out_flaky = flaky(batch, wave=0)
         assert out_flaky.equals(out_clean)  # order + content identical
-        assert flaky.fetch_retries > 0
-        assert clean.fetch_retries == 0
-        assert flaky.stats()["fetch_retries"] == flaky.fetch_retries
+        assert flaky.transport.fetch_retries > 0
+        assert clean.transport.fetch_retries == 0
+        assert flaky.stats()["fetch_retries"] == flaky.transport.fetch_retries
 
     def test_persistent_failure_raises_after_budget(self, corpus, store):
         actor = FetchActor(store, max_retries=2, retry_backoff=0.001)
-        actor._read_table = FlakyReader(fail_n=99)
+        actor.transport._read_table = FlakyReader(fail_n=99)
         with pytest.raises(OSError, match="injected"):
             actor(_batch(corpus), wave=0)
         # 1 initial + 2 retries = 3 attempts on the first bucket path
-        assert actor.fetch_retries == 2
+        assert actor.transport.fetch_retries == 2
 
 
 class TestRobotsTTL:
