@@ -8,12 +8,17 @@ architecture):
       → fetch (actor pool: page-store lookup + robots + token bucket)
       → parse (stateless DSR extract) → records/<kind>/wave=k parquet
       → outlinks → frontier ∪ new urls
-      → checkpoint (frontier, cuckoo shards, lineage, metrics)
+      → checkpoint (frontier, seen key log + cuckoo shard snapshot
+        by size, lineage, metrics)
 
 Determinism contract: crawl order is defined by the frontier sort key
 (priority=depth, next_fetch_wave, url) — a total order — never by
 fetch completion; a killed run resumed from wave k reproduces waves
-k+1.. byte-identically (tested).
+k+1.. byte-identically (tested).  The seen set resumes from its newest
+shard snapshot at or before wave k plus a replay of the later waves'
+key logs (``stages.seen``); a snapshot is written when the logs since
+the last one reach a snapshot's bytes, and at the crawl's last
+checkpoint.
 
 Scale notes: the per-wave working set is bounded by ``wave_size``.
 Below ``distributed_select_threshold`` pending urls the frontier is a
@@ -30,8 +35,10 @@ always distributed.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
+import re
 import shutil
 import time
 from dataclasses import dataclass, field
@@ -158,7 +165,21 @@ def _ckpt_dir(workdir: str, wave: int) -> str:
     return os.path.join(workdir, "ckpt", f"wave_{wave:05d}")
 
 
-_CKPT_NAME_RE = None
+def _completed_waves(workdir: str) -> list[int]:
+    """Sorted waves whose checkpoint is complete (``_SUCCESS`` in a
+    ``wave_<n>`` dir).  Strict name match: a crash between writing
+    _SUCCESS into the tmp dir and the atomic rename leaves
+    'wave_NNNNN.tmp' behind — it must be ignored, not crash every
+    future resume."""
+    base = os.path.join(workdir, "ckpt")
+    if not os.path.isdir(base):
+        return []
+    waves = []
+    for name in os.listdir(base):
+        m = re.fullmatch(r"wave_(\d+)", name)
+        if m and os.path.exists(os.path.join(base, name, "_SUCCESS")):
+            waves.append(int(m.group(1)))
+    return sorted(waves)
 
 
 def _drop_record_waves(records_dir: str, start_wave: int) -> None:
@@ -176,34 +197,17 @@ def _drop_record_waves(records_dir: str, start_wave: int) -> None:
                     shutil.rmtree(os.path.join(kind_dir, name), ignore_errors=True)
 
 
-def _latest_checkpoint(workdir: str) -> int | None:
-    import re
-
-    global _CKPT_NAME_RE
-    if _CKPT_NAME_RE is None:
-        _CKPT_NAME_RE = re.compile(r"^wave_(\d+)$")
-    base = os.path.join(workdir, "ckpt")
-    if not os.path.isdir(base):
-        return None
-    waves = []
-    for name in sorted(os.listdir(base)):
-        # strict name match: a crash between writing _SUCCESS into the
-        # tmp dir and the atomic rename leaves 'wave_NNNNN.tmp' behind —
-        # it must be ignored, not crash every future resume
-        m = _CKPT_NAME_RE.match(name)
-        if m and os.path.exists(os.path.join(base, name, "_SUCCESS")):
-            waves.append(int(m.group(1)))
-    return max(waves) if waves else None
-
-
 _FRONTIER_DIRNAME = "frontier_parquet"
+_SEEN_LOG = "seen_log.bin"
+
+
+def _shard_path(d: str, i: int) -> str:
+    return os.path.join(d, f"seen_shard_{i}.bin")
 
 
 def _parquet_dir_rows(d: str) -> int:
     """Row count of a parquet directory from file metadata only — the
     per-wave pending-count read never touches row data."""
-    import glob
-
     import pyarrow.parquet as pq
 
     return sum(
@@ -214,7 +218,8 @@ def _parquet_dir_rows(d: str) -> int:
 
 def _write_checkpoint(workdir: str, wave: int, frontier,
                       seen: ShardedSeenSet, lineage: pd.DataFrame,
-                      metrics: dict) -> int:
+                      metrics: dict, last: bool = False,
+                      prev_t_ckpt: float | None = None) -> int:
     """Atomic per-wave checkpoint: tmp dir + rename, _SUCCESS marker.
 
     ``frontier`` is either the driver pandas frame (small-frontier
@@ -222,7 +227,14 @@ def _write_checkpoint(workdir: str, wave: int, frontier,
     (large-frontier mode: a distributed ``frontier_parquet/`` write —
     the frontier never materializes on the driver).  Returns the
     pending-row count and records it as ``metrics['frontier_pending']``
-    so the Dataset path needs no extra counting pass."""
+    so the Dataset path needs no extra counting pass.
+
+    The seen set goes in as the wave's key log; the full
+    ``seen_shard_<i>.bin`` snapshot is added only when due by size, or
+    when this is the crawl's last checkpoint (``last``: the wave cap
+    is reached, or no url is pending).  ``metrics.json`` also carries
+    the previous wave's ``t_ckpt`` as ``prev_t_ckpt`` (a wave's own is
+    known only once its checkpoint is written)."""
     final = _ckpt_dir(workdir, wave)
     tmp = final + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
@@ -237,12 +249,15 @@ def _write_checkpoint(workdir: str, wave: int, frontier,
         frontier.write_parquet(fdir)
         pending = _parquet_dir_rows(fdir)
     metrics["frontier_pending"] = pending
-    for i, blob in enumerate(seen.checkpoint()):
-        with open(os.path.join(tmp, f"seen_shard_{i}.bin"), "wb") as f:
-            f.write(blob)
+    with open(os.path.join(tmp, _SEEN_LOG), "wb") as f:
+        f.write(seen.take_log())
+    if last or pending == 0 or seen.snapshot_due():
+        for i, blob in enumerate(seen.checkpoint()):
+            with open(_shard_path(tmp, i), "wb") as f:
+                f.write(blob)
     lineage.to_parquet(os.path.join(tmp, "lineage.parquet"))
     with open(os.path.join(tmp, "metrics.json"), "w") as f:
-        json.dump(metrics, f)
+        json.dump({**metrics, "prev_t_ckpt": prev_t_ckpt}, f)
     with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
         f.write("ok\n")
     shutil.rmtree(final, ignore_errors=True)
@@ -254,7 +269,10 @@ def _load_checkpoint(workdir: str, wave: int, seen: ShardedSeenSet,
                      threshold: int):
     """Restore (frontier, pending) from a wave checkpoint.  A frontier
     saved by the Dataset path comes back as a Dataset when still above
-    the threshold, else collapses to the driver frame."""
+    the threshold, else collapses to the driver frame.  The seen set
+    is the newest shard snapshot at or before ``wave`` (else fresh
+    shards) plus each later completed wave's key log, replayed in
+    wave order."""
     d = _ckpt_dir(workdir, wave)
     single = os.path.join(d, "frontier.parquet")
     if os.path.exists(single):
@@ -271,11 +289,20 @@ def _load_checkpoint(workdir: str, wave: int, seen: ShardedSeenSet,
             frontier = pd.read_parquet(fdir) if pending else make_frontier_rows([])
             if pending:
                 frontier["url_key"] = frontier["url_key"].astype("uint64")
-    blobs = []
-    for i in range(seen.n_shards):
-        with open(os.path.join(d, f"seen_shard_{i}.bin"), "rb") as f:
-            blobs.append(f.read())
-    seen.restore(blobs)
+    waves = [w for w in _completed_waves(workdir) if w <= wave]
+    snaps = [w for w in waves
+             if os.path.exists(_shard_path(_ckpt_dir(workdir, w), 0))]
+    if snaps:
+        snap = _ckpt_dir(workdir, snaps[-1])
+        blobs = []
+        for i in range(len(glob.glob(os.path.join(snap, "seen_shard_*.bin")))):
+            with open(_shard_path(snap, i), "rb") as f:
+                blobs.append(f.read())
+        seen.restore(blobs)
+    for w in waves:
+        if not snaps or w > snaps[-1]:
+            with open(os.path.join(_ckpt_dir(workdir, w), _SEEN_LOG), "rb") as f:
+                seen.replay(f.read())
     return frontier, pending
 
 
@@ -343,8 +370,9 @@ def run_crawl(
         seen = ShardedSeenSet(cfg.n_seen_shards, cfg.log2_buckets, pool.actors)
         start_wave = 0
         if resume:
-            latest = _latest_checkpoint(workdir)
-            if latest is not None:
+            done = _completed_waves(workdir)
+            if done:
+                latest = done[-1]
                 frontier, pending = _load_checkpoint(
                     workdir, latest, seen, cfg.distributed_select_threshold
                 )
@@ -366,6 +394,7 @@ def run_crawl(
         import ray.data as rd
 
         metrics_all: list[dict] = []
+        prev_t_ckpt = None
         wave = start_wave
         for wave in range(start_wave, cfg.max_waves):
             if pending == 0:
@@ -530,29 +559,26 @@ def run_crawl(
                 "dup": int(seen_mask.sum()),
                 "fetched_ok": int((fetched_df["status"] == "ok").sum()) if not fetched_df.empty else 0,
                 "outlinks": int(len(outlinks)),
-                "seen_total": int(sum(seen.counts())),
+                "seen_total": seen.count,
                 **phase_t,
             }
             # _write_checkpoint counts the frontier during the write and
             # injects metrics['frontier_pending'] — no extra counting pass
+            new_frontier = frontier
+            if adds:  # Dataset mode only
+                small = pd.concat(adds, ignore_index=True)[FRONTIER_COLUMNS]
+                new_frontier = frontier.union(rd.from_pandas(small))
+            pending = _write_checkpoint(
+                workdir, wave, new_frontier, seen, lineage, wave_metrics,
+                last=wave + 1 >= cfg.max_waves, prev_t_ckpt=prev_t_ckpt,
+            )
             if distributed:
-                new_frontier = frontier
-                if adds:
-                    small = pd.concat(adds, ignore_index=True)[FRONTIER_COLUMNS]
-                    new_frontier = new_frontier.union(rd.from_pandas(small))
-                pending = _write_checkpoint(
-                    workdir, wave, new_frontier, seen, lineage, wave_metrics
-                )
                 # re-enter the next wave from the checkpoint Parquet: the
                 # per-wave plan stays (read → select) instead of an
                 # ever-growing defer/union lineage
                 fdir = os.path.join(_ckpt_dir(workdir, wave), _FRONTIER_DIRNAME)
                 frontier = rd.read_parquet(fdir) if pending else make_frontier_rows([])
-            else:
-                pending = _write_checkpoint(
-                    workdir, wave, frontier, seen, lineage, wave_metrics
-                )
-            wave_metrics["t_ckpt"] = round(time.perf_counter() - t_mark, 4)
+            wave_metrics["t_ckpt"] = prev_t_ckpt = round(time.perf_counter() - t_mark, 4)
             metrics_all.append(wave_metrics)
 
         actor_stats = pool.stats()
@@ -563,13 +589,8 @@ def run_crawl(
         pool.shutdown()
 
     # assemble the full trace from the per-wave lineage checkpoints
-    parts = []
-    base = os.path.join(workdir, "ckpt")
-    if os.path.isdir(base):
-        for name in sorted(os.listdir(base)):
-            p = os.path.join(base, name, "lineage.parquet")
-            if os.path.exists(p) and os.path.exists(os.path.join(base, name, "_SUCCESS")):
-                parts.append(pd.read_parquet(p))
+    parts = [pd.read_parquet(os.path.join(_ckpt_dir(workdir, w), "lineage.parquet"))
+             for w in _completed_waves(workdir)]
     trace = pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
         columns=["wave", "order_in_wave", "url", "seed", "status"]
     )

@@ -469,9 +469,6 @@ class FetchActor:
     def seen_remove(self, keys: dict[int, np.ndarray]) -> int:
         return sum(self.seen_shards[s].remove(k) for s, k in keys.items())
 
-    def seen_counts(self) -> dict[int, int]:
-        return {s: f.count for s, f in self.seen_shards.items()}
-
     def seen_to_bytes(self) -> dict[int, bytes]:
         return {s: f.to_bytes() for s, f in self.seen_shards.items()}
 

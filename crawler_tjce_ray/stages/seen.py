@@ -9,8 +9,18 @@ at the node that owns the URL's partition), so the seen set costs no
 processes of its own.  Everything talks to the shards in *batched,
 vectorized* calls: one call per host actor per operation, carrying
 ``{shard_id: keys}``.  Shard count is fixed at creation and does not
-depend on the host count (resharding = rebuild); every shard
-serializes to bytes for the per-partition checkpoint.
+depend on the host count (resharding = rebuild).
+
+Checkpoint = key log + snapshot by size.  A shard's bytes are a
+deterministic function of the keys it was sent (no RNG in the cuckoo
+insert), so the driver logs, per wave, the keys it sent to
+``check_and_add`` and then to ``remove``: ``take_log`` serializes them
+(8 B per key after a fixed header) and ``replay`` applies one on a
+restore.  A full snapshot (``checkpoint``, every shard's bytes pulled
+from the hosts) is only due once the log since the last one reaches a
+snapshot's size (``snapshot_due``), so checkpoint bytes grow with the
+keys seen, not with filter capacity × waves.  The driver also keeps
+the key count (``count``), so no wave needs a round trip to read it.
 
 Scale path: shard count ≈ cluster cores; each shard holds
 ``2^log2_buckets × 4`` 16-bit fingerprints (a 2^26-bucket shard ≈
@@ -22,6 +32,11 @@ from __future__ import annotations
 import numpy as np
 import ray
 
+from crawler_tjce_ray.state.cuckoo import CuckooFilter
+
+# key-log header: int64 (n_shards, log2_buckets, n_checked, n_removed)
+_LOG_HEADER = 32
+
 
 class ShardedSeenSet:
     """Driver-side handle over K seen-set shards spread over the host
@@ -31,7 +46,14 @@ class ShardedSeenSet:
 
     def __init__(self, n_shards: int, log2_buckets: int, hosts: list):
         self.n_shards = n_shards
+        self.log2_buckets = log2_buckets
         self.hosts = list(hosts)
+        self.count = 0        # keys held over all shards
+        self.log_bytes = 0    # key-log bytes taken since the last snapshot
+        # keys sent since the last take_log, in call order: one
+        # check_and_add, then removes (the order replay applies them)
+        self._checked: np.ndarray | None = None
+        self._removed: list[np.ndarray] = []
         # blocking: actor start-up is paid (and start-up errors surface)
         # here, before the first wave, not inside the wave's seen check
         ray.get([
@@ -67,17 +89,22 @@ class ShardedSeenSet:
         """True per key ⇔ already seen; unseen keys become seen.
         One batched call per host actor, issued in parallel."""
         keys = np.asarray(keys, dtype=np.uint64)
+        # a shard probes a whole batch before inserting any of it, so
+        # two batches do not replay as one: one check_and_add per log
+        if self._checked is not None or self._removed:
+            raise RuntimeError("one check_and_add per key log: take_log first")
         out = np.zeros(len(keys), dtype=bool)
-        if keys.size == 0:
-            return out
-        parts = self._scatter(keys)
-        masks = ray.get([
-            h.seen_check_and_add.remote({s: keys[i] for s, i in rows.items()})
-            for h, rows in parts.items()
-        ])
-        for rows, by_shard in zip(parts.values(), masks):
-            for s, mask in by_shard.items():
-                out[rows[s]] = mask
+        if keys.size:
+            parts = self._scatter(keys)
+            masks = ray.get([
+                h.seen_check_and_add.remote({s: keys[i] for s, i in rows.items()})
+                for h, rows in parts.items()
+            ])
+            for rows, by_shard in zip(parts.values(), masks):
+                for s, mask in by_shard.items():
+                    out[rows[s]] = mask
+        self._checked = keys
+        self.count += int((~out).sum())
         return out
 
     def remove(self, keys: np.ndarray) -> int:
@@ -86,30 +113,68 @@ class ShardedSeenSet:
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return 0
-        return sum(ray.get([
+        removed = sum(ray.get([
             h.seen_remove.remote({s: keys[i] for s, i in rows.items()})
             for h, rows in self._scatter(keys).items()
         ]))
+        self._removed.append(keys)
+        self.count -= removed
+        return removed
 
-    def _gather(self, method: str) -> list:
-        """Call ``method`` on every host and return its per-shard
-        values as a list in shard order."""
-        merged: dict = {}
-        for part in ray.get([
-            getattr(h, method).remote() for h in self._host_shards()
-        ]):
-            merged.update(part)
-        return [merged[s] for s in range(self.n_shards)]
+    # -- checkpoint -----------------------------------------------------
+    def snapshot_due(self) -> bool:
+        """The key log since the last snapshot has reached one
+        snapshot's bytes: replaying it would cost more than reading
+        a snapshot."""
+        return self.log_bytes >= self.n_shards * CuckooFilter.blob_size(self.log2_buckets)
 
-    def counts(self) -> list[int]:
-        return self._gather("seen_counts")
+    def take_log(self) -> bytes:
+        """The keys sent since the last call, serialized, and reset:
+        the fixed header, the checked keys, then the removed keys."""
+        checked = self._checked if self._checked is not None else np.empty(0, np.uint64)
+        removed = np.concatenate(self._removed) if self._removed else np.empty(0, np.uint64)
+        self._checked, self._removed = None, []
+        header = np.array([self.n_shards, self.log2_buckets,
+                           len(checked), len(removed)], dtype=np.int64)
+        log = header.tobytes() + checked.tobytes() + removed.tobytes()
+        self.log_bytes += len(log)
+        return log
+
+    def replay(self, log: bytes) -> None:
+        """Apply one ``take_log`` output: its checked keys through
+        check_and_add, then its removed keys through remove."""
+        n_shards, log2_buckets, n_checked, n_removed = (
+            int(v) for v in np.frombuffer(log[:_LOG_HEADER], dtype=np.int64))
+        if (n_shards, log2_buckets) != (self.n_shards, self.log2_buckets):
+            raise ValueError(
+                f"seen log of {n_shards} shards × 2^{log2_buckets} buckets "
+                f"replayed onto {self.n_shards} × 2^{self.log2_buckets}")
+        keys = np.frombuffer(log[_LOG_HEADER:], dtype=np.uint64)
+        if len(keys) != n_checked + n_removed:
+            raise ValueError(f"seen log holds {len(keys)} keys, header says "
+                             f"{n_checked} + {n_removed}")
+        self.check_and_add(keys[:n_checked])
+        self.remove(keys[n_checked:])
+        self.take_log()  # the same log again: it counts toward log_bytes
 
     def checkpoint(self) -> list[bytes]:
-        return self._gather("seen_to_bytes")
+        """Every shard's bytes in shard order (a snapshot); the key log
+        restarts from here."""
+        merged: dict = {}
+        for part in ray.get([h.seen_to_bytes.remote() for h in self._host_shards()]):
+            merged.update(part)
+        self.log_bytes = 0
+        return [merged[s] for s in range(self.n_shards)]
 
     def restore(self, blobs: list[bytes]) -> None:
-        assert len(blobs) == self.n_shards, "shard count is fixed at creation"
+        if len(blobs) != self.n_shards:
+            raise ValueError(f"{len(blobs)} shard blobs for {self.n_shards} shards")
+        headers = [CuckooFilter.blob_header(b) for b in blobs]
+        if any(log2 != self.log2_buckets for log2, _ in headers):
+            raise ValueError(f"shard blobs are not 2^{self.log2_buckets} buckets")
         ray.get([
             h.seen_load_bytes.remote({s: blobs[s] for s in ids})
             for h, ids in self._host_shards().items()
         ])
+        self.count = sum(count for _, count in headers)
+        self.log_bytes = 0

@@ -23,6 +23,8 @@ import numpy as np
 _EMPTY = 0
 _SLOTS = 4
 _MAX_KICKS = 500
+# serialized header: int64 (log2_buckets, count)
+_HEADER_BYTES = 16
 # Knuth multiplicative constant for fingerprint→bucket mixing
 _FP_MIX = np.uint64(0x9E3779B97F4A7C15)
 
@@ -155,14 +157,25 @@ class CuckooFilter:
         return removed
 
     # -- checkpoint -----------------------------------------------------
+    @staticmethod
+    def blob_size(log2_buckets: int) -> int:
+        """Bytes of ``to_bytes`` for a filter of ``2^log2_buckets``."""
+        return _HEADER_BYTES + (1 << log2_buckets) * _SLOTS * 2
+
+    @staticmethod
+    def blob_header(blob: bytes) -> tuple[int, int]:
+        """``(log2_buckets, count)`` of a ``to_bytes`` blob."""
+        log2_buckets, count = np.frombuffer(blob[:_HEADER_BYTES], dtype=np.int64)
+        return int(log2_buckets), int(count)
+
     def to_bytes(self) -> bytes:
         header = np.array([self.log2_buckets, self.count], dtype=np.int64).tobytes()
         return header + self.table.tobytes()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CuckooFilter":
-        header = np.frombuffer(blob[:16], dtype=np.int64)
-        f = cls(int(header[0]))
-        f.count = int(header[1])
-        f.table = np.frombuffer(blob[16:], dtype=np.uint16).reshape(f.n_buckets, _SLOTS).copy()
+        log2_buckets, count = cls.blob_header(blob)
+        f = cls(log2_buckets)
+        f.count = count
+        f.table = np.frombuffer(blob[_HEADER_BYTES:], dtype=np.uint16).reshape(f.n_buckets, _SLOTS).copy()
         return f

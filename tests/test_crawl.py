@@ -1,13 +1,16 @@
 """Wave-crawl integration: determinism, resume identity, politeness,
 coverage, and an independent crawl-order oracle."""
 
+import json
 import os
 
 import numpy as np
 import pandas as pd
 import pytest
 
+from crawler_tjce_ray.pipelines import crawl
 from crawler_tjce_ray.pipelines.crawl import CrawlConfig, run_crawl
+from crawler_tjce_ray.state.cuckoo import CuckooFilter
 from crawler_tjce_ray.state.frontier import (
     canonicalize_url,
     make_frontier_rows,
@@ -26,6 +29,22 @@ def _final_seen(workdir, n_shards=2):
         open(os.path.join(base, last, f"seen_shard_{i}.bin"), "rb").read()
         for i in range(n_shards)
     ]
+
+
+def _seen_layout(workdir):
+    """Per completed wave: (wave, seen-log bytes, keys checked, keys
+    removed, holds a shard snapshot, metrics.json)."""
+    rows = []
+    for wave in crawl._completed_waves(workdir):
+        d = crawl._ckpt_dir(workdir, wave)
+        with open(os.path.join(d, "seen_log.bin"), "rb") as f:
+            log = f.read()
+        _, _, n_checked, n_removed = np.frombuffer(log[:32], dtype=np.int64)
+        with open(os.path.join(d, "metrics.json")) as f:
+            metrics = json.load(f)
+        rows.append((wave, len(log), int(n_checked), int(n_removed),
+                     os.path.exists(os.path.join(d, "seen_shard_0.bin")), metrics))
+    return rows
 
 
 def _actor_table():
@@ -213,6 +232,122 @@ class TestCrawl:
             assert not name.endswith(".tmp")
             assert os.path.exists(os.path.join(ckpt, name, "_SUCCESS"))
         _assert_all_dead(_actor_ids() - before)
+
+    def test_seen_checkpoint_layout_and_size(self, corpus, tmp_path):
+        """The seen set checkpoints as a per-wave key log: 8 B per key
+        checked or removed after a 32 B header.  A wave dir holds shard
+        blobs only when the logs since the last snapshot reach one
+        snapshot's bytes, and at the last checkpoint.  The driver's
+        seen_total equals the snapshot's shard counts, and each
+        metrics.json carries the previous wave's t_ckpt."""
+        pages, _ = corpus
+        n_shards, log2_buckets = 2, 4
+        cfg = CrawlConfig(wave_size=64, per_host_budget=4, max_waves=60,
+                          n_seen_shards=n_shards, log2_buckets=log2_buckets,
+                          fetch_concurrency=2, extract_records=False,
+                          actor_token_rate=1)
+        workdir = str(tmp_path / "run")
+        r = run_crawl(pages, workdir, config=cfg)
+        layout = _seen_layout(workdir)
+        denied = r.trace[r.trace["status"] == "budget_denied"].groupby("wave").size()
+        assert denied.sum() > 0, "token rate 1 should cause requeues"
+
+        snapshot_bytes = n_shards * CuckooFilter.blob_size(log2_buckets)
+        since = 0
+        for i, (wave, size, n_checked, n_removed, snap, metrics) in enumerate(layout):
+            assert n_checked == r.metrics[i]["selected"]
+            assert n_removed == denied.get(wave, 0)
+            assert size == 32 + 8 * (n_checked + n_removed)
+            since += size
+            last = i == len(layout) - 1
+            assert snap == (since >= snapshot_bytes or last), wave
+            if snap:
+                since = 0
+            d = crawl._ckpt_dir(workdir, wave)
+            blobs = sorted(n for n in os.listdir(d) if n.startswith("seen_shard_"))
+            assert len(blobs) == (n_shards if snap else 0)
+            assert metrics["prev_t_ckpt"] == (r.metrics[i - 1]["t_ckpt"] if i else None)
+            assert metrics["seen_total"] == r.metrics[i]["seen_total"]
+        assert sum(snap for *_, snap, _ in layout) >= 2  # one by size, the last
+        assert all("prev_t_ckpt" not in m for m in r.metrics)
+
+        final = _final_seen(workdir, n_shards)
+        assert [len(b) for b in final] == [CuckooFilter.blob_size(log2_buckets)] * n_shards
+        assert sum(CuckooFilter.blob_header(b)[1] for b in final) == r.metrics[-1]["seen_total"]
+
+    @pytest.mark.parametrize("log2_buckets", [12, 4])
+    def test_resume_between_snapshots(self, corpus, tmp_path, monkeypatch,
+                                      log2_buckets):
+        """Kill a crawl right after a log-only wave whose log holds
+        budget_denied removes, then resume: trace, final shard blobs
+        and per-wave seen_total equal the uninterrupted crawl's on 2
+        fetch actors.  On 1 actor they equal a resume from a snapshot
+        of the same wave (the crawl stopped there by its wave cap): a
+        finite actor_token_rate is per actor (``TokenBucket``), so an
+        uninterrupted 2-actor crawl legitimately denies other urls.  At
+        2^12 buckets the resume replays every log onto fresh shards; at
+        2^4 it restores a mid-crawl snapshot first.  Resuming with
+        other shard geometry raises."""
+        pages, _ = corpus
+
+        def cfg(**kw):
+            base = dict(wave_size=64, per_host_budget=4, max_waves=60,
+                        n_seen_shards=2, log2_buckets=log2_buckets,
+                        fetch_concurrency=2, extract_records=False,
+                        actor_token_rate=1)
+            return CrawlConfig(**{**base, **kw})
+
+        workdir_full = str(tmp_path / "full")
+        full = run_crawl(pages, workdir_full, config=cfg())
+        layout = _seen_layout(workdir_full)
+
+        # cut after the latest log-only wave whose own log holds
+        # removes: their urls are requeued into the resumed waves, so a
+        # replay that mishandles removes changes the resumed trace
+        cut = max(w for w, _, _, n_removed, snap, _ in layout[:-1]
+                  if n_removed and not snap)
+        assert any(snap for w, *_, snap, _ in layout if w < cut) == (log2_buckets == 4)
+
+        workdir_snap = str(tmp_path / "snap1")
+        run_crawl(pages, workdir_snap, config=cfg(max_waves=cut + 1))
+        assert _seen_layout(workdir_snap)[-1][4]  # wave `cut`, a snapshot
+        expected = {
+            2: (full.trace, workdir_full),
+            1: (run_crawl(pages, workdir_snap, resume=True,
+                          config=cfg(fetch_concurrency=1)).trace, workdir_snap),
+        }
+
+        class Killed(Exception):
+            pass
+
+        write = crawl._write_checkpoint
+
+        def write_or_die(workdir, wave, *args, **kw):
+            if wave > cut:
+                raise Killed
+            return write(workdir, wave, *args, **kw)
+
+        for n_fetch, (trace, workdir_expected) in expected.items():
+            workdir_cut = str(tmp_path / f"cut{n_fetch}")
+            with monkeypatch.context() as m:
+                m.setattr(crawl, "_write_checkpoint", write_or_die)
+                with pytest.raises(Killed):
+                    run_crawl(pages, workdir_cut, config=cfg())
+            assert crawl._completed_waves(workdir_cut)[-1] == cut
+            if n_fetch == 2:
+                with pytest.raises(ValueError, match="2\\^"):
+                    run_crawl(pages, workdir_cut, resume=True,
+                              config=cfg(log2_buckets=log2_buckets + 1))
+            resumed = run_crawl(pages, workdir_cut, resume=True,
+                                config=cfg(fetch_concurrency=n_fetch))
+            assert resumed.metrics[0]["wave"] > cut
+            pd.testing.assert_frame_equal(
+                trace.reset_index(drop=True),
+                resumed.trace.reset_index(drop=True),
+            )
+            assert _final_seen(workdir_expected) == _final_seen(workdir_cut)
+            assert ([m["seen_total"] for *_, m in _seen_layout(workdir_cut)]
+                    == [m["seen_total"] for *_, m in _seen_layout(workdir_expected)])
 
     def test_robots_denied(self, corpus, tmp_path):
         pages, _ = corpus
