@@ -22,12 +22,13 @@ checkpoint.
 
 Scale notes: the per-wave working set is bounded by ``wave_size``.
 Below ``distributed_select_threshold`` pending urls the frontier is a
-driver pandas frame; above it the frontier is a Dataset end-to-end —
-selection (sort + groupby(host).map_groups(head) + limit), outlink
-membership (streaming semi-join probe) and the checkpoint write all
-run distributed, the frontier re-enters each wave from the
-checkpoint's Parquet, and the driver holds only wave-sized frames and
-counters.  The two modes are semantically identical (pinned by
+driver Arrow table (``FRONTIER_SCHEMA``), and every step from select
+to checkpoint runs on Arrow and NumPy; above it the frontier is a
+Dataset end-to-end — selection (sort + groupby(host).map_groups(head)
++ limit), outlink membership (streaming semi-join probe) and the
+checkpoint write all run distributed, the frontier re-enters each
+wave from the checkpoint's Parquet, and the driver holds only
+wave-sized tables and counters.  The two modes are semantically identical (pinned by
 tests/test_frontier_distributed.py) and a crawl migrates between them
 as the frontier grows or drains.  Records and page-store IO are
 always distributed.
@@ -46,6 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 
 try:
@@ -75,36 +78,40 @@ from crawler_tjce_ray.stages.fetch import (
 )
 from crawler_tjce_ray.stages.seen import ShardedSeenSet
 from crawler_tjce_ray.state.frontier import (
-    FRONTIER_COLUMNS,
+    FRONTIER_SCHEMA,
+    as_frontier,
     assert_frontier_unique,
     canonicalize_url,
     make_frontier_rows,
     select_wave,
     select_wave_distributed,
+    with_next_fetch_wave,
 )
+
+_LINEAGE_SCHEMA = pa.schema([
+    ("wave", pa.int64()), ("order_in_wave", pa.int64()),
+    ("url", pa.string()), ("seed", pa.string()), ("status", pa.string()),
+])
 
 
 def _keys_present(frontier_ds, keys: np.ndarray) -> np.ndarray:
     """Which of ``keys`` already exist in the pending frontier — the
-    Dataset-mode analog of the driver's ``isin(set(frontier.url))``
+    Dataset-mode analog of the driver's ``is_in(frontier["url"])``
     membership check.  One streaming semi-join pass: the (wave-sized)
     probe keys broadcast once via ``ray.put``; each frontier batch
     returns only its hits, so the driver sees at most ``len(keys)``
     rows back regardless of frontier size."""
-    if len(keys) == 0:
-        return np.empty(0, dtype=np.uint64)
-    keys_ref = ray.put(np.unique(keys.astype(np.uint64)))
+    keys_ref = ray.put(keys)
 
-    def probe(df: pd.DataFrame) -> pd.DataFrame:
-        ks = ray.get(keys_ref)
-        v = df["url_key"].to_numpy(dtype=np.uint64)
-        return pd.DataFrame({"url_key": v[np.isin(v, ks)]})
+    def probe(t: pa.Table) -> pa.Table:
+        v = t["url_key"].to_numpy()
+        return pa.table({"url_key": v[np.isin(v, ray.get(keys_ref))]})
 
-    hits = frontier_ds.map_batches(probe, batch_format="pandas").to_pandas()
-    if hits.empty or "url_key" not in hits.columns:
-        # an all-empty result drops its schema on to_pandas
-        return np.empty(0, dtype=np.uint64)
-    return hits["url_key"].to_numpy(dtype=np.uint64)
+    hits = frontier_ds.map_batches(probe, batch_format="pyarrow").iter_batches(
+        batch_size=None, batch_format="pyarrow")
+    return np.concatenate([np.empty(0, np.uint64)]
+                          + [t["url_key"].to_numpy() for t in hits if t.num_rows])
+
 
 @dataclass
 class CrawlConfig:
@@ -122,7 +129,7 @@ class CrawlConfig:
     extract_records: bool = True
     # pending-url count above which the frontier lives as a Dataset
     # (Parquet-backed between waves, Dataset selection/membership/
-    # checkpoint) instead of driver pandas; equivalence of the two
+    # checkpoint) instead of the driver Arrow table; equivalence of the two
     # paths is pinned by tests
     distributed_select_threshold: int = 500_000
     # in-actor per-host token-bucket grants per wave (defense-in-depth
@@ -134,6 +141,12 @@ class CrawlConfig:
     fetch_max_retries: int = 3
     # T6 robots-cache TTL in waves (None = cache forever)
     robots_ttl_waves: int | None = None
+
+    def __post_init__(self):
+        # a zero budget or wave size selects nothing from an eligible
+        # frontier, and the crawl would idle through every wave
+        if self.wave_size < 1 or self.per_host_budget < 1:
+            raise ValueError("wave_size and per_host_budget must be >= 1")
 
 
 @dataclass
@@ -208,8 +221,6 @@ def _shard_path(d: str, i: int) -> str:
 def _parquet_dir_rows(d: str) -> int:
     """Row count of a parquet directory from file metadata only — the
     per-wave pending-count read never touches row data."""
-    import pyarrow.parquet as pq
-
     return sum(
         pq.ParquetFile(p).metadata.num_rows
         for p in glob.glob(os.path.join(d, "*.parquet"))
@@ -217,12 +228,12 @@ def _parquet_dir_rows(d: str) -> int:
 
 
 def _write_checkpoint(workdir: str, wave: int, frontier,
-                      seen: ShardedSeenSet, lineage: pd.DataFrame,
+                      seen: ShardedSeenSet, lineage: pa.Table,
                       metrics: dict, last: bool = False,
                       prev_t_ckpt: float | None = None) -> int:
     """Atomic per-wave checkpoint: tmp dir + rename, _SUCCESS marker.
 
-    ``frontier`` is either the driver pandas frame (small-frontier
+    ``frontier`` is either the driver Arrow table (small-frontier
     mode, single ``frontier.parquet``) or a ``ray.data.Dataset``
     (large-frontier mode: a distributed ``frontier_parquet/`` write —
     the frontier never materializes on the driver).  Returns the
@@ -239,11 +250,9 @@ def _write_checkpoint(workdir: str, wave: int, frontier,
     tmp = final + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp, exist_ok=True)
-    if isinstance(frontier, pd.DataFrame):
-        frontier.reset_index(drop=True).to_parquet(
-            os.path.join(tmp, "frontier.parquet")
-        )
-        pending = int(len(frontier))
+    if isinstance(frontier, pa.Table):
+        pq.write_table(frontier, os.path.join(tmp, "frontier.parquet"))
+        pending = frontier.num_rows
     else:
         fdir = os.path.join(tmp, _FRONTIER_DIRNAME)
         frontier.write_parquet(fdir)
@@ -255,7 +264,7 @@ def _write_checkpoint(workdir: str, wave: int, frontier,
         for i, blob in enumerate(seen.checkpoint()):
             with open(_shard_path(tmp, i), "wb") as f:
                 f.write(blob)
-    lineage.to_parquet(os.path.join(tmp, "lineage.parquet"))
+    pq.write_table(lineage, os.path.join(tmp, "lineage.parquet"))
     with open(os.path.join(tmp, "metrics.json"), "w") as f:
         json.dump({**metrics, "prev_t_ckpt": prev_t_ckpt}, f)
     with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
@@ -269,15 +278,18 @@ def _load_checkpoint(workdir: str, wave: int, seen: ShardedSeenSet,
                      threshold: int):
     """Restore (frontier, pending) from a wave checkpoint.  A frontier
     saved by the Dataset path comes back as a Dataset when still above
-    the threshold, else collapses to the driver frame.  The seen set
-    is the newest shard snapshot at or before ``wave`` (else fresh
-    shards) plus each later completed wave's key log, replayed in
-    wave order."""
+    the threshold, else collapses to the driver table; a driver-mode
+    ``frontier.parquet`` always comes back as the driver table (the
+    next wave moves it to a Dataset if it has grown past the
+    threshold).  Either layout, pandas-written ones included, is cast
+    to ``FRONTIER_SCHEMA``.  The seen set is the newest shard snapshot
+    at or before ``wave`` (else fresh shards) plus each later completed
+    wave's key log, replayed in wave order."""
     d = _ckpt_dir(workdir, wave)
     single = os.path.join(d, "frontier.parquet")
     if os.path.exists(single):
-        frontier = pd.read_parquet(single)
-        pending = len(frontier)
+        frontier = as_frontier([pq.read_table(single)])
+        pending = frontier.num_rows
     else:
         fdir = os.path.join(d, _FRONTIER_DIRNAME)
         pending = _parquet_dir_rows(fdir)
@@ -286,9 +298,8 @@ def _load_checkpoint(workdir: str, wave: int, seen: ShardedSeenSet,
 
             frontier = rd.read_parquet(fdir)
         else:
-            frontier = pd.read_parquet(fdir) if pending else make_frontier_rows([])
-            if pending:
-                frontier["url_key"] = frontier["url_key"].astype("uint64")
+            frontier = as_frontier(
+                pq.read_table(p) for p in sorted(glob.glob(os.path.join(fdir, "*.parquet"))))
     waves = [w for w in _completed_waves(workdir) if w <= wave]
     snaps = [w for w in waves
              if os.path.exists(_shard_path(_ckpt_dir(workdir, w), 0))]
@@ -318,13 +329,13 @@ def _flatten_outlinks(t: pa.Table) -> pa.Table:
     links = t["links"].combine_chunks()
     if isinstance(links, pa.ChunkedArray):  # zero-chunk edge
         links = pa.concat_arrays(links.chunks or [pa.array([], pa.list_(pa.string()))])
-    lengths = pa.compute.fill_null(pa.compute.list_value_length(links), 0)
+    lengths = pc.fill_null(pc.list_value_length(links), 0)
     parents = np.repeat(np.arange(t.num_rows), np.asarray(lengths))
     idx = pa.array(parents)
     return pa.table({
         "out_url": links.flatten(),
         "seed": t["seed"].take(idx),
-        "depth": pa.compute.add(t["depth"].take(idx), 1).cast(pa.int32()),
+        "depth": pc.add(t["depth"].take(idx), 1).cast(pa.int32()),
     })
 
 
@@ -354,6 +365,18 @@ def run_crawl(
     # holding every core deadlock task scheduling on small clusters
     cluster_cpus = int(ray.cluster_resources().get("CPU", 4))
     n_fetch = max(1, min(cfg.fetch_concurrency, cluster_cpus - 2))
+    # per-wave phase times (metrics.json): each lap closes the phase
+    # that began at the previous one; t_wave spans from the previous
+    # wave's commit (or the pool start) to this wave's commit
+    t_mark = t_wave = time.perf_counter()
+    phase_t: dict[str, float] = {}
+
+    def _lap(name: str) -> None:
+        nonlocal t_mark
+        now = time.perf_counter()
+        phase_t[name] = round(now - t_mark, 4)
+        t_mark = now
+
     # record extraction is FUSED into the fetch actors (operator
     # fusion): the page body is parsed where it was fetched, so html
     # never crosses the object store and the pool's cores do the
@@ -368,6 +391,7 @@ def run_crawl(
     )
     try:
         seen = ShardedSeenSet(cfg.n_seen_shards, cfg.log2_buckets, pool.actors)
+        _lap("t_pool_start")  # reported on this run's first wave
         start_wave = 0
         if resume:
             done = _completed_waves(workdir)
@@ -389,185 +413,155 @@ def run_crawl(
             shutil.rmtree(os.path.join(workdir, "ckpt"), ignore_errors=True)
             shutil.rmtree(os.path.join(workdir, "records"), ignore_errors=True)
             frontier = make_frontier_rows(seeds, priority=0, wave=0, depth=0, seed="root")
-            pending = len(frontier)
+            pending = frontier.num_rows
 
         import ray.data as rd
 
         metrics_all: list[dict] = []
+        lineages: list[pa.Table] = []  # this run's waves, for the trace
         prev_t_ckpt = None
-        wave = start_wave
         for wave in range(start_wave, cfg.max_waves):
             if pending == 0:
                 break
+            t_mark = time.perf_counter()
             distributed = pending > cfg.distributed_select_threshold
             if distributed:
                 # large-frontier route: the frontier lives as a Dataset the
                 # whole wave — selection, membership checks and the
                 # checkpoint write all run as Dataset ops, and the frontier
                 # re-enters the next wave from the checkpoint's Parquet.
-                # The driver holds only wave-sized frames and counters.
-                if isinstance(frontier, pd.DataFrame):
+                # The driver holds only wave-sized tables and counters.
+                if isinstance(frontier, pa.Table):
                     # entering Dataset mode: the distributed defer filters
                     # by url_key membership, so duplicate keys would
                     # silently drop rows — assert the invariant once at the
                     # boundary (Dataset-mode updates keep it by
                     # construction: outlink adds anti-join pending keys)
                     assert_frontier_unique(frontier)
-                    frontier = rd.from_pandas(frontier.reset_index(drop=True))
+                    frontier = rd.from_arrow(frontier)
                 selected, deferred = select_wave_distributed(
                     frontier, wave, cfg.wave_size, cfg.per_host_budget
                 )
-                if selected.empty:
+                if selected.num_rows == 0:
                     # eligible set empty: the defer pass is a no-op — keep
                     # the untouched (shallow) plan and try the next wave
                     continue
                 frontier = deferred
             else:
-                if not isinstance(frontier, pd.DataFrame):
-                    # shrunk below the threshold: collapse to driver pandas
-                    frontier = frontier.to_pandas()
-                    if frontier.empty:
-                        # an empty Dataset drops its schema — restore the
-                        # canonical frontier columns for concat/sort
-                        frontier = make_frontier_rows([])
-                    else:
-                        frontier["url_key"] = frontier["url_key"].astype("uint64")
+                if not isinstance(frontier, pa.Table):
+                    # shrunk below the threshold: collapse to the driver table
+                    frontier = as_frontier(frontier.iter_batches(
+                        batch_size=None, batch_format="pyarrow"))
                 selected, frontier = select_wave(
                     frontier, wave, cfg.wave_size, cfg.per_host_budget
                 )
-                if selected.empty:
-                    # nothing eligible this wave but future work remains
-                    if (frontier["next_fetch_wave"] > wave).all() and not frontier.empty:
-                        continue
-                    break
+                if selected.num_rows == 0:
+                    # nothing eligible yet (CrawlConfig rejects a budget or
+                    # wave size that selects nothing): pending > 0, so
+                    # every row waits for a later wave
+                    continue
+            _lap("t_select")
 
-            t_mark = time.perf_counter()
-            phase_t: dict[str, float] = {}
-
-            def _lap(name: str) -> None:
-                nonlocal t_mark
-                now = time.perf_counter()
-                phase_t[name] = round(now - t_mark, 4)
-                t_mark = now
-
-            seen_mask = seen.check_and_add(selected["url_key"].to_numpy(dtype=np.uint64))
-            selected = selected.assign(status=np.where(seen_mask, "dup", "pending"))
-            todo = selected[~seen_mask].reset_index(drop=True)
+            seen_mask = seen.check_and_add(selected["url_key"].to_numpy())
+            todo = selected.filter(pa.array(~seen_mask))
+            status = pa.array(np.where(seen_mask, "dup", "pending"))
             _lap("t_seen")
 
-            fetched_df = pd.DataFrame()
-            outlinks = pd.DataFrame(columns=["out_url", "seed", "depth"])
-            adds: list[pd.DataFrame] = []  # Dataset-mode wave-sized additions
-            if not todo.empty:
+            n_outlinks = 0
+            requeued = pa.array([], pa.string())
+            adds: list[pa.Table] = []  # Dataset-mode wave-sized additions
+            if todo.num_rows:
                 # fetch+parse run fused inside the actor pool (records are
                 # written there, before the actors reply, so the wave's
                 # records are durable before its checkpoint); the returned
                 # table carries only url/status/links — never html
-                fetched_tbl = pool.fetch(todo, wave)  # bounded by wave_size
+                fetched = pool.fetch(todo, wave)  # bounded by wave_size
                 _lap("t_fetch")
 
                 # outlinks were discovered inside the fetch actors (the
                 # page body never comes back to the driver for re-parsing);
                 # here we only flatten the small list column — vectorized
-                outlinks = _flatten_outlinks(fetched_tbl).to_pandas()
+                outlinks = _flatten_outlinks(fetched)
+                n_outlinks = outlinks.num_rows
                 _lap("t_extract")
-                fetched_df = fetched_tbl.select(["url", "status"]).to_pandas()
+
+                # merge fetch statuses into the wave lineage
+                at = pc.index_in(selected["url"], value_set=fetched["url"])
+                status = pc.coalesce(fetched["status"].take(at), status)
 
                 # politeness-denied urls must NOT be lost: they were marked
                 # seen before the fetch, so un-see them and requeue for the
                 # next wave (the lineage still records this wave's denial)
-                denied = set(
-                    fetched_df.loc[fetched_df["status"] == "budget_denied", "url"]
-                )
-                if denied:
-                    requeue = todo[todo["url"].isin(denied)]
-                    seen.remove(requeue["url_key"].to_numpy(dtype=np.uint64))
-                    requeue = requeue[FRONTIER_COLUMNS].copy()
-                    requeue["next_fetch_wave"] = np.int32(wave + 1)
+                denied = pc.equal(fetched["status"], "budget_denied")
+                if pc.any(denied).as_py():
+                    requeue = todo.filter(pc.is_in(
+                        todo["url"], value_set=fetched.filter(denied)["url"]))
+                    seen.remove(requeue["url_key"].to_numpy())
+                    requeue = with_next_fetch_wave(requeue, wave + 1)
+                    requeued = requeue["url"]
                     if distributed:
                         # just-selected urls cannot still be pending: defer
                         # dropped them, so the requeue needs no anti-join
                         adds.append(requeue)
                     else:
-                        frontier = pd.concat([frontier, requeue], ignore_index=True)
+                        frontier = pa.concat_tables([frontier, requeue])
 
-            # merge fetch statuses into the wave lineage
-            lineage = selected[["url", "seed", "status"]].copy()
-            if not fetched_df.empty:
-                smap = dict(zip(fetched_df["url"], fetched_df["status"]))
-                lineage["status"] = [
-                    smap.get(u, s) for u, s in zip(lineage["url"], lineage["status"])
-                ]
-            lineage.insert(0, "wave", wave)
-            lineage.insert(1, "order_in_wave", np.arange(len(lineage)))
-
-            # frontier update: add new outlinks (drop urls already pending).
-            # Dedup survivor is chosen by a DETERMINISTIC sort key
-            # (out_url, depth, seed) — not arrival order, which would vary
-            # with the fetch-pool actor count across environments and break
-            # the byte-identical resume contract.  Vectorized throughout
-            # (columns, never Python row loops).
-            if not outlinks.empty:
-                dedup = outlinks.copy()
-                # canonicalize BEFORE dedup/membership: raw link variants
-                # ('…/x' vs '…/x/') would otherwise pass the frontier
-                # check and become duplicate canonical rows
-                dedup["out_url"] = dedup["out_url"].map(canonicalize_url)
-                dedup = (
-                    dedup.sort_values(["out_url", "depth", "seed"], kind="mergesort")
-                    .drop_duplicates("out_url")
-                )
-                if distributed:
-                    # anti-join against this wave's requeues locally, then
-                    # against the pending Dataset via one streaming
-                    # semi-join probe (the driver never sees the frontier)
-                    requeued_urls = set(pd.concat(adds)["url"]) if adds else set()
-                    dedup = dedup[~dedup["out_url"].isin(requeued_urls)]
-                    if len(dedup):
-                        add = make_frontier_rows(
-                            dedup["out_url"].tolist(), priority=0,
-                            wave=wave + 1, depth=0, seed="",
-                        )
-                        add["seed"] = dedup["seed"].to_numpy()
-                        add["depth"] = dedup["depth"].to_numpy(dtype=np.int32)
-                        add["priority"] = add["depth"]  # BFS: shallower first
-                        present = _keys_present(
-                            frontier, add["url_key"].to_numpy(dtype=np.uint64)
-                        )
-                        if len(present):
-                            add = add[~add["url_key"].isin(present)]
-                        if len(add):
-                            adds.append(add)
-                else:
-                    dedup = dedup[~dedup["out_url"].isin(set(frontier["url"]))]
-                    if len(dedup):
-                        add = make_frontier_rows(
-                            dedup["out_url"].tolist(), priority=0,
-                            wave=wave + 1, depth=0, seed="",
-                        )
-                        add["seed"] = dedup["seed"].to_numpy()
-                        add["depth"] = dedup["depth"].to_numpy(dtype=np.int32)
-                        add["priority"] = add["depth"]  # BFS: shallower first
-                        frontier = pd.concat([frontier, add], ignore_index=True)
+                # frontier update: add new outlinks (drop urls already
+                # pending).  Dedup survivor is chosen by a DETERMINISTIC
+                # sort key (out_url, depth, seed) — not arrival order, which
+                # would vary with the fetch-pool actor count across
+                # environments and break the byte-identical resume contract.
+                if n_outlinks:
+                    # canonicalize BEFORE dedup/membership: raw link variants
+                    # ('…/x' vs '…/x/') would otherwise pass the frontier
+                    # check and become duplicate canonical rows
+                    canon = [canonicalize_url(u) for u in outlinks["out_url"].to_pylist()]
+                    outlinks = outlinks.set_column(0, "out_url", pa.array(canon, pa.string()))
+                    outlinks = outlinks.take(pc.sort_indices(outlinks, [
+                        ("out_url", "ascending"), ("depth", "ascending"),
+                        ("seed", "ascending")]))
+                    urls = outlinks["out_url"]
+                    first = np.r_[True, pc.not_equal(urls[1:], urls[:-1]).to_numpy()]
+                    # Dataset mode anti-joins this wave's requeues here and
+                    # the pending Dataset below, by one streaming semi-join
+                    # probe (the driver never sees the frontier)
+                    pending_urls = requeued if distributed else frontier["url"]
+                    new = outlinks.filter(first & ~pc.is_in(
+                        urls, value_set=pending_urls).to_numpy())
+                    add = make_frontier_rows(
+                        new["out_url"].to_pylist(), priority=new["depth"],  # BFS
+                        wave=wave + 1, depth=new["depth"], seed=new["seed"],
+                    )
+                    if distributed and add.num_rows:
+                        keys = add["url_key"].to_numpy()
+                        adds.append(add.filter(~np.isin(keys, _keys_present(frontier, keys))))
+                    elif not distributed:
+                        frontier = pa.concat_tables([frontier, add])
+            n = selected.num_rows
+            lineage = pa.table({
+                "wave": np.full(n, wave, np.int64),
+                "order_in_wave": np.arange(n, dtype=np.int64),
+                "url": selected["url"], "seed": selected["seed"], "status": status,
+            }, schema=_LINEAGE_SCHEMA)
             # requeue, lineage merge and outlink canonicalize/dedup/
             # concat, timed before the checkpoint so metrics.json has it
             _lap("t_frontier")
 
             wave_metrics = {
                 "wave": wave,
-                "selected": int(len(selected)),
+                "selected": n,
                 "dup": int(seen_mask.sum()),
-                "fetched_ok": int((fetched_df["status"] == "ok").sum()) if not fetched_df.empty else 0,
-                "outlinks": int(len(outlinks)),
+                "fetched_ok": pc.sum(pc.equal(status, "ok")).as_py() or 0,
+                "outlinks": n_outlinks,
                 "seen_total": seen.count,
                 **phase_t,
             }
+            phase_t.clear()
             # _write_checkpoint counts the frontier during the write and
             # injects metrics['frontier_pending'] — no extra counting pass
             new_frontier = frontier
             if adds:  # Dataset mode only
-                small = pd.concat(adds, ignore_index=True)[FRONTIER_COLUMNS]
-                new_frontier = frontier.union(rd.from_pandas(small))
+                new_frontier = frontier.union(rd.from_arrow(pa.concat_tables(adds)))
             pending = _write_checkpoint(
                 workdir, wave, new_frontier, seen, lineage, wave_metrics,
                 last=wave + 1 >= cfg.max_waves, prev_t_ckpt=prev_t_ckpt,
@@ -577,9 +571,13 @@ def run_crawl(
                 # per-wave plan stays (read → select) instead of an
                 # ever-growing defer/union lineage
                 fdir = os.path.join(_ckpt_dir(workdir, wave), _FRONTIER_DIRNAME)
-                frontier = rd.read_parquet(fdir) if pending else make_frontier_rows([])
-            wave_metrics["t_ckpt"] = prev_t_ckpt = round(time.perf_counter() - t_mark, 4)
+                frontier = rd.read_parquet(fdir) if pending else FRONTIER_SCHEMA.empty_table()
+            now = time.perf_counter()
+            wave_metrics["t_ckpt"] = prev_t_ckpt = round(now - t_mark, 4)
+            wave_metrics["t_wave"] = round(now - t_wave, 4)
+            t_wave = now
             metrics_all.append(wave_metrics)
+            lineages.append(lineage)
 
         actor_stats = pool.stats()
     finally:
@@ -588,12 +586,14 @@ def run_crawl(
         # (e.g. a cuckoo overflow out of the seen check)
         pool.shutdown()
 
-    # assemble the full trace from the per-wave lineage checkpoints
-    parts = [pd.read_parquet(os.path.join(_ckpt_dir(workdir, w), "lineage.parquet"))
-             for w in _completed_waves(workdir)]
-    trace = pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
-        columns=["wave", "order_in_wave", "url", "seed", "status"]
-    )
+    # the trace: waves of an earlier run (a resume) from their lineage
+    # checkpoints, then this run's waves from memory
+    earlier = [
+        pq.read_table(os.path.join(_ckpt_dir(workdir, w), "lineage.parquet"))
+        .select(_LINEAGE_SCHEMA.names).cast(_LINEAGE_SCHEMA)
+        for w in _completed_waves(workdir) if w < start_wave
+    ]
+    trace = pa.concat_tables([_LINEAGE_SCHEMA.empty_table(), *earlier, *lineages]).to_pandas()
     waves_run = (metrics_all[-1]["wave"] + 1) if metrics_all else start_wave
     return CrawlResult(workdir=workdir, waves_run=waves_run, trace=trace,
                        metrics=metrics_all, actor_stats=actor_stats)

@@ -529,22 +529,18 @@ class FetchPool:
             for i in range(n_actors)
         ]
 
-    def fetch(self, wave_df, wave: int) -> pa.Table:
-        """Fetch one wave's rows; deterministic output order
-        (bucket-major, input order within bucket)."""
+    def fetch(self, wave_tbl: pa.Table, wave: int) -> pa.Table:
+        """Fetch one wave's frontier rows; deterministic output order
+        (bucket-major, input order within bucket).  A row's bucket is
+        its ``url_key`` (the url's sha1 key) modulo the bucket count."""
         import ray
 
-        cols = ["url", "host"] + [c for c in ("seed", "depth") if c in wave_df.columns]
-        table = pa.Table.from_pandas(wave_df[cols], preserve_index=False)
+        table = wave_tbl.select(["url", "host", "seed", "depth"])
         if table.num_rows == 0:
             return table.append_column(
                 "html", pa.array([], pa.binary())
             ).append_column("status", pa.array([], pa.string()))
-        buckets = np.array(
-            [url_sha1_64(u) % self.n_buckets for u in wave_df["url"]],
-            dtype=np.int64,
-        )
-        owner = buckets % self.n_actors
+        owner = wave_tbl["url_key"].to_numpy() % np.uint64(self.n_buckets) % np.uint64(self.n_actors)
         futures = []
         for i in range(self.n_actors):
             idx = np.nonzero(owner == i)[0]

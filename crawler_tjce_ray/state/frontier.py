@@ -1,7 +1,8 @@
 """Frontier state: URL canonicalization, keys, the frontier table and
 deterministic wave selection.
 
-The frontier is a Parquet-checkpointed table (FIXTURES.md F7):
+The frontier is a Parquet-checkpointed table (FIXTURES.md F7); on the
+driver it is one ``pa.Table`` with ``FRONTIER_SCHEMA``:
 
     url, url_key (uint64 = first 8 bytes of sha1(canonical url)),
     host, host_hash, priority, next_fetch_wave, depth, seed
@@ -18,25 +19,39 @@ import hashlib
 import urllib.parse
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
-FRONTIER_COLUMNS = [
-    "url", "url_key", "host", "host_hash", "priority",
-    "next_fetch_wave", "depth", "seed",
-]
+FRONTIER_SCHEMA = pa.schema([
+    ("url", pa.string()), ("url_key", pa.uint64()), ("host", pa.string()),
+    ("host_hash", pa.int64()), ("priority", pa.int32()),
+    ("next_fetch_wave", pa.int32()), ("depth", pa.int32()), ("seed", pa.string()),
+])
+SORT_KEYS = [("priority", "ascending"), ("next_fetch_wave", "ascending"),
+             ("url", "ascending")]
 
 
-def assert_frontier_unique(frontier: pd.DataFrame) -> None:
+def as_frontier(tables) -> pa.Table:
+    """Concatenate Arrow tables (Ray blocks, Parquet reads of either
+    checkpoint layout, pandas-written ones included) into one
+    ``FRONTIER_SCHEMA`` table; empty parts, which may have lost their
+    schema, are dropped."""
+    parts = [t.select(FRONTIER_SCHEMA.names).cast(FRONTIER_SCHEMA)
+             for t in tables if t.num_rows]
+    return pa.concat_tables(parts) if parts else FRONTIER_SCHEMA.empty_table()
+
+
+def assert_frontier_unique(frontier: pa.Table) -> None:
     """Enforce the frontier's url_key-uniqueness invariant.
 
     ``select_wave_distributed`` defers by url_key SET membership while
-    the pandas ``select_wave`` defers by row index: if duplicate
+    the driver ``select_wave`` defers by row position: if duplicate
     url_key rows ever coexisted, the distributed path would silently
     drop the non-selected duplicate and the two paths would diverge.
     The frontier-update code maintains uniqueness (seen-filter +
     within-wave outlink dedup + pending-url anti-join), so a duplicate
     here means corrupted state — fail loudly before selection."""
-    if not frontier["url_key"].is_unique:
+    if pc.count_distinct(frontier["url_key"]).as_py() != frontier.num_rows:
         raise AssertionError("frontier url_key uniqueness invariant violated")
 
 
@@ -76,70 +91,89 @@ def host_hash_salted(host: str, url: str, hot_hosts: dict[str, int] | None = Non
 
 def make_frontier_rows(
     urls: list[str],
-    priority: int = 0,
+    priority=0,
     wave: int = 0,
-    depth: int = 0,
-    seed: str = "",
+    depth=0,
+    seed="",
     hot_hosts: dict[str, int] | None = None,
-) -> pd.DataFrame:
-    """Build canonical frontier rows for a url list (driver-side for
-    seeds; the same columns are derived vectorized in-pipeline for
-    outlinks)."""
+) -> pa.Table:
+    """Build canonical frontier rows for a url list (seeds, and the
+    outlinks of a wave).  ``priority``, ``depth`` and ``seed`` are one
+    value for every row or one per url."""
     canon = [canonicalize_url(u) for u in urls]
     hosts = [host_of(u) for u in canon]
-    return pd.DataFrame(
-        {
-            "url": canon,
-            "url_key": np.array([url_sha1_64(u) for u in canon], dtype=np.uint64),
-            "host": hosts,
-            "host_hash": np.array(
-                [host_hash_salted(h, u, hot_hosts) for h, u in zip(hosts, canon)],
-                dtype=np.int64,
-            ),
-            "priority": np.full(len(canon), priority, dtype=np.int32),
-            "next_fetch_wave": np.full(len(canon), wave, dtype=np.int32),
-            "depth": np.full(len(canon), depth, dtype=np.int32),
-            "seed": [seed] * len(canon),
-        }
-    )
+    n = len(canon)
+    return pa.table({
+        "url": canon,
+        "url_key": [url_sha1_64(u) for u in canon],
+        "host": hosts,
+        "host_hash": [host_hash_salted(h, u, hot_hosts) for h, u in zip(hosts, canon)],
+        "priority": _int32s(priority, n),
+        "next_fetch_wave": _int32s(wave, n),
+        "depth": _int32s(depth, n),
+        "seed": pa.repeat(seed, n) if isinstance(seed, str) else seed,
+    }, schema=FRONTIER_SCHEMA)
+
+
+def _int32s(v, n: int) -> np.ndarray:
+    """``v`` (one value, or one per row) as ``n`` int32s."""
+    return np.zeros(n, np.int32) + np.asarray(v, np.int32)
+
+
+def with_next_fetch_wave(frontier: pa.Table, wave) -> pa.Table:
+    """``frontier`` with ``next_fetch_wave`` set to ``wave`` (one value,
+    or one per row)."""
+    i = FRONTIER_SCHEMA.get_field_index("next_fetch_wave")
+    return frontier.set_column(i, FRONTIER_SCHEMA.field(i), [_int32s(wave, frontier.num_rows)])
 
 
 def select_wave(
-    frontier: pd.DataFrame,
+    frontier: pa.Table,
     wave: int,
     wave_size: int,
     per_host_budget: int,
-) -> tuple[pd.DataFrame, pd.DataFrame]:
+) -> tuple[pa.Table, pa.Table]:
     """Deterministic wave selection (O1 frontier ordering):
 
     1. eligible = rows with ``next_fetch_wave <= wave``;
-    2. total-order sort by (priority, next_fetch_wave, url);
+    2. total-order sort by (priority, next_fetch_wave, url) —
+       ``pc.sort_indices``; Arrow compares UTF-8 by bytes, which is
+       code-point order;
     3. per-host politeness cap: first ``per_host_budget`` per host
-       (the token-bucket grant for this wave);
+       (the token-bucket grant for this wave), a NumPy rank over the
+       ``dictionary_encode(host)`` codes;
     4. global cap ``wave_size``.
 
-    Returns (selected, deferred_rest).  Deferred rows stay in the
-    frontier with ``next_fetch_wave = wave + 1`` — the dominant host
-    never stalls the wave (skew rule: carry, don't barrier).
+    Returns (selected, deferred_rest), both ``FRONTIER_SCHEMA`` tables:
+    the deferred eligible rows in sort order with ``next_fetch_wave =
+    wave + 1``, then the not-yet-eligible rows in frontier order — the
+    dominant host never stalls the wave (skew rule: carry, don't
+    barrier).
 
-    This pandas implementation holds to ~10^7 pending urls on the
-    driver; ``select_wave_distributed`` below is the semantically
-    identical Ray-Data path for larger frontiers
-    (equivalence pinned by tests/test_frontier_distributed.py).
+    This driver implementation holds to ~10^7 pending urls;
+    ``select_wave_distributed`` below is the semantically identical
+    Ray-Data path for larger frontiers (equivalence pinned by
+    tests/test_frontier_distributed.py).
     """
-    eligible = frontier[frontier["next_fetch_wave"] <= wave]
-    rest = frontier[frontier["next_fetch_wave"] > wave]
-    if eligible.empty:
-        return eligible, frontier
-    eligible = eligible.sort_values(
-        ["priority", "next_fetch_wave", "url"], kind="mergesort"
-    )
-    capped = eligible.groupby("host", sort=False).head(per_host_budget)
-    selected = capped.head(wave_size)
-    deferred = eligible.loc[~eligible.index.isin(selected.index)].copy()
-    deferred["next_fetch_wave"] = wave + 1
-    deferred = pd.concat([deferred, rest], ignore_index=False)
-    return selected.reset_index(drop=True), deferred.reset_index(drop=True)
+    nfw = frontier["next_fetch_wave"].to_numpy()
+    eligible = np.flatnonzero(nfw <= wave)
+    rest = np.flatnonzero(nfw > wave)
+    order = eligible[pc.sort_indices(frontier.take(eligible), SORT_KEYS).to_numpy()]
+    # rank of each sorted row within its host: a stable sort by host
+    # code, minus the position of the host's first row
+    codes = pc.dictionary_encode(frontier["host"].take(order)).combine_chunks().indices.to_numpy()
+    by = np.argsort(codes, kind="stable")
+    pos = np.arange(len(by))
+    first = np.maximum.accumulate(np.where(np.r_[True, np.diff(codes[by]) != 0], pos, 0))
+    rank = np.empty_like(pos)
+    rank[by] = pos - first
+    keep = np.flatnonzero(rank < per_host_budget)
+    picked = np.zeros(len(order), bool)
+    picked[keep[:wave_size]] = True
+    deferred = with_next_fetch_wave(
+        frontier.take(np.concatenate([order[~picked], rest])),
+        np.r_[np.full(len(order) - picked.sum(), wave + 1, np.int32), nfw[rest]])
+    return frontier.take(order[picked]), deferred
 
 
 def select_wave_distributed(
@@ -163,11 +197,11 @@ def select_wave_distributed(
        Dataset (anti-membership filter against the broadcast selected
        key set, with ``next_fetch_wave`` bumped).
 
-    Returns ``(selected: pd.DataFrame, deferred: ray.data.Dataset)``.
+    Returns ``(selected: pa.Table, deferred: ray.data.Dataset)``.
     """
-    import ray.data  # noqa: F401
+    import pandas as pd
 
-    sort_keys = ["priority", "next_fetch_wave", "url"]
+    sort_keys = [k for k, _ in SORT_KEYS]
 
     def split_eligible(df: pd.DataFrame) -> pd.DataFrame:
         return df[df["next_fetch_wave"] <= wave]
@@ -178,14 +212,13 @@ def select_wave_distributed(
         return g.sort_values(sort_keys, kind="mergesort").head(per_host_budget)
 
     capped = eligible.groupby("host").map_groups(head_per_host, batch_format="pandas")
-    selected = (
-        capped.sort(sort_keys).limit(wave_size).to_pandas()
-        .sort_values(sort_keys, kind="mergesort").reset_index(drop=True)
-    )
-    sel_keys = set(selected["url_key"].astype("uint64").tolist())
+    selected = as_frontier(capped.sort(sort_keys).limit(wave_size).iter_batches(
+        batch_size=None, batch_format="pyarrow"))
+    selected = selected.take(pc.sort_indices(selected, SORT_KEYS))
+    sel_keys = selected["url_key"].to_numpy()
 
     def defer(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[~df["url_key"].astype("uint64").isin(sel_keys)].copy()
+        df = df[~np.isin(df["url_key"].to_numpy(np.uint64), sel_keys)].copy()
         bump = df["next_fetch_wave"] <= wave
         df.loc[bump, "next_fetch_wave"] = wave + 1
         return df

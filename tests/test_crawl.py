@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 
 from crawler_tjce_ray.pipelines import crawl
@@ -111,13 +112,24 @@ class TestFrontierUnits:
             "https://cold.example/x",
         ]
         f = make_frontier_rows(urls)
-        sel, rest = select_wave(f, wave=0, wave_size=100, per_host_budget=3)
+        sel, rest = (t.to_pandas() for t in
+                     select_wave(f, wave=0, wave_size=100, per_host_budget=3))
         assert (sel.groupby("host").size() <= 3).all()
         # deferred hot-host urls carry to wave 1
         assert (rest["next_fetch_wave"] == 1).all()
         assert len(sel) + len(rest) == len(f)
         # order within wave: sorted by (priority, next_fetch_wave, url)
         assert list(sel["url"]) == sorted(sel["url"])
+
+
+def test_crawl_config_rejects_budgets_that_select_nothing():
+    """A zero per-host budget or wave size would select nothing from an
+    eligible frontier while rows stay pending, so the crawl would run
+    every wave up to ``max_waves`` without writing a checkpoint."""
+    for bad in (dict(per_host_budget=0), dict(wave_size=0), dict(wave_size=-1)):
+        with pytest.raises(ValueError):
+            CrawlConfig(**bad)
+    CrawlConfig(wave_size=1, per_host_budget=1)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -239,7 +251,11 @@ class TestCrawl:
         blobs only when the logs since the last snapshot reach one
         snapshot's bytes, and at the last checkpoint.  The driver's
         seen_total equals the snapshot's shard counts, and each
-        metrics.json carries the previous wave's t_ckpt."""
+        metrics.json carries the previous wave's t_ckpt, its own
+        t_select, and t_pool_start (the blocking fetch-pool and
+        seen-shard start-up) on the run's first wave only.  A wave's
+        phases never sum past its wall time t_wave (commit to commit;
+        every value is rounded to 0.1 ms)."""
         pages, _ = corpus
         n_shards, log2_buckets = 2, 4
         cfg = CrawlConfig(wave_size=64, per_host_budget=4, max_waves=60,
@@ -268,12 +284,41 @@ class TestCrawl:
             assert len(blobs) == (n_shards if snap else 0)
             assert metrics["prev_t_ckpt"] == (r.metrics[i - 1]["t_ckpt"] if i else None)
             assert metrics["seen_total"] == r.metrics[i]["seen_total"]
+            m = r.metrics[i]
+            assert metrics["t_select"] == m["t_select"] >= 0
+            assert ("t_pool_start" in metrics) == ("t_pool_start" in m) == (i == 0)
+            phases = [v for k, v in m.items() if k.startswith("t_") and k != "t_wave"]
+            assert sum(phases) <= m["t_wave"] + 5e-5 * (len(phases) + 1), m
         assert sum(snap for *_, snap, _ in layout) >= 2  # one by size, the last
         assert all("prev_t_ckpt" not in m for m in r.metrics)
 
         final = _final_seen(workdir, n_shards)
         assert [len(b) for b in final] == [CuckooFilter.blob_size(log2_buckets)] * n_shards
         assert sum(CuckooFilter.blob_header(b)[1] for b in final) == r.metrics[-1]["seen_total"]
+
+    def test_resume_from_pandas_written_checkpoint(self, corpus, tmp_path):
+        """Checkpoints written by pandas ``to_parquet`` (the frontier
+        and lineage files of earlier releases, with pandas metadata)
+        resume to the uninterrupted crawl's trace."""
+        full = self._run(corpus, str(tmp_path / "full"))
+        pages, _ = corpus
+        cfg = dict(wave_size=64, per_host_budget=4, n_seen_shards=2,
+                   log2_buckets=12, fetch_concurrency=2, extract_records=False)
+        workdir = str(tmp_path / "cut")
+        run_crawl(pages, workdir, config=CrawlConfig(**cfg, max_waves=3))
+        for wave in crawl._completed_waves(workdir):
+            d = crawl._ckpt_dir(workdir, wave)
+            names = ["lineage.parquet"] + (["frontier.parquet"] if wave == 2 else [])
+            for name in names:
+                path = os.path.join(d, name)
+                pd.read_parquet(path).reset_index(drop=True).to_parquet(path)
+                assert b"pandas" in pq.read_schema(path).metadata
+        resumed = run_crawl(pages, workdir, resume=True,
+                            config=CrawlConfig(**cfg, max_waves=60))
+        assert resumed.metrics[0]["wave"] == 3 and "t_pool_start" in resumed.metrics[0]
+        pd.testing.assert_frame_equal(
+            full.trace.reset_index(drop=True), resumed.trace.reset_index(drop=True)
+        )
 
     @pytest.mark.parametrize("log2_buckets", [12, 4])
     def test_resume_between_snapshots(self, corpus, tmp_path, monkeypatch,

@@ -4,23 +4,24 @@ leave the same deferred frontier on skewed inputs."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from crawler_tjce_ray.state.frontier import (
-    make_frontier_rows, select_wave, select_wave_distributed,
+    FRONTIER_SCHEMA, make_frontier_rows, select_wave, select_wave_distributed,
 )
 
 
-def _skewed_frontier(n: int, seed: int = 7) -> pd.DataFrame:
+def _skewed_frontier(n: int, seed: int = 7) -> pa.Table:
     rng = np.random.RandomState(seed)
     hosts = ["hot.example.com"] * (n // 2) + [
         f"h{rng.randint(0, 37)}.example.com" for _ in range(n - n // 2)
     ]
     urls = [f"https://{h}/p/{i}" for i, h in enumerate(hosts)]
-    f = make_frontier_rows(urls)
+    f = make_frontier_rows(urls).to_pandas()
     f["priority"] = rng.randint(0, 3, size=n).astype(np.int32)
     f["next_fetch_wave"] = rng.randint(0, 2, size=n).astype(np.int32)
-    return f
+    return pa.Table.from_pandas(f, schema=FRONTIER_SCHEMA, preserve_index=False)
 
 
 def _norm(df: pd.DataFrame) -> pd.DataFrame:
@@ -42,9 +43,10 @@ def test_distributed_matches_driver_path(wave, wave_size, budget):
     import ray.data as rd
 
     frontier = _skewed_frontier(800)
-    sel_pd, def_pd = select_wave(frontier, wave, wave_size, budget)
-    ds = rd.from_pandas(frontier.reset_index(drop=True))
+    sel_pd, def_pd = (t.to_pandas() for t in select_wave(frontier, wave, wave_size, budget))
+    ds = rd.from_arrow(frontier)
     sel_rd, def_rd = select_wave_distributed(ds, wave, wave_size, budget)
+    sel_rd = sel_rd.to_pandas()
 
     pd.testing.assert_frame_equal(_norm(sel_pd), _norm(sel_rd))
     pd.testing.assert_frame_equal(_norm(def_pd), _norm(def_rd.to_pandas()))
@@ -111,6 +113,6 @@ def test_frontier_uniqueness_guard():
 
     f = _skewed_frontier(50)
     assert_frontier_unique(f)  # unique frontier passes
-    dup = pd.concat([f, f.iloc[[3]]], ignore_index=True)
+    dup = pa.concat_tables([f, f.slice(3, 1)])
     with pytest.raises(AssertionError, match="uniqueness invariant"):
         assert_frontier_unique(dup)
