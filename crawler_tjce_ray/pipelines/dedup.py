@@ -7,16 +7,24 @@ schemas/entity_mapping_crawler.py:219-223) generalized to the
 training-data near-dup family.
 
 Scale design (100 TB):
-- exact dedup = hash key per batch → ``groupby(key)`` keeping the min
-  id; the shuffle carries only (key, id) pairs, never the text.
+- every bucket exchange is ``exchange.shuffle`` (one input) or
+  ``exchange.cogroup`` (several), keyed on an int64 id, a uint64
+  digest or a string paragraph — ``exchange.kb_arrow`` picks the
+  bucket from the key's type.  ``q_dedup_embedding_nn``'s per-label
+  group is the one per-key group.
+- exact dedup = hash key per batch → min id per key; only (key, id)
+  pairs leave the map stage, never the text.
 - MinHash signatures are computed batch-local (numpy, vectorized over
-  perms); the LSH band explosion is a ``flat_map`` and candidate
-  generation is a per-band-bucket ``groupby`` — the only all-to-all
-  moves (band_key, doc_id) pairs, ~b×8 bytes/doc.
-- verification (exact Jaccard on candidates) broadcasts the shingle
-  sets via ``ray.put`` at test scale; at 100 TB it becomes a
-  hash-partition join of candidate ids back to shingles, bounded by
-  the candidate count (≪ n²).
+  perms); the same map emits each doc's b band rows, and candidate
+  generation is one shuffle on (band, band-hash low bits) — the only
+  exchange moves b rows of (band key, band hash, doc_id) per doc.
+- verification (exact Jaccard on candidate pairs) is ONE verifier,
+  ``_verify_pairs``, shared by MinHash+LSH and the prefix join, with
+  one cut on the candidate doc count (``VERIFY_BROADCAST_MAX_DOCS``):
+  at or below it the candidates' gram rows become one sorted index
+  broadcast via ``ray.put`` and pair batches count intersections
+  vectorized; above it two cogroup hops (by doc_a, then by doc_b)
+  count them with no driver gram state.
 - the all-pairs ``dedup_ngram_jaccard`` query is the verification
   kernel demonstrated on a full small table for the DuckDB oracle —
   at scale it only ever runs on LSH candidates.
@@ -31,7 +39,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from crawler_tjce_ray.pipelines.relational import _nb_rows, _read
+from crawler_tjce_ray.pipelines import exchange
+from crawler_tjce_ray.pipelines.relational import _read
 from crawler_tjce_ray.pipelines.textops import normalize_text_series
 
 # ---------------------------------------------------------------------------
@@ -68,6 +77,13 @@ def _read_docs(sf_dir: str, columns):
     from crawler_tjce_ray.pipelines.textops import _read_docs as rd_docs
 
     return rd_docs(sf_dir, columns)
+
+
+def _nb_docs(sf_dir: str, inflate: int = 1) -> int:
+    """Size-derived fan-out of a row-carrying exchange whose payload is
+    about ``inflate`` × the documents table's bytes."""
+    b = exchange.table_bytes(sf_dir, "documents")
+    return exchange.buckets_for_bytes(b * inflate if b else None)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +133,7 @@ def q_dup_rate_by_source(sf_dir: str):
     per-(bucket, source) counters come back; per-source totals reduce
     from a column-pruned read of ``source`` alone.  Text never
     shuffles."""
-    nb = _nb_rows(sf_dir, 'documents')  # row-carrying exchange
+    nb = _nb_docs(sf_dir)  # row-carrying exchange
     ds = _read_docs(sf_dir, ["text", "source"])
 
     def key_rows(df: pd.DataFrame) -> pd.DataFrame:
@@ -126,13 +142,11 @@ def q_dup_rate_by_source(sf_dir: str):
             b"".join(hashlib.md5(x.encode()).digest() for x in norm),
             dtype=np.uint64,
         ).reshape(-1, 2) if len(norm) else np.empty((0, 2), np.uint64)
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "k1": digs[:, 0].view(np.int64),
             "k2": digs[:, 1].view(np.int64),
             "source": df["source"].astype(object),
         })
-        out["kb"] = out["k1"].to_numpy(np.int64) & np.int64(nb - 1)
-        return out
 
     def dup_counts(g: pd.DataFrame) -> pd.DataFrame:
         n = g.groupby(["k1", "k2"])["k1"].transform("size")
@@ -150,11 +164,7 @@ def q_dup_rate_by_source(sf_dir: str):
         return out
 
     keys = ds.map_batches(key_rows, batch_format="pandas")
-    dup_parts = (
-        keys.groupby("kb")
-        .map_groups(dup_counts, batch_format="pandas")
-        .to_pandas()
-    )
+    dup_parts = exchange.shuffle(keys, "k1", nb, dup_counts).to_pandas()
     if "source" not in dup_parts.columns:  # a dup-free corpus yields
         # all-empty blocks and Ray's to_pandas drops their schema
         dup_parts = pd.DataFrame({
@@ -217,7 +227,7 @@ def q_cross_source_dup_matrix(sf_dir: str):
     bucket sums counts and self-merges on the 128-bit key; the merge
     fan-out is bounded by #sources-per-key (≤ #sources), not corpus
     size.  The driver folds O(buckets × sources²) additive rows."""
-    nb = _nb_rows(sf_dir, 'documents')  # row-carrying exchange
+    nb = _nb_docs(sf_dir)  # row-carrying exchange
     ds = _read_docs(sf_dir, ["text", "source"])
 
     def key_rows(df: pd.DataFrame) -> pd.DataFrame:
@@ -233,13 +243,11 @@ def q_cross_source_dup_matrix(sf_dir: str):
                 "k2": pd.Series([], dtype="int64"),
                 "source": pd.Series([], dtype=object),
                 "c": pd.Series([], dtype="int64"),
-                "kb": pd.Series([], dtype="int64"),
             })
         occ["source"] = df["source"].to_numpy(object)[occ["row"].to_numpy()]
         out = occ.groupby(["k1", "k2", "source"], as_index=False).size() \
             .rename(columns={"size": "c"})
         out["c"] = out["c"].astype("int64")
-        out["kb"] = out["k1"].to_numpy(np.int64) & np.int64(nb - 1)
         return out
 
     def pair_counts(g: pd.DataFrame) -> pd.DataFrame:
@@ -262,12 +270,9 @@ def q_cross_source_dup_matrix(sf_dir: str):
         out["n_keys"] = out["n_keys"].astype("int64")
         return out
 
-    parts = (
-        ds.map_batches(key_rows, batch_format="pandas")
-        .groupby("kb")
-        .map_groups(pair_counts, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = exchange.shuffle(
+        ds.map_batches(key_rows, batch_format="pandas"), "k1", nb, pair_counts
+    ).to_pandas()
     if "source_a" not in parts.columns:
         parts = pd.DataFrame({
             "source_a": pd.Series([], dtype=object),
@@ -390,19 +395,14 @@ def q_dedup_ngram_jaccard(sf_dir: str):
             gid_b, gkey_b, JACCARD_TAU,
         )
 
-    out = docs.select_columns(["doc_id"]).map_batches(
+    return _sorted_pairs(docs.select_columns(["doc_id"]).map_batches(
         pairs, batch_format="pandas"
-    ).to_pandas()
-    if "doc_a" not in out.columns:
-        # every batch emitted zero pairs: Ray's to_pandas falls back to
-        # the upstream schema, losing the mapped columns
-        return _pairs_empty()
-    out = out.astype({"doc_a": "int64", "doc_b": "int64"})
-    return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    ).to_pandas())
 
 
-SQL_DEDUP_NGRAM_JACCARD = """
-WITH toks AS (
+# the word-3-gram set of every doc as the oracles spell it (the
+# caller closes the CTE)
+_SQL_GRAMS = """toks AS (
   SELECT doc_id, string_split(text,' ') AS ws FROM documents
 ), grams AS (
   SELECT doc_id,
@@ -410,39 +410,26 @@ WITH toks AS (
              generate_series(1, greatest(1, length(ws)-2)),
              i -> ws[i] || ' ' || coalesce(ws[i+1],'') || ' ' ||
                   coalesce(ws[i+2],''))) AS gs
-  FROM toks)
+  FROM toks"""
+
+# exact all-pairs Jaccard self-join at τ = {tau}
+_SQL_JACCARD_PAIRS = "\nWITH " + _SQL_GRAMS + """)
 SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
        CAST(length(list_intersect(a.gs,b.gs)) AS DOUBLE) /
        (length(a.gs)+length(b.gs)-length(list_intersect(a.gs,b.gs)))
          AS jaccard
 FROM grams a JOIN grams b ON a.doc_id < b.doc_id
 WHERE CAST(length(list_intersect(a.gs,b.gs)) AS DOUBLE) /
-      (length(a.gs)+length(b.gs)-length(list_intersect(a.gs,b.gs))) >= 0.5
+      (length(a.gs)+length(b.gs)-length(list_intersect(a.gs,b.gs))) >= {tau}
 ORDER BY doc_a, doc_b
 """
+
+SQL_DEDUP_NGRAM_JACCARD = _SQL_JACCARD_PAIRS.format(tau=JACCARD_TAU)
 
 # the MinHash+LSH output contract: the exact all-pairs self-join at
 # τ = 0.8 (same gram construction; LSH recall at this τ is 1 up to a
 # ~5e-8/pair band-miss probability, deterministic per fixed seed)
-SQL_DEDUP_MINHASH_LSH = """
-WITH toks AS (
-  SELECT doc_id, string_split(text,' ') AS ws FROM documents
-), grams AS (
-  SELECT doc_id,
-         list_distinct(list_transform(
-             generate_series(1, greatest(1, length(ws)-2)),
-             i -> ws[i] || ' ' || coalesce(ws[i+1],'') || ' ' ||
-                  coalesce(ws[i+2],''))) AS gs
-  FROM toks)
-SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-       CAST(length(list_intersect(a.gs,b.gs)) AS DOUBLE) /
-       (length(a.gs)+length(b.gs)-length(list_intersect(a.gs,b.gs)))
-         AS jaccard
-FROM grams a JOIN grams b ON a.doc_id < b.doc_id
-WHERE CAST(length(list_intersect(a.gs,b.gs)) AS DOUBLE) /
-      (length(a.gs)+length(b.gs)-length(list_intersect(a.gs,b.gs))) >= 0.8
-ORDER BY doc_a, doc_b
-"""
+SQL_DEDUP_MINHASH_LSH = _SQL_JACCARD_PAIRS.format(tau=0.8)
 
 # The exact τ=0.8 oracle above relies on LSH recall being exactly 1.
 # That holds deterministically on the PINNED fixed-seed corpora (the
@@ -472,7 +459,7 @@ def minhash_oracle_is_exact(sf_dir: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# MinHash + LSH (shingle → minhash → band → bucket groupby → verify)
+# MinHash + LSH (shingle → minhash → band → band shuffle → verify)
 # ---------------------------------------------------------------------------
 
 N_PERM = 128
@@ -619,13 +606,13 @@ def batch_gram_hashes(texts, sep: str | None = None) -> list[np.ndarray]:
     return out
 
 
-MINHASH_BROADCAST_MAX_DOCS = 200_000
+# verification tier cut: at or below this many candidate DOCS their
+# gram rows are indexed on the driver and broadcast once; above it the
+# verify runs as two cogroup hops with no driver gram state
+VERIFY_BROADCAST_MAX_DOCS = 200_000
 
-_VCOLS = ["k", "db", "side", "doc_b", "s_a", "gkey"]
-
-
-def _vempty() -> pd.DataFrame:
-    return pd.DataFrame({c: pd.Series([], dtype="int64") for c in _VCOLS})
+_I64, _U64 = pa.int64(), pa.uint64()
+_GRAMS = {"k": _I64, "gkey": _U64}
 
 
 def _pairs_empty() -> pd.DataFrame:
@@ -636,128 +623,156 @@ def _pairs_empty() -> pd.DataFrame:
     })
 
 
-def _verify_pairs_bucketed(docs, pairs, cand_ids: np.ndarray, tau: float,
-                           nb: int):
-    """Exact-Jaccard verification of candidate pairs with ZERO driver
-    text state — the scale tier for dup-heavy corpora where candidate
-    docs ≈ corpus and a broadcast shingle dict would OOM the driver.
-
-    Same union discipline as ``q_dedup_jaccard_prefix``'s big tier:
-    two bucketed shuffles (key = doc_a, then doc_b), identical
-    all-int64 schemas on both union sides.  Gram sets travel as
-    distinct uint64 3-gram hashes (``batch_gram_hashes``); per-doc set
-    sizes are recounted in-bucket from the gram rows themselves, so
-    pairs need no precomputed size payload.  The only driver-held
-    state is the candidate-id array (8 B/doc) used to semi-join the
-    gram scan.
-
-    Jaccard here is over hashed distinct grams; it equals the textual
-    3-gram Jaccard of the broadcast tier absent 64-bit collisions
-    (tests force both tiers on the same corpus and require identical
-    output).
-
-    Gram rows are corpus-scale (row-carrying exchange), so the caller
-    passes a size-derived fan-out ``nb``."""
-    import ray
-
-    ids_ref = ray.put(np.sort(np.asarray(cand_ids, dtype=np.int64)))
-
-    def gram_rows(t: pa.Table) -> pd.DataFrame:
-        ids = ray.get(ids_ref)
-        doc_all = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = np.isin(doc_all, ids)
-        if not keep.any():
-            return _vempty()
-        sub = t.filter(pa.array(keep))
-        ghs = batch_gram_hashes(sub["text"], sep=" ")
-        doc = sub["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        reps = np.fromiter((len(g) for g in ghs), dtype=np.int64, count=len(ghs))
-        k = np.repeat(doc, reps)
-        gk = np.concatenate(ghs).view(np.int64)
-        return pd.DataFrame({
-            "k": k, "db": k & np.int64(nb - 1), "side": np.int64(1),
-            "doc_b": np.int64(-1), "s_a": np.int64(-1), "gkey": gk,
-        })[_VCOLS]
-
-    def tag_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        k = df["doc_a"].to_numpy(np.int64)
-        return pd.DataFrame({
-            "k": k, "db": k & np.int64(nb - 1), "side": np.int64(0),
-            "doc_b": df["doc_b"].to_numpy(np.int64),
-            "s_a": np.int64(-1), "gkey": np.int64(0),
-        })[_VCOLS]
-
-    def explode_a(g: pd.DataFrame) -> pd.DataFrame:
-        gr = g.loc[g["side"] == 1, ["k", "gkey"]]
-        # cross-band duplicate pairs all land in doc_a's bucket: this
-        # drop_duplicates is the global pair dedup
-        p = g.loc[g["side"] == 0, ["k", "doc_b"]].drop_duplicates()
-        if p.empty or gr.empty:
-            return _vempty()
-        s_a = gr.groupby("k").size()
-        m = p.merge(gr, on="k")  # one row per (pair, gram-of-A)
-        k = m["doc_b"].to_numpy(np.int64)
-        return pd.DataFrame({
-            "k": k, "db": k & np.int64(nb - 1), "side": np.int64(0),
-            "doc_b": m["k"].to_numpy(np.int64),  # carries doc_a now
-            "s_a": s_a.reindex(m["k"]).to_numpy(np.int64),
-            "gkey": m["gkey"].to_numpy(np.int64),
-        })[_VCOLS]
-
-    def verify_b(g: pd.DataFrame) -> pd.DataFrame:
-        gr = g.loc[g["side"] == 1, ["k", "gkey"]]
-        p = g.loc[g["side"] == 0]
-        if p.empty or gr.empty:
-            return _pairs_empty()
-        m = p.merge(gr, on=["k", "gkey"])  # grams in A∩B
-        if m.empty:
-            return _pairs_empty()
-        s_b = gr.groupby("k").size()
-        agg = m.groupby(["doc_b", "k", "s_a"], as_index=False).agg(
-            inter=("gkey", "size")
-        )
-        inter = agg["inter"].to_numpy(np.int64)
-        sa = agg["s_a"].to_numpy(np.int64)
-        sb = s_b.reindex(agg["k"]).to_numpy(np.int64)
-        jac = inter / (sa + sb - inter)
-        out = pd.DataFrame({
-            "doc_a": agg["doc_b"].to_numpy(np.int64),
-            "doc_b": agg["k"].to_numpy(np.int64),
-            "jaccard": jac,
-        })
-        return out.loc[out["jaccard"] >= tau]
-
-    cand_grams = docs.map_batches(gram_rows, batch_format="pyarrow").materialize()
-    # materialize between the two sort-shuffles: chaining them in one
-    # lazy plan ran >2x slower (see the triangle_count note)
-    exploded = (
-        pairs.map_batches(tag_pairs, batch_format="pandas")
-        .union(cand_grams)
-        .groupby("db")
-        .map_groups(explode_a, batch_format="pandas")
-        .materialize()
-    )
-    out = (
-        exploded.union(cand_grams)
-        .groupby("db")
-        .map_groups(verify_b, batch_format="pandas")
-        .to_pandas()
-    )
-    if out.empty:
+def _sorted_pairs(out: pd.DataFrame) -> pd.DataFrame:
+    """The collected (doc_a, doc_b, jaccard) result in oracle order.  When
+    every batch emitted zero pairs, Ray's ``to_pandas`` falls back to
+    the upstream schema and loses the mapped columns."""
+    if "doc_a" not in out.columns or out.empty:
         return _pairs_empty()
     out = out.astype({"doc_a": "int64", "doc_b": "int64"})
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
+def _verify_pairs(docs, pairs, tau: float, nb: int) -> pd.DataFrame:
+    """Exact word-3-gram Jaccard ≥ ``tau`` of the candidate ``pairs``
+    (a Dataset of ``doc_a < doc_b`` rows, repeats allowed) over
+    ``docs`` (a Dataset of ``(doc_id, text)``).  Returns the pairs in
+    oracle order.
+
+    The candidate doc ids (8 B/doc) are the only driver state both
+    tiers hold.  One map semi-joins ``docs`` to them and turns each
+    candidate doc into gram rows: one ``(k = doc_id, gkey)`` row per
+    distinct uint64 digest of its grams (``batch_gram_hashes`` on a
+    literal space, the oracle's ``string_split(text,' ')``), so only
+    candidate texts are hashed.  Set sizes are counted from the gram
+    rows, so |A∩B| is the only per-pair work.  At or below
+    ``VERIFY_BROADCAST_MAX_DOCS`` candidate docs the semi-joined rows
+    become one sorted index broadcast via ``ray.put``, and pair
+    batches verify in parallel: each explodes its pairs over A's grams
+    by arithmetic indexing, probes B's membership with ``searchsorted``
+    and counts hits with ``bincount``.  Above the cut (dup-heavy
+    corpora, candidates ≈ corpus) two cogroup hops verify with no
+    driver gram state: by doc_a, attach A's grams and size to each
+    pair; by doc_b, inner-merge against B's grams — the per-pair match
+    count IS the intersection.  Gram rows are corpus-scale, so the
+    caller passes a size-derived fan-out ``nb``.
+
+    Jaccard is over hashed distinct grams; it equals the textual
+    3-gram Jaccard absent 64-bit collisions (tests force both tiers on
+    the same corpus and require identical output)."""
+    import ray
+
+    parts = pairs.map_batches(
+        lambda df: pd.DataFrame(
+            {"d": np.unique(df[["doc_a", "doc_b"]].to_numpy(np.int64))}),
+        batch_format="pandas",
+    ).to_pandas()
+    ids = np.unique(parts["d"].to_numpy(np.int64)) if "d" in parts \
+        else np.empty(0, np.int64)
+    if not len(ids):
+        return _pairs_empty()
+    ids_ref = ray.put(ids)
+
+    def gram_rows(t: pa.Table) -> pa.Table:
+        doc = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        keep = np.isin(doc, ray.get(ids_ref))
+        ghs = batch_gram_hashes(t["text"].filter(pa.array(keep)), sep=" ")
+        lens = np.fromiter((len(g) for g in ghs), np.int64, count=len(ghs))
+        return pa.table({
+            "k": np.repeat(doc[keep], lens),
+            "gkey": np.concatenate(ghs) if ghs else np.empty(0, np.uint64),
+        })
+
+    cand_grams = docs.map_batches(gram_rows, batch_format="pyarrow").materialize()
+
+    if len(ids) <= VERIFY_BROADCAST_MAX_DOCS:
+        g = cand_grams.to_pandas()
+        order = np.argsort(g["k"].to_numpy(np.int64), kind="stable")
+        g_doc = g["k"].to_numpy(np.int64)[order]
+        g_key = g["gkey"].to_numpy(np.uint64)[order]
+        ug = np.unique(g_key)
+        g_gidx = np.searchsorted(ug, g_key).astype(np.int64)
+        # per-candidate-doc slice [start, start+cnt) of the sorted rows;
+        # cnt is the doc's set size
+        start = np.searchsorted(g_doc, ids)
+        cnt = np.searchsorted(g_doc, ids, side="right") - start
+        # dense combined key: doc-rank * |grams| + gram-rank (fits int64
+        # under the cut: 2e5 docs × ~1e7 distinct grams < 2^63)
+        member = np.sort(np.searchsorted(ids, g_doc) * len(ug) + g_gidx)
+        idx_ref = ray.put((ids, start, cnt, g_gidx, member, len(ug)))
+
+        def verify_batch(df: pd.DataFrame) -> pd.DataFrame:
+            ids_, st, ct, gix, mem, nug = ray.get(idx_ref)
+            a = df["doc_a"].to_numpy(np.int64)
+            b = df["doc_b"].to_numpy(np.int64)
+            da, db = np.searchsorted(ids_, a), np.searchsorted(ids_, b)
+            reps = ct[da]
+            pair_of = np.repeat(np.arange(len(df)), reps)
+            within = np.arange(int(reps.sum())) - np.repeat(
+                np.cumsum(reps) - reps, reps)
+            probe = db[pair_of] * nug + gix[np.repeat(st[da], reps) + within]
+            loc = np.minimum(np.searchsorted(mem, probe), len(mem) - 1)
+            inter = np.bincount(pair_of[mem[loc] == probe], minlength=len(df))
+            jac = inter / (ct[da] + ct[db] - inter)
+            keep = jac >= tau
+            return pd.DataFrame(
+                {"doc_a": a[keep], "doc_b": b[keep], "jaccard": jac[keep]})
+
+        cand = pairs.to_pandas()[["doc_a", "doc_b"]].drop_duplicates()
+        bounds = np.linspace(0, len(cand), exchange.read_cap() + 1,
+                             dtype=np.int64)
+        chunks = [cand.iloc[lo:hi] for lo, hi in zip(bounds, bounds[1:])
+                  if hi > lo]
+        return _sorted_pairs(
+            ray.data.from_pandas(chunks)
+            .map_batches(verify_batch, batch_format="pandas")
+            .to_pandas())
+
+    def explode_a(p: pd.DataFrame, gr: pd.DataFrame) -> pd.DataFrame:
+        # cross-band repeats of a pair all land in doc_a's bucket: this
+        # drop_duplicates is the global pair dedup
+        m = p.drop_duplicates().merge(gr, on="k")  # (pair, gram of A)
+        return pd.DataFrame({
+            "k": m["doc_b"],  # re-keyed by doc_b for the second hop
+            "doc_a": m["k"],
+            "s_a": gr.groupby("k").size().reindex(m["k"]).to_numpy(np.int64),
+            "gkey": m["gkey"],
+        })
+
+    def verify_b(p: pd.DataFrame, gr: pd.DataFrame) -> pd.DataFrame:
+        # a match on (k, gkey) is a gram in A∩B (grams are distinct
+        # per doc by construction)
+        agg = p.merge(gr, on=["k", "gkey"]).groupby(
+            ["doc_a", "k", "s_a"], as_index=False).size()
+        inter = agg["size"].to_numpy(np.int64)
+        s_b = gr.groupby("k").size().reindex(agg["k"]).to_numpy(np.int64)
+        jac = inter / (agg["s_a"].to_numpy(np.int64) + s_b - inter)
+        out = pd.DataFrame({
+            "doc_a": agg["doc_a"].to_numpy(np.int64),
+            "doc_b": agg["k"].to_numpy(np.int64),
+            "jaccard": jac,
+        })
+        return out.loc[out["jaccard"] >= tau]
+
+    by_a = (pairs, {"k": _I64, "doc_b": _I64},
+            lambda t: pa.table({"k": t["doc_a"], "doc_b": t["doc_b"]}))
+    # materialize between the two hops: chaining two sort-shuffles in
+    # one lazy plan ran >2x slower (see the triangle_count note)
+    exploded = exchange.cogroup(
+        [by_a, (cand_grams, _GRAMS, None)], "k", nb, explode_a).materialize()
+    by_b = (exploded, {"k": _I64, "doc_a": _I64, "s_a": _I64, "gkey": _U64},
+            None)
+    return _sorted_pairs(exchange.cogroup(
+        [by_b, (cand_grams, _GRAMS, None)], "k", nb, verify_b).to_pandas())
+
+
 def q_dedup_minhash_lsh(sf_dir: str):
     """MinHash(128)+LSH(32×4) near-dup pairs, verified with exact
-    3-gram Jaccard ≥ 0.8.  Stages: signature map → band flat_map →
-    per-bucket groupby (carries (band, hash, id) triples) → candidate
-    pair dedup → exact-Jaccard verify.  The verify stage is two-tier:
-    ≤ ``MINHASH_BROADCAST_MAX_DOCS`` candidate docs broadcast one
-    shingle index via ``ray.put``; above it (dup-heavy corpora where
-    candidates ≈ corpus) verification runs fully in-bucket via
-    ``_verify_pairs_bucketed`` with no driver text state.
+    3-gram Jaccard ≥ 0.8.  Stages: signature + band-row map → one
+    shuffle on (band, band-hash bits) pairing docs that share a band
+    hash → ``_verify_pairs`` (broadcast index at or below
+    ``VERIFY_BROADCAST_MAX_DOCS`` candidate docs, two cogroup hops
+    above it — no driver text state on either tier).
     Oracle-backed: the candidate generation isn't SQL-expressible, but
     the OUTPUT contract is — every emitted pair carries exact
     3-gram Jaccard ≥ τ, and at τ = 0.8 the 32×4 band s-curve misses a
@@ -768,11 +783,6 @@ def q_dedup_minhash_lsh(sf_dir: str):
     levels is deterministic (fixed permutation seed); the recall
     property vs brute force is additionally pinned in
     tests/test_dedup_similarity.py."""
-    import ray
-    import ray.data as rd
-
-    from crawler_tjce_ray.pipelines import exchange
-
     # banding exchange fan-out: signature rows are corpus-scale
     # (LSH_BANDS rows/doc), so the per-band groups sub-bucket on the
     # band hash's low bits.  The SIZE-DERIVED value is the TOTAL group
@@ -780,9 +790,8 @@ def q_dedup_minhash_lsh(sf_dir: str):
     # splitting it across the bands keeps the small-corpus group count
     # near the band count (sub-bucketing only widens when the data
     # does — a budget of 64 gives 2 sub-buckets/band)
-    nb_band = exchange.band_subbuckets(
-        exchange.buckets_for_bytes(
-            exchange.table_bytes(sf_dir, "documents")), LSH_BANDS)
+    nb = _nb_docs(sf_dir)
+    nb_band = exchange.band_subbuckets(nb, LSH_BANDS)
     docs = _read_docs(sf_dir, ["doc_id", "text"])
 
     def signatures(t: pa.Table) -> pd.DataFrame:
@@ -818,8 +827,6 @@ def q_dedup_minhash_lsh(sf_dir: str):
                 LSH_BANDS),
         })
 
-    banded = docs.map_batches(signatures, batch_format="pyarrow")
-
     def band_pairs(g: pd.DataFrame) -> pd.DataFrame:
         """One (band, sub-bucket)'s buckets → candidate pairs, fully
         vectorized: a self-merge on the band hash (bucket sizes are
@@ -835,78 +842,14 @@ def q_dedup_minhash_lsh(sf_dir: str):
             columns={"doc_id_a": "doc_a", "doc_id_b": "doc_b"}
         )[["doc_a", "doc_b"]].drop_duplicates()
 
-    # materialize the (small) pair table once: the id scan below and
-    # the tier that follows both consume it — without this the whole
-    # signature+banding plan would execute twice
-    cands = banded.groupby("bb").map_groups(
-        band_pairs, batch_format="pandas"
+    # bb < LSH_BANDS·nb_band, so the exchange's bucket IS bb.  The
+    # (small) pair table is materialized once: the verifier scans it
+    # for candidate ids and then verifies it
+    cands = exchange.shuffle(
+        docs.map_batches(signatures, batch_format="pyarrow"), "bb",
+        LSH_BANDS * nb_band, band_pairs,
     ).materialize()
-
-    # distinct candidate doc ids: the ids-only driver collection both
-    # tiers need (8 B/doc; the texts themselves never come back)
-    id_parts = cands.map_batches(
-        lambda df: pd.DataFrame({
-            "doc_id": np.unique(np.concatenate([
-                df["doc_a"].to_numpy(np.int64),
-                df["doc_b"].to_numpy(np.int64),
-            ])) if len(df) else np.empty(0, dtype=np.int64)
-        }),
-        batch_format="pandas",
-    ).to_pandas()
-    cand_ids_arr = np.unique(id_parts["doc_id"].to_numpy(np.int64))
-    if len(cand_ids_arr) == 0:
-        return _pairs_empty()
-
-    if len(cand_ids_arr) > MINHASH_BROADCAST_MAX_DOCS:
-        # scale tier: in-bucket verification, zero driver text state;
-        # gram rows are corpus-scale so the fan-out sizes from input
-        from crawler_tjce_ray.pipelines import exchange
-
-        nb = exchange.buckets_for_bytes(
-            exchange.table_bytes(sf_dir, "documents"))
-        return _verify_pairs_bucketed(docs, cands, cand_ids_arr, MINHASH_TAU,
-                                      nb=nb)
-
-    # broadcast tier: candidate docs ≪ corpus after LSH — build the
-    # shingle index once, ship via ray.put, verify pair batches in
-    # parallel against it
-    cand_df = cands.to_pandas().drop_duplicates()  # pairs table ≪ corpus
-    cand_ids = set(cand_ids_arr.tolist())
-    idx_df = docs.map_batches(
-        lambda df: df[df["doc_id"].isin(cand_ids)], batch_format="pandas"
-    ).to_pandas()
-    # sorted-unique uint64 gram arrays (same digests the scale tier
-    # verifies with; equals textual Jaccard absent 64-bit collisions)
-    idx_grams = batch_gram_hashes(idx_df["text"].tolist(), sep=" ")
-    grams_by_id = {
-        int(i): g for i, g in zip(idx_df["doc_id"], idx_grams)
-    }
-    ref = ray.put(grams_by_id)
-
-    def verify(df: pd.DataFrame) -> pd.DataFrame:
-        gid = ray.get(ref)
-        das = df["doc_a"].to_numpy(np.int64)
-        dbs = df["doc_b"].to_numpy(np.int64)
-        rows = []
-        for a, b in zip(das, dbs):
-            ga, gb = gid[int(a)], gid[int(b)]
-            # C merge-intersection of sorted-unique arrays — the only
-            # per-pair work left, bounded by the candidate list
-            inter = int(np.intersect1d(ga, gb, assume_unique=True).size)
-            jac = inter / (len(ga) + len(gb) - inter)
-            if jac >= MINHASH_TAU:
-                rows.append((int(a), int(b), jac))
-        return pd.DataFrame(rows, columns=["doc_a", "doc_b", "jaccard"])
-
-    out = (
-        rd.from_pandas(cand_df.reset_index(drop=True))
-        .map_batches(verify, batch_format="pandas")
-        .to_pandas()
-    )
-    if "doc_a" not in out.columns:
-        return _pairs_empty()
-    out = out.astype({"doc_a": "int64", "doc_b": "int64"})
-    return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    return _verify_pairs(docs, cands, MINHASH_TAU, nb)
 
 
 # ---------------------------------------------------------------------------
@@ -964,17 +907,13 @@ def batch_simhash64(gram_lists: list[np.ndarray]) -> np.ndarray:
 def q_dedup_simhash(sf_dir: str):
     """SimHash near-dup pairs (hamming ≤ 3) via 4×16-bit band blocking:
     pigeonhole guarantees every qualifying pair shares ≥1 band, so the
-    only shuffle is the per-band ``groupby`` on 16-bit keys.  Non-SQL →
-    rows-only; kernel pinned in tests/test_dedup.py."""
-    from crawler_tjce_ray.pipelines import exchange
-
+    only exchange is one shuffle on (band, 16-bit key bits).  Non-SQL →
+    rows-only; kernel pinned in tests/test_dedup_similarity.py."""
     # signature rows are corpus-scale (SIMHASH_BANDS rows/doc): the
     # per-band groups sub-bucket on the 16-bit band key's low bits
     # (equal keys always co-locate); the size-derived value is the
     # TOTAL group budget, split across the bands
-    nb_band = exchange.band_subbuckets(
-        exchange.buckets_for_bytes(
-            exchange.table_bytes(sf_dir, "documents")), SIMHASH_BANDS)
+    nb_band = exchange.band_subbuckets(_nb_docs(sf_dir), SIMHASH_BANDS)
     docs = _read_docs(sf_dir, ["doc_id", "text"])
 
     def sigs(t: pa.Table) -> pd.DataFrame:
@@ -999,8 +938,6 @@ def q_dedup_simhash(sf_dir: str):
             "sim64": np.repeat(h.view(np.int64), SIMHASH_BANDS),
         })
 
-    banded = docs.map_batches(sigs, batch_format="pyarrow")
-
     def band_pairs(g: pd.DataFrame) -> pd.DataFrame:
         """One (band, sub-bucket) group: bucket pair-gen via self-merge
         on the 16-bit band key; hamming distance computed vectorized
@@ -1024,11 +961,11 @@ def q_dedup_simhash(sf_dir: str):
             "hamming": ham[keep].astype("int64"),
         })
 
-    out = (
-        banded.groupby("bb")
-        .map_groups(band_pairs, batch_format="pandas")
-        .to_pandas()
-    )
+    # bb < SIMHASH_BANDS·nb_band, so the exchange's bucket IS bb
+    out = exchange.shuffle(
+        docs.map_batches(sigs, batch_format="pyarrow"), "bb",
+        SIMHASH_BANDS * nb_band, band_pairs,
+    ).to_pandas()
     if "doc_a" not in out.columns:
         return pd.DataFrame({
             c: pd.Series([], dtype="int64")
@@ -1148,6 +1085,26 @@ def _assign_cluster_ids(ids: np.ndarray, keys: np.ndarray,
     return out
 
 
+def _labelled_docs(sf_dir: str, columns: list[str]):
+    """The ``documents`` columns ``columns`` plus each doc's
+    ``cluster_id``, looked up in the broadcast union-find arrays inside
+    ``map_batches`` (docs never shuffle for it); ``doc_id`` as int64."""
+    import ray
+
+    label_ref = _cluster_label_ref(sf_dir)
+
+    def assign(t: pa.Table) -> pa.Table:
+        keys, vals = ray.get(label_ref)
+        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        t = t.set_column(t.column_names.index("doc_id"), "doc_id",
+                         pa.array(ids))
+        return t.append_column(
+            "cluster_id", pa.array(_assign_cluster_ids(ids, keys, vals)))
+
+    return _read_docs(sf_dir, columns).map_batches(assign,
+                                                   batch_format="pyarrow")
+
+
 def q_dedup_clusters(sf_dir: str):
     """Near-dup cluster assignment: connected components over the
     3-gram-Jaccard duplicate pairs; every doc gets the min doc_id of
@@ -1167,23 +1124,7 @@ def q_dedup_clusters(sf_dir: str):
     (what the oracle expresses); past it, the LSH candidate path — the
     standalone query stays runnable at corpus scale with approximate
     (τ=0.8 verified) edges."""
-    import ray
-
-    label_ref = _cluster_label_ref(sf_dir)
-
-    def assign(df: pd.DataFrame) -> pd.DataFrame:
-        keys, vals = ray.get(label_ref)
-        ids = df["doc_id"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({
-            "doc_id": ids,
-            "cluster_id": _assign_cluster_ids(ids, keys, vals),
-        })
-
-    out = (
-        _read_docs(sf_dir, ["doc_id"])
-        .map_batches(assign, batch_format="pandas")
-        .to_pandas()
-    )
+    out = _labelled_docs(sf_dir, ["doc_id"]).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1191,15 +1132,7 @@ def q_dedup_clusters(sf_dir: str):
 # recursive-CTE connected components (consumed by the cluster and
 # canonical-survivor oracles)
 _SQL_CC_BODY = f"""
-WITH RECURSIVE toks AS (
-  SELECT doc_id, string_split(text,' ') AS ws FROM documents
-), grams AS (
-  SELECT doc_id,
-         list_distinct(list_transform(
-             generate_series(1, greatest(1, length(ws)-2)),
-             i -> ws[i] || ' ' || coalesce(ws[i+1],'') || ' ' ||
-                  coalesce(ws[i+2],''))) AS gs
-  FROM toks
+WITH RECURSIVE {_SQL_GRAMS}
 ), pairs AS (
   SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
   FROM grams a JOIN grams b ON a.doc_id < b.doc_id
@@ -1234,21 +1167,7 @@ def q_dedup_canonical(sf_dir: str):
     in-bucket pick is a vectorized sort + ``drop_duplicates`` +
     ``searchsorted`` map-back — no per-cluster Python dispatch, and
     the driver never sees texts or labels."""
-    nb = _nb_rows(sf_dir, 'documents')  # row-carrying exchange
-    import ray
-
-    label_ref = _cluster_label_ref(sf_dir)
-
-    def assign(df: pd.DataFrame) -> pd.DataFrame:
-        keys, vals = ray.get(label_ref)
-        ids = df["doc_id"].to_numpy(dtype=np.int64)
-        cid = _assign_cluster_ids(ids, keys, vals)
-        return pd.DataFrame({
-            "doc_id": ids,
-            "cluster_id": cid,
-            "n_chars": df["n_chars"].to_numpy(dtype=np.int64),
-            "kb": cid % nb,
-        })
+    nb = _nb_docs(sf_dir)  # row-carrying exchange
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
         d = g.sort_values(["cluster_id", "n_chars", "doc_id"],
@@ -1262,13 +1181,8 @@ def q_dedup_canonical(sf_dir: str):
             "canonical_id": cv[pos],
         })
 
-    out = (
-        _read_docs(sf_dir, ["doc_id", "n_chars"])
-        .map_batches(assign, batch_format="pandas")
-        .groupby("kb")
-        .map_groups(pick, batch_format="pandas")
-        .to_pandas()
-    )
+    out = exchange.shuffle(_labelled_docs(sf_dir, ["doc_id", "n_chars"]),
+                           "cluster_id", nb, pick).to_pandas()
     out["doc_id"] = out["doc_id"].astype("int64")
     out["canonical_id"] = out["canonical_id"].astype("int64")
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -1291,21 +1205,42 @@ ORDER BY j.doc_id
 """
 
 
+_LABELS = {"node": _I64, "label": _I64}
+_SENDS = {"node": _I64, "nbr": _I64}
+
+
+def _send_labels(lab: pd.DataFrame, send: pd.DataFrame) -> pd.DataFrame:
+    """One bucket of a propagation step: every ``(node, nbr)`` row of
+    ``send`` offers node's label to nbr; the owners' labels stay."""
+    msgs = send.merge(lab, on="node")[["nbr", "label"]]
+    return pd.concat([lab, msgs.rename(columns={"nbr": "node"})],
+                     ignore_index=True)
+
+
+def _min_label(g: pd.DataFrame) -> pd.DataFrame:
+    return g.groupby("node", as_index=False)["label"].min()
+
+
 def cluster_labels_distributed(sf_dir: str, pairs,
                                max_rounds: int = 64):
     """Distributed min-label propagation with pointer jumping:
     connected components where labels, edges and messages all live as
-    Datasets bucketed on ``node % nb`` (size-derived, never per-node groups).
+    Datasets bucketed on the node id (size-derived fan-out, never
+    per-node groups).
 
-    Per round:
+    Per round, two steps, each one cogroup of labels with a
+    ``(node, nbr)`` send list (``_send_labels``) and one shuffle taking
+    the min label per node:
 
-    1. *edge step* — bucket-local join of edges with their source
-       node's label emits ``(neighbor, label)`` messages; bucket-local
-       min per node becomes the new label;
-    2. *shortcut step* (pointer jumping) — every node asks its label's
-       owner for THAT node's label (``label[label[node]]``), squaring
-       pointer depth so a path graph converges in O(log diameter)
-       rounds rather than O(diameter).
+    1. *edge step* — the sends are the edges in both directions, so
+       every node offers its label to its neighbours;
+    2. *shortcut step* (pointer jumping) — the sends are the round's
+       starting labels read as ``(label, node)``: every node asks its
+       label's owner for that owner's edge-step label
+       (``label'[label[node]]``), doubling pointer depth per round so
+       a path graph converges in O(log diameter) rounds rather than
+       O(diameter).  Reading the starting labels, which are
+       materialized, keeps a round one lazy plan.
 
     Labels decrease monotonically to the component min; the fixed
     point is detected with a cheap ``sum(label)`` aggregate.  Raises
@@ -1313,95 +1248,43 @@ def cluster_labels_distributed(sf_dir: str, pairs,
     — silent partial labels would be wrong data.
 
     ``pairs`` may be a pandas DataFrame (small candidate lists) or a
-    Dataset with ``doc_a``/``doc_b`` columns; the bidirectional edge
-    expansion runs inside ``map_batches`` either way."""
-    nb = _nb_rows(sf_dir, 'documents')  # row-carrying exchange
+    Dataset with ``doc_a``/``doc_b`` columns."""
     import ray.data as rd
 
-    docs = _read_docs(sf_dir, ["doc_id"])
-
-    def init_labels(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["doc_id"].astype("int64")
-        return pd.DataFrame({"node": ids, "label": ids, "nbr": np.int64(-1),
-                             "kind": np.int64(0), "kb": ids % nb})
-
-    labels = docs.map_batches(init_labels, batch_format="pandas")
+    nb = _nb_docs(sf_dir)  # row-carrying exchange
+    labels = _read_docs(sf_dir, ["doc_id"]).map_batches(
+        lambda t: pa.table({"node": t["doc_id"], "label": t["doc_id"]}),
+        batch_format="pyarrow").materialize()
+    nblocks = labels.num_blocks()
     if isinstance(pairs, pd.DataFrame):
         if pairs.empty:
-            out = labels.to_pandas()[["node", "label"]]
+            out = labels.to_pandas()
             return out.rename(columns={"node": "doc_id", "label": "cluster_id"})
         pairs = rd.from_pandas(pairs.reset_index(drop=True))
 
-    def both_directions(df: pd.DataFrame) -> pd.DataFrame:
-        a = df["doc_a"].astype("int64")
-        b = df["doc_b"].astype("int64")
-        out = pd.DataFrame({
-            "node": pd.concat([a, b], ignore_index=True),
-            "label": np.int64(-1),
-            "nbr": pd.concat([b, a], ignore_index=True),
-            "kind": np.int64(1),
-        })
-        out["kb"] = out["node"] % nb
-        return out
+    def both_directions(t: pa.Table) -> pa.Table:
+        a, b = t["doc_a"], t["doc_b"]
+        return pa.concat_tables([pa.table({"node": a, "nbr": b}),
+                                 pa.table({"node": b, "nbr": a})])
 
-    edges = pairs.map_batches(both_directions, batch_format="pandas")
+    def ask_owner(t: pa.Table) -> pa.Table:
+        return pa.table({"node": t["label"], "nbr": t["node"]})
 
-    def propagate(g: pd.DataFrame) -> pd.DataFrame:
-        lab = g[g["kind"] == 0][["node", "label"]]
-        ed = g[g["kind"] == 1][["node", "nbr"]]
-        msgs = ed.merge(lab, on="node")[["nbr", "label"]].rename(
-            columns={"nbr": "node"}
-        )
-        out = pd.concat([lab, msgs], ignore_index=True)
-        out["kb"] = out["node"] % nb
-        return out
-
-    def shortcut(g: pd.DataFrame) -> pd.DataFrame:
-        # kind 0 = label-owner state; kind 2 = "what is YOUR label"
-        # queries addressed to the requester's current label
-        lab = g[g["kind"] == 0][["node", "label"]]
-        q = g[g["kind"] == 2][["node", "nbr"]]  # node = queried label owner
-        ans = q.merge(lab, on="node")[["nbr", "label"]].rename(
-            columns={"nbr": "node"}
-        )
-        out = pd.concat([lab, ans], ignore_index=True)
-        out["kb"] = out["node"] % nb
-        return out
-
-    def make_queries(df: pd.DataFrame) -> pd.DataFrame:
-        lab = df[df["kind"] == 0]
-        q = pd.DataFrame({
-            "node": lab["label"],          # addressed to the label owner
-            "label": np.int64(-1),
-            "nbr": lab["node"],            # requester
-            "kind": np.int64(2),
-        })
-        q["kb"] = q["node"] % nb
-        return pd.concat([lab, q], ignore_index=True)
-
-    def reduce_min(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("node", as_index=False)["label"].min()
-        out["nbr"] = np.int64(-1)
-        out["kind"] = np.int64(0)
-        out["kb"] = out["node"] % nb
-        return out
+    def step(labels, sends, project):
+        sent = exchange.cogroup([(labels, _LABELS, None),
+                                 (sends, _SENDS, project)],
+                                "node", nb, _send_labels)
+        return exchange.shuffle(sent, "node", nb, _min_label)
 
     prev_sum = None
     converged = False
     for _ in range(max_rounds):
-        # edge step
-        msgs = labels.union(edges).groupby("kb").map_groups(
-            propagate, batch_format="pandas"
-        )
-        labels = msgs.groupby("kb").map_groups(reduce_min, batch_format="pandas")
-        # pointer-jumping step
-        with_q = labels.map_batches(make_queries, batch_format="pandas")
-        shortcuts = with_q.groupby("kb").map_groups(
-            shortcut, batch_format="pandas"
-        )
-        labels = shortcuts.groupby("kb").map_groups(
-            reduce_min, batch_format="pandas"
-        ).materialize()
+        stepped = step(labels, pairs, both_directions)
+        # labels feed both steps, so the round's output has twice their
+        # blocks (a sort keeps its input's block count): repartition
+        # keeps the count fixed across rounds
+        labels = step(stepped, labels, ask_owner).repartition(
+            nblocks).materialize()
         cur_sum = labels.sum("label")
         if cur_sum == prev_sum:  # fixed point (labels only decrease)
             converged = True
@@ -1465,8 +1348,10 @@ def q_dedup_paragraphs(sf_dir: str):
     occurrence of a paragraph lands in the same bucket, so the winner
     (min (doc_id, position)) is decided in-bucket with a vectorized
     sort + drop_duplicates, no join; (3) ONE shuffle on doc-id
-    buckets to reassemble each document's survivors in order."""
-    nb = _nb_rows(sf_dir, 'documents')  # row-carrying exchange
+    buckets to reassemble each document's survivors in order.  The
+    paragraph hop is keyed on the string itself (``exchange.kb_arrow``'s
+    process-stable siphash)."""
+    nb = _nb_docs(sf_dir)  # row-carrying exchange
     docs = _read_docs(sf_dir, ["doc_id", "text"])
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
@@ -1475,20 +1360,11 @@ def q_dedup_paragraphs(sf_dir: str):
             "para": df["text"].str.split("\n"),
         }).explode("para", ignore_index=True)
         ex["i"] = (ex.groupby("doc_id").cumcount() + 1).astype("int64")
-        # deterministic cross-process hash (pandas siphash, fixed key)
-        ex["kb"] = (
-            pd.util.hash_array(ex["para"].to_numpy(object)) % nb
-        ).astype("int64")
         return ex
 
     def keep_first(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["para", "doc_id", "i"], kind="mergesort")
         return g.drop_duplicates("para")[["doc_id", "i", "para"]]
-
-    def bucket_doc(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["db"] = (df["doc_id"] % nb).astype("int64")
-        return df
 
     def reassemble(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["doc_id", "i"], kind="mergesort")
@@ -1499,15 +1375,9 @@ def q_dedup_paragraphs(sf_dir: str):
         }).reset_index()
         return out[["doc_id", "n_kept", "text_deduped"]]
 
-    out = (
-        docs.map_batches(explode, batch_format="pandas")
-        .groupby("kb")
-        .map_groups(keep_first, batch_format="pandas")
-        .map_batches(bucket_doc, batch_format="pandas")
-        .groupby("db")
-        .map_groups(reassemble, batch_format="pandas")
-        .to_pandas()
-    )
+    kept = exchange.shuffle(docs.map_batches(explode, batch_format="pandas"),
+                            "para", nb, keep_first)
+    out = exchange.shuffle(kept, "doc_id", nb, reassemble).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1531,12 +1401,6 @@ FROM r WHERE rn = 1 GROUP BY doc_id ORDER BY doc_id
 # ---------------------------------------------------------------------------
 # exact Jaccard self-join via prefix filtering (PPJoin-style)
 # ---------------------------------------------------------------------------
-
-# verification tier cut: at or below this many candidate DOCS the
-# semi-joined gram table is collected and verified in one vectorized
-# merge (candidate-bounded — not corpus-bounded); above it the same
-# exploded merge runs as two distributed union-shuffles
-JACCARD_PREFIX_BROADCAST_MAX_DOCS = 200_000
 
 # Count-Min sketch for the global gram-rarity order: D rows × W int64
 # counters (4 × 2^20 × 8 B ≈ 34 MB merged) — FIXED driver/broadcast
@@ -1611,28 +1475,19 @@ def q_dedup_jaccard_prefix(sf_dir: str):
     order is then computed BATCH-LOCALLY — same sketch everywhere →
     same global order.
 
-    Distributed plan (shuffles carry 8-byte digests, never text):
+    Distributed plan (exchanges carry 8-byte digests, never text):
     map (CMS partials) → map (grams + in-batch prefix selection) →
-    the plan's ONLY all-to-all: a gram-bucket groupby pairing docs
-    that share a prefix gram (size-filtered).  Verification is
-    candidate-bounded on both tiers: below
-    ``JACCARD_PREFIX_BROADCAST_MAX_DOCS`` candidate docs, the
-    semi-joined gram table is counted in pure numpy driver-side;
-    above it, the same exploded merge runs as two aligned-schema
-    union-shuffles (the ``q_asof_join`` recipe — every column a
-    scalar int64, sentinel-filled): bucket by doc_a to attach A's
-    grams, re-bucket by doc_b to inner-merge against B's grams; the
-    per-pair match count IS the exact intersection.
+    one shuffle on the uint64 prefix-gram digest pairing docs that
+    share a prefix gram (size-filtered) → ``_verify_pairs``, the
+    exact-Jaccard verifier MinHash+LSH uses too (a broadcast index at
+    or below ``VERIFY_BROADCAST_MAX_DOCS`` candidate docs, two cogroup
+    hops above it).
 
     The gram/prefix exchanges are corpus-scale (row-carrying), so
-    their fan-out sizes from the documents bytes
-    (``exchange.buckets_for_bytes``)."""
+    their fan-out sizes from the documents bytes."""
     import ray
 
-    from crawler_tjce_ray.pipelines import exchange
-
-    nb = exchange.buckets_for_bytes(exchange.table_bytes(sf_dir, "documents"))
-
+    nb = _nb_docs(sf_dir)
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
     # pass 1: per-batch CMS partials → driver sum → broadcast once
@@ -1681,20 +1536,16 @@ def q_dedup_jaccard_prefix(sf_dir: str):
             sizes.append(np.full(len(h), len(h), dtype=np.int64))
             pfx.append(mask)
             pos.append(rank)
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "doc_id": np.concatenate(ids) if ids else np.array([], np.int64),
             "gkey": np.concatenate(gks) if gks else np.array([], np.uint64),
             "s": np.concatenate(sizes) if sizes else np.array([], np.int64),
             "pfx": np.concatenate(pfx) if pfx else np.array([], bool),
             "p": np.concatenate(pos) if pos else np.array([], np.int64),
         })
-        out["gb"] = (out["gkey"] & np.uint64(nb - 1)).astype(np.int64)
-        return out
-
-    pairs = ds.map_batches(doc_gram_rows, batch_format="pyarrow").materialize()
 
     # candidate pairs: docs sharing a prefix gram, size-compatible —
-    # the ONLY shuffle, carrying prefix rows only (~half the grams)
+    # the shuffle carries prefix rows only (~half the grams)
     def cands_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         m = g.merge(g, on="gkey", suffixes=("_a", "_b"))
         m = m.loc[m["doc_id_a"] < m["doc_id_b"]]
@@ -1714,236 +1565,17 @@ def q_dedup_jaccard_prefix(sf_dir: str):
             m["s_a"].to_numpy(np.int64) + m["s_b"].to_numpy(np.int64)
         )
         m = m.loc[ub.to_numpy() >= alpha]
-        return m[["doc_id_a", "doc_id_b", "s_a", "s_b"]].drop_duplicates(
-            ["doc_id_a", "doc_id_b"]
-        )
+        # a pair found via prefix grams in several buckets repeats
+        # across buckets; the verifier drops the repeats
+        return m[["doc_id_a", "doc_id_b"]].drop_duplicates().rename(
+            columns={"doc_id_a": "doc_a", "doc_id_b": "doc_b"})
 
-    # pair dedup (same pair found via several shared prefix grams in
-    # different gb buckets) happens where the pairs land anyway — the
-    # driver compares the result, so candidates are driver-sized by
-    # contract; at unattended scale this is one more bucket groupby
-    cand_ids_df = (
-        pairs.map_batches(
-            lambda df: df.loc[df["pfx"], ["gkey", "doc_id", "s", "p", "gb"]],
-            batch_format="pandas",
-        )
-        .groupby("gb")
-        .map_groups(cands_in_bucket, batch_format="pandas")
-        .to_pandas()
-        .drop_duplicates(["doc_id_a", "doc_id_b"])
-    )
-
-    # 4) semi-join the gram table down to candidate docs (broadcast the
-    #    candidate id set once — candidate-bounded, not corpus-bounded)
-    if cand_ids_df.empty:
-        return pd.DataFrame({
-            "doc_a": pd.Series([], dtype="int64"),
-            "doc_b": pd.Series([], dtype="int64"),
-            "jaccard": pd.Series([], dtype="float64"),
-        })
-    cand_doc_ids = np.unique(
-        np.concatenate([
-            cand_ids_df["doc_id_a"].to_numpy(np.int64),
-            cand_ids_df["doc_id_b"].to_numpy(np.int64),
-        ])
-    )
-    ids_ref = ray.put(cand_doc_ids)
-
-    def semi(df: pd.DataFrame) -> pd.DataFrame:
-        keep = np.isin(df["doc_id"].to_numpy(np.int64), ray.get(ids_ref))
-        out = df.loc[keep, ["doc_id", "gkey"]].copy()
-        out["db"] = exchange.kb_numpy(out["doc_id"].to_numpy(np.int64), nb)
-        return out
-
-    def _finish(agg: pd.DataFrame) -> pd.DataFrame:
-        inter = agg["inter"].to_numpy(np.int64)
-        jac = inter / (
-            agg["s_a"].to_numpy(np.int64) + agg["s_b"].to_numpy(np.int64) - inter
-        )
-        out = pd.DataFrame({
-            "doc_a": agg.iloc[:, 0].to_numpy(np.int64),
-            "doc_b": agg.iloc[:, 1].to_numpy(np.int64),
-            "jaccard": jac,
-        })
-        out = out.loc[out["jaccard"] >= JACCARD_TAU]
-        return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-
-    if len(cand_doc_ids) <= JACCARD_PREFIX_BROADCAST_MAX_DOCS:
-        # small-candidate tier: the semi-joined gram table reduces to a
-        # compact sorted index (doc slices + dense (doc, gram) member
-        # keys) that broadcasts ONCE via ray.put; pair batches then
-        # verify IN PARALLEL — each batch explodes its pairs over A's
-        # grams with arithmetic indexing, membership-probes B via
-        # searchsorted on the broadcast member array, and bincounts
-        # hits per pair.  No DataFrame merge, no driver-side probe
-        # loop: the Σ|A|-per-pair work distributes across the pool.
-        grams = pairs.map_batches(semi, batch_format="pandas").to_pandas()
-        g_doc = grams["doc_id"].to_numpy(np.int64)
-        order = np.argsort(g_doc, kind="stable")
-        g_doc = g_doc[order]
-        ug = np.unique(grams["gkey"].to_numpy(np.uint64))
-        g_gidx = np.searchsorted(
-            ug, grams["gkey"].to_numpy(np.uint64)[order]
-        ).astype(np.int64)
-        # per-candidate-doc slice [start, start+cnt) into the sorted arrays
-        start = np.searchsorted(g_doc, cand_doc_ids)
-        end = np.searchsorted(g_doc, cand_doc_ids, side="right")
-        cnt = end - start
-        # dense combined key: doc-rank * |grams| + gram-rank (fits int64
-        # under the guard: 2e5 docs × ~1e7 distinct grams < 2^63)
-        member = np.sort(
-            np.searchsorted(cand_doc_ids, g_doc) * len(ug) + g_gidx
-        )
-        idx_ref = ray.put((cand_doc_ids, start, cnt, g_gidx, member, len(ug)))
-
-        def verify_batch(df: pd.DataFrame) -> pd.DataFrame:
-            ids, st, ct, gix, mem, nug = ray.get(idx_ref)
-            da = np.searchsorted(ids, df["doc_id_a"].to_numpy(np.int64))
-            db_ = np.searchsorted(ids, df["doc_id_b"].to_numpy(np.int64))
-            reps = ct[da]
-            total = int(reps.sum())
-            pair_of = np.repeat(np.arange(len(df)), reps)
-            within = np.arange(total) - np.repeat(np.cumsum(reps) - reps, reps)
-            probe = db_[pair_of] * nug + gix[np.repeat(st[da], reps) + within]
-            loc = np.searchsorted(mem, probe)
-            hit = (loc < len(mem)) & (
-                mem[np.minimum(loc, len(mem) - 1)] == probe
-            )
-            inter = np.bincount(pair_of[hit], minlength=len(df))
-            out = pd.DataFrame({
-                "doc_id_a": df["doc_id_a"].to_numpy(np.int64),
-                "doc_id_b": df["doc_id_b"].to_numpy(np.int64),
-                "s_a": df["s_a"].to_numpy(np.int64),
-                "s_b": df["s_b"].to_numpy(np.int64),
-                "inter": inter,
-            })
-            return out.loc[out["inter"] > 0]
-
-        nblocks = exchange.read_cap()
-        bounds = np.linspace(0, len(cand_ids_df), nblocks + 1, dtype=np.int64)
-        chunks = [
-            cand_ids_df.iloc[lo:hi]
-            for lo, hi in zip(bounds, bounds[1:])
-            if hi > lo
-        ]
-        agg = (
-            ray.data.from_pandas(chunks)
-            .map_batches(verify_batch, batch_format="pandas")
-            .to_pandas()
-        )
-        return _finish(agg[["doc_id_a", "doc_id_b", "s_a", "s_b", "inter"]])
-
-    cands = ray.data.from_pandas(cand_ids_df)
-    cand_grams = pairs.map_batches(semi, batch_format="pandas").materialize()
-
-    # 5) exact |A∩B| without list columns: explode each pair against
-    #    A's grams in a doc_a-bucket union, inner-merge against B's
-    #    grams in a doc_b-bucket union, count matches per pair.  Both
-    #    unions use IDENTICAL all-int64 schemas (sentinel-filled), the
-    #    same discipline as q_asof_join.  gkey travels as the int64
-    #    bit-view of the uint64 digest (equality- and bucket-preserving).
-    COLS = ["k", "db", "side", "doc_b", "s_a", "s_b", "gkey"]
-
-    def tag_pairs_a(df: pd.DataFrame) -> pd.DataFrame:
-        k = df["doc_id_a"].to_numpy(np.int64)
-        return pd.DataFrame({
-            "k": k,
-            "db": k & np.int64(nb - 1),
-            "side": np.int64(0),
-            "doc_b": df["doc_id_b"].to_numpy(np.int64),
-            "s_a": df["s_a"].to_numpy(np.int64),
-            "s_b": df["s_b"].to_numpy(np.int64),
-            "gkey": np.int64(0),
-        })[COLS]
-
-    def tag_grams(df: pd.DataFrame) -> pd.DataFrame:
-        k = df["doc_id"].to_numpy(np.int64)
-        return pd.DataFrame({
-            "k": k,
-            "db": k & np.int64(nb - 1),
-            "side": np.int64(1),
-            "doc_b": np.int64(-1),
-            "s_a": np.int64(-1),
-            "s_b": np.int64(-1),
-            "gkey": df["gkey"].to_numpy(np.uint64).view(np.int64),
-        })[COLS]
-
-    def explode_a(g: pd.DataFrame) -> pd.DataFrame:
-        p = g.loc[g["side"] == 0, ["k", "doc_b", "s_a", "s_b"]]
-        gr = g.loc[g["side"] == 1, ["k", "gkey"]]
-        if p.empty or gr.empty:
-            return pd.DataFrame({
-                "k": pd.Series([], dtype="int64"),
-                "db": pd.Series([], dtype="int64"),
-                "side": pd.Series([], dtype="int64"),
-                "doc_b": pd.Series([], dtype="int64"),
-                "s_a": pd.Series([], dtype="int64"),
-                "s_b": pd.Series([], dtype="int64"),
-                "gkey": pd.Series([], dtype="int64"),
-            })[COLS]
-        m = p.merge(gr, on="k")  # one row per (pair, gram-of-A)
-        out = pd.DataFrame({
-            # re-keyed by doc_b for the second bucket shuffle
-            "k": m["doc_b"].to_numpy(np.int64),
-            "db": m["doc_b"].to_numpy(np.int64) & np.int64(nb - 1),
-            "side": np.int64(0),
-            "doc_b": m["k"].to_numpy(np.int64),  # carries doc_a now
-            "s_a": m["s_a"].to_numpy(np.int64),
-            "s_b": m["s_b"].to_numpy(np.int64),
-            "gkey": m["gkey"].to_numpy(np.int64),
-        })
-        return out[COLS]
-
-    exploded = (
-        cands.map_batches(tag_pairs_a, batch_format="pandas")
-        .union(cand_grams.map_batches(tag_grams, batch_format="pandas"))
-        .groupby("db")
-        .map_groups(explode_a, batch_format="pandas")
-        .materialize()
-    )
-
-    def verify(g: pd.DataFrame) -> pd.DataFrame:
-        # side 0: (k=doc_b, doc_b=doc_a, gram-of-A); side 1: B's grams.
-        # A match on (k, gkey) means the gram is in A∩B; the per-pair
-        # match count is the exact intersection (grams are distinct
-        # per doc by construction).
-        p = g.loc[g["side"] == 0]
-        gr = g.loc[g["side"] == 1, ["k", "gkey"]]
-        if p.empty or gr.empty:
-            return pd.DataFrame({
-                "doc_a": pd.Series([], dtype="int64"),
-                "doc_b": pd.Series([], dtype="int64"),
-                "jaccard": pd.Series([], dtype="float64"),
-            })
-        m = p.merge(gr, on=["k", "gkey"])
-        if m.empty:
-            return pd.DataFrame({
-                "doc_a": pd.Series([], dtype="int64"),
-                "doc_b": pd.Series([], dtype="int64"),
-                "jaccard": pd.Series([], dtype="float64"),
-            })
-        agg = (
-            m.groupby(["doc_b", "k", "s_a", "s_b"], as_index=False)
-            .agg(inter=("gkey", "size"))
-        )
-        inter = agg["inter"].to_numpy(np.int64)
-        jac = inter / (
-            agg["s_a"].to_numpy(np.int64) + agg["s_b"].to_numpy(np.int64) - inter
-        )
-        out = pd.DataFrame({
-            "doc_a": agg["doc_b"].to_numpy(np.int64),
-            "doc_b": agg["k"].to_numpy(np.int64),
-            "jaccard": jac,
-        })
-        return out.loc[out["jaccard"] >= JACCARD_TAU]
-
-    out = (
-        exploded.union(cand_grams.map_batches(tag_grams, batch_format="pandas"))
-        .groupby("db")
-        .map_groups(verify, batch_format="pandas")
-        .to_pandas()
-    )
-    return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    cands = exchange.shuffle(
+        ds.map_batches(doc_gram_rows, batch_format="pyarrow"), "gkey", nb,
+        cands_in_bucket,
+        combine=lambda t: t.filter(t["pfx"]).select(["gkey", "doc_id", "s", "p"]),
+    ).materialize()
+    return _verify_pairs(ds, cands, JACCARD_TAU, nb)
 
 
 # ---------------------------------------------------------------------------
@@ -1964,25 +1596,18 @@ def q_dedup_substring_clean(sf_dir: str):
     (1) every window position becomes a (doc, pos, rolling-digest) row;
     the gram-bucket shuffle holds ALL rows of a digest, so the
     cross-doc test (distinct-doc count ≥ 2) is exact in-bucket and
-    only duplicated positions come out.  (2) the doc-bucket shuffle
-    unions those dup starts with the docs table (aligned schemas, the
-    ``q_hash_join_big`` recipe — text rides this ONE shuffle, which is
-    unavoidable: the output IS transformed text); inside a bucket each
-    doc's coverage mask is a diff-array cumsum over its dup starts and
-    the kept words reassemble in order.  Driver state: none beyond the
-    streamed result.  Both exchanges carry row-level data (window rows
-    ∝ corpus words; the doc-bucket hop carries text), so their
-    fan-outs size from the documents bytes
-    (``exchange.buckets_for_bytes``; the gram hop gets 4× the doc hop
-    because each word fans out into ~1 window row)."""
-    from crawler_tjce_ray.pipelines import exchange
-    from crawler_tjce_ray.pipelines.textops import _read_docs as rd
+    only duplicated positions come out.  (2) a doc-id cogroup of the
+    docs table with those dup starts (text rides this ONE exchange,
+    which is unavoidable: the output IS transformed text); inside a
+    bucket each doc's coverage mask is a diff-array cumsum over its dup
+    starts and the kept words reassemble in order.  Driver state: none
+    beyond the streamed result.  Both exchanges carry row-level data
+    (window rows ∝ corpus words; the doc hop carries text), so their
+    fan-outs size from the documents bytes (the gram hop as 4× the
+    bytes, because each word fans out into ~1 window row)."""
+    nb_doc, nb_gram = _nb_docs(sf_dir), _nb_docs(sf_dir, 4)
+    ds = _read_docs(sf_dir, ["doc_id", "text"])
 
-    dbytes = exchange.table_bytes(sf_dir, "documents")
-    nb_doc = exchange.buckets_for_bytes(dbytes)
-    nb_gram = exchange.buckets_for_bytes(dbytes * 4 if dbytes else None)
-
-    ds = rd(sf_dir, ["doc_id", "text"])
     def window_rows(df: pd.DataFrame) -> pd.DataFrame:
         # window digests without per-window Python: hash every token
         # of the batch once (process-stable C siphash, the
@@ -2017,48 +1642,21 @@ def q_dedup_substring_clean(sf_dir: str):
             ids.append(np.full(n_win, int(i), np.int64))
             poss.append(np.arange(n_win, dtype=np.int64))
             gks.append(digs)
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "doc_id": np.concatenate(ids) if ids else np.array([], np.int64),
             "pos": np.concatenate(poss) if poss else np.array([], np.int64),
             "gkey": np.concatenate(gks) if gks else np.array([], np.uint64),
         })
-        out["gb"] = (out["gkey"] & np.uint64(nb_gram - 1)).astype(np.int64)
-        return out
 
     def dup_positions(g: pd.DataFrame) -> pd.DataFrame:
         nd = g.groupby("gkey")["doc_id"].transform("nunique")
-        out = g.loc[nd.to_numpy() >= 2, ["doc_id", "pos"]].copy()
-        out["db"] = exchange.kb_numpy(out["doc_id"].to_numpy(np.int64), nb_doc)
-        return out
+        return g.loc[nd.to_numpy() >= 2, ["doc_id", "pos"]]
 
-    dups = (
-        ds.map_batches(window_rows, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(dup_positions, batch_format="pandas")
-    )
+    dups = exchange.shuffle(ds.map_batches(window_rows, batch_format="pandas"),
+                            "gkey", nb_gram, dup_positions)
 
-    # aligned-schema union for the doc-bucket join (text rides once)
-    def tag_docs(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "doc_id": df["doc_id"].astype("int64"),
-            "db": exchange.kb_numpy(df["doc_id"].to_numpy(np.int64), nb_doc),
-            "side": np.int64(0),
-            "pos": np.int64(-1),
-            "text": df["text"].astype(object),
-        })
-
-    def tag_dups(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "doc_id": df["doc_id"].astype("int64"),
-            "db": df["db"].astype("int64"),
-            "side": np.int64(1),
-            "pos": df["pos"].astype("int64"),
-            "text": "",
-        })
-
-    def clean_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        docs = g.loc[g["side"] == 0, ["doc_id", "text"]]
-        starts = g.loc[g["side"] == 1].groupby("doc_id")["pos"].apply(np.sort)
+    def clean_bucket(docs: pd.DataFrame, dup: pd.DataFrame) -> pd.DataFrame:
+        starts = dup.groupby("doc_id")["pos"].apply(np.sort)
         rows = []
         for i, t in zip(docs["doc_id"], docs["text"]):
             ws = t.split(" ")
@@ -2076,16 +1674,12 @@ def q_dedup_substring_clean(sf_dir: str):
             "doc_id", "n_words", "n_removed", "clean_text",
         ])
 
-    import ray.data  # noqa: F401 (dataset union below)
-
-    out = (
-        ds.map_batches(tag_docs, batch_format="pandas")
-        .union(dups.map_batches(tag_dups, batch_format="pandas"))
-        .groupby("db")
-        .map_groups(clean_bucket, batch_format="pandas")
-        .to_pandas()
-        .astype({"doc_id": "int64", "n_words": "int64", "n_removed": "int64"})
-    )
+    out = exchange.cogroup(
+        [(ds, {"doc_id": _I64, "text": pa.string()}, None),
+         (dups, {"doc_id": _I64, "pos": _I64}, None)],
+        "doc_id", nb_doc, clean_bucket,
+    ).to_pandas()
+    out = out.astype({"doc_id": "int64", "n_words": "int64", "n_removed": "int64"})
     return out.sort_values("doc_id").reset_index(drop=True)
 
 

@@ -3,9 +3,9 @@ multi-input cogroup, and the plan sizing rule for read blocks and
 exchange fan-out.
 
 ``shuffle(ds, key, nb, finalize, combine=None)`` is the one path for a
-single-input exchange on an integer key.  ONE pyarrow ``map_batches``
-applies the optional per-batch ``combine`` (Arrow table in, bounded
-per-key partials out) and appends ``kb = key & (nb-1)``; then
+single-input exchange.  ONE pyarrow ``map_batches`` applies the
+optional per-batch ``combine`` (Arrow table in, bounded per-key
+partials out) and appends the bucket ``kb = kb_arrow(key, nb)``; then
 ``groupby("kb").map_groups(finalize)`` hands each bucket to
 ``finalize`` as ONE pandas frame.  The Ray plan is one map operator,
 one all-to-all and one map operator.  Neither UDF needs an
@@ -41,7 +41,7 @@ Ops override order for the fan-out: ``set_forced_buckets()`` (tests) >
 ``CRAWLER_EXCHANGE_BUCKETS`` env > size-derived value.
 
 ``cogroup(sides, key, nb, finalize)`` is the one path for a join of
-two or more datasets on a shared integer key.  Each side is
+two or more datasets on a shared key.  Each side is
 ``(ds, schema, project)``: one pyarrow map per side projects (and may
 pre-combine), casts to the side's declared schema, pads every other
 side's columns with typed nulls (columns are namespaced per side, so
@@ -51,7 +51,14 @@ Arrow and ``finalize(*frames)`` gets one pandas frame per side at its
 declared types — a side absent from the bucket is a typed empty frame,
 and no padding null ever turns a side's int64 column into float.
 
-String-keyed exchanges (``kb_words``) still tag by hand.
+Bucket keys (``kb_arrow``) follow the key column's type, so neither
+primitive takes a hashing parameter:
+
+* an integer key is ``key & (nb-1)`` after an int64 cast;
+* a uint64 key (a 64-bit digest) masks its own low bits — no int64
+  cast, which overflows at ≥ 2^63;
+* a string key is its process-stable siphash masked to ``nb``, the
+  same function as ``kb_words``.
 """
 
 from __future__ import annotations
@@ -176,13 +183,22 @@ def band_subbuckets(total_buckets: int | None, n_bands: int) -> int:
 
 
 def kb_arrow(key: pa.ChunkedArray | pa.Array, nb: int) -> pa.ChunkedArray:
-    """key & (nb-1) as a pyarrow kernel — exact mod for non-negative
-    keys and power-of-two nb."""
+    """Bucket of every row of ``key`` over ``nb`` (a power of two)
+    buckets, picked by the key column's type: an integer key is
+    ``key & (nb-1)`` after an int64 cast (an exact mod for non-negative
+    keys); a uint64 key (a digest) masks its own low bits, since the
+    int64 cast overflows at ≥ 2^63; a string key is ``kb_words`` of
+    its values."""
+    if pa.types.is_string(key.type) or pa.types.is_large_string(key.type):
+        return pa.array(kb_words(key.to_numpy(zero_copy_only=False), nb))
+    if pa.types.is_uint64(key.type):
+        return pc.cast(pc.bit_wise_and(key, pa.scalar(nb - 1, pa.uint64())),
+                       pa.int64())
     return pc.bit_wise_and(pc.cast(key, pa.int64()), pa.scalar(nb - 1, pa.int64()))
 
 
 def shuffle(ds, key: str, nb: int, finalize, combine=None):
-    """Exchange ``ds`` on the integer column ``key`` over ``nb`` (a
+    """Exchange ``ds`` on the column ``key`` over ``nb`` (a
     power of two) buckets and run ``finalize`` (pandas frame → pandas
     frame, the ``kb`` column included) once per bucket.  ``combine``,
     if given, pre-reduces each Arrow batch in the same map as the tag,
@@ -202,7 +218,7 @@ def shuffle(ds, key: str, nb: int, finalize, combine=None):
 
 
 def cogroup(sides, key: str, nb: int, finalize):
-    """Exchange several datasets on the shared integer column ``key``
+    """Exchange several datasets on the shared column ``key``
     over ``nb`` (a power of two) buckets and run ``finalize(*frames)``
     once per bucket, one pandas frame per side.  Each side is
     ``(ds, schema, project)``: ``project`` (Arrow table → Arrow table,
@@ -247,11 +263,6 @@ def cogroup(sides, key: str, nb: int, finalize):
         .groupby("kb")
         .map_groups(split, batch_format="pyarrow")
     )
-
-
-def kb_numpy(key: np.ndarray, nb: int) -> np.ndarray:
-    """Same bucket key for int64 numpy arrays."""
-    return key & np.int64(nb - 1)
 
 
 def kb_words(words, nb: int) -> np.ndarray:

@@ -66,7 +66,7 @@ class TestMinHashLSH:
         def _boom(*a, **k):
             raise AssertionError("scale tier must not build shingle sets")
 
-        monkeypatch.setattr(dedup, "MINHASH_BROADCAST_MAX_DOCS", 0)
+        monkeypatch.setattr(dedup, "VERIFY_BROADCAST_MAX_DOCS", 0)
         monkeypatch.setattr(dedup, "ngram_set", _boom)
         bucketed = dedup.q_dedup_minhash_lsh(SF_DIR)
 
@@ -262,12 +262,12 @@ class TestJaccardPrefixJoin:
 
     def test_distributed_verify_tier_equals_broadcast_tier(self, monkeypatch):
         """Forcing the candidate count over the broadcast cut must
-        route verification through the distributed union-shuffle path
+        route verification through the two-hop cogroup path
         and produce the identical result."""
         from crawler_tjce_ray.pipelines import dedup
 
         broadcast = dedup.q_dedup_jaccard_prefix(SF_DIR).reset_index(drop=True)
-        monkeypatch.setattr(dedup, "JACCARD_PREFIX_BROADCAST_MAX_DOCS", 0)
+        monkeypatch.setattr(dedup, "VERIFY_BROADCAST_MAX_DOCS", 0)
         distributed = dedup.q_dedup_jaccard_prefix(SF_DIR).reset_index(drop=True)
         pd.testing.assert_frame_equal(distributed, broadcast)
 

@@ -7,8 +7,9 @@ the size-derived default (1–2 blocks and buckets on the test tables);
 these tests force 16- and 128-way fan-outs, and reads split to their
 cap, on the same inputs and require strict equality with DuckDB, so
 the size-derived plan at 100 TB is covered by construction.  The
-``exchange.cogroup`` contract (typed per-side frames) and SQL NULL
-group keys at the cogroup join sites are pinned here too."""
+``exchange.cogroup`` contract (typed per-side frames), the
+``exchange.kb_arrow`` key-type rule and SQL NULL group keys at the
+cogroup join sites are pinned here too."""
 
 import duckdb
 import pandas as pd
@@ -85,7 +86,7 @@ class TestFanoutInvariance:
         """Force the bucketed verify tier AND a non-default fan-out."""
         from crawler_tjce_ray.pipelines import dedup
 
-        monkeypatch.setattr(dedup, "MINHASH_BROADCAST_MAX_DOCS", 0)
+        monkeypatch.setattr(dedup, "VERIFY_BROADCAST_MAX_DOCS", 0)
         _check(dedup.q_dedup_minhash_lsh, dedup.SQL_DEDUP_MINHASH_LSH, con)
 
     # ---- round-5 rollout: one representative per converted family ----
@@ -230,6 +231,19 @@ class TestFanoutInvariance:
 
         _check(getattr(relational, f"q_{name}"), getattr(relational, sql), con)
 
+    # ---- dedup exchanges with no forced fan-out test of their own above
+    @pytest.mark.parametrize("name,sql", [
+        ("cross_source_dup_matrix", "SQL_CROSS_SOURCE_DUP_MATRIX"),
+        ("dedup_canonical", "SQL_DEDUP_CANONICAL"),
+        ("dedup_clusters_distributed", "SQL_DEDUP_CLUSTERS"),
+    ])
+    def test_dedup_exchange(self, name, sql, forced_buckets, con):
+        from crawler_tjce_ray.pipelines import dedup
+
+        # the pair cache would hand back pairs built at another fan-out
+        dedup._DUP_PAIRS_CACHE.clear()
+        _check(getattr(dedup, f"q_{name}"), getattr(dedup, sql), con)
+
     # ---- exchange.shuffle: the shared spend histogram and the combine path
     @pytest.mark.parametrize("name", [
         "concentration_stats", "price_cv_topk", "orders_per_customer_hist",
@@ -313,6 +327,55 @@ class TestCogroup:
                          (c, {"k": self.I64, "y": self.I64})], nb=1)
         assert out["rows"].tolist() == [2, 1, 3]
         assert out["cols"].tolist()[2] == "k:int64,y:int64"
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestKbArrowTypes:
+    """``exchange.kb_arrow`` picks the bucket from the key's type: a
+    uint64 digest masks its own low bits (an int64 cast overflows at
+    ≥ 2^63) and a string hashes like ``kb_words``."""
+
+    def _buckets_per_key(self, keys, nb=4):
+        import ray.data as rd
+
+        # three blocks, each holding every key, so a key's rows reach
+        # the exchange from different map tasks
+        ds = rd.from_arrow([pa.table({"k": keys, "v": range(len(keys))})
+                            for _ in range(3)])
+        out = exchange.shuffle(
+            ds, "k", nb,
+            lambda g: g.groupby("k", as_index=False).agg(
+                kb=("kb", "first"), nkb=("kb", "nunique"), n=("v", "size")),
+        ).to_pandas()
+        assert out["nkb"].eq(1).all()
+        # a key that landed in two buckets appears in two output rows
+        assert not out["k"].duplicated().any()
+        assert out["n"].eq(3).all() and len(out) == len(keys)
+        assert out["kb"].between(0, nb - 1).all()
+        return out
+
+    def test_uint64_above_2_63_keeps_low_bits(self):
+        keys = pa.array([2**63, 2**63 + 1, 2**64 - 1, 2**64 - 6, 7],
+                        pa.uint64())
+        out = self._buckets_per_key(keys)
+        assert [int(k) & 3 for k in out["k"]] == out["kb"].tolist()
+
+    def test_string_key_one_bucket_per_key(self):
+        keys = pa.array(["alpha", "beta", "", "gamma delta", "beta gamma",
+                         "zeta"], pa.string())
+        out = self._buckets_per_key(keys)
+        assert out["kb"].tolist() == exchange.kb_words(
+            out["k"].to_numpy(object), 4).tolist()
+
+    def test_string_matches_kb_words(self):
+        import numpy as np
+
+        words = ["a", "b", "naïve", "", "a", "x" * 100]
+        for nb in (1, 4, 128):
+            got = exchange.kb_arrow(pa.chunked_array([words[:3], words[3:]]), nb)
+            assert got.type == pa.int64()
+            assert got.to_pylist() == exchange.kb_words(
+                np.array(words, dtype=object), nb).tolist()
 
 
 def _raise_on_empty():
