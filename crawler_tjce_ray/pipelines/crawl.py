@@ -5,7 +5,8 @@ architecture):
       select (priority sort + per-host politeness cap + wave cap)
       → URL-seen filter (cuckoo shards hosted in the fetch actors,
         check-and-add)
-      → fetch (actor pool: page-store lookup + robots + token bucket)
+      → fetch (actor pool, grown on demand: page-store lookup + robots
+        + token bucket)
       → parse (stateless DSR extract) → records/<kind>/wave=k parquet
       → outlinks → frontier ∪ new urls
       → checkpoint (frontier, seen key log + cuckoo shard snapshot
@@ -118,11 +119,14 @@ class CrawlConfig:
     wave_size: int = 256
     per_host_budget: int = 8          # politeness: fetches per host per wave
     max_waves: int = 100              # O7 crawl depth cap (reference max_pages)
-    # URL-seen shards, hosted in the fetch actors (shard s on actor
-    # s % n_fetch); the count, not the actor count, fixes the checkpoint
+    # URL-seen shards, hosted in the fetch actors (shard s on live actor
+    # s % n_live); the count, not the actor count, fixes the checkpoint
     n_seen_shards: int = 4
     log2_buckets: int = 16
     store_buckets: int = DEFAULT_STORE_BUCKETS
+    # the fetch pool's maximum (capped at cluster CPUs - 2); the pool
+    # runs one actor per fetch_batch_size urls of the largest wave so
+    # far, so small politeness-capped waves run on one actor
     fetch_concurrency: int = 4
     fetch_batch_size: int = 64
     current_year: int = 2026
@@ -147,6 +151,11 @@ class CrawlConfig:
         # frontier, and the crawl would idle through every wave
         if self.wave_size < 1 or self.per_host_budget < 1:
             raise ValueError("wave_size and per_host_budget must be >= 1")
+        # the pool-growth rule divides by fetch_batch_size, and a pool
+        # or seen set needs at least one actor and one shard
+        if min(self.fetch_batch_size, self.fetch_concurrency, self.n_seen_shards) < 1:
+            raise ValueError(
+                "fetch_batch_size, fetch_concurrency and n_seen_shards must be >= 1")
 
 
 @dataclass
@@ -156,6 +165,7 @@ class CrawlResult:
     trace: pd.DataFrame               # (wave, order_in_wave, url, status, seed)
     metrics: list[dict] = field(default_factory=list)
     actor_stats: dict = field(default_factory=dict)  # merged pool counters (T8)
+    t_pool_stop: float = 0.0          # seconds to kill the fetch pool
 
     @property
     def records_dir(self) -> str:
@@ -216,6 +226,11 @@ _SEEN_LOG = "seen_log.bin"
 
 def _shard_path(d: str, i: int) -> str:
     return os.path.join(d, f"seen_shard_{i}.bin")
+
+
+def _read_metrics(workdir: str, wave: int) -> dict:
+    with open(os.path.join(_ckpt_dir(workdir, wave), "metrics.json")) as f:
+        return json.load(f)
 
 
 def _parquet_dir_rows(d: str) -> int:
@@ -365,6 +380,14 @@ def run_crawl(
     # holding every core deadlock task scheduling on small clusters
     cluster_cpus = int(ray.cluster_resources().get("CPU", 4))
     n_fetch = max(1, min(cfg.fetch_concurrency, cluster_cpus - 2))
+
+    def pool_size(selected_rows: int) -> int:
+        # actors a wave asks for: one per fetch_batch_size urls (the
+        # pool caps it at n_fetch and never shrinks), a rule of the row
+        # count and config alone, so the pool-size history is
+        # deterministic
+        return -(-selected_rows // cfg.fetch_batch_size)
+
     # per-wave phase times (metrics.json): each lap closes the phase
     # that began at the previous one; t_wave spans from the previous
     # wave's commit (or the pool start) to this wave's commit
@@ -374,13 +397,16 @@ def run_crawl(
     def _lap(name: str) -> None:
         nonlocal t_mark
         now = time.perf_counter()
-        phase_t[name] = round(now - t_mark, 4)
+        # adds up: a resumed run's first wave may grow the pool twice
+        phase_t[name] = round(phase_t.get(name, 0.0) + now - t_mark, 4)
         t_mark = now
 
     # record extraction is FUSED into the fetch actors (operator
     # fusion): the page body is parsed where it was fetched, so html
     # never crosses the object store and the pool's cores do the
-    # parse work instead of idling behind a separate task fan-out
+    # parse work instead of idling behind a separate task fan-out.
+    # Neither the pool nor the seen shards start an actor here: the
+    # first wave starts every actor it asks for at once
     pool = FetchPool(
         store_dir, cfg.store_buckets, n_fetch,
         records_dir=os.path.join(workdir, "records") if cfg.extract_records else None,
@@ -389,27 +415,30 @@ def run_crawl(
         max_retries=cfg.fetch_max_retries,
         robots_ttl_waves=cfg.robots_ttl_waves,
     )
+    seen = ShardedSeenSet(cfg.n_seen_shards, cfg.log2_buckets)
     try:
-        seen = ShardedSeenSet(cfg.n_seen_shards, cfg.log2_buckets, pool.actors)
-        _lap("t_pool_start")  # reported on this run's first wave
+        done = _completed_waves(workdir) if resume else []
+        if done:
+            # a resume restarts the pool at the size the cut crawl had
+            # reached, so the pool-size history is the uninterrupted one;
+            # reported as the resumed run's first wave's t_pool_grow
+            pool.grow(max(pool_size(_read_metrics(workdir, w)["selected"]) for w in done))
+            seen.rehost(pool.actors)
+            _lap("t_pool_grow")
         start_wave = 0
-        if resume:
-            done = _completed_waves(workdir)
-            if done:
-                latest = done[-1]
-                frontier, pending = _load_checkpoint(
-                    workdir, latest, seen, cfg.distributed_select_threshold
-                )
-                start_wave = latest + 1
-                # a crash between record writes and the wave checkpoint
-                # leaves partial records for waves >= start_wave; the
-                # re-run may use a different actor count and therefore a
-                # different part layout, so stale parts would survive and
-                # duplicate that wave's records — wipe them first
-                _drop_record_waves(os.path.join(workdir, "records"), start_wave)
-            else:
-                resume = False
-        if not resume:
+        if done:
+            latest = done[-1]
+            frontier, pending = _load_checkpoint(
+                workdir, latest, seen, cfg.distributed_select_threshold
+            )
+            start_wave = latest + 1
+            # a crash between record writes and the wave checkpoint
+            # leaves partial records for waves >= start_wave; the
+            # re-run may use a different actor count and therefore a
+            # different part layout, so stale parts would survive and
+            # duplicate that wave's records — wipe them first
+            _drop_record_waves(os.path.join(workdir, "records"), start_wave)
+        else:
             shutil.rmtree(os.path.join(workdir, "ckpt"), ignore_errors=True)
             shutil.rmtree(os.path.join(workdir, "records"), ignore_errors=True)
             frontier = make_frontier_rows(seeds, priority=0, wave=0, depth=0, seed="root")
@@ -461,6 +490,13 @@ def run_crawl(
                     # every row waits for a later wave
                     continue
             _lap("t_select")
+
+            # start the actors this wave asks for (blocking; the first
+            # wave starts the pool) and start or move the seen shards
+            # whose host changed
+            if pool.grow(pool_size(selected.num_rows)):
+                seen.rehost(pool.actors)
+                _lap("t_pool_grow")
 
             seen_mask = seen.check_and_add(selected["url_key"].to_numpy())
             todo = selected.filter(pa.array(~seen_mask))
@@ -554,6 +590,7 @@ def run_crawl(
                 "fetched_ok": pc.sum(pc.equal(status, "ok")).as_py() or 0,
                 "outlinks": n_outlinks,
                 "seen_total": seen.count,
+                "fetch_actors": len(pool.actors),
                 **phase_t,
             }
             phase_t.clear()
@@ -584,7 +621,9 @@ def run_crawl(
         # the pool owns every crawl actor process, seen shards
         # included: none outlives the crawl, even when a wave raises
         # (e.g. a cuckoo overflow out of the seen check)
+        t_stop = time.perf_counter()
         pool.shutdown()
+        t_pool_stop = round(time.perf_counter() - t_stop, 4)
 
     # the trace: waves of an earlier run (a resume) from their lineage
     # checkpoints, then this run's waves from memory
@@ -596,4 +635,5 @@ def run_crawl(
     trace = pa.concat_tables([_LINEAGE_SCHEMA.empty_table(), *earlier, *lineages]).to_pandas()
     waves_run = (metrics_all[-1]["wave"] + 1) if metrics_all else start_wave
     return CrawlResult(workdir=workdir, waves_run=waves_run, trace=trace,
-                       metrics=metrics_all, actor_stats=actor_stats)
+                       metrics=metrics_all, actor_stats=actor_stats,
+                       t_pool_stop=t_pool_stop)

@@ -51,6 +51,14 @@ Arrow and ``finalize(*frames)`` gets one pandas frame per side at its
 declared types — a side absent from the bucket is a typed empty frame,
 and no padding null ever turns a side's int64 column into float.
 
+Output blocks.  ``nb`` sets the bucket key, not the output block
+count: Ray's sort-based groupby keeps its input's block count, so
+``shuffle`` returns as many blocks as its input holds and ``cogroup``
+as many as all its sides hold together.  A plan that chains exchanges,
+or feeds one dataset into two sides, grows its block count with every
+hop and must ``repartition`` between hops, as label propagation
+(``dedup.cluster_labels_distributed``) does per round.
+
 Bucket keys (``kb_arrow``) follow the key column's type, so neither
 primitive takes a hashing parameter:
 

@@ -5,7 +5,9 @@ retries and rate limits (T1/T7, crawler/crawler.py:252-301); in this
 sandbox the network is simulated by a hash-bucketed Parquet *page
 store* lookup.  What is real and load-bearing:
 
-* the actor-pool shape (``map_batches(FetchActor, concurrency=N)``)
+* the actor-pool shape (``FetchPool``: long-lived ``FetchActor``
+  processes, url-hash routed, started on demand up to a maximum like
+  Ray Data's autoscaling ``ActorPoolStrategy(min_size, max_size)``)
   with per-actor state: store handles, robots cache, token buckets —
   constructed once in ``__init__``;
 * the per-host politeness token bucket (virtual time: one wave = one
@@ -214,6 +216,14 @@ class PageStoreTransport:
         analog)."""
         return self._bucket_lookup(url_sha1_64(url) % self.n_buckets).get(url)
 
+    def keep_buckets(self, buckets: list[int]) -> None:
+        """Cache only ``buckets`` (this actor's share after the pool
+        grew): drop the others and size the LRU to the share + 1."""
+        for b in [b for b in self.bucket_lru if b not in buckets]:
+            self.bucket_lru.remove(b)
+            self.bucket_cache.pop(b, None)
+        self.max_cached_buckets = len(buckets) + 1
+
     def stats(self) -> dict[str, int]:
         return {"fetch_retries": self.fetch_retries,
                 "bucket_loads": self.bucket_loads}
@@ -302,8 +312,9 @@ class HttpTransport:
 
 
 class FetchActor:
-    """``map_batches`` callable class: frontier rows → fetched pages,
-    with record extraction FUSED into the same actor when
+    """One ``FetchPool`` actor: frontier rows → fetched pages (a
+    ``__call__`` per wave on this actor's url-hash share), with record
+    extraction FUSED into the same actor when
     ``records_dir`` is set (operator fusion: the page body is parsed
     where it was fetched and never crosses the object store — a
     separate extract fan-out would leave the fetch pool's cores idle
@@ -469,11 +480,22 @@ class FetchActor:
     def seen_remove(self, keys: dict[int, np.ndarray]) -> int:
         return sum(self.seen_shards[s].remove(k) for s, k in keys.items())
 
-    def seen_to_bytes(self) -> dict[int, bytes]:
-        return {s: f.to_bytes() for s, f in self.seen_shards.items()}
+    def seen_to_bytes(self, shard_ids: list[int] | None = None) -> dict[int, bytes]:
+        """Bytes of ``shard_ids`` (every hosted shard when None)."""
+        ids = self.seen_shards if shard_ids is None else shard_ids
+        return {s: self.seen_shards[s].to_bytes() for s in ids}
 
-    def seen_load_bytes(self, blobs: dict[int, bytes]) -> None:
-        self.seen_shards = {s: CuckooFilter.from_bytes(b) for s, b in blobs.items()}
+    def seen_load_bytes(self, blobs: dict[int, bytes], drop: list[int] = ()) -> None:
+        """Host (or overwrite) the shards in ``blobs``; stop hosting
+        ``drop`` (shards moved to another actor)."""
+        for s in drop:
+            del self.seen_shards[s]
+        self.seen_shards.update({s: CuckooFilter.from_bytes(b) for s, b in blobs.items()})
+
+    def keep_buckets(self, buckets: list[int]) -> None:
+        """The page-store buckets routed to this actor (after the pool
+        grew): the transport caches only these."""
+        self.transport.keep_buckets(buckets)
 
     def stats(self) -> dict[str, int]:
         """T8 metrics export: this actor's lifetime counters (merged
@@ -490,14 +512,21 @@ class FetchActor:
 
 
 class FetchPool:
-    """A persistent pool of fetch actors reused across waves.
+    """A persistent, elastic pool of fetch actors reused across waves.
 
     A fresh ``map_batches`` actor pool per wave pays actor startup and
     loses the per-actor bucket/robots caches every wave; this pool is
-    created once per crawl and dispatched deterministically
-    (order-preserving contiguous chunks), so politeness buckets and
-    caches live for the whole crawl — matching the reference's
-    long-lived ``requests.Session`` (T1)."""
+    created once per crawl and dispatched deterministically, so
+    politeness buckets and caches live for the whole crawl — matching
+    the reference's long-lived ``requests.Session`` (T1).
+
+    Actors start on demand, like Ray Data's autoscaling
+    ``ActorPoolStrategy(min_size, max_size=n_actors)``: the pool
+    starts none, and ``grow`` adds actors, never past ``n_actors``,
+    when a wave needs them (the crawl's first wave starts all it needs
+    at once); it never shrinks.  Each actor costs a process spawn plus
+    its first call's imports, so a crawl of small (politeness-capped)
+    waves runs on one."""
 
     def __init__(self, store_dir: str, n_buckets: int = DEFAULT_STORE_BUCKETS,
                  n_actors: int = 4, records_dir: str | None = None,
@@ -508,31 +537,50 @@ class FetchPool:
         import ray
 
         self.n_buckets = n_buckets
-        self.n_actors = n_actors
+        self.n_actors = n_actors  # the maximum; ``actors`` are the live ones
         self._remote_cls = ray.remote(num_cpus=1)(FetchActor)
+        self._actor_kwargs = dict(
+            store_dir=store_dir, n_buckets=n_buckets,
+            records_dir=records_dir, current_year=current_year,
+            per_host_rate=per_host_rate, max_retries=max_retries,
+            robots_ttl_waves=robots_ttl_waves,
+            cap_arrow_threads=True,  # dedicated actor process
+        )
+        self.actors: list = []
+
+    def _buckets(self, i: int, n_live: int) -> list[int]:
         # bucket-affinity dispatch: actor i owns buckets ≡ i (mod
-        # n_actors), so each actor's LRU only ever holds its own
-        # buckets — the cache is authoritative, never thrashes, and a
-        # wave costs O(new buckets) store reads instead of
-        # O(actors × buckets).  This is the url-hash partitioning the
-        # frontier design relies on (SURVEY §7.1).
-        per_actor = -(-n_buckets // max(1, n_actors)) + 1
-        self.actors = [
-            self._remote_cls.remote(
-                store_dir=store_dir, n_buckets=n_buckets,
-                max_cached_buckets=per_actor,
-                records_dir=records_dir, current_year=current_year,
-                actor_id=i, per_host_rate=per_host_rate,
-                max_retries=max_retries, robots_ttl_waves=robots_ttl_waves,
-                cap_arrow_threads=True,  # dedicated actor process
-            )
-            for i in range(n_actors)
-        ]
+        # n_live), so each actor's LRU only ever holds its own buckets
+        # — the cache is authoritative, never thrashes, and a wave
+        # costs O(new buckets) store reads instead of O(actors ×
+        # buckets).  This is the url-hash partitioning the frontier
+        # design relies on (SURVEY §7.1).
+        return list(range(i, self.n_buckets, n_live))
+
+    def grow(self, n: int) -> bool:
+        """Start actors, in parallel, until ``min(n, n_actors)`` are
+        live, and block until they are up; every actor then caches only
+        its new bucket share.  Returns whether the pool grew."""
+        import ray
+
+        n = min(n, self.n_actors)
+        n_old = len(self.actors)
+        if n <= n_old:
+            return False
+        # handles are kept before the wait, so shutdown() also kills
+        # an actor whose start failed
+        self.actors.extend(self._remote_cls.remote(actor_id=i, **self._actor_kwargs)
+                           for i in range(n_old, n))
+        # also the wait: a new actor answers once it is up
+        ray.get([a.keep_buckets.remote(self._buckets(i, n))
+                 for i, a in enumerate(self.actors)])
+        return True
 
     def fetch(self, wave_tbl: pa.Table, wave: int) -> pa.Table:
-        """Fetch one wave's frontier rows; deterministic output order
-        (bucket-major, input order within bucket).  A row's bucket is
-        its ``url_key`` (the url's sha1 key) modulo the bucket count."""
+        """Fetch one wave's frontier rows.  A row goes to actor
+        ``url_key % n_buckets % len(actors)`` (its page-store bucket's
+        owner); the output is actor-major (actor 0's rows in input
+        order, then actor 1's, ...), so callers match rows by url."""
         import ray
 
         table = wave_tbl.select(["url", "host", "seed", "depth"])
@@ -540,14 +588,13 @@ class FetchPool:
             return table.append_column(
                 "html", pa.array([], pa.binary())
             ).append_column("status", pa.array([], pa.string()))
-        owner = wave_tbl["url_key"].to_numpy() % np.uint64(self.n_buckets) % np.uint64(self.n_actors)
+        n_live = np.uint64(len(self.actors))
+        owner = wave_tbl["url_key"].to_numpy() % np.uint64(self.n_buckets) % n_live
         futures = []
-        for i in range(self.n_actors):
+        for i, actor in enumerate(self.actors):
             idx = np.nonzero(owner == i)[0]
             if len(idx):
-                futures.append(
-                    self.actors[i].__call__.remote(table.take(pa.array(idx)), wave)
-                )
+                futures.append(actor.__call__.remote(table.take(pa.array(idx)), wave))
         parts = ray.get(futures)
         return pa.concat_tables(parts)
 
@@ -563,6 +610,7 @@ class FetchPool:
         return merged
 
     def shutdown(self):
+        """Kill every actor the pool started."""
         import ray
 
         for a in self.actors:

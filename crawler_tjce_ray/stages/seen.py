@@ -9,7 +9,9 @@ at the node that owns the URL's partition), so the seen set costs no
 processes of its own.  Everything talks to the shards in *batched,
 vectorized* calls: one call per host actor per operation, carrying
 ``{shard_id: keys}``.  Shard count is fixed at creation and does not
-depend on the host count (resharding = rebuild).
+depend on the host count (resharding = rebuild).  The shards start
+with their hosts, and when the fetch pool grows, ``rehost`` moves each
+shard whose host changed, as bytes.
 
 Checkpoint = key log + snapshot by size.  A shard's bytes are a
 deterministic function of the keys it was sent (no RNG in the cuckoo
@@ -41,25 +43,44 @@ _LOG_HEADER = 32
 class ShardedSeenSet:
     """Driver-side handle over K seen-set shards spread over the host
     actors (any actor exposing the ``seen_*`` methods of
-    ``stages.fetch.FetchActor``).  The hosts' owner (``FetchPool``)
-    owns their processes; this handle never kills them."""
+    ``stages.fetch.FetchActor``), placed by ``rehost``.  The hosts'
+    owner (``FetchPool``) owns their processes; this handle never
+    kills them."""
 
-    def __init__(self, n_shards: int, log2_buckets: int, hosts: list):
+    def __init__(self, n_shards: int, log2_buckets: int):
         self.n_shards = n_shards
         self.log2_buckets = log2_buckets
-        self.hosts = list(hosts)
+        self.hosts: list = []  # none until the first rehost
         self.count = 0        # keys held over all shards
         self.log_bytes = 0    # key-log bytes taken since the last snapshot
         # keys sent since the last take_log, in call order: one
         # check_and_add, then removes (the order replay applies them)
         self._checked: np.ndarray | None = None
         self._removed: list[np.ndarray] = []
-        # blocking: actor start-up is paid (and start-up errors surface)
-        # here, before the first wave, not inside the wave's seen check
-        ray.get([
-            h.seen_init.remote(ids, log2_buckets)
-            for h, ids in self._host_shards().items()
-        ])
+
+    def rehost(self, hosts: list) -> None:
+        """Move to ``hosts`` (the grown pool: the current hosts, then
+        new ones), blocking: with no hosts yet, every shard starts
+        empty on its host; otherwise each shard whose host
+        ``s % len(hosts)`` changed goes over as its bytes.  ``count``
+        and ``log_bytes`` are untouched, so ``seen_total`` and the
+        snapshot schedule do not change."""
+        n_old, n_new = len(self.hosts), len(hosts)
+        old, self.hosts = self.hosts, list(hosts)
+        if not n_old:
+            ray.get([h.seen_init.remote(ids, self.log2_buckets)
+                     for h, ids in self._host_shards().items()])
+            return
+        sources: dict = {}  # old host → the shards it hands over
+        for s in range(self.n_shards):
+            if s % n_old != s % n_new:
+                sources.setdefault(old[s % n_old], []).append(s)
+        targets: dict = {}  # new host → {shard: bytes} it takes over
+        for part in ray.get([h.seen_to_bytes.remote(ids) for h, ids in sources.items()]):
+            for s, blob in part.items():
+                targets.setdefault(self.hosts[s % n_new], {})[s] = blob
+        ray.get([h.seen_load_bytes.remote(targets.get(h, {}), sources.get(h, []))
+                 for h in dict.fromkeys([*sources, *targets])])
 
     def _host_shards(self) -> dict:
         """host actor → its shard ids (shard s on hosts[s % n_hosts])."""

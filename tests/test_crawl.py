@@ -1,7 +1,9 @@
 """Wave-crawl integration: determinism, resume identity, politeness,
 coverage, and an independent crawl-order oracle."""
 
+import functools
 import json
+import operator
 import os
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from crawler_tjce_ray.pipelines import crawl
 from crawler_tjce_ray.pipelines.crawl import CrawlConfig, run_crawl
+from crawler_tjce_ray.stages.fetch import FetchPool, PageStoreTransport
 from crawler_tjce_ray.state.cuckoo import CuckooFilter
 from crawler_tjce_ray.state.frontier import (
     canonicalize_url,
@@ -46,6 +49,16 @@ def _seen_layout(workdir):
         rows.append((wave, len(log), int(n_checked), int(n_removed),
                      os.path.exists(os.path.join(d, "seen_shard_0.bin")), metrics))
     return rows
+
+
+def _record_rows(records_dir):
+    """Each record kind's rows, sorted: the part files follow the
+    actor count, the rows must not."""
+    out = {}
+    for kind in sorted(os.listdir(records_dir)):
+        df = pq.read_table(os.path.join(records_dir, kind)).to_pandas()
+        out[kind] = df.sort_values(list(df.columns)).reset_index(drop=True)
+    return out
 
 
 def _actor_table():
@@ -125,11 +138,32 @@ class TestFrontierUnits:
 def test_crawl_config_rejects_budgets_that_select_nothing():
     """A zero per-host budget or wave size would select nothing from an
     eligible frontier while rows stay pending, so the crawl would run
-    every wave up to ``max_waves`` without writing a checkpoint."""
-    for bad in (dict(per_host_budget=0), dict(wave_size=0), dict(wave_size=-1)):
+    every wave up to ``max_waves`` without writing a checkpoint.  The
+    pool-growth rule divides by ``fetch_batch_size``, and a crawl needs
+    at least one fetch actor and one seen shard."""
+    for bad in (dict(per_host_budget=0), dict(wave_size=0), dict(wave_size=-1),
+                dict(fetch_batch_size=0), dict(fetch_concurrency=0),
+                dict(n_seen_shards=0), dict(fetch_batch_size=-4)):
         with pytest.raises(ValueError):
             CrawlConfig(**bad)
-    CrawlConfig(wave_size=1, per_host_budget=1)
+    CrawlConfig(wave_size=1, per_host_budget=1, fetch_batch_size=1,
+                fetch_concurrency=1, n_seen_shards=1)
+
+
+def test_transport_keeps_only_its_bucket_share(tmp_path):
+    """When the pool grows, an actor's page-store LRU keeps only the
+    buckets now routed to it, in LRU order, and is sized to that share
+    + 1 (a lone actor caches every bucket)."""
+    t = PageStoreTransport(str(tmp_path), n_buckets=8, max_cached_buckets=9)
+    for b in (3, 0, 5, 2, 7, 4, 1, 6):
+        t._bucket_lookup(b)
+    assert t.bucket_loads == 8 and len(t.bucket_cache) == 8
+    t.keep_buckets([0, 2, 4, 6])
+    assert t.bucket_lru == [0, 2, 4, 6] and sorted(t.bucket_cache) == [0, 2, 4, 6]
+    assert t.max_cached_buckets == 5
+    for b in (6, 4, 2, 0):
+        t._bucket_lookup(b)
+    assert t.bucket_loads == 8
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -138,7 +172,8 @@ class TestCrawl:
         pages, _ = corpus
         cfg = CrawlConfig(wave_size=64, per_host_budget=4, max_waves=60,
                           n_seen_shards=2, log2_buckets=12,
-                          fetch_concurrency=2, extract_records=kw.pop("extract", False))
+                          fetch_concurrency=2, fetch_batch_size=1,
+                          extract_records=kw.pop("extract", False))
         return run_crawl(pages, workdir, config=cfg, **kw)
 
     def test_full_coverage_and_determinism(self, corpus, tmp_path):
@@ -180,12 +215,12 @@ class TestCrawl:
         workdir_cut = str(tmp_path / "cut")
         pages, _ = corpus
         cfg_cut = CrawlConfig(wave_size=64, per_host_budget=4, max_waves=3,
-                              n_seen_shards=2, log2_buckets=12,
-                              fetch_concurrency=2, extract_records=False)
+                              n_seen_shards=2, log2_buckets=12, fetch_concurrency=2,
+                              fetch_batch_size=1, extract_records=False)
         run_crawl(pages, workdir_cut, config=cfg_cut)  # "killed" after wave 2
         cfg_resume = CrawlConfig(wave_size=64, per_host_budget=4, max_waves=60,
-                                 n_seen_shards=2, log2_buckets=12,
-                                 fetch_concurrency=2, extract_records=False)
+                                 n_seen_shards=2, log2_buckets=12, fetch_concurrency=2,
+                                 fetch_batch_size=1, extract_records=False)
         resumed = run_crawl(pages, workdir_cut, config=cfg_resume, resume=True)
         pd.testing.assert_frame_equal(
             full.trace.reset_index(drop=True), resumed.trace.reset_index(drop=True)
@@ -194,11 +229,13 @@ class TestCrawl:
         assert _final_seen(workdir_full) == _final_seen(workdir_cut)
 
     def test_resume_on_fewer_seen_hosts(self, corpus, tmp_path):
-        """The seen shards live in the fetch actors (shard s on actor
-        s % n_actors), but their count is CrawlConfig.n_seen_shards:
+        """The seen shards live in the fetch actors (shard s on live
+        actor s % n_live), but their count is CrawlConfig.n_seen_shards:
         a crawl cut on 2 fetch actors and resumed on 1 reproduces the
         uninterrupted trace and the same final shard blobs.  Each crawl
-        starts only its fetch actors, and none outlives run_crawl."""
+        starts only the fetch actors its waves ask for (one per
+        fetch_batch_size selected urls, up to n_fetch), and none
+        outlives run_crawl."""
         pages, _ = corpus
         workdir_full = str(tmp_path / "full")
         full = self._run(corpus, workdir_full)
@@ -207,11 +244,12 @@ class TestCrawl:
             return CrawlConfig(wave_size=64, per_host_budget=4,
                                max_waves=max_waves, n_seen_shards=2,
                                log2_buckets=12, extract_records=False,
-                               fetch_concurrency=fetch_concurrency)
+                               fetch_concurrency=fetch_concurrency,
+                               fetch_batch_size=4)
 
         workdir_cut = str(tmp_path / "cut")
         before = _actor_ids()
-        run_crawl(pages, workdir_cut, config=cfg(2, 3))  # "killed" after wave 2
+        cut = run_crawl(pages, workdir_cut, config=cfg(2, 3))  # "killed" after wave 2
         cut_actors = _actor_ids() - before
         resumed = run_crawl(pages, workdir_cut, config=cfg(1, 60), resume=True)
         resume_actors = _actor_ids() - before - cut_actors
@@ -221,7 +259,10 @@ class TestCrawl:
         )
         assert _final_seen(workdir_full) == _final_seen(workdir_cut)
         # 4-cpu session: n_fetch = min(fetch_concurrency, cpus - 2)
-        assert _actor_classes(cut_actors) == ["FetchActor"] * 2
+        max_selected = max(m["selected"] for m in cut.metrics)
+        n_cut = min(2, -(-max_selected // 4))
+        assert n_cut == 2
+        assert _actor_classes(cut_actors) == ["FetchActor"] * n_cut
         assert _actor_classes(resume_actors) == ["FetchActor"]
         _assert_all_dead(cut_actors | resume_actors)
 
@@ -233,7 +274,8 @@ class TestCrawl:
         workdir = str(tmp_path / "run")
         cfg = CrawlConfig(wave_size=64, per_host_budget=4, max_waves=60,
                           n_seen_shards=2, log2_buckets=1,  # 2 × 8 slots
-                          fetch_concurrency=2, extract_records=False)
+                          fetch_concurrency=2, fetch_batch_size=1,
+                          extract_records=False)
         before = _actor_ids()
         with pytest.raises(RuntimeError, match="over capacity"):
             run_crawl(pages, workdir, config=cfg)
@@ -252,16 +294,19 @@ class TestCrawl:
         snapshot's bytes, and at the last checkpoint.  The driver's
         seen_total equals the snapshot's shard counts, and each
         metrics.json carries the previous wave's t_ckpt, its own
-        t_select, and t_pool_start (the blocking fetch-pool and
-        seen-shard start-up) on the run's first wave only.  A wave's
-        phases never sum past its wall time t_wave (commit to commit;
-        every value is rounded to 0.1 ms)."""
+        t_select, the live pool size fetch_actors (one actor per
+        fetch_batch_size urls of the largest wave so far, up to
+        fetch_concurrency), and t_pool_grow (actor and seen shard
+        start-up or move, blocking) on each wave that grew it, the
+        first wave included.  A wave's phases never sum past its
+        wall time t_wave (commit to commit; every value is rounded to
+        0.1 ms)."""
         pages, _ = corpus
         n_shards, log2_buckets = 2, 4
         cfg = CrawlConfig(wave_size=64, per_host_budget=4, max_waves=60,
                           n_seen_shards=n_shards, log2_buckets=log2_buckets,
-                          fetch_concurrency=2, extract_records=False,
-                          actor_token_rate=1)
+                          fetch_concurrency=2, fetch_batch_size=4,
+                          extract_records=False, actor_token_rate=1)
         workdir = str(tmp_path / "run")
         r = run_crawl(pages, workdir, config=cfg)
         layout = _seen_layout(workdir)
@@ -286,15 +331,132 @@ class TestCrawl:
             assert metrics["seen_total"] == r.metrics[i]["seen_total"]
             m = r.metrics[i]
             assert metrics["t_select"] == m["t_select"] >= 0
-            assert ("t_pool_start" in metrics) == ("t_pool_start" in m) == (i == 0)
+            most = max(x["selected"] for x in r.metrics[:i + 1])
+            assert metrics["fetch_actors"] == m["fetch_actors"] == min(2, -(-most // 4))
+            grew = m["fetch_actors"] > (r.metrics[i - 1]["fetch_actors"] if i else 0)
+            assert ("t_pool_grow" in metrics) == ("t_pool_grow" in m) == grew
             phases = [v for k, v in m.items() if k.startswith("t_") and k != "t_wave"]
             assert sum(phases) <= m["t_wave"] + 5e-5 * (len(phases) + 1), m
         assert sum(snap for *_, snap, _ in layout) >= 2  # one by size, the last
         assert all("prev_t_ckpt" not in m for m in r.metrics)
+        assert r.metrics[-1]["fetch_actors"] == 2 and r.t_pool_stop >= 0
 
         final = _final_seen(workdir, n_shards)
         assert [len(b) for b in final] == [CuckooFilter.blob_size(log2_buckets)] * n_shards
         assert sum(CuckooFilter.blob_header(b)[1] for b in final) == r.metrics[-1]["seen_total"]
+
+    def test_pool_grows_mid_crawl(self, corpus, tmp_path):
+        """The fetch pool starts one actor at the first wave (3 urls)
+        and grows to fetch_concurrency at the first wave that selects
+        more than fetch_batch_size urls, moving the seen shards whose
+        host changed.  The trace, the record rows and the final seen blobs
+        equal a one-actor crawl's, and a crawl cut after the growth
+        wave and resumed reproduces the uninterrupted trace, record
+        rows and pool sizes; its first wave reports the pool's restart
+        as t_pool_grow."""
+        pages, _ = corpus
+
+        def cfg(**kw):
+            base = dict(wave_size=64, per_host_budget=4, max_waves=60,
+                        n_seen_shards=2, log2_buckets=12,
+                        fetch_concurrency=2, fetch_batch_size=4)
+            return CrawlConfig(**{**base, **kw})
+
+        one = run_crawl(pages, str(tmp_path / "one"), config=cfg(fetch_concurrency=1))
+        before = _actor_ids()
+        grown = run_crawl(pages, str(tmp_path / "grown"), config=cfg())
+        actors = _actor_ids() - before
+        _assert_all_dead(actors)
+        assert _actor_classes(actors) == ["FetchActor"] * 2
+
+        sizes = [m["fetch_actors"] for m in grown.metrics]
+        first = next(i for i, m in enumerate(grown.metrics) if m["selected"] > 4)
+        assert first > 0
+        assert sizes == [1] * first + [2] * (len(sizes) - first)
+        assert [i for i, m in enumerate(grown.metrics) if "t_pool_grow" in m] == [0, first]
+        assert {m["fetch_actors"] for m in one.metrics} == {1}
+        # a lone actor's LRU holds every bucket: each loads once
+        fetched = one.trace[one.trace["status"].isin(["ok", "missing"])]["url"]
+        assert one.actor_stats["bucket_loads"] == len({url_sha1_64(u) % 32 for u in fetched})
+        pd.testing.assert_frame_equal(one.trace, grown.trace)
+        one_rows, grown_rows = _record_rows(one.records_dir), _record_rows(grown.records_dir)
+        assert list(one_rows) == list(grown_rows) and len(one_rows) == 3
+        for kind in one_rows:
+            pd.testing.assert_frame_equal(one_rows[kind], grown_rows[kind])
+        assert _final_seen(one.workdir) == _final_seen(grown.workdir)
+
+        workdir_cut = str(tmp_path / "cut")
+        run_crawl(pages, workdir_cut, config=cfg(max_waves=first + 1))
+        resumed = run_crawl(pages, workdir_cut, resume=True, config=cfg())
+        assert resumed.metrics[0]["wave"] == first + 1
+        pd.testing.assert_frame_equal(grown.trace, resumed.trace)
+        assert [m["fetch_actors"] for m in resumed.metrics] == sizes[first + 1:]
+        assert "t_pool_grow" in resumed.metrics[0]
+        cut_rows = _record_rows(resumed.records_dir)
+        assert list(cut_rows) == list(grown_rows)
+        for kind in cut_rows:
+            pd.testing.assert_frame_equal(cut_rows[kind], grown_rows[kind])
+        assert _final_seen(workdir_cut) == _final_seen(grown.workdir)
+
+    def test_seen_rehost_keeps_shards(self, tmp_path):
+        """Growing the host list 0 → 1 → 2 → 3 between waves starts
+        the shards, then moves each shard whose host s % n_hosts
+        changed: every check_and_add answers, and every shard ends
+        byte-equal, as on a set that never moved; count and log_bytes
+        do not change."""
+        import ray
+
+        from crawler_tjce_ray.stages.fetch import FetchActor
+        from crawler_tjce_ray.stages.seen import ShardedSeenSet
+
+        cls = ray.remote(num_cpus=0)(FetchActor)
+        actors = [cls.remote(str(tmp_path)) for _ in range(4)]
+        try:
+            grown = ShardedSeenSet(5, 6)
+            still = ShardedSeenSet(5, 6)
+            still.rehost(actors[3:])
+            keys = np.random.default_rng(7).integers(0, 2**63, 900, dtype=np.uint64)
+            for wave, n_hosts in enumerate((1, 2, 3)):
+                grown.rehost(actors[:n_hosts])
+                batch = keys[wave * 200:wave * 200 + 300]  # overlaps: dups
+                assert (grown.check_and_add(batch) == still.check_and_add(batch)).all()
+                assert grown.take_log() == still.take_log()
+                assert (grown.count, grown.log_bytes) == (still.count, still.log_bytes)
+            assert grown.checkpoint() == still.checkpoint()
+            by_host = ray.get([a.seen_to_bytes.remote() for a in actors[:3]])
+            assert [sorted(b) for b in by_host] == [[0, 3], [1, 4], [2]]
+        finally:
+            for a in actors:
+                ray.kill(a)
+
+    def test_pool_growth_failure_frees_every_actor(self, corpus, tmp_path, monkeypatch):
+        """An actor that fails to start while the pool grows raises out
+        of run_crawl before that wave's checkpoint, and every actor the
+        pool started, the failed one included, is killed."""
+        import ray
+
+        pages, _ = corpus
+        grow = FetchPool.grow
+
+        def grow_broken(pool, n):
+            if pool.actors:  # actors after the first cannot build a transport
+                pool._actor_kwargs["transport_factory"] = functools.partial(
+                    operator.truediv, 1, 0)
+            return grow(pool, n)
+
+        monkeypatch.setattr(FetchPool, "grow", grow_broken)
+        workdir = str(tmp_path / "run")
+        cfg = CrawlConfig(wave_size=64, per_host_budget=4, max_waves=60,
+                          n_seen_shards=2, log2_buckets=12, fetch_concurrency=2,
+                          fetch_batch_size=4, extract_records=False)
+        before = _actor_ids()
+        with pytest.raises(ray.exceptions.RayActorError, match="ZeroDivisionError"):
+            run_crawl(pages, workdir, config=cfg)
+        actors = _actor_ids() - before
+        assert _actor_classes(actors) == ["FetchActor"] * 2
+        _assert_all_dead(actors)
+        done = crawl._completed_waves(workdir)
+        assert done and all(crawl._read_metrics(workdir, w)["fetch_actors"] == 1 for w in done)
 
     def test_resume_from_pandas_written_checkpoint(self, corpus, tmp_path):
         """Checkpoints written by pandas ``to_parquet`` (the frontier
@@ -302,8 +464,8 @@ class TestCrawl:
         resume to the uninterrupted crawl's trace."""
         full = self._run(corpus, str(tmp_path / "full"))
         pages, _ = corpus
-        cfg = dict(wave_size=64, per_host_budget=4, n_seen_shards=2,
-                   log2_buckets=12, fetch_concurrency=2, extract_records=False)
+        cfg = dict(wave_size=64, per_host_budget=4, n_seen_shards=2, log2_buckets=12,
+                   fetch_concurrency=2, fetch_batch_size=1, extract_records=False)
         workdir = str(tmp_path / "cut")
         run_crawl(pages, workdir, config=CrawlConfig(**cfg, max_waves=3))
         for wave in crawl._completed_waves(workdir):
@@ -315,7 +477,8 @@ class TestCrawl:
                 assert b"pandas" in pq.read_schema(path).metadata
         resumed = run_crawl(pages, workdir, resume=True,
                             config=CrawlConfig(**cfg, max_waves=60))
-        assert resumed.metrics[0]["wave"] == 3 and "t_pool_start" in resumed.metrics[0]
+        # the resumed run restarts the pool: its first wave's t_pool_grow
+        assert resumed.metrics[0]["wave"] == 3 and "t_pool_grow" in resumed.metrics[0]
         pd.testing.assert_frame_equal(
             full.trace.reset_index(drop=True), resumed.trace.reset_index(drop=True)
         )
@@ -331,15 +494,17 @@ class TestCrawl:
         finite actor_token_rate is per actor (``TokenBucket``), so an
         uninterrupted 2-actor crawl legitimately denies other urls.  At
         2^12 buckets the resume replays every log onto fresh shards; at
-        2^4 it restores a mid-crawl snapshot first.  Resuming with
+        2^4 it restores a mid-crawl snapshot first.  With
+        fetch_batch_size 4 the 2-actor pool grows on wave 1, before the
+        cut, so the resume restarts it at 2 actors.  Resuming with
         other shard geometry raises."""
         pages, _ = corpus
 
         def cfg(**kw):
             base = dict(wave_size=64, per_host_budget=4, max_waves=60,
                         n_seen_shards=2, log2_buckets=log2_buckets,
-                        fetch_concurrency=2, extract_records=False,
-                        actor_token_rate=1)
+                        fetch_concurrency=2, fetch_batch_size=4,
+                        extract_records=False, actor_token_rate=1)
             return CrawlConfig(**{**base, **kw})
 
         workdir_full = str(tmp_path / "full")
@@ -352,6 +517,7 @@ class TestCrawl:
         cut = max(w for w, _, _, n_removed, snap, _ in layout[:-1]
                   if n_removed and not snap)
         assert any(snap for w, *_, snap, _ in layout if w < cut) == (log2_buckets == 4)
+        assert next(m for m in full.metrics if m["wave"] == cut)["fetch_actors"] == 2
 
         workdir_snap = str(tmp_path / "snap1")
         run_crawl(pages, workdir_snap, config=cfg(max_waves=cut + 1))
@@ -400,8 +566,8 @@ class TestCrawl:
 
         seeds = default_seeds() + ["https://esaj.tjce.example.org/private/secret/page/0"]
         cfg = CrawlConfig(wave_size=64, per_host_budget=8, max_waves=5,
-                          n_seen_shards=2, log2_buckets=12,
-                          fetch_concurrency=2, extract_records=False)
+                          n_seen_shards=2, log2_buckets=12, fetch_concurrency=2,
+                          fetch_batch_size=1, extract_records=False)
         r = run_crawl(pages, str(tmp_path / "run"), seeds=seeds, config=cfg)
         denied = r.trace[r.trace["url"].str.contains("/private/")]
         assert (denied["status"] == "robots_denied").all() and len(denied) == 1

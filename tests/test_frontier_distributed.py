@@ -64,7 +64,8 @@ def test_crawl_identical_through_distributed_route(tmp_path):
     from crawler_tjce_ray.sources.pages import corpus_cache_dir
 
     pages = corpus_cache_dir(n_entities=8, total_pages=40, rows_per_page=50, seed=42)
-    base = dict(wave_size=64, per_host_budget=4, max_waves=8, fetch_concurrency=2)
+    base = dict(wave_size=64, per_host_budget=4, max_waves=8, fetch_concurrency=2,
+                fetch_batch_size=1)
     r_pd = run_crawl(pages, str(tmp_path / "pd"),
                      config=CrawlConfig(**base))
     r_rd = run_crawl(pages, str(tmp_path / "rd"),
@@ -87,8 +88,8 @@ def test_distributed_resume_from_parquet_dir_checkpoint(tmp_path):
 
     pages = corpus_cache_dir(n_entities=8, total_pages=40, rows_per_page=50, seed=42)
     base = dict(wave_size=64, per_host_budget=4, n_seen_shards=2,
-                log2_buckets=12, fetch_concurrency=2, extract_records=False,
-                distributed_select_threshold=0)
+                log2_buckets=12, fetch_concurrency=2, fetch_batch_size=1,
+                extract_records=False, distributed_select_threshold=0)
     full = run_crawl(pages, str(tmp_path / "full"),
                      config=CrawlConfig(**base, max_waves=8))
 

@@ -135,7 +135,8 @@ class TestResumeStaleParts:
 
         from crawler_tjce_ray.pipelines.crawl import CrawlConfig, run_crawl
 
-        base = dict(wave_size=64, per_host_budget=8, extract_records=True)
+        base = dict(wave_size=64, per_host_budget=8, fetch_batch_size=1,
+                    extract_records=True)
         full = str(tmp_path / "full")
         cut = str(tmp_path / "cut")
         run_crawl(corpus, full, config=CrawlConfig(**base, max_waves=60,
@@ -174,7 +175,7 @@ class TestRobotsTTLIntegration:
         from crawler_tjce_ray.pipelines.crawl import CrawlConfig, run_crawl
 
         base = dict(wave_size=64, per_host_budget=8, max_waves=60,
-                    fetch_concurrency=2, extract_records=False)
+                    fetch_concurrency=2, fetch_batch_size=1, extract_records=False)
         a = run_crawl(corpus, str(tmp_path / "a"),
                       config=CrawlConfig(**base))
         b = run_crawl(corpus, str(tmp_path / "b"),

@@ -63,7 +63,7 @@ class TestPolitenessRequeue:
         pages = corpus_cache_dir(n_entities=8, total_pages=40, rows_per_page=50, seed=42)
         cfg = CrawlConfig(
             wave_size=64, per_host_budget=8, max_waves=80,
-            fetch_concurrency=2, extract_records=False,
+            fetch_concurrency=2, fetch_batch_size=1, extract_records=False,
             actor_token_rate=1,
         )
         r = run_crawl(pages, str(tmp_path / "w"), config=cfg)
@@ -93,7 +93,7 @@ class TestResumeWithExtraction:
 
         pages = corpus_cache_dir(n_entities=8, total_pages=40, rows_per_page=50, seed=42)
         base = dict(wave_size=64, per_host_budget=8, fetch_concurrency=2,
-                    extract_records=True)
+                    fetch_batch_size=1, extract_records=True)
         full = run_crawl(pages, str(tmp_path / "full"),
                          config=CrawlConfig(**base, max_waves=60))
 
@@ -131,7 +131,7 @@ class TestReviewRegressions:
         pages = corpus_cache_dir(n_entities=8, total_pages=40, rows_per_page=50, seed=42)
         w = str(tmp_path / "w")
         cfg = dict(wave_size=64, per_host_budget=8, fetch_concurrency=2,
-                   extract_records=False)
+                   fetch_batch_size=1, extract_records=False)
         run_crawl(pages, w, config=CrawlConfig(**cfg, max_waves=3))
         bad = os.path.join(w, "ckpt", "wave_00099.tmp")
         os.makedirs(bad)
