@@ -57,7 +57,10 @@ count: Ray's sort-based groupby keeps its input's block count, so
 as many as all its sides hold together.  A plan that chains exchanges,
 or feeds one dataset into two sides, grows its block count with every
 hop and must ``repartition`` between hops, as label propagation
-(``dedup.cluster_labels_distributed``) does per round.
+(``dedup.cluster_labels_distributed``) does per round.  The graph
+family needed no such bound: its one chained plan,
+``triangle_count``, feeds hop 1's output alone into hop 2, so both
+hops keep the edge Dataset's block count.
 
 Bucket keys (``kb_arrow``) follow the key column's type, so neither
 primitive takes a hashing parameter:

@@ -5,23 +5,24 @@ streams, a Markov transition matrix, and inverted-index construction
 (token posting lists).
 
 Same discipline as the rest of the engine: vectorized batch kernels,
-per-batch partials before any shuffle, ONE coarse size-derived
-bucket shuffle per query (never per-key dispatch; see
-pipelines/exchange.py), and driver state bounded by
-O(result), O(#buckets) or — for PageRank's rank vector — O(#nodes),
-the same honestly-documented broadcast pattern as the k-means
-centroids in ``pipelines/clustering.py`` (at 10^9+ nodes the rank
-vector would shard on the same bucket key as the edges; the iteration
-structure is unchanged).
+per-batch partials before any shuffle, every key-bucket exchange on
+``exchange.shuffle`` over a size-derived fan-out (never per-key
+dispatch) — one per query, two for ``triangle_count`` — and driver
+state bounded by O(result), O(#buckets) or — for PageRank's rank
+vector — O(#nodes), the same honestly-documented broadcast pattern as
+the k-means centroids in ``pipelines/clustering.py`` (at 10^9+ nodes
+the rank vector would shard on the same bucket key as the edges; the
+iteration structure is unchanged).
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
+from crawler_tjce_ray.pipelines.exchange import shuffle
 from crawler_tjce_ray.pipelines.relational import _nb_rows, _read
 from crawler_tjce_ray.pipelines.textops import _read_docs
 from crawler_tjce_ray.pipelines.webtext import WORD_RE, _explode_words
@@ -37,26 +38,33 @@ PR_ITERS = 5
 # graphs need the sharded-rank variant described in the docstring
 PR_MAX_DRIVER_NODES = 100_000_000
 
+# the part-succession edge list every lineitem-graph oracle starts from
+_SQL_SEQ = """seq AS (
+  SELECT l_partkey AS src,
+         LEAD(l_partkey) OVER (
+           PARTITION BY l_orderkey ORDER BY l_linenumber, l_partkey
+         ) AS dst
+  FROM lineitem
+)"""
 
-_EDGES_CACHE: dict[str, tuple] = {}
+
+_EDGES_CACHE: dict[tuple[str, str], tuple] = {}
 
 
 def _edges_ds_and_nodes(sf_dir: str):
     """Weighted directed edges (src part → next part within an order)
     as a materialized Ray Dataset, plus the sorted node array.  An
     order's lineitems may span read blocks, so adjacency is recovered
-    with ONE bucketed shuffle on the order key (an order lives wholly
-    in its bucket); edge weights finalize per bucket — a (src, dst)
-    pair may appear in several buckets, which is fine because every
-    consumer is linear in w.  The edge list itself never lands on the
-    driver.
+    with ONE shuffle on the order key (an order lives wholly in its
+    bucket); edge weights finalize per bucket — a (src, dst) pair may
+    appear in several buckets, which is fine because every consumer is
+    linear in w.  The edge list itself never lands on the driver.
 
     The materialized edge blocks are memoized per ``sf_dir`` for the
     life of the Ray session: PageRank, transition matrices and the
     triangle count all consume the same graph, and the order-bucket
     shuffle is the dominant fixed cost at small scale — exactly the
     'build the graph once' discipline a real pipeline would use."""
-    nb = _nb_rows(sf_dir, 'lineitem')  # row-carrying exchange
     import ray
 
     # a cached Dataset's blocks die with the Ray session, and job ids
@@ -73,11 +81,6 @@ def _edges_ds_and_nodes(sf_dir: str):
         except Exception:
             _EDGES_CACHE.pop(ck, None)
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_partkey"])
-
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["ob"] = df["l_orderkey"].astype("int64") & np.int64(nb - 1)
-        return df
 
     def edges_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # (orderkey, linenumber) is NOT unique in the synthetic data;
@@ -96,12 +99,8 @@ def _edges_ds_and_nodes(sf_dir: str):
         e["w"] = e["w"].astype("float64")
         return e
 
-    edges = (
-        ds.map_batches(keyed, batch_format="pandas")
-        .groupby("ob")
-        .map_groups(edges_in_bucket, batch_format="pandas")
-        .materialize()
-    )
+    edges = shuffle(ds, "l_orderkey", _nb_rows(sf_dir, "lineitem"),
+                    edges_in_bucket).materialize()
 
     node_parts = ds.map_batches(
         lambda df: pd.DataFrame({"node": df["l_partkey"].unique()}),
@@ -194,13 +193,7 @@ def q_pagerank_parts(sf_dir: str):
 
 def _sql_pagerank() -> str:
     head = f"""
-WITH seq AS (
-  SELECT l_partkey AS src,
-         LEAD(l_partkey) OVER (
-           PARTITION BY l_orderkey ORDER BY l_linenumber, l_partkey
-         ) AS dst
-  FROM lineitem
-), e AS (
+WITH {_SQL_SEQ}, e AS (
   SELECT src, dst, CAST(COUNT(*) AS DOUBLE) AS w
   FROM seq WHERE dst IS NOT NULL GROUP BY 1, 2
 ), nodes AS (
@@ -238,77 +231,85 @@ SQL_PAGERANK_PARTS = _sql_pagerank()
 # ---------------------------------------------------------------------------
 
 FUNNEL = ["signup", "click", "purchase"]
+FUNNEL_WINDOW_H = 24
+_FUNNEL_EVENTS = ["signup", "click_after_signup", "purchase_after_click"]
+_TIMED_FUNNEL_EVENTS = ["signup", "click_24h", "purchase_24h"]
 
 
-def _funnel_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-    """Per-user ordered-stage mins, vectorized: t1 = first signup,
-    t2 = first click strictly after t1, t3 = first purchase strictly
-    after t2.  Emits one additive (n1, n2, n3) partial row."""
-    t1 = g.loc[g["event_type"] == FUNNEL[0]].groupby("user_id")["ts"].min()
-    c = g.loc[g["event_type"] == FUNNEL[1], ["user_id", "ts"]].copy()
-    c["t1"] = c["user_id"].map(t1)
-    t2 = c.loc[c["ts"] > c["t1"]].groupby("user_id")["ts"].min()
-    p = g.loc[g["event_type"] == FUNNEL[2], ["user_id", "ts"]].copy()
-    p["t2"] = p["user_id"].map(t2)
-    t3 = p.loc[p["ts"] > p["t2"]].groupby("user_id")["ts"].min()
-    return pd.DataFrame({
-        "n1": [int(t1.size)], "n2": [int(t2.size)], "n3": [int(t3.size)],
-    })
+def _of_types(types: list[str]):
+    """``shuffle`` combine that keeps the events of the given types, so
+    the rest of the stream never moves."""
+    value_set = pa.array(types)
+    return lambda t: t.filter(pc.is_in(t["event_type"], value_set=value_set))
 
 
-def q_event_funnel(sf_dir: str):
-    """Three-stage funnel over the events stream: users who signed
-    up, then clicked strictly after their first signup, then purchased
-    strictly after that first qualifying click — with the per-stage
-    conversion rate from the previous stage.
+def _stage_mins(g: pd.DataFrame, types: list[str], win=None) -> list:
+    """Per-user time of each ordered stage, vectorized over a bucket
+    that holds each of its users' whole history: stage 0 is the user's
+    first ``types[0]`` event, stage i the first ``types[i]`` event
+    strictly after stage i−1 (and, given the ``win`` Timedelta, at most
+    ``win`` after it).  One ``user_id``-indexed Series per stage; a
+    user who misses a stage is absent from it and every later one."""
+    t = g.loc[g["event_type"] == types[0]].groupby("user_id")["ts"].min()
+    out = [t]
+    for typ in types[1:]:
+        e = g.loc[g["event_type"] == typ, ["user_id", "ts"]]
+        prev = e["user_id"].map(t)
+        ok = e["ts"] > prev
+        if win is not None:
+            ok &= e["ts"] <= prev + win
+        t = e.loc[ok].groupby("user_id")["ts"].min()
+        out.append(t)
+    return out
 
-    Recipe: filter to the three relevant event types at the read (the
-    rest of the stream never moves) → ONE bucketed shuffle on user_id
-    so each user's stage history is complete in its bucket → vectorized
-    in-bucket stage mins → additive per-bucket counts, driver sums a
-    64×3 table.  No per-user dispatch anywhere."""
-    nb = _nb_rows(sf_dir, 'events')  # row-carrying exchange
+
+def _funnel(sf_dir: str, events: list[str], win=None) -> pd.DataFrame:
+    """The three-stage ``FUNNEL`` with stage labels ``events``: ONE
+    ``user_id`` shuffle of the funnel's event types (each user's stage
+    history is whole in its bucket) → ``_stage_mins`` per bucket →
+    additive per-bucket stage counts; the driver sums a #buckets × 3
+    table and divides by the previous stage.  No per-user dispatch."""
+
+    def counts(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame([[len(t) for t in _stage_mins(g, FUNNEL, win)]],
+                            columns=["n1", "n2", "n3"])
+
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
-
-    def relevant(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.loc[df["event_type"].isin(FUNNEL)].copy()
-        df["ub"] = df["user_id"].astype("int64") & np.int64(nb - 1)
-        return df
-
-    parts = (
-        ds.map_batches(relevant, batch_format="pandas")
-        .groupby("ub")
-        .map_groups(_funnel_in_bucket, batch_format="pandas")
-        .to_pandas()
-        .sum()
-    )
+    # a stream with no funnel events shuffles nothing: zero counts
+    parts = shuffle(ds, "user_id", _nb_rows(sf_dir, "events"), counts,
+                    combine=_of_types(FUNNEL)).to_pandas() \
+        .reindex(columns=["n1", "n2", "n3"], fill_value=0).sum()
     n = [int(parts["n1"]), int(parts["n2"]), int(parts["n3"])]
     prev = [n[0], n[0], n[1]]
     return pd.DataFrame({
         "stage": pd.Series([1, 2, 3], dtype="int64"),
-        "event": ["signup", "click_after_signup", "purchase_after_click"],
+        "event": events,
         "n_users": pd.Series(n, dtype="int64"),
         "conv": [n[i] / prev[i] if prev[i] else 0.0 for i in range(3)],
     })
 
 
-SQL_EVENT_FUNNEL = """
+def _sql_funnel(events: list[str], within: str) -> str:
+    """DuckDB oracle of ``_funnel``: ``within`` is the join predicate
+    of each later stage on the previous one (``{p}`` names that
+    stage's CTE)."""
+
+    def stage(name: str, p: str, typ: str) -> str:
+        return f"""), {name} AS (
+  SELECT e.user_id, MIN(e.ts) AS t FROM events e
+  JOIN {p} ON e.user_id = {p}.user_id{within.format(p=p)}
+  WHERE e.event_type = '{typ}' GROUP BY e.user_id
+"""
+
+    return """
 WITH s AS (
   SELECT user_id, MIN(ts) AS t FROM events
   WHERE event_type = 'signup' GROUP BY user_id
-), c AS (
-  SELECT e.user_id, MIN(e.ts) AS t FROM events e
-  JOIN s ON e.user_id = s.user_id AND e.ts > s.t
-  WHERE e.event_type = 'click' GROUP BY e.user_id
-), p AS (
-  SELECT e.user_id, MIN(e.ts) AS t FROM events e
-  JOIN c ON e.user_id = c.user_id AND e.ts > c.t
-  WHERE e.event_type = 'purchase' GROUP BY e.user_id
-), counts AS (
+""" + stage("c", "s", "click") + stage("p", "c", "purchase") + f"""), counts AS (
   SELECT * FROM (VALUES
-    (1, 'signup', (SELECT COUNT(*) FROM s), (SELECT COUNT(*) FROM s)),
-    (2, 'click_after_signup', (SELECT COUNT(*) FROM c), (SELECT COUNT(*) FROM s)),
-    (3, 'purchase_after_click', (SELECT COUNT(*) FROM p), (SELECT COUNT(*) FROM c))
+    (1, '{events[0]}', (SELECT COUNT(*) FROM s), (SELECT COUNT(*) FROM s)),
+    (2, '{events[1]}', (SELECT COUNT(*) FROM c), (SELECT COUNT(*) FROM s)),
+    (3, '{events[2]}', (SELECT COUNT(*) FROM p), (SELECT COUNT(*) FROM c))
   ) AS t(stage, event, n, prev)
 )
 SELECT CAST(stage AS BIGINT) AS stage, event,
@@ -318,128 +319,15 @@ FROM counts ORDER BY stage
 """
 
 
-# ---------------------------------------------------------------------------
-# Markov transition matrix over event types
-# ---------------------------------------------------------------------------
-
-def q_event_transitions(sf_dir: str):
-    """First-order Markov transition matrix of event types per user:
-    count of (event, next event) adjacencies in each user's stream
-    ordered by (ts, event_id), row-normalized to P(next | current).
-
-    Recipe: ONE bucketed shuffle on user_id (each user's stream is
-    complete in its bucket) → in-bucket sort + groupby-shift adjacency
-    (vectorized) → additive (src, dst, n) partials → driver merge of
-    ≤ 64 × |types|² rows and one exact integer division."""
-    nb = _nb_rows(sf_dir, 'events')  # row-carrying exchange
-    ds = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
-
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["ub"] = df["user_id"].astype("int64") & np.int64(nb - 1)
-        return df
-
-    def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        nxt = g["event_type"].shift(-1)
-        same = (g["user_id"].shift(-1) == g["user_id"]).to_numpy()
-        p = pd.DataFrame({"src": g["event_type"][same], "dst": nxt[same]})
-        return p.groupby(["src", "dst"], as_index=False).agg(n=("src", "size"))
-
-    parts = (
-        ds.map_batches(keyed, batch_format="pandas")
-        .groupby("ub")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    out = parts.groupby(["src", "dst"], as_index=False)["n"].sum()
-    out["n"] = out["n"].astype("int64")
-    out["p"] = out["n"].to_numpy(np.float64) / out.groupby("src")["n"].transform(
-        "sum"
-    ).to_numpy(np.float64)
-    return out.sort_values(["src", "dst"]).reset_index(drop=True)
+def q_event_funnel(sf_dir: str):
+    """Three-stage funnel over the events stream: users who signed
+    up, then clicked strictly after their first signup, then purchased
+    strictly after that first qualifying click — with the per-stage
+    conversion rate from the previous stage (recipe: ``_funnel``)."""
+    return _funnel(sf_dir, _FUNNEL_EVENTS)
 
 
-SQL_EVENT_TRANSITIONS = """
-WITH o AS (
-  SELECT user_id, event_type,
-         LEAD(event_type) OVER (
-           PARTITION BY user_id ORDER BY ts, event_id
-         ) AS nxt
-  FROM events
-)
-SELECT event_type AS src, nxt AS dst, CAST(COUNT(*) AS BIGINT) AS n,
-       CAST(COUNT(*) AS DOUBLE) / SUM(COUNT(*)) OVER (PARTITION BY event_type) AS p
-FROM o WHERE nxt IS NOT NULL
-GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
-TRIGRAM_TOPK = 20
-
-
-def q_event_trigrams(sf_dir: str):
-    """Second-order sequence mining: the global top-{TRIGRAM_TOPK}
-    consecutive event-type TRIGRAMS across user streams (ordered by
-    (ts, event_id) per user) — the pattern the first-order transition
-    matrix cannot see (A→B→A ping-pong vs A→B→C funnels).
-
-    Same recipe as q_event_transitions, one window longer: ONE
-    bucketed user_id shuffle (streams complete in-bucket) →
-    vectorized double shift → additive (t1, t2, t3, n) partials →
-    driver merge of ≤ 64 × |types|³ rows, deterministic total order
-    (n desc, then t1, t2, t3) before the top-k cut so rank-boundary
-    ties never diverge from the oracle."""
-    nb = _nb_rows(sf_dir, 'events')  # row-carrying exchange
-    ds = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
-
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["ub"] = df["user_id"].astype("int64") & np.int64(nb - 1)
-        return df
-
-    def tris_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        n1 = g["event_type"].shift(-1)
-        n2 = g["event_type"].shift(-2)
-        same = (
-            (g["user_id"].shift(-1) == g["user_id"])
-            & (g["user_id"].shift(-2) == g["user_id"])
-        ).to_numpy()
-        p = pd.DataFrame({
-            "t1": g["event_type"][same], "t2": n1[same], "t3": n2[same]
-        })
-        return p.groupby(["t1", "t2", "t3"], as_index=False).agg(
-            n=("t1", "size"))
-
-    parts = (
-        ds.map_batches(keyed, batch_format="pandas")
-        .groupby("ub")
-        .map_groups(tris_in_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    out = parts.groupby(["t1", "t2", "t3"], as_index=False)["n"].sum()
-    out["n"] = out["n"].astype("int64")
-    out = out.sort_values(
-        ["n", "t1", "t2", "t3"], ascending=[False, True, True, True]
-    ).head(TRIGRAM_TOPK)
-    return out.reset_index(drop=True)
-
-
-SQL_EVENT_TRIGRAMS = f"""
-WITH o AS (
-  SELECT event_type AS t1,
-         LEAD(event_type, 1) OVER w AS t2,
-         LEAD(event_type, 2) OVER w AS t3
-  FROM events
-  WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id))
-SELECT t1, t2, t3, CAST(COUNT(*) AS BIGINT) AS n
-FROM o WHERE t3 IS NOT NULL
-GROUP BY 1, 2, 3 ORDER BY n DESC, t1, t2, t3 LIMIT {TRIGRAM_TOPK}
-"""
-
-
-FUNNEL_WINDOW_H = 24
+SQL_EVENT_FUNNEL = _sql_funnel(_FUNNEL_EVENTS, " AND e.ts > {p}.t")
 
 
 def q_timed_funnel(sf_dir: str):
@@ -450,161 +338,16 @@ def q_timed_funnel(sf_dir: str):
     the unconstrained ``event_funnel`` cannot express it (a click six
     months later still converts there).
 
-    Same recipe: type-filter at the read, ONE bucketed user_id
-    shuffle, vectorized in-bucket stage mins with the deadline
-    predicate, additive 64×3 partials.  Timestamp comparisons are
-    exact integer µs, so no float ambiguity exists."""
-    nb = _nb_rows(sf_dir, 'events')  # row-carrying exchange
-    ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
-    win = pd.Timedelta(hours=FUNNEL_WINDOW_H)
-
-    def relevant(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.loc[df["event_type"].isin(FUNNEL)].copy()
-        df["ub"] = df["user_id"].astype("int64") & np.int64(nb - 1)
-        return df
-
-    def stages(g: pd.DataFrame) -> pd.DataFrame:
-        t1 = g.loc[g["event_type"] == FUNNEL[0]].groupby("user_id")["ts"].min()
-        c = g.loc[g["event_type"] == FUNNEL[1], ["user_id", "ts"]].copy()
-        c["t1"] = c["user_id"].map(t1)
-        t2 = c.loc[(c["ts"] > c["t1"]) & (c["ts"] <= c["t1"] + win)] \
-            .groupby("user_id")["ts"].min()
-        p = g.loc[g["event_type"] == FUNNEL[2], ["user_id", "ts"]].copy()
-        p["t2"] = p["user_id"].map(t2)
-        t3 = p.loc[(p["ts"] > p["t2"]) & (p["ts"] <= p["t2"] + win)] \
-            .groupby("user_id")["ts"].min()
-        return pd.DataFrame({
-            "n1": [int(t1.size)], "n2": [int(t2.size)], "n3": [int(t3.size)],
-        })
-
-    parts = (
-        ds.map_batches(relevant, batch_format="pandas")
-        .groupby("ub")
-        .map_groups(stages, batch_format="pandas")
-        .to_pandas()
-        .sum()
-    )
-    n = [int(parts["n1"]), int(parts["n2"]), int(parts["n3"])]
-    prev = [n[0], n[0], n[1]]
-    return pd.DataFrame({
-        "stage": pd.Series([1, 2, 3], dtype="int64"),
-        "event": ["signup", "click_24h", "purchase_24h"],
-        "n_users": pd.Series(n, dtype="int64"),
-        "conv": [n[i] / prev[i] if prev[i] else 0.0 for i in range(3)],
-    })
+    Same recipe (``_funnel``) with the deadline predicate in the stage
+    mins.  Timestamp comparisons are exact integer µs, so no float
+    ambiguity exists."""
+    return _funnel(sf_dir, _TIMED_FUNNEL_EVENTS,
+                   pd.Timedelta(hours=FUNNEL_WINDOW_H))
 
 
-SQL_TIMED_FUNNEL = f"""
-WITH s AS (
-  SELECT user_id, MIN(ts) AS t FROM events
-  WHERE event_type = 'signup' GROUP BY user_id
-), c AS (
-  SELECT e.user_id, MIN(e.ts) AS t FROM events e
-  JOIN s ON e.user_id = s.user_id
-        AND e.ts > s.t AND e.ts <= s.t + INTERVAL {FUNNEL_WINDOW_H} HOUR
-  WHERE e.event_type = 'click' GROUP BY e.user_id
-), p AS (
-  SELECT e.user_id, MIN(e.ts) AS t FROM events e
-  JOIN c ON e.user_id = c.user_id
-        AND e.ts > c.t AND e.ts <= c.t + INTERVAL {FUNNEL_WINDOW_H} HOUR
-  WHERE e.event_type = 'purchase' GROUP BY e.user_id
-), counts AS (
-  SELECT * FROM (VALUES
-    (1, 'signup', (SELECT COUNT(*) FROM s), (SELECT COUNT(*) FROM s)),
-    (2, 'click_24h', (SELECT COUNT(*) FROM c), (SELECT COUNT(*) FROM s)),
-    (3, 'purchase_24h', (SELECT COUNT(*) FROM p), (SELECT COUNT(*) FROM c))
-  ) AS t(stage, event, n, prev)
-)
-SELECT CAST(stage AS BIGINT) AS stage, event,
-       CAST(n AS BIGINT) AS n_users,
-       CASE WHEN prev = 0 THEN 0.0 ELSE CAST(n AS DOUBLE) / prev END AS conv
-FROM counts ORDER BY stage
-"""
-
-
-
-
-def q_edge_reciprocity(sf_dir: str):
-    """Directed-graph reciprocity over the part-succession graph: the
-    fraction of non-loop directed edges whose reverse edge also exists
-    — the standard "is this graph mutual or feed-forward" diagnostic
-    (near 1 for co-purchase-style graphs, near 0 for strict
-    pipelines).
-
-    Consumes the memoized edge Dataset.  Both directions of a pair
-    must meet to decide reciprocity, so the edges ride ONE shuffle on
-    64 UNORDERED-pair buckets (packed min<<32|max key, xor-folded so
-    both endpoints mix); in-bucket a vectorized dedup + direction
-    count yields two additive integers per bucket — edge rows may
-    repeat across order-buckets upstream, which the in-bucket
-    ``drop_duplicates`` absorbs because a pair always lands whole."""
-    nb = _nb_rows(sf_dir, 'lineitem')  # row-carrying exchange
-    edges, _ = _edges_ds_and_nodes(sf_dir)
-
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        src = df["src"].to_numpy(np.int64)
-        dst = df["dst"].to_numpy(np.int64)
-        keep = src != dst  # self-loops are excluded from reciprocity
-        src, dst = src[keep], dst[keep]
-        a = np.minimum(src, dst)
-        b = np.maximum(src, dst)
-        # pair identity packs two keys into one int64; only valid for
-        # non-negative keys below 2^32 (true for TPC-H partkeys — at
-        # larger key spaces switch to a (a, b) two-column key).
-        if len(b) and (int(b.max()) >= (1 << 32) or int(a.min()) < 0):
-            raise ValueError(
-                "edge keys exceed 32-bit packing range; use a "
-                "two-column (a, b) pair key for this key space")
-        pair = (a << np.int64(32)) | b
-        out = pd.DataFrame({
-            "pair": pair, "fwd": (src < dst),
-        }).drop_duplicates()
-        out["pb"] = ((out["pair"] ^ (out["pair"] >> np.int64(32))) & np.int64(nb - 1)) \
-            .astype("int64")
-        return out
-
-    def count_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        d = g.drop_duplicates(["pair", "fwd"])
-        dirs = d.groupby("pair")["fwd"].size()
-        n_edges = int(dirs.sum())
-        n_recip = int((dirs == 2).sum()) * 2
-        return pd.DataFrame({"n_edges": [n_edges], "n_recip": [n_recip]})
-
-    p = (
-        edges.map_batches(tag, batch_format="pandas")
-        .groupby("pb")
-        .map_groups(count_bucket, batch_format="pandas")
-        .to_pandas().sum()
-    )
-    ne, nr = int(p["n_edges"]), int(p["n_recip"])
-    return pd.DataFrame({
-        "n_edges": pd.Series([ne], dtype="int64"),
-        "n_reciprocal": pd.Series([nr], dtype="int64"),
-        "reciprocity": [round(nr / ne, 6) if ne else 0.0],
-    })
-
-
-SQL_EDGE_RECIPROCITY = """
-WITH seq AS (
-  SELECT l_partkey AS src,
-         LEAD(l_partkey) OVER (
-           PARTITION BY l_orderkey ORDER BY l_linenumber, l_partkey
-         ) AS dst
-  FROM lineitem
-), e AS (
-  SELECT DISTINCT src, dst FROM seq
-  WHERE dst IS NOT NULL AND src <> dst
-), j AS (
-  SELECT e.src, e.dst, r.src AS rsrc
-  FROM e LEFT JOIN e r ON r.src = e.dst AND r.dst = e.src
-)
-SELECT CAST(COUNT(*) AS BIGINT) AS n_edges,
-       CAST(COUNT(rsrc) AS BIGINT) AS n_reciprocal,
-       ROUND(CAST(COUNT(rsrc) AS DOUBLE) / COUNT(*), 6) AS reciprocity
-FROM j
-"""
-
-
+SQL_TIMED_FUNNEL = _sql_funnel(
+    _TIMED_FUNNEL_EVENTS,
+    f"\n        AND e.ts > {{p}}.t AND e.ts <= {{p}}.t + INTERVAL {FUNNEL_WINDOW_H} HOUR")
 
 
 def q_time_to_convert(sf_dir: str):
@@ -613,40 +356,29 @@ def q_time_to_convert(sf_dir: str):
     EXACT median and p90 of the delay — quantile_disc semantics, so
     bit-identical to the oracle.
 
-    Composition showcase: one user-bucket shuffle derives the
-    per-converter delay (exact integer µs) as a materialized Dataset
+    Composition showcase: one ``user_id`` shuffle of the signup and
+    purchase events derives the per-converter delay (two
+    ``_stage_mins`` stages, exact integer µs) as a materialized Dataset
     bounded by #converters, and the shared-pass distributed
     quickselect (``_quickselect_multi``) resolves both ranks in one
     search's streaming passes — the corpus never sorts."""
-    nb = _nb_rows(sf_dir, 'events')  # row-carrying exchange
     import math
 
     from crawler_tjce_ray.pipelines.sketches import (
         _quickselect_multi, _select_base_stats,
     )
 
-    ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.loc[df["event_type"].isin(["signup", "purchase"])].copy()
-        df["ub"] = df["user_id"].astype("int64") & np.int64(nb - 1)
-        return df
+    stages = ["signup", "purchase"]
 
     def delays(g: pd.DataFrame) -> pd.DataFrame:
-        t1 = g.loc[g["event_type"] == "signup"].groupby("user_id")["ts"].min()
-        p = g.loc[g["event_type"] == "purchase", ["user_id", "ts"]].copy()
-        p["t1"] = p["user_id"].map(t1)
-        t2 = p.loc[p["ts"] > p["t1"]].groupby("user_id")["ts"].min()
+        t1, t2 = _stage_mins(g, stages)
         d = ((t2 - t1[t2.index]) / pd.Timedelta(microseconds=1)).astype(
             "int64")
         return pd.DataFrame({"dur_us": d.to_numpy(np.int64)})
 
-    durs = (
-        ds.map_batches(bucket, batch_format="pandas")
-        .groupby("ub")
-        .map_groups(delays, batch_format="pandas")
-        .materialize()
-    )
+    ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
+    durs = shuffle(ds, "user_id", _nb_rows(sf_dir, "events"), delays,
+                   combine=_of_types(stages)).materialize()
 
     def derive(df: pd.DataFrame) -> np.ndarray:
         return df["dur_us"].to_numpy(np.float64)  # µs < 2^53: exact
@@ -686,6 +418,183 @@ FROM p
 
 
 # ---------------------------------------------------------------------------
+# Markov transitions and trigrams over event types
+# ---------------------------------------------------------------------------
+
+def _event_ngrams(sf_dir: str, cols: list[str]) -> pd.DataFrame:
+    """Counts of consecutive event-type n-grams (n = ``len(cols)``, one
+    column per position, plus ``n``) over every user's stream ordered by
+    (ts, event_id): ONE ``user_id`` shuffle (each stream is whole in its
+    bucket) → in-bucket sort and n−1 vectorized shifts → additive
+    (gram, n) partials, ≤ |types|^n rows per bucket → driver sum,
+    sorted by the gram."""
+
+    def grams(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
+        user = g["user_id"]
+        same = np.ones(len(g), dtype=bool)
+        for i in range(1, len(cols)):
+            same &= (user.shift(-i) == user).to_numpy()
+        p = pd.DataFrame({c: g["event_type"].shift(-i)[same]
+                          for i, c in enumerate(cols)})
+        return p.groupby(cols, as_index=False).agg(n=(cols[0], "size"))
+
+    ds = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
+    parts = shuffle(ds, "user_id", _nb_rows(sf_dir, "events"), grams).to_pandas()
+    # Ray drops the empty partials of streams shorter than n: no columns
+    out = parts.reindex(columns=[*cols, "n"]) \
+        .groupby(cols, as_index=False)["n"].sum()
+    out["n"] = out["n"].astype("int64")
+    return out
+
+
+def q_event_transitions(sf_dir: str):
+    """First-order Markov transition matrix of event types per user:
+    count of (event, next event) adjacencies in each user's stream
+    ordered by (ts, event_id), row-normalized to P(next | current).
+
+    Recipe: the bigram counts of ``_event_ngrams`` (the driver merges
+    ≤ #buckets × |types|² rows) and one exact division per row."""
+    out = _event_ngrams(sf_dir, ["src", "dst"])
+    out["p"] = out["n"].to_numpy(np.float64) / out.groupby("src")["n"].transform(
+        "sum"
+    ).to_numpy(np.float64)
+    return out.sort_values(["src", "dst"]).reset_index(drop=True)
+
+
+SQL_EVENT_TRANSITIONS = """
+WITH o AS (
+  SELECT user_id, event_type,
+         LEAD(event_type) OVER (
+           PARTITION BY user_id ORDER BY ts, event_id
+         ) AS nxt
+  FROM events
+)
+SELECT event_type AS src, nxt AS dst, CAST(COUNT(*) AS BIGINT) AS n,
+       CAST(COUNT(*) AS DOUBLE) / SUM(COUNT(*)) OVER (PARTITION BY event_type) AS p
+FROM o WHERE nxt IS NOT NULL
+GROUP BY 1, 2 ORDER BY 1, 2
+"""
+
+
+TRIGRAM_TOPK = 20
+
+
+def q_event_trigrams(sf_dir: str):
+    """Second-order sequence mining: the global top-{TRIGRAM_TOPK}
+    consecutive event-type TRIGRAMS across user streams (ordered by
+    (ts, event_id) per user) — the pattern the first-order transition
+    matrix cannot see (A→B→A ping-pong vs A→B→C funnels).
+
+    Same recipe as q_event_transitions, one window longer: the trigram
+    counts of ``_event_ngrams`` (≤ #buckets × |types|³ rows merged on
+    the driver), deterministic total order (n desc, then t1, t2, t3)
+    before the top-k cut so rank-boundary ties never diverge from the
+    oracle."""
+    out = _event_ngrams(sf_dir, ["t1", "t2", "t3"])
+    out = out.sort_values(
+        ["n", "t1", "t2", "t3"], ascending=[False, True, True, True]
+    ).head(TRIGRAM_TOPK)
+    return out.reset_index(drop=True)
+
+
+SQL_EVENT_TRIGRAMS = f"""
+WITH o AS (
+  SELECT event_type AS t1,
+         LEAD(event_type, 1) OVER w AS t2,
+         LEAD(event_type, 2) OVER w AS t3
+  FROM events
+  WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id))
+SELECT t1, t2, t3, CAST(COUNT(*) AS BIGINT) AS n
+FROM o WHERE t3 IS NOT NULL
+GROUP BY 1, 2, 3 ORDER BY n DESC, t1, t2, t3 LIMIT {TRIGRAM_TOPK}
+"""
+
+
+# ---------------------------------------------------------------------------
+# reciprocity over the part-succession graph
+# ---------------------------------------------------------------------------
+
+def _loopless(t: pa.Table):
+    """(lo, hi, forward) endpoint arrays of an edge batch's non-loop
+    edges: lo/hi the smaller/larger endpoint, forward whether src is
+    the smaller one."""
+    s, d = t["src"].to_numpy(), t["dst"].to_numpy()
+    keep = s != d
+    s, d = s[keep], d[keep]
+    return np.minimum(s, d), np.maximum(s, d), s < d
+
+
+def _pack_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One int64 key per (a, b) pair: a in the high 32 bits, b in the
+    low 32 (the high half may wrap negative; the packing stays
+    one-to-one).  Only keys in [0, 2^32) pack without collision —
+    numpy wraps the shift, so (2^32+1, 5) and (1, 5) would share a key
+    — so anything else raises; a larger key space needs a two-column
+    (a, b) pair key."""
+    if len(a) and (max(int(a.max()), int(b.max())) >= 1 << 32
+                   or min(int(a.min()), int(b.min())) < 0):
+        raise ValueError(
+            "edge keys exceed 32-bit packing range; use a "
+            "two-column (a, b) pair key for this key space")
+    return (a << np.int64(32)) | b
+
+
+def q_edge_reciprocity(sf_dir: str):
+    """Directed-graph reciprocity over the part-succession graph: the
+    fraction of non-loop directed edges whose reverse edge also exists
+    — the standard "is this graph mutual or feed-forward" diagnostic
+    (near 1 for co-purchase-style graphs, near 0 for strict
+    pipelines).
+
+    Consumes the memoized edge Dataset.  Both directions of a pair
+    must meet to decide reciprocity, so the edges ride ONE shuffle on
+    the UNORDERED pair (``_pack_pairs`` of min, max); per batch the
+    combine keeps the distinct (pair, direction) rows, and in-bucket a
+    vectorized dedup + direction count yields two additive integers per
+    bucket — edge rows may repeat across order-buckets upstream, which
+    the in-bucket ``drop_duplicates`` absorbs because a pair always
+    lands whole."""
+    edges, _ = _edges_ds_and_nodes(sf_dir)
+
+    def directed_pairs(t: pa.Table) -> pa.Table:
+        lo, hi, fwd = _loopless(t)
+        return pa.table({"pair": _pack_pairs(lo, hi), "fwd": fwd}) \
+            .group_by(["pair", "fwd"]).aggregate([])
+
+    def count_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        d = g.drop_duplicates(["pair", "fwd"])
+        dirs = d.groupby("pair")["fwd"].size()
+        n_edges = int(dirs.sum())
+        n_recip = int((dirs == 2).sum()) * 2
+        return pd.DataFrame({"n_edges": [n_edges], "n_recip": [n_recip]})
+
+    p = shuffle(edges, "pair", _nb_rows(sf_dir, "lineitem"), count_bucket,
+                combine=directed_pairs).to_pandas().sum()
+    ne, nr = int(p["n_edges"]), int(p["n_recip"])
+    return pd.DataFrame({
+        "n_edges": pd.Series([ne], dtype="int64"),
+        "n_reciprocal": pd.Series([nr], dtype="int64"),
+        "reciprocity": [round(nr / ne, 6) if ne else 0.0],
+    })
+
+
+SQL_EDGE_RECIPROCITY = f"""
+WITH {_SQL_SEQ}, e AS (
+  SELECT DISTINCT src, dst FROM seq
+  WHERE dst IS NOT NULL AND src <> dst
+), j AS (
+  SELECT e.src, e.dst, r.src AS rsrc
+  FROM e LEFT JOIN e r ON r.src = e.dst AND r.dst = e.src
+)
+SELECT CAST(COUNT(*) AS BIGINT) AS n_edges,
+       CAST(COUNT(rsrc) AS BIGINT) AS n_reciprocal,
+       ROUND(CAST(COUNT(rsrc) AS DOUBLE) / COUNT(*), 6) AS reciprocity
+FROM j
+"""
+
+
+# ---------------------------------------------------------------------------
 # inverted index (token posting lists)
 # ---------------------------------------------------------------------------
 
@@ -699,32 +608,18 @@ def q_inverted_index(sf_dir: str):
     (ascending, comma-joined).
 
     Recipe: per-batch distinct (token, doc_id) pairs — each document
-    is one row, so batch-local dedup is globally exact → ONE bucketed
-    shuffle on hash(token) (a token's full posting set lands in one
-    bucket; the pairs ARE the index content, so this shuffle is the
-    irreducible minimum) → in-bucket df + sorted posting-head build,
-    per-bucket top-k → driver merge of ≤ 64·k candidate rows."""
-    nb = _nb_rows(sf_dir, 'documents')  # row-carrying exchange
+    is one row, so batch-local dedup is globally exact → ONE shuffle on
+    the string token (``kb_arrow``'s siphash: a token's full posting
+    set lands in one bucket; the pairs ARE the index content, so this
+    shuffle is the irreducible minimum) → in-bucket df + sorted
+    posting-head build, per-bucket top-k → driver merge of
+    ≤ #buckets·k candidate rows."""
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
-    from crawler_tjce_ray.pipelines.exchange import kb_words
-
-    def pairs(df: pd.DataFrame) -> pd.DataFrame:
-        ex = _explode_words(df)
-        if ex.empty:
-            return pd.DataFrame({
-                "tok": pd.Series([], dtype="object"),
-                "doc_id": pd.Series([], dtype="int64"),
-                "tb": pd.Series([], dtype="int64"),
-            })
-        p = ex.drop_duplicates(["doc_id", "w"]).rename(columns={"w": "tok"})
-        return pd.DataFrame({
-            "tok": p["tok"],
-            "doc_id": p["doc_id"].astype("int64"),
-            "tb": pd.Series(
-                kb_words(p["tok"].to_numpy(object), nb), index=p.index
-            ),
-        })
+    def pairs(t: pa.Table) -> pa.Table:
+        p = _explode_words(t).drop_duplicates(["doc_id", "w"])
+        return pa.table({"tok": pa.array(p["w"], pa.string()),
+                         "doc_id": pa.array(p["doc_id"], pa.int64())})
 
     def bucket_index(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["tok", "doc_id"], kind="mergesort")
@@ -739,12 +634,8 @@ def q_inverted_index(sf_dir: str):
         return m.sort_values(["df", "tok"], ascending=[False, True],
                              kind="mergesort").head(IDX_TOPK)
 
-    cand = (
-        ds.map_batches(pairs, batch_format="pandas")
-        .groupby("tb")
-        .map_groups(bucket_index, batch_format="pandas")
-        .to_pandas()
-    )
+    cand = shuffle(ds, "tok", _nb_rows(sf_dir, "documents"), bucket_index,
+                   combine=pairs).to_pandas()
     top = cand.sort_values(["df", "tok"], ascending=[False, True],
                            kind="mergesort").head(IDX_TOPK).reset_index(drop=True)
     top["df"] = top["df"].astype("int64")
@@ -777,97 +668,74 @@ def q_triangle_count(sf_dir: str):
     undirected part-succession graph (self-loops dropped, edges
     deduplicated as u < v).
 
-    Distributed recipe (node-order orientation), exactly TWO
-    all-to-alls: shuffle 1 buckets the distinct (u, v) edges on u, and
-    its fused kernel emits three tagged row families in one pass —
-    the deduped edges re-keyed by u, the candidate wedges (v, w),
-    v < w, re-keyed by their own lower endpoint v, and additive
-    per-node degree partials (u-side counts are complete in-bucket,
-    v-side counts are partial — degrees are additive, so both merge
-    downstream).  Shuffle 2 groups everything by that shared bucket
-    key: a vectorized inner merge closes wedges against the edge set,
+    Distributed recipe (node-order orientation), exactly TWO shuffles:
+    shuffle 1 takes the per-batch distinct (u, v) edges on u, and its
+    fused kernel emits three tagged row families keyed by a ``node``
+    column in one pass — the deduped edges keyed by u, the candidate
+    wedges (v, w), v < w, keyed by their own lower endpoint v, and
+    additive per-node degree partials (u-side counts are complete
+    in-bucket, v-side counts are partial — degrees are additive, so
+    both merge downstream).  Shuffle 2 groups everything on ``node``:
+    a vectorized membership probe closes wedges against the edge set,
     per-node degrees finalize, and each bucket returns two integers
     (triangle count, Σ d·(d−1)/2).  Wedge volume is the standard
     hub-node hazard; at web scale the orientation would flip to degree
     order (strictly fewer wedges), same two-shuffle shape."""
-    nb = _nb_rows(sf_dir, 'lineitem')  # row-carrying exchange
-    edges_ds, _nodes = _edges_ds_and_nodes(sf_dir)
+    nb = _nb_rows(sf_dir, "lineitem")
+    edges_ds, _ = _edges_ds_and_nodes(sf_dir)
 
-    def undirect(df: pd.DataFrame) -> pd.DataFrame:
-        s = df["src"].to_numpy()
-        d = df["dst"].to_numpy()
-        keep = s != d
-        u = np.minimum(s[keep], d[keep])
-        v = np.maximum(s[keep], d[keep])
-        e = pd.DataFrame({"u": u, "v": v}).drop_duplicates()
-        e["ub"] = e["u"] & np.int64(nb - 1)
-        return e
-
-    # rows are (t, kb, k, d): (u, v) packs into ONE int64 key (node
-    # ids < 2^31), so the wedge stream — the dominant volume, ~15×
-    # the edge count here — rides the shuffle at 3 ints/row and the
-    # close is a searchsorted membership probe, not a frame merge
-    COLS = ["t", "kb", "k", "d"]
+    def undirect(t: pa.Table) -> pa.Table:
+        u, v, _ = _loopless(t)
+        return pa.table({"u": u, "v": v}).group_by(["u", "v"]).aggregate([])
 
     def fused_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # in-bucket dedup is exact: the bucket key depends on (u, v)
-        # only, so every copy of an edge lands here
+        # in-bucket dedup is exact: the bucket key depends on u only,
+        # so every copy of an edge lands here
         g = g.drop_duplicates(["u", "v"]).sort_values(["u", "v"])
         u = g["u"].to_numpy(np.int64)
         v = g["v"].to_numpy(np.int64)
-        ekey = (u << 32) | v
-        edges = pd.DataFrame({
-            "t": np.int64(0), "kb": u & np.int64(nb - 1), "k": ekey, "d": np.int64(0),
-        })
         # wedge pairs per u WITHOUT a self-merge: triangular-index
         # expansion over the (u, v)-sorted neighbor slices (the i-th
         # element pairs with every j > i; i recovers from the pair
         # ordinal by the closed-form root of the triangular number)
-        uu, start = np.unique(u, return_index=True)
+        _, start = np.unique(u, return_index=True)
         c = np.diff(np.append(start, len(u)))
         pu = c * (c - 1) // 2
-        total = int(pu.sum())
-        if total:
-            grp = np.repeat(np.arange(len(c)), pu)
-            within = np.arange(total) - np.repeat(np.cumsum(pu) - pu, pu)
-            cg = c[grp]
-            i = np.floor(
-                (2 * cg.astype(np.float64) - 1
-                 - np.sqrt((2 * cg.astype(np.float64) - 1) ** 2 - 8 * within))
-                / 2
-            ).astype(np.int64)
-            # one-step integer correction of the float root:
-            # S(i) = pairs before row i must satisfy S(i) ≤ t < S(i)+(c−1−i)
-            s = i * (2 * cg - i - 1) // 2
-            i -= (s > within).astype(np.int64)
-            s = i * (2 * cg - i - 1) // 2
-            bump = (within >= s + (cg - 1 - i)).astype(np.int64)
-            i += bump
-            s = i * (2 * cg - i - 1) // 2
-            j = within - s + i + 1
-            base = start[grp]
-            wa = v[base + i]
-            wb = v[base + j]
-            wkey = (wa << 32) | wb  # slices sorted by v ⇒ wa < wb
-            wedges = pd.DataFrame({
-                "t": np.int64(1), "kb": wa & np.int64(nb - 1), "k": wkey, "d": np.int64(0),
-            })
-        else:
-            wedges = pd.DataFrame({
-                "t": pd.Series([], dtype="int64"),
-                "kb": pd.Series([], dtype="int64"),
-                "k": pd.Series([], dtype="int64"),
-                "d": pd.Series([], dtype="int64"),
-            })
-        nodes = pd.Series(np.concatenate([u, v])).value_counts()
-        deg = pd.DataFrame({
-            "t": np.int64(2),
-            "kb": nodes.index.to_numpy(np.int64) & np.int64(nb - 1),
-            "k": nodes.index.to_numpy(np.int64),
-            "d": nodes.to_numpy(np.int64),
+        grp = np.repeat(np.arange(len(c)), pu)
+        within = np.arange(int(pu.sum())) - np.repeat(np.cumsum(pu) - pu, pu)
+        cg = c[grp]
+        i = np.floor(
+            (2 * cg.astype(np.float64) - 1
+             - np.sqrt((2 * cg.astype(np.float64) - 1) ** 2 - 8 * within))
+            / 2
+        ).astype(np.int64)
+        # one-step integer correction of the float root:
+        # S(i) = pairs before row i must satisfy S(i) ≤ t < S(i)+(c−1−i)
+        s = i * (2 * cg - i - 1) // 2
+        i -= (s > within).astype(np.int64)
+        s = i * (2 * cg - i - 1) // 2
+        bump = (within >= s + (cg - 1 - i)).astype(np.int64)
+        i += bump
+        s = i * (2 * cg - i - 1) // 2
+        j = within - s + i + 1
+        base = start[grp]
+        wa = v[base + i]
+        wb = v[base + j]  # slices sorted by v ⇒ wa < wb
+        deg = pd.Series(np.concatenate([u, v])).value_counts()
+        node = deg.index.to_numpy(np.int64)
+        # rows are (t, node, k, d): t 0 an edge and 1 a wedge, each
+        # (lo, hi) packed into ONE int64 k — the wedge stream, the
+        # dominant volume (~15× the edge count here), rides the
+        # shuffle at 4 ints/row and the close is a searchsorted
+        # membership probe, not a frame merge; t 2 a degree partial d
+        return pd.DataFrame({
+            "t": np.repeat(np.arange(3, dtype=np.int64),
+                           [len(u), len(wa), len(node)]),
+            "node": np.concatenate([u, wa, node]),
+            "k": np.concatenate([_pack_pairs(u, v), _pack_pairs(wa, wb), node]),
+            "d": np.concatenate([np.zeros(len(u) + len(wa), np.int64),
+                                 deg.to_numpy(np.int64)]),
         })
-        return pd.concat([edges[COLS], wedges[COLS], deg[COLS]],
-                         ignore_index=True)
 
     def close_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         t = g["t"].to_numpy(np.int64)
@@ -890,17 +758,9 @@ def q_triangle_count(sf_dir: str):
     # shuffles in one lazy plan measures >2× slower here than cutting
     # the plan at the stage boundary (the first sort re-plans under
     # the second's splits)
-    stage1 = (
-        edges_ds.map_batches(undirect, batch_format="pandas")
-        .groupby("ub")
-        .map_groups(fused_bucket, batch_format="pandas")
-        .materialize()
-    )
-    parts = (
-        stage1.groupby("kb")
-        .map_groups(close_in_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    stage1 = shuffle(edges_ds, "u", nb, fused_bucket,
+                     combine=undirect).materialize()
+    parts = shuffle(stage1, "node", nb, close_in_bucket).to_pandas()
     n_tri = int(parts["n"].sum())
     n_wedges = int(parts["w"].sum())
     return pd.DataFrame({
@@ -910,14 +770,8 @@ def q_triangle_count(sf_dir: str):
     })
 
 
-SQL_TRIANGLE_COUNT = """
-WITH seq AS (
-  SELECT l_partkey AS src,
-         LEAD(l_partkey) OVER (
-           PARTITION BY l_orderkey ORDER BY l_linenumber, l_partkey
-         ) AS dst
-  FROM lineitem
-), und AS (
+SQL_TRIANGLE_COUNT = f"""
+WITH {_SQL_SEQ}, und AS (
   SELECT DISTINCT LEAST(src, dst) AS u, GREATEST(src, dst) AS v
   FROM seq WHERE dst IS NOT NULL AND src <> dst
 ), tri AS (
@@ -944,49 +798,40 @@ FROM tri, wed
 # cumulative unique users (new vs returning)
 # ---------------------------------------------------------------------------
 
+def _days(t: pa.Table) -> pa.ChunkedArray:
+    """Calendar day (midnight timestamp) of each event of a batch."""
+    return pc.floor_temporal(t["ts"], unit="day")
+
+
 def q_cumulative_users(sf_dir: str):
     """Per calendar day: how many users were seen for the FIRST time
     that day, and the running total of distinct users to date.
 
-    Recipe: per-batch (user, min day) partials → ONE bucketed user
-    shuffle finalizes each user's first day → additive per-day
-    new-user counts → driver cumsum over O(#days) rows.  Active days
-    with zero new users still appear (per-batch distinct-day partials
-    carry them)."""
-    nb = _nb_rows(sf_dir, 'events')  # row-carrying exchange
+    Recipe: per-batch (user, min day) partials → ONE ``user_id``
+    shuffle finalizes each user's first day and counts new users per
+    day in-bucket → additive per-day counts → driver cumsum over
+    O(#days) rows.  Active days with zero new users still appear
+    (per-batch distinct-day partials carry them)."""
     ds = _read(sf_dir, "events", ["ts", "user_id"])
 
-    def partials(df: pd.DataFrame) -> pd.DataFrame:
-        p = pd.DataFrame({
-            "day": df["ts"].dt.normalize(),
-            "user_id": df["user_id"].astype("int64"),
-        })
-        p = p.groupby("user_id", as_index=False)["day"].min()
-        p["ub"] = p["user_id"] & np.int64(nb - 1)
-        return p
+    def partials(t: pa.Table) -> pa.Table:
+        g = pa.table({"user_id": pc.cast(t["user_id"], pa.int64()),
+                      "day": _days(t)}).group_by("user_id") \
+            .aggregate([("day", "min")])
+        return pa.table({"user_id": g["user_id"], "day": g["day_min"]})
 
-    first_parts = (
-        ds.map_batches(partials, batch_format="pandas")
-        .groupby("ub")
-        .map_groups(
-            lambda g: g.groupby("user_id", as_index=False)["day"].min(),
-            batch_format="pandas",
-        )
-        .map_batches(
-            lambda df: df.groupby("day", as_index=False).agg(
-                n_new=("user_id", "size")
-            ),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
+    def new_per_day(g: pd.DataFrame) -> pd.DataFrame:
+        first = g.groupby("user_id", as_index=False)["day"].min()
+        return first.groupby("day", as_index=False).agg(
+            n_new=("user_id", "size"))
+
+    first_parts = shuffle(ds, "user_id", _nb_rows(sf_dir, "events"),
+                          new_per_day, combine=partials).to_pandas()
     new_by_day = first_parts.groupby("day", as_index=False)["n_new"].sum()
 
     days = (
-        ds.map_batches(
-            lambda df: pd.DataFrame({"day": df["ts"].dt.normalize().unique()}),
-            batch_format="pandas",
-        )
+        ds.map_batches(lambda t: pa.table({"day": pc.unique(_days(t))}),
+                       batch_format="pyarrow")
         .to_pandas()["day"]
         .drop_duplicates()
         .sort_values()
@@ -1049,14 +894,8 @@ def q_degree_distribution(sf_dir: str):
     })
 
 
-SQL_DEGREE_DISTRIBUTION = """
-WITH seq AS (
-  SELECT l_partkey AS src,
-         LEAD(l_partkey) OVER (
-           PARTITION BY l_orderkey ORDER BY l_linenumber, l_partkey
-         ) AS dst
-  FROM lineitem
-), e AS (
+SQL_DEGREE_DISTRIBUTION = f"""
+WITH {_SQL_SEQ}, e AS (
   SELECT src, COUNT(*) AS w FROM seq WHERE dst IS NOT NULL GROUP BY src
 ), nodes AS (
   SELECT DISTINCT l_partkey AS node FROM lineitem
@@ -1124,13 +963,7 @@ def q_bfs_hops(sf_dir: str):
 
 
 SQL_BFS_HOPS = f"""
-WITH RECURSIVE seq AS (
-  SELECT l_partkey AS src,
-         LEAD(l_partkey) OVER (
-           PARTITION BY l_orderkey ORDER BY l_linenumber, l_partkey
-         ) AS dst
-  FROM lineitem
-), e AS (
+WITH RECURSIVE {_SQL_SEQ}, e AS (
   SELECT DISTINCT src, dst FROM seq WHERE dst IS NOT NULL
 ), walk(node, hop) AS (
   SELECT (SELECT MIN(l_partkey) FROM lineitem), 0

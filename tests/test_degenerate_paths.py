@@ -1,7 +1,8 @@
 """Degenerate-input agreement paths (ADVICE r3): zero-total Pareto,
-no-converter quantiles, empty documents source, and the 32-bit
-pair-packing guard — each is a path the sf testdata never exercises,
-pinned here so the engine and oracle agree on the edge too."""
+no-converter quantiles, event streams with no funnel event or n-gram,
+empty documents source, and the 32-bit pair-packing guards — each is
+a path the sf testdata never exercises, pinned here so the engine and
+oracle agree on the edge too."""
 
 import math
 
@@ -65,6 +66,33 @@ class TestDegenerateOracleAgreement:
         assert math.isnan(got["median_s"][0])
         assert math.isnan(got["p90_s"][0])
 
+    @pytest.mark.parametrize("name", [
+        "event_funnel", "timed_funnel", "event_transitions", "event_trigrams",
+    ])
+    def test_event_sequences_without_matches(self, tmp_path, name):
+        """A stream with no funnel event and no user with two events:
+        the oracle returns zero counts and empty n-gram tables, and so
+        must the engine, whose exchange then returns no partials."""
+        import duckdb
+
+        from crawler_tjce_ray.pipelines import graph
+
+        _write(tmp_path, "events", pa.table({
+            "event_id": pa.array([1, 2], pa.int64()),
+            "user_id": pa.array([1, 2], pa.int64()),
+            "event_type": pa.array(["view", "view"], pa.string()),
+            "ts": pa.array([pd.Timestamp("2024-01-01")] * 2,
+                           pa.timestamp("us")),
+            "value": pa.array([1.0, 2.0], pa.float64()),
+        }))
+        got = graph.QUERIES[name](str(tmp_path))
+        con = duckdb.connect()
+        con.execute("CREATE VIEW events AS SELECT * FROM "
+                    f"read_parquet('{tmp_path}/events.parquet')")
+        want = con.execute(graph.ORACLE_SQL[name]).df()
+        pd.testing.assert_frame_equal(
+            got.reset_index(drop=True), want, check_dtype=False)
+
     def test_documents_max_doc_id_empty_raises(self, tmp_path):
         """An empty non-parquet documents source raises a descriptive
         error instead of an opaque NaN-cast ValueError."""
@@ -91,3 +119,18 @@ class TestDegenerateOracleAgreement:
         }))
         with pytest.raises(Exception, match="32-bit packing range"):
             q_part_cooccurrence(str(tmp_path))
+
+    @pytest.mark.parametrize("name", ["edge_reciprocity", "triangle_count"])
+    def test_graph_pair_packing_guard(self, tmp_path, name):
+        """A partkey at 2^32 would wrap the packed (lo << 32) | hi
+        pair key onto a small one — (2^32+1, 5) and (1, 5) both pack to
+        4294967301 — so both packed-pair graph queries must raise."""
+        from crawler_tjce_ray.pipelines import graph
+
+        _write(tmp_path, "lineitem", pa.table({
+            "l_orderkey": pa.array([1, 1, 1, 2, 2], pa.int64()),
+            "l_linenumber": pa.array([1, 2, 3, 1, 2], pa.int32()),
+            "l_partkey": pa.array([1, 5, (1 << 32) + 1, 5, 1], pa.int64()),
+        }))
+        with pytest.raises(Exception, match="32-bit packing range"):
+            graph.QUERIES[name](str(tmp_path))

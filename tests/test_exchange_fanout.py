@@ -1,12 +1,13 @@
 """Exchange fan-out and read-block parameterization: the row-carrying
 coarse-bucket exchanges — hash_join_big, segment_year_revenue,
 semi_join_vip, dedup_substring_clean (plus the jaccard-prefix and
-minhash scale tiers) — must produce ORACLE-EQUAL output at any
-power-of-two bucket count and any read block count.  The driver runs
-the size-derived default (1–2 blocks and buckets on the test tables);
-these tests force 16- and 128-way fan-outs, and reads split to their
-cap, on the same inputs and require strict equality with DuckDB, so
-the size-derived plan at 100 TB is covered by construction.  The
+minhash scale tiers), the graph family — must produce ORACLE-EQUAL
+output at any power-of-two bucket count and any read block count.
+The driver runs the size-derived default (1–2 blocks and buckets on
+the test tables); these tests force 16- and 128-way fan-outs, and
+reads split to their cap, on the same inputs and require strict
+equality with DuckDB, so the size-derived plan at 100 TB is covered
+by construction.  The
 ``exchange.cogroup`` contract (typed per-side frames), the
 ``exchange.kb_arrow`` key-type rule and SQL NULL group keys at the
 cogroup join sites are pinned here too."""
@@ -134,10 +135,23 @@ class TestFanoutInvariance:
         _check(q_inverted_index, SQL_INVERTED_INDEX, con)
 
     def test_triangle_count_wedges(self, forced_buckets, con):
-        from crawler_tjce_ray.pipelines.graph import (
-            SQL_TRIANGLE_COUNT, q_triangle_count,
-        )
-        _check(q_triangle_count, SQL_TRIANGLE_COUNT, con)
+        from crawler_tjce_ray.pipelines import graph
+
+        # the edge cache would hand back edges built at another fan-out
+        graph._EDGES_CACHE.clear()
+        _check(graph.q_triangle_count, graph.SQL_TRIANGLE_COUNT, con)
+
+    # ---- graph exchanges with no forced fan-out test of their own above
+    @pytest.mark.parametrize("name", [
+        "event_funnel", "timed_funnel", "event_transitions",
+        "event_trigrams", "edge_reciprocity", "time_to_convert",
+        "cumulative_users",
+    ])
+    def test_graph_exchange(self, name, forced_buckets, con):
+        from crawler_tjce_ray.pipelines import graph
+
+        graph._EDGES_CACHE.clear()
+        _check(graph.QUERIES[name], graph.ORACLE_SQL[name], con)
 
     def test_epoch_shuffle_range_buckets(self, forced_buckets, con):
         # range buckets floor at 256: forcing below exercises max()
