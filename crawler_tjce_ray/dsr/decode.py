@@ -1115,13 +1115,13 @@ def decode_pagamentos_page(
 
 
 # ---------------------------------------------------------------------------
-# editais / pagamentos — vectorized columnar decode (NumPy R-mask twin
-# of the positional decoders; the scalar functions above are the spec)
+# editais — vectorized columnar decode (NumPy R-mask twin of
+# decode_editais_page, which is the spec)
 # ---------------------------------------------------------------------------
 
 
 def _positional_delta_cells(rows, n_cols):
-    """Shared delta-row geometry of the positional decoders: the
+    """Delta-row geometry of the editais columnar plan: the
     inherit bitmask (missing R = 0 = everything cleared), the cleared
     bits' sparse-``C`` positions, and the flattened ``C`` values.
 
@@ -1156,9 +1156,9 @@ def _positional_delta_cells(rows, n_cols):
 
 def _fill_positional_column(
     out_col, rows_k, vals, exhausted_rows, dn, value_dicts, ftype,
-    check_precatorio: bool, memo: dict | None = None,
+    memo: dict | None = None,
 ) -> None:
-    """Shared explicit-cell writer of the positional decoders.
+    """Explicit-cell writer of the editais columnar plan.
 
     Vectorized paths (the scalar ``_decode_dict_or_direct`` chain is
     the spec; the precatório guard only ever fires on *str* cells —
@@ -1273,13 +1273,13 @@ def _fill_positional_column(
         key = (type(v), v) if isinstance(v, (str, int, float, bool, type(None))) else None
         if key is None:  # unhashable cell: no memo
             out_col[i + 1] = _decode_dict_or_direct(
-                v, dn, value_dicts, ftype, check_precatorio=check_precatorio
+                v, dn, value_dicts, ftype, check_precatorio=True
             )
             continue
         f = cache.get(key, _INHERIT)
         if f is _INHERIT:
             f = cache[key] = _decode_dict_or_direct(
-                v, dn, value_dicts, ftype, check_precatorio=check_precatorio
+                v, dn, value_dicts, ftype, check_precatorio=True
             )
         out_col[i + 1] = f
     for i in exhausted_rows:
@@ -1360,7 +1360,7 @@ def _decode_editais_columns_fast(
             _fill_positional_column(
                 cols[name], rows_k, flat[offsets[rows_k] + cpos[rows_k, k]],
                 np.nonzero(exhausted[:, k])[0], dn, value_dicts, ftype,
-                check_precatorio=True, memo=memo,
+                memo=memo,
             )
 
     # row-level post-processing (crawler/edital_crawler.py:604-618),
@@ -1390,94 +1390,6 @@ def _decode_editais_columns_fast(
         f: (cols[f].tolist() if f in cols else [None] * n)
         for f in specs.EDITAL_CSV_FIELDS
     }
-
-
-def decode_pagamentos_columns(
-    resp_json: dict, starting_order_number: int = 0,
-    memo: dict | None = None,
-) -> dict[str, list]:
-    """Vectorized twin of :func:`decode_pagamentos_page` (page-local)
-    returning ``{field -> values}`` (incl. the positional ``ordem``).
-    Any internal exception replays the scalar spec decoder.  ``memo``
-    is the caller-owned cross-page formatted-ValueDict cache."""
-    try:
-        return _decode_pagamentos_columns_fast(
-            resp_json, starting_order_number, memo
-        )
-    except Exception:
-        rows = decode_pagamentos_page(resp_json, starting_order_number)
-        return {
-            f: [r.get(f) for r in rows]
-            for f in ["ordem"] + specs.PAGAMENTO_CSV_FIELDS
-        }
-
-
-_PAGAMENTO_BLANK_DASH = ("data_protocolo", "data_pagamento", "cpf_cnpj")
-_PAGAMENTO_MONEY = (
-    "valor_bruto", "previdencia", "irrf", "honorarios",
-    "valor_bruto_contratual", "rra", "valor_liquido",
-)
-
-
-def _decode_pagamentos_columns_fast(
-    resp_json: dict, starting_order_number: int,
-    memo: dict | None = None,
-) -> dict[str, list]:
-    out_fields = ["ordem"] + specs.PAGAMENTO_CSV_FIELDS
-    empty: dict[str, list] = {f: [] for f in out_fields}
-    page = navigate_envelope(resp_json)
-    if page is None or not page["rows"]:
-        return empty
-    value_dicts = page["value_dicts"]
-    data_rows = page["rows"]
-    first = data_rows[0]
-    if not isinstance(first, dict) or "S" not in first:
-        return empty
-    schema_list = first.get("S", [])
-    if not schema_list:
-        return empty
-    mapping = specs.PAGAMENTO_FIELDS[: len(schema_list)]
-    n_cols = len(mapping)
-
-    n = len(data_rows) - 1  # row 0 is schema-only (QUIRK)
-    if n <= 0:
-        return empty
-    cols: dict[str, np.ndarray] = {}
-    for name, ftype, _ in mapping:
-        col = np.empty(n + 1, dtype=object)
-        col[:] = _INHERIT
-        # virtual row 0 = the defaults the first delta inherits from
-        col[0] = 0 if ftype in ("int", "float", "Decimal") else "-"
-        cols[name] = col
-
-    flat, offsets, cpos, in_c, exhausted = _positional_delta_cells(
-        data_rows[1:], n_cols
-    )
-    for k, (name, ftype, dn) in enumerate(mapping):
-        rows_k = np.nonzero(in_c[:, k])[0]
-        _fill_positional_column(
-            cols[name], rows_k, flat[offsets[rows_k] + cpos[rows_k, k]],
-            np.nonzero(exhausted[:, k])[0], dn, value_dicts, ftype,
-            check_precatorio=False, memo=memo,
-        )
-
-    _ffill_columns(cols)
-    # post-processing (crawler/pagamentos_crawler.py:585-607) — applied
-    # AFTER the fill because the virtual defaults row is NOT
-    # post-processed in the scalar path; every rule is idempotent
-    out: dict[str, list] = {}
-    for name, ftype, _ in mapping:
-        vals = cols[name][1:].tolist()
-        if name in _PAGAMENTO_BLANK_DASH:
-            vals = ["" if v == "-" else v for v in vals]
-        elif name in _PAGAMENTO_MONEY:
-            vals = [Decimal("0.0") if v == 0 else v for v in vals]
-        out[name] = vals
-    for name in specs.PAGAMENTO_CSV_FIELDS:
-        if name not in out:  # schema shorter than the full mapping
-            out[name] = [None] * n
-    out["ordem"] = list(range(starting_order_number, starting_order_number + n))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -988,8 +988,13 @@ def q_dedup_embedding_nn(sf_dir: str):
     group sizes are bounded by the block key.  Cosine rounded to 6dp
     on both sides."""
     ds = _read(sf_dir, "embeddings")
+    empty = pd.DataFrame({"vec_id": pd.Series([], dtype="int64"),
+                          "nn_vec_id": pd.Series([], dtype="int64"),
+                          "cosine": pd.Series([], dtype="float64")})
 
     def nn_in_group(g: pd.DataFrame) -> pd.DataFrame:
+        if len(g) < 2:  # no other member: the oracle's vec_id <> join
+            return empty
         g = g.sort_values("vec_id").reset_index(drop=True)
         mat = np.stack(g["embedding"].to_numpy()).astype(np.float64)
         norms = np.linalg.norm(mat, axis=1)
@@ -1008,6 +1013,8 @@ def q_dedup_embedding_nn(sf_dir: str):
         .map_groups(nn_in_group, batch_format="pandas")
         .to_pandas()
     )
+    if "vec_id" not in out.columns:  # every block a singleton
+        return empty
     return out.sort_values("vec_id").reset_index(drop=True)
 
 

@@ -23,7 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from crawler_tjce_ray.pipelines.exchange import shuffle
-from crawler_tjce_ray.pipelines.relational import _nb_rows, _read
+from crawler_tjce_ray.pipelines.relational import _nb_rows, _pack_pairs, _read
 from crawler_tjce_ray.pipelines.textops import _read_docs
 from crawler_tjce_ray.pipelines.webtext import WORD_RE, _explode_words
 
@@ -523,21 +523,6 @@ def _loopless(t: pa.Table):
     keep = s != d
     s, d = s[keep], d[keep]
     return np.minimum(s, d), np.maximum(s, d), s < d
-
-
-def _pack_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One int64 key per (a, b) pair: a in the high 32 bits, b in the
-    low 32 (the high half may wrap negative; the packing stays
-    one-to-one).  Only keys in [0, 2^32) pack without collision —
-    numpy wraps the shift, so (2^32+1, 5) and (1, 5) would share a key
-    — so anything else raises; a larger key space needs a two-column
-    (a, b) pair key."""
-    if len(a) and (max(int(a.max()), int(b.max())) >= 1 << 32
-                   or min(int(a.min()), int(b.min())) < 0):
-        raise ValueError(
-            "edge keys exceed 32-bit packing range; use a "
-            "two-column (a, b) pair key for this key space")
-    return (a << np.int64(32)) | b
 
 
 def q_edge_reciprocity(sf_dir: str):

@@ -38,6 +38,21 @@ def _nb_rows(sf_dir: str, *tables: str) -> int:
     return _ex.buckets_for_bytes(_ex.table_bytes(sf_dir, *tables))
 
 
+def _pack_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One int64 key per (a, b) pair: a in the high 32 bits, b in the
+    low 32 (the high half may wrap negative; the packing stays
+    one-to-one).  Only keys in [0, 2^32) pack without collision —
+    numpy wraps the shift, so (2^32+1, 5) and (1, 5) would share a key
+    — so anything else raises; a larger key space needs a two-column
+    (a, b) pair key."""
+    if len(a) and (max(int(a.max()), int(b.max())) >= 1 << 32
+                   or min(int(a.min()), int(b.min())) < 0):
+        raise ValueError(
+            "pair keys exceed 32-bit packing range; use a "
+            "two-column (a, b) pair key for this key space")
+    return (a << np.int64(32)) | b
+
+
 def _read(sf_dir: str, table: str, columns=None):
     """Pruned read of a single-file table, split into blocks sized
     from its bytes (``exchange.read_blocks``): one block for a small
@@ -4836,19 +4851,10 @@ def q_part_cooccurrence(sf_dir: str):
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         d = g[["l_orderkey", "l_partkey"]].drop_duplicates()
-        # packed-pair identity needs non-negative partkeys < 2^32
-        # (holds for TPC-H; larger key spaces need a 2-column key)
-        pk = d["l_partkey"].to_numpy(np.int64)
-        if len(pk) and (int(pk.max()) >= (1 << 32) or int(pk.min()) < 0):
-            raise ValueError(
-                "partkeys exceed 32-bit packing range; use a "
-                "two-column pair key for this key space")
         m = d.merge(d, on="l_orderkey")
         m = m[m["l_partkey_x"] < m["l_partkey_y"]]
-        pair = (
-            (m["l_partkey_x"].to_numpy(np.int64) << np.int64(32))
-            | m["l_partkey_y"].to_numpy(np.int64)
-        )
+        pair = _pack_pairs(m["l_partkey_x"].to_numpy(np.int64),
+                           m["l_partkey_y"].to_numpy(np.int64))
         u, c = np.unique(pair, return_counts=True)
         return pd.DataFrame({"pair": u, "c": c.astype(np.int64)})
 

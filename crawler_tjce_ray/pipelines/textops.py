@@ -1225,14 +1225,16 @@ def q_lang_entropy_by_source(sf_dir: str):
     )
     tot = parts.groupby("source")["n"].transform("sum")
     p = parts["n"] / tot
-    parts["h"] = -(p * np.log2(p))
+    parts["plogp"] = p * np.log2(p)
     out = parts.groupby("source").agg(
         n_docs=("n", "sum"), n_langs=("lang", "count"),
-        lang_entropy_bits=("h", "sum"),
+        plogp=("plogp", "sum"),
     ).reset_index()
     out["n_docs"] = out["n_docs"].astype("int64")
     out["n_langs"] = out["n_langs"].astype("int64")
-    out["lang_entropy_bits"] = np.round(out["lang_entropy_bits"], 6)
+    # -Σ p·log2 p, negated after the sum as the oracle does: a
+    # one-language source is -0.0, not 0.0
+    out["lang_entropy_bits"] = np.round(-out.pop("plogp"), 6)
     return out.sort_values("source").reset_index(drop=True)
 
 

@@ -26,11 +26,16 @@ from crawler_tjce_ray.functions.jsonio import loads_exact as json_loads
 from crawler_tjce_ray.dsr.decode import (
     decode_editais_columns,
     decode_editais_page,
-    decode_pagamentos_columns,
     decode_pagamentos_page,
     decode_precatorios_columns,
     decode_precatorios_page,
+    navigate_envelope,
 )
+
+# DM0 rows from which a page decodes faster by the kind's columnar plan
+# than by its scalar spec decoder (tools/decode_bench.py, warm memo)
+PRECATORIOS_COLUMNAR_MIN_ROWS = 32
+EDITAIS_COLUMNAR_MIN_ROWS = 128
 
 _DECIMAL = pa.decimal128(18, 2)
 
@@ -97,16 +102,23 @@ def classify_url(url: str) -> str | None:
 
 
 class _ExtractBase:
-    """Shared per-page JSON decode loop.
+    """Shared per-page decode loop.
 
-    The per-batch cost is dominated by ``json.loads`` of the ~50-500 KB
-    envelopes; rows-per-page (≈500) times pages-per-batch stays well
-    under block limits.  ``exercicio``-style int coercion happens via
-    the Arrow schema cast at table construction.
+    The decoder, not ``json.loads``, sets the per-page cost: at 16 rows
+    per page an envelope parses in ~0.2 ms and decodes into its table
+    in ~1.2 ms (``perfbench/run.py --trace 1``, ``crawl_narrow``).
+    Each page runs the decoder that is faster at its
+    size: the kind's columnar plan (``decode_columns``) for pages of at
+    least ``columnar_min_rows`` DM0 rows, the scalar spec decoder below
+    that (measured by ``tools/decode_bench.py``; BASELINE.md "Page
+    decode by page size").  Both give the same columns.
+    ``exercicio``-style int coercion happens via the Arrow schema cast
+    at table construction.
     """
 
     schema: pa.Schema = None
     empty_marker_col = "ordem"
+    columnar_min_rows: int | None = None  # None: no columnar plan
 
     def __init__(self, current_year: int | None = None):
         self.current_year = current_year or datetime.now().year
@@ -115,12 +127,12 @@ class _ExtractBase:
     def decode_page(self, resp: dict) -> list[dict]:
         raise NotImplementedError
 
-    def decode_page_columns(self, resp: dict) -> tuple[dict[str, list], int]:
-        """Columnar decode: ``{field -> values list}`` + row count.
+    def decode_columns(self, resp: dict) -> tuple[dict[str, list], int]:
+        """The kind's columnar plan (kinds with ``columnar_min_rows``)."""
+        raise NotImplementedError
 
-        Default implementation adapts ``decode_page``; kinds with a
-        vectorized decoder override this.
-        """
+    def scalar_columns(self, resp: dict) -> tuple[dict[str, list], int]:
+        """``decode_page`` rows as ``{field -> values list}`` + row count."""
         rows = self.decode_page(resp)
         cols = {
             f.name: [r.get(f.name) for r in rows]
@@ -128,6 +140,15 @@ class _ExtractBase:
             if f.name != "url"
         }
         return cols, len(rows)
+
+    def decode_page_columns(self, resp: dict) -> tuple[dict[str, list], int]:
+        """Columnar decode: ``{field -> values list}`` + row count, by
+        the decoder that is faster at this page's size."""
+        if self.columnar_min_rows is not None:
+            page = navigate_envelope(resp)
+            if page is not None and len(page["rows"]) >= self.columnar_min_rows:
+                return self.decode_columns(resp)
+        return self.scalar_columns(resp)
 
     def _page_table(self, cols: dict[str, list], n: int, url: str) -> pa.Table:
         """Typed Arrow table built column-wise.
@@ -192,6 +213,7 @@ class _ExtractBase:
 
 class ExtractPrecatorios(_ExtractBase):
     schema = PRECATORIO_SCHEMA
+    columnar_min_rows = PRECATORIOS_COLUMNAR_MIN_ROWS
 
     # cross-page finalized-string memo bound: dictionary vocabularies
     # (comarca/situacao/natureza/processo strings) are far smaller
@@ -208,7 +230,7 @@ class ExtractPrecatorios(_ExtractBase):
         rows, _ = decode_precatorios_page(resp, 0, self.current_year)
         return rows
 
-    def decode_page_columns(self, resp):
+    def decode_columns(self, resp):
         # vectorized decode (NumPy R-mask + memoized finalize);
         # equivalence with decode_page pinned by tests/test_decode_columnar.py
         if sum(len(m) for m in self._memo.values()) > self._MEMO_MAX:
@@ -221,6 +243,7 @@ class ExtractPrecatorios(_ExtractBase):
 
 class ExtractEditais(_ExtractBase):
     schema = EDITAL_SCHEMA
+    columnar_min_rows = EDITAIS_COLUMNAR_MIN_ROWS
 
     _MEMO_MAX = 500_000
 
@@ -234,7 +257,7 @@ class ExtractEditais(_ExtractBase):
         # global order is re-established by assign_global_ordem)
         return sorted(decode_editais_page(resp), key=lambda r: r.get("ordem", 0))
 
-    def decode_page_columns(self, resp):
+    def decode_columns(self, resp):
         if sum(len(m) for m in self._memo.values()) > self._MEMO_MAX:
             self._memo.clear()
         cols = decode_editais_columns(resp, memo=self._memo)
@@ -245,22 +268,13 @@ class ExtractEditais(_ExtractBase):
 
 
 class ExtractPagamentos(_ExtractBase):
+    """Scalar decode at every page size: a columnar plan measured
+    slower than ``decode_pagamentos_page`` at 4 to 512 rows per page."""
+
     schema = PAGAMENTO_SCHEMA
-
-    _MEMO_MAX = 500_000
-
-    def __init__(self, current_year: int | None = None):
-        super().__init__(current_year)
-        self._memo: dict = {}  # cross-page formatted-ValueDict cache
 
     def decode_page(self, resp):
         return decode_pagamentos_page(resp, 0)
-
-    def decode_page_columns(self, resp):
-        if sum(len(m) for m in self._memo.values()) > self._MEMO_MAX:
-            self._memo.clear()
-        cols = decode_pagamentos_columns(resp, 0, memo=self._memo)
-        return cols, len(cols["ordem"])
 
 
 def filter_kind(batch: pa.Table, kind: str) -> pa.Table:

@@ -312,7 +312,7 @@ class HttpTransport:
 
 
 class FetchActor:
-    """One ``FetchPool`` actor: frontier rows → fetched pages (a
+    """One ``FetchPool`` actor: frontier urls → fetched pages (a
     ``__call__`` per wave on this actor's url-hash share), with record
     extraction FUSED into the same actor when
     ``records_dir`` is set (operator fusion: the page body is parsed
@@ -320,9 +320,13 @@ class FetchActor:
     separate extract fan-out would leave the fetch pool's cores idle
     and ship gigabytes of html per wave).
 
-    Input batch: url, host, plus a constant ``wave`` passed per call.
-    Output: url, host, status (ok | missing | robots_denied |
-    budget_denied), links (+ html only when extraction is NOT fused).
+    Input: the wave's url and host lists, plus the wave number.
+    Output: per url, in input order, ``status`` (ok | missing |
+    robots_denied | budget_denied) and ``links`` lists, plus ``html``
+    only when extraction is NOT fused.  Both directions are plain
+    Python lists: an Arrow table crossing the Ray call would make the
+    worker import Ray's Arrow serializer chain (``ray.data`` and pandas
+    through it), which costs more CPU than a small wave's fetch.
 
     The actor also hosts URL-seen cuckoo shards (``seen_*`` methods,
     driven by ``stages.seen.ShardedSeenSet``): the seen test runs in
@@ -412,9 +416,8 @@ class FetchActor:
                 out, os.path.join(dest, f"part-a{self.actor_id:03d}.parquet")
             )
 
-    def __call__(self, batch: pa.Table, wave: int = 0) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        hosts = batch["host"].to_pylist()
+    def __call__(self, urls: list[str], hosts: list[str],
+                 wave: int = 0) -> dict[str, list]:
         htmls: list[bytes | None] = []
         statuses: list[str] = []
         links: list[list[str]] = []
@@ -449,12 +452,7 @@ class FetchActor:
                     links.append([])
                 if fused:
                     parsed.append((url, doc))
-        out = {
-            "url": pa.array(urls, pa.string()),
-            "host": pa.array(hosts, pa.string()),
-            "status": pa.array(statuses, pa.string()),
-            "links": pa.array(links, pa.list_(pa.string())),
-        }
+        out = {"status": statuses, "links": links}
         for s in statuses:
             key = "fetched_ok" if s == "ok" else s
             self.counters[key] = self.counters.get(key, 0) + 1
@@ -462,12 +460,8 @@ class FetchActor:
             # fused parse: records written here, html stays actor-local
             self._extract_and_write(parsed, wave)
         else:
-            out["html"] = pa.array(htmls, pa.binary())
-        # pass through frontier bookkeeping columns (seed, depth, ...)
-        for name in batch.schema.names:
-            if name not in out:
-                out[name] = batch[name]
-        return pa.table(out)
+            out["html"] = htmls
+        return out
 
     # ---- URL-seen shards hosted here: every call carries
     # {shard_id: payload} for this actor's shards only ----
@@ -577,26 +571,39 @@ class FetchPool:
         return True
 
     def fetch(self, wave_tbl: pa.Table, wave: int) -> pa.Table:
-        """Fetch one wave's frontier rows.  A row goes to actor
-        ``url_key % n_buckets % len(actors)`` (its page-store bucket's
-        owner); the output is actor-major (actor 0's rows in input
-        order, then actor 1's, ...), so callers match rows by url."""
+        """Fetch one wave's frontier rows → url, host, status, links
+        (+ html when extraction is not fused), seed, depth.  A row goes
+        to actor ``url_key % n_buckets % len(actors)`` (its page-store
+        bucket's owner) as url and host lists; the output is
+        actor-major (actor 0's rows in input order, then actor 1's,
+        ...), so callers match rows by url."""
         import ray
 
         table = wave_tbl.select(["url", "host", "seed", "depth"])
-        if table.num_rows == 0:
-            return table.append_column(
-                "html", pa.array([], pa.binary())
-            ).append_column("status", pa.array([], pa.string()))
-        n_live = np.uint64(len(self.actors))
-        owner = wave_tbl["url_key"].to_numpy() % np.uint64(self.n_buckets) % n_live
-        futures = []
-        for i, actor in enumerate(self.actors):
-            idx = np.nonzero(owner == i)[0]
-            if len(idx):
-                futures.append(actor.__call__.remote(table.take(pa.array(idx)), wave))
-        parts = ray.get(futures)
-        return pa.concat_tables(parts)
+        parts, futures = [], []
+        if table.num_rows:
+            n_live = np.uint64(len(self.actors))
+            owner = wave_tbl["url_key"].to_numpy() % np.uint64(self.n_buckets) % n_live
+            for i, actor in enumerate(self.actors):
+                idx = np.nonzero(owner == i)[0]
+                if len(idx):
+                    part = table.take(pa.array(idx))
+                    parts.append(part)
+                    futures.append(actor.__call__.remote(
+                        part["url"].to_pylist(), part["host"].to_pylist(), wave))
+        replies = ray.get(futures)
+        rows = pa.concat_tables(parts) if parts else table
+
+        def column(name, typ):
+            return pa.array([v for r in replies for v in r[name]], typ)
+
+        out = {"url": rows["url"], "host": rows["host"],
+               "status": column("status", pa.string()),
+               "links": column("links", pa.list_(pa.string()))}
+        if self._actor_kwargs["records_dir"] is None:
+            out["html"] = column("html", pa.binary())
+        out["seed"], out["depth"] = rows["seed"], rows["depth"]
+        return pa.table(out)
 
     def stats(self) -> dict[str, int]:
         """Merged (summed) lifetime counters of every actor in the pool

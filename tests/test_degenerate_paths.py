@@ -134,3 +134,65 @@ class TestDegenerateOracleAgreement:
         }))
         with pytest.raises(Exception, match="32-bit packing range"):
             graph.QUERIES[name](str(tmp_path))
+
+    def test_embedding_nn_singleton_block(self, tmp_path):
+        """A label block with one vector has no nearest neighbour: the
+        oracle's ``a.vec_id <> b.vec_id`` self-join gives it no row, so
+        the engine must not return the vector as its own neighbour."""
+        import duckdb
+
+        from crawler_tjce_ray.pipelines.dedup import (
+            SQL_DEDUP_EMBEDDING_NN, q_dedup_embedding_nn,
+        )
+
+        _write(tmp_path, "embeddings", pa.table({
+            "vec_id": pa.array([1, 2, 3, 4], pa.int64()),
+            "embedding": pa.array([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0],
+                                   [0.0, 1.0]], pa.list_(pa.float32())),
+            "label": pa.array([0, 1, 0, 2], pa.int32()),
+        }))
+        got = q_dedup_embedding_nn(str(tmp_path))
+        con = duckdb.connect()
+        con.execute("CREATE VIEW embeddings AS SELECT * FROM "
+                    f"read_parquet('{tmp_path}/embeddings.parquet')")
+        want = con.execute(SQL_DEDUP_EMBEDDING_NN).df()
+        assert got["vec_id"].tolist() == want["vec_id"].tolist() == [1, 3]
+        assert got["nn_vec_id"].tolist() == want["nn_vec_id"].tolist() == [3, 1]
+        assert got["cosine"].tolist() == want["cosine"].tolist()
+
+        # every block a singleton: no row at all, typed like the oracle
+        _write(tmp_path, "embeddings", pa.table({
+            "vec_id": pa.array([1, 2], pa.int64()),
+            "embedding": pa.array([[1.0, 0.0], [0.0, 1.0]],
+                                  pa.list_(pa.float32())),
+            "label": pa.array([0, 1], pa.int32()),
+        }))
+        got = q_dedup_embedding_nn(str(tmp_path))
+        assert got.empty and list(got.columns) == ["vec_id", "nn_vec_id", "cosine"]
+        assert con.execute(SQL_DEDUP_EMBEDDING_NN).df().empty
+
+    def test_lang_entropy_one_language_source(self, tmp_path):
+        """The oracle negates the summed p·log2 p, so a one-language
+        source's entropy is -0.0; the engine must print the same."""
+        import duckdb
+
+        from crawler_tjce_ray.pipelines.textops import (
+            SQL_LANG_ENTROPY_BY_SOURCE, q_lang_entropy_by_source,
+        )
+
+        _write(tmp_path, "documents", pa.table({
+            "doc_id": pa.array([1, 2, 3, 4, 5], pa.int64()),
+            "text": pa.array(["a b", "c d", "e f", "g h", "i j"], pa.string()),
+            "lang": pa.array(["pt", "pt", "en", "pt", "en"], pa.string()),
+            "source": pa.array(["mono", "mono", "mixed", "mixed", "mixed"],
+                               pa.string()),
+            "n_chars": pa.array([3] * 5, pa.int64()),
+        }))
+        got = q_lang_entropy_by_source(str(tmp_path))
+        con = duckdb.connect()
+        con.execute("CREATE VIEW documents AS SELECT * FROM "
+                    f"read_parquet('{tmp_path}/documents.parquet')")
+        want = con.execute(SQL_LANG_ENTROPY_BY_SOURCE).df()
+        assert [str(v) for v in got["lang_entropy_bits"]] \
+            == [str(v) for v in want["lang_entropy_bits"]] == ["0.918296", "-0.0"]
+        assert got["source"].tolist() == want["source"].tolist()

@@ -121,19 +121,16 @@ class TestActorTransportSeam:
                 fake_post.current_url = url
                 return super().fetch(url)
 
-        batch = pa.table({
-            "url": pa.array([r["url"] for r in rows[:8]]),
-            "host": pa.array(
-                [u.split("/")[2] for u in (r["url"] for r in rows[:8])]),
-        })
+        urls = [r["url"] for r in rows[:8]]
+        hosts = [u.split("/")[2] for u in urls]
         store_actor = FetchActor(store)
         http_actor = FetchActor(
             store,  # store args unused once a transport is injected
             transport_factory=lambda: CorpusHttpTransport(
                 API, post=fake_post),
         )
-        out_store = store_actor(batch, wave=0)
-        out_http = http_actor(batch, wave=0)
-        assert out_http.equals(out_store)
+        out_store = store_actor(urls, hosts, wave=0)
+        out_http = http_actor(urls, hosts, wave=0)
+        assert out_http == out_store
         assert http_actor.transport.bucket_loads == 0  # never touched the store
         assert store_actor.transport.bucket_loads > 0

@@ -6,7 +6,6 @@ import os
 import shutil
 
 import pandas as pd
-import pyarrow as pa
 import pytest
 
 from crawler_tjce_ray.stages.fetch import FetchActor, RobotsCache, build_page_store
@@ -25,16 +24,14 @@ def store(corpus, tmp_path_factory):
 
 
 def _batch(corpus):
+    """(urls, hosts) of the first 8 corpus pages: a FetchActor call."""
     import pyarrow.parquet as pq
 
     t = pq.read_table(corpus, columns=["url"]).slice(0, 8)
     urls = t["url"].to_pylist()
     from crawler_tjce_ray.state.frontier import host_of
 
-    return pa.table({
-        "url": pa.array(urls, pa.string()),
-        "host": pa.array([host_of(u) for u in urls], pa.string()),
-    })
+    return urls, [host_of(u) for u in urls]
 
 
 class FlakyReader:
@@ -63,9 +60,9 @@ class TestFetchRetry:
         flaky = FetchActor(store, retry_backoff=0.001)
         flaky.transport._read_table = FlakyReader(fail_n=2)
 
-        out_clean = clean(batch, wave=0)
-        out_flaky = flaky(batch, wave=0)
-        assert out_flaky.equals(out_clean)  # order + content identical
+        out_clean = clean(*batch, wave=0)
+        out_flaky = flaky(*batch, wave=0)
+        assert out_flaky == out_clean  # order + content identical
         assert flaky.transport.fetch_retries > 0
         assert clean.transport.fetch_retries == 0
         assert flaky.stats()["fetch_retries"] == flaky.transport.fetch_retries
@@ -74,7 +71,7 @@ class TestFetchRetry:
         actor = FetchActor(store, max_retries=2, retry_backoff=0.001)
         actor.transport._read_table = FlakyReader(fail_n=99)
         with pytest.raises(OSError, match="injected"):
-            actor(_batch(corpus), wave=0)
+            actor(*_batch(corpus), wave=0)
         # 1 initial + 2 retries = 3 attempts on the first bucket path
         assert actor.transport.fetch_retries == 2
 
