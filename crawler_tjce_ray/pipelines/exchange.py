@@ -24,6 +24,16 @@ page-store layers already use:
   busy the cluster is when the query is issued); ``read_blocks(path)``
   applies both to one file.  A table of up to 1 MiB on disk reads as
   one block; it takes ``cap`` MiB to reach the cap.
+* ``scan(path, columns, cpus_per_block)`` is the one read of a
+  single-file table at that block count.  Its source plans from the
+  Parquet footer alone — row-group row counts and the Arrow schema —
+  so a read runs no dataset discovery and no sampling task, and sizes
+  itself at the file's bytes × ``PARQUET_INFLATION``.  Each read task
+  takes a contiguous row-group run, so a many-row-group file reads in
+  parallel; a one-row-group file is one task whose output Ray's
+  read-parallelism rule splits to the block count.  Directory and
+  multi-file reads (crawl frontier, records, page store) stay on
+  ``ray.data.read_parquet``.
 * ``buckets_for_bytes(bytes)`` gives a power-of-two exchange fan-out.
   Its floor is ``next_pow2(blocks_for_bytes(bytes, read_cap()))`` —
   about one bucket per sort partition, since a groupby exchange sorts
@@ -74,6 +84,7 @@ primitive takes a hashing parameter:
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -141,6 +152,93 @@ def read_blocks(path: str, cpus_per_block: int = 1) -> int:
     every downstream map).  Text formats inflate less than parquet, so
     their count errs high, never above the cap."""
     return blocks_for_bytes(os.path.getsize(path), read_cap(cpus_per_block))
+
+
+def _row_group_runs(n_groups: int, n: int) -> list[list[int]]:
+    """At most ``n`` contiguous, disjoint runs of row-group ids that
+    cover ``range(n_groups)``, as even in group count as possible."""
+    return [r.tolist() for r in np.array_split(np.arange(n_groups),
+                                               max(1, min(n, n_groups)))]
+
+
+def _read_run(path: str, run: list[int], columns):
+    """One read task's body: one Arrow table of the row groups
+    ``run`` (all of them, or the typed empty table for a file with
+    none)."""
+    import pyarrow.parquet as pq
+
+    f = pq.ParquetFile(path)
+    if not run:
+        t = f.schema_arrow.empty_table()
+        return [t if columns is None else t.select(columns)]
+    return [f.read_row_groups(run, columns=columns, use_threads=False)]
+
+
+@functools.cache
+def _footer_source():
+    """The ``ray.data`` source class behind ``scan``: one Parquet file,
+    planned from its footer alone.  The driver reads the row-group row
+    counts and the Arrow schema (``pq.read_metadata``); each read task
+    reads one contiguous row-group run.  No dataset discovery and no
+    sample task: the size estimate is the file's bytes ×
+    ``PARQUET_INFLATION``, the ratio ``read_blocks`` plans with.  Built
+    on first use, so importing this module does not import
+    ``ray.data``."""
+    from ray.data.block import BlockMetadata
+    from ray.data.datasource import Datasource, ReadTask
+
+    class FooterSource(Datasource):
+        def __init__(self, path: str, columns):
+            import pyarrow.parquet as pq
+
+            meta = pq.read_metadata(path)
+            schema = meta.schema.to_arrow_schema()
+            if columns is not None:
+                columns = list(columns)
+                schema = pa.schema([schema.field(c) for c in columns],
+                                   schema.metadata)
+            self._path, self._columns, self._schema = path, columns, schema
+            self._rows = [meta.row_group(i).num_rows
+                          for i in range(meta.num_row_groups)]
+            self._bytes = os.path.getsize(path) * PARQUET_INFLATION
+
+        def get_name(self) -> str:
+            # the operator stays ``ReadParquet``, as for ``read_parquet``
+            return "Parquet"
+
+        def estimate_inmemory_data_size(self) -> int:
+            return self._bytes
+
+        def get_read_tasks(self, parallelism: int):
+            total = max(1, sum(self._rows))
+            path, columns = self._path, self._columns
+            tasks = []
+            for run in _row_group_runs(len(self._rows), parallelism):
+                rows = sum(self._rows[i] for i in run)
+                meta = BlockMetadata(
+                    num_rows=rows, size_bytes=self._bytes * rows // total,
+                    input_files=[path], exec_stats=None)
+                tasks.append(ReadTask(
+                    lambda run=run: _read_run(path, run, columns),
+                    meta, schema=self._schema))
+            return tasks
+
+    return FooterSource
+
+
+def scan(path: str, columns=None, cpus_per_block: int = 1):
+    """Dataset over the single Parquet file ``path`` (pruned to
+    ``columns``), split into ``read_blocks(path, cpus_per_block)``
+    blocks: contiguous row-group runs, one read task each, and Ray's
+    read-parallelism rule splits the runs' output when the file has
+    fewer row groups than blocks.  Same rows, order, column order,
+    types and schema metadata as ``ray.data.read_parquet`` of the
+    file, planned from the footer alone."""
+    import ray.data as rd
+
+    return rd.read_datasource(
+        _footer_source()(path, columns),
+        override_num_blocks=read_blocks(path, cpus_per_block))
 
 
 def buckets_for_bytes(est_file_bytes: int | None) -> int:

@@ -40,13 +40,9 @@ MAX_EDIT = 1  # del1 neighborhood ⇔ levenshtein <= 1
 
 
 def _read_names(sf_dir: str):
-    import ray.data as rd
+    from crawler_tjce_ray.pipelines.exchange import scan
 
-    from crawler_tjce_ray.pipelines.exchange import read_blocks
-
-    path = f"{sf_dir}/customer.parquet"
-    return rd.read_parquet(path, columns=["c_name"],
-                           override_num_blocks=read_blocks(path))
+    return scan(f"{sf_dir}/customer.parquet", ["c_name"])
 
 
 def _empty_pairs() -> pd.DataFrame:

@@ -48,7 +48,7 @@ _SQL_SEQ = """seq AS (
 )"""
 
 
-_EDGES_CACHE: dict[tuple[str, str], tuple] = {}
+_EDGES_CACHE: dict[tuple[str, str, str], tuple] = {}
 
 
 def _edges_ds_and_nodes(sf_dir: str):
@@ -67,19 +67,15 @@ def _edges_ds_and_nodes(sf_dir: str):
     'build the graph once' discipline a real pipeline would use."""
     import ray
 
-    # a cached Dataset's blocks die with the Ray session, and job ids
-    # REPEAT across ray.init cycles in one process (verified: always
-    # 01000000 on a fresh local cluster) — so key by the gcs address
-    # (unique per local session) AND probe one block before trusting
-    # the hit; any failure falls through to a rebuild
-    gcs = ray.get_runtime_context().gcs_address if ray.is_initialized() else ""
-    ck = (sf_dir, gcs)
+    # a cached Dataset's blocks die with the Ray session and belong to
+    # its job; job ids REPEAT across ray.init cycles in one process
+    # (always 01000000 on a fresh local cluster), so the key holds the
+    # gcs address too (a new port per local session): a hit is live
+    # and needs no probe
+    ctx = ray.get_runtime_context()
+    ck = (sf_dir, ctx.gcs_address, ctx.get_job_id())
     if ck in _EDGES_CACHE:
-        try:
-            _EDGES_CACHE[ck][0].take(1)
-            return _EDGES_CACHE[ck]
-        except Exception:
-            _EDGES_CACHE.pop(ck, None)
+        return _EDGES_CACHE[ck]
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_partkey"])
 
     def edges_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -107,10 +103,10 @@ def _edges_ds_and_nodes(sf_dir: str):
         batch_format="pandas",
     ).to_pandas()
     nodes = np.sort(node_parts["node"].astype("int64").unique())
-    # evict other-SESSION entries only (their Datasets died with the
-    # session); same-session entries for other sf_dirs stay live, so
-    # alternating queries over two corpora don't thrash the cache
-    for old in [k for k in _EDGES_CACHE if k[1] != ck[1]]:
+    # evict other-session (or other-job) entries only (their Datasets
+    # died with it); same-session entries for other sf_dirs stay live,
+    # so alternating queries over two corpora don't thrash the cache
+    for old in [k for k in _EDGES_CACHE if k[1:] != ck[1:]]:
         _EDGES_CACHE.pop(old, None)
     _EDGES_CACHE[ck] = (edges, nodes)
     return edges, nodes
@@ -163,11 +159,14 @@ def q_pagerank_parts(sf_dir: str):
         u, inv = np.unique(batch["src_i"], return_inverse=True)
         return {"src_i": u, "w": np.bincount(inv, weights=batch["w"])}
 
+    # an edgeless graph (every order one line) yields no partial at
+    # all, and Ray's frame of no blocks has no columns
     deg_parts = edges_idx.map_batches(
         deg_partial, batch_format="numpy"
-    ).to_pandas()
+    ).to_pandas().reindex(columns=["src_i", "w"])
     outdeg = np.zeros(n, dtype=np.float64)
-    np.add.at(outdeg, deg_parts["src_i"].to_numpy(), deg_parts["w"].to_numpy())
+    np.add.at(outdeg, deg_parts["src_i"].to_numpy(np.int64),
+              deg_parts["w"].to_numpy(np.float64))
 
     pr = np.full(n, 1.0 / n, dtype=np.float64)
     for _ in range(PR_ITERS):
@@ -180,9 +179,11 @@ def q_pagerank_parts(sf_dir: str):
             u, inv = np.unique(batch["dst_i"], return_inverse=True)
             return {"dst_i": u, "c": np.bincount(inv, weights=c)}
 
-        parts = edges_idx.map_batches(contrib, batch_format="numpy").to_pandas()
+        parts = edges_idx.map_batches(contrib, batch_format="numpy") \
+            .to_pandas().reindex(columns=["dst_i", "c"])
         cv = np.zeros(n, dtype=np.float64)
-        np.add.at(cv, parts["dst_i"].to_numpy(), parts["c"].to_numpy())
+        np.add.at(cv, parts["dst_i"].to_numpy(np.int64),
+                  parts["c"].to_numpy(np.float64))
         pr = (1.0 - PR_DAMPING) / n + PR_DAMPING * cv
 
     # round 12: five iterations of differently-ordered float
@@ -555,12 +556,14 @@ def q_edge_reciprocity(sf_dir: str):
         return pd.DataFrame({"n_edges": [n_edges], "n_recip": [n_recip]})
 
     p = shuffle(edges, "pair", _nb_rows(sf_dir, "lineitem"), count_bucket,
-                combine=directed_pairs).to_pandas().sum()
+                combine=directed_pairs).to_pandas() \
+        .reindex(columns=["n_edges", "n_recip"], fill_value=0).sum()
     ne, nr = int(p["n_edges"]), int(p["n_recip"])
     return pd.DataFrame({
         "n_edges": pd.Series([ne], dtype="int64"),
         "n_reciprocal": pd.Series([nr], dtype="int64"),
-        "reciprocity": [round(nr / ne, 6) if ne else 0.0],
+        # the oracle's 0/0 is NULL
+        "reciprocity": [round(nr / ne, 6) if ne else float("nan")],
     })
 
 
@@ -746,6 +749,13 @@ def q_triangle_count(sf_dir: str):
     stage1 = shuffle(edges_ds, "u", nb, fused_bucket,
                      combine=undirect).materialize()
     parts = shuffle(stage1, "node", nb, close_in_bucket).to_pandas()
+    if parts.empty:
+        # no undirected edge: the oracle's wedge SUM over no degrees is
+        # NULL, and so is the clustering ratio
+        return pd.DataFrame({
+            "n_triangles": pd.Series([0], dtype="int64"),
+            "n_wedges": [float("nan")], "clustering": [float("nan")],
+        })
     n_tri = int(parts["n"].sum())
     n_wedges = int(parts["w"].sum())
     return pd.DataFrame({
@@ -862,7 +872,7 @@ def q_degree_distribution(sf_dir: str):
     deg_parts = edges.map_batches(
         lambda df: df.groupby("src", as_index=False)["w"].sum(),
         batch_format="pandas",
-    ).to_pandas()
+    ).to_pandas().reindex(columns=["src", "w"])
     deg = deg_parts.groupby("src")["w"].sum()
     od = deg.to_numpy(np.float64).astype("int64")  # w is whole-valued
     degrees, counts = np.unique(od, return_counts=True)
@@ -927,7 +937,8 @@ def q_bfs_hops(sf_dir: str):
             succ = np.unique(np.asarray(batch["dst"], np.int64)[m])
             return {"dst": succ}
 
-        parts = edges.map_batches(nbrs, batch_format="numpy").to_pandas()
+        parts = edges.map_batches(nbrs, batch_format="numpy") \
+            .to_pandas().reindex(columns=["dst"])
         new = np.setdiff1d(
             parts["dst"].to_numpy(np.int64), visited, assume_unique=False
         )

@@ -54,14 +54,11 @@ def _pack_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _read(sf_dir: str, table: str, columns=None):
-    """Pruned read of a single-file table, split into blocks sized
-    from its bytes (``exchange.read_blocks``): one block for a small
-    table, up to one per cluster CPU (8–32) for a large one."""
-    import ray.data as rd
-
-    path = f"{sf_dir}/{table}.parquet"
-    return rd.read_parquet(path, columns=columns,
-                           override_num_blocks=_ex.read_blocks(path))
+    """Pruned read of a single-file table through ``exchange.scan``:
+    planned from the Parquet footer (no sample task), split into
+    blocks sized from its bytes — one block for a small table, up to
+    one per cluster CPU (8–32) for a large one."""
+    return _ex.scan(f"{sf_dir}/{table}.parquet", columns)
 
 
 def _pick(**cols):
@@ -4874,6 +4871,8 @@ def q_part_cooccurrence(sf_dir: str):
         .groupby("pb")
         .map_groups(sum_topk_in_bucket, batch_format="pandas")
         .to_pandas()
+        # no order with two parts: no pair partial, and no columns
+        .reindex(columns=["pair", "c"])
     )
     parts = parts.sort_values(["c", "pair"], ascending=[False, True],
                               kind="mergesort").head(100)

@@ -28,13 +28,9 @@ TOP_K = 5
 def _read_emb(sf_dir: str, columns=("vec_id", "embedding")):
     """Pruned read, split into blocks sized from the file's bytes —
     at most one per two cluster CPUs, as each block runs a matmul."""
-    import ray.data as rd
+    from crawler_tjce_ray.pipelines.exchange import scan
 
-    from crawler_tjce_ray.pipelines.exchange import read_blocks
-
-    path = f"{sf_dir}/embeddings.parquet"
-    return rd.read_parquet(path, columns=list(columns),
-                           override_num_blocks=read_blocks(path, 2))
+    return scan(f"{sf_dir}/embeddings.parquet", columns, 2)
 
 
 def _query_matrix(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:

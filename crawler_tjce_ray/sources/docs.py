@@ -16,6 +16,8 @@ Block sizing is the tables' rule (``exchange.read_blocks``): the
 file's bytes decide the block count, at most one block per four
 cluster CPUs, so a small export reads as one block and a large one
 keeps the CPUs busy instead of serializing every per-batch stage.
+The Parquet file reads through ``exchange.scan``, planned from its
+footer like every other single-file table.
 """
 
 from __future__ import annotations
@@ -25,19 +27,19 @@ import os
 
 def read_documents(sf_dir: str, columns=None):
     """A ``ray.data.Dataset`` over the documents table in whichever
-    format ``sf_dir`` provides (parquet > jsonl/json > csv)."""
+    format ``sf_dir`` provides (parquet > jsonl/json > csv).  Parquet
+    goes through ``exchange.scan`` (footer-planned, pruned to
+    ``columns`` at the read); JSON and CSV through Ray's readers,
+    projected right after."""
     import pyarrow as pa
     import pyarrow.csv as pacsv
     import ray.data as rd
 
-    from crawler_tjce_ray.pipelines.exchange import read_blocks
+    from crawler_tjce_ray.pipelines.exchange import read_blocks, scan
 
     pq_path = os.path.join(sf_dir, "documents.parquet")
     if os.path.exists(pq_path):
-        return rd.read_parquet(
-            pq_path, columns=columns,
-            override_num_blocks=read_blocks(pq_path, 4),
-        )
+        return scan(pq_path, columns, 4)
     for name in ("documents.jsonl", "documents.json"):
         p = os.path.join(sf_dir, name)
         if os.path.exists(p):

@@ -149,3 +149,64 @@ def test_cumulative_users_invariants():
     ).fetchone()
     assert int(out["cum_users"].iloc[-1]) == int(n_users)
     assert len(out) == int(n_days)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_edge_cache_hit_runs_no_execution(monkeypatch):
+    """A second use of the edge Dataset in the same session is a pure
+    cache hit: no probe, so no Ray Data execution at all."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from crawler_tjce_ray.pipelines import graph
+
+    graph._EDGES_CACHE.clear()
+    edges, nodes = graph._edges_ds_and_nodes(SF_DIR)
+    runs = []
+    orig = StreamingExecutor.execute
+
+    def counting(self, *a, **k):
+        runs.append(1)
+        return orig(self, *a, **k)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    hit_edges, hit_nodes = graph._edges_ds_and_nodes(SF_DIR)
+    assert hit_edges is edges and hit_nodes is nodes
+    assert runs == []
+
+
+_SESSION_CYCLE = """
+import ray
+from crawler_tjce_ray.pipelines import graph
+
+out, keys = [], []
+for _ in range(2):
+    ray.init(address="local", num_cpus=2, include_dashboard=False,
+             logging_level="ERROR")
+    out.append(graph.q_degree_distribution({sf!r}))
+    keys.append(list(graph._EDGES_CACHE))
+    ray.shutdown()
+assert out[0].equals(out[1]), (out[0], out[1])
+assert len(keys[1]) == 1 and keys[1][0] not in keys[0], keys
+print("ok")
+"""
+
+
+def test_edge_cache_rebuilds_after_session_cycle():
+    """Job ids repeat across ``ray.init`` cycles in one process, so the
+    cache key holds the gcs address: a new session rebuilds the edges
+    (and evicts the dead entry) instead of reading freed blocks."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = str(Path(__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SESSION_CYCLE.format(sf=SF_DIR)],
+        capture_output=True, text=True, timeout=300, cwd=root,
+        env={**os.environ, "PYTHONPATH": root},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip().endswith("ok")
