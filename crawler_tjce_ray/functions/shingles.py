@@ -25,27 +25,28 @@ _K1 = "tjce-shingle-k1!"  # 16 bytes, pinned (cross-process identity)
 _K2 = "tjce-shingle-k2!"
 
 
-def shingle_occurrences(
-    texts: pd.Series, n: int = 8, nb: int = 64
-) -> pd.DataFrame:
+def shingle_keys(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two int64 identity halves ``(k1, k2)`` of each string in
+    ``grams`` (an object array): two fixed-key siphashes, vectorized."""
+    return tuple(
+        pd.util.hash_array(grams, hash_key=k, categorize=False).view(np.int64)
+        for k in (_K1, _K2))
+
+
+def shingle_occurrences(texts: pd.Series, n: int = 8) -> pd.DataFrame:
     """Every n-word window of every text, vectorized: returns one row
     per OCCURRENCE with columns ``row`` (position of the text inside
-    the input batch), ``k1``/``k2`` (the two int64 identity halves)
-    and ``kb`` (``nb``-way digest bucket, ``nb`` a power of two —
-    gram-volume exchanges must size it from input bytes via
-    ``exchange.buckets_for_bytes``; a gram's every occurrence lands in
-    one bucket for ANY nb since kb derives from k1 alone).  Texts
-    shorter than n words contribute nothing.  Callers aggregate:
-    distinct-per-doc, counts per (gram, attribute), etc."""
+    the input batch) and ``k1``/``k2`` (the two int64 identity halves,
+    ``shingle_keys``).  A gram-volume exchange keys on ``k1``:
+    ``exchange.shuffle``'s integer rule puts every occurrence of a gram
+    in one bucket at any fan-out.  Texts shorter than n words
+    contribute nothing.  Callers aggregate: distinct-per-doc, counts
+    per (gram, attribute), etc."""
     toks = texts.str.split(" ")
     lens = toks.str.len().to_numpy(np.int64)
     total = int(lens.sum())
-    empty = pd.DataFrame({
-        "row": pd.Series([], dtype="int64"),
-        "k1": pd.Series([], dtype="int64"),
-        "k2": pd.Series([], dtype="int64"),
-        "kb": pd.Series([], dtype="int64"),
-    })
+    empty = pd.DataFrame({c: pd.Series([], dtype="int64")
+                          for c in ("row", "k1", "k2")})
     if total < n:
         return empty
     flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
@@ -60,13 +61,5 @@ def shingle_occurrences(
     for k in range(1, n):
         gram = gram + " "
         gram = gram + flat[starts + k]
-    k1 = pd.util.hash_array(gram, hash_key=_K1, categorize=False) \
-        .view(np.int64)
-    k2 = pd.util.hash_array(gram, hash_key=_K2, categorize=False) \
-        .view(np.int64)
-    return pd.DataFrame({
-        "row": row[starts],
-        "k1": k1,
-        "k2": k2,
-        "kb": k1 & np.int64(nb - 1),
-    })
+    k1, k2 = shingle_keys(gram)
+    return pd.DataFrame({"row": row[starts], "k1": k1, "k2": k2})

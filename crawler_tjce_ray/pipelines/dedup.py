@@ -164,13 +164,9 @@ def q_dup_rate_by_source(sf_dir: str):
         return out
 
     keys = ds.map_batches(key_rows, batch_format="pandas")
-    dup_parts = exchange.shuffle(keys, "k1", nb, dup_counts).to_pandas()
-    if "source" not in dup_parts.columns:  # a dup-free corpus yields
-        # all-empty blocks and Ray's to_pandas drops their schema
-        dup_parts = pd.DataFrame({
-            "source": pd.Series([], dtype=object),
-            "n_dup": pd.Series([], dtype="int64"),
-        })
+    # a dup-free corpus yields no partial
+    dup_parts = exchange.to_pandas(exchange.shuffle(keys, "k1", nb, dup_counts),
+                                   source=object, n_dup="int64")
     dup = dup_parts.groupby("source", as_index=False)["n_dup"].sum()
     totals = (
         _read_docs(sf_dir, ["source"])  # pruned: the text column never
@@ -270,15 +266,9 @@ def q_cross_source_dup_matrix(sf_dir: str):
         out["n_keys"] = out["n_keys"].astype("int64")
         return out
 
-    parts = exchange.shuffle(
+    parts = exchange.to_pandas(exchange.shuffle(
         ds.map_batches(key_rows, batch_format="pandas"), "k1", nb, pair_counts
-    ).to_pandas()
-    if "source_a" not in parts.columns:
-        parts = pd.DataFrame({
-            "source_a": pd.Series([], dtype=object),
-            "source_b": pd.Series([], dtype=object),
-            "n_keys": pd.Series([], dtype="int64"),
-        })
+    ), source_a=object, source_b=object, n_keys="int64")
     out = parts.groupby(["source_a", "source_b"], as_index=False)[
         "n_keys"].sum()
     out["n_keys"] = out["n_keys"].astype("int64")
@@ -396,8 +386,7 @@ def q_dedup_ngram_jaccard(sf_dir: str):
         )
 
     return _sorted_pairs(docs.select_columns(["doc_id"]).map_batches(
-        pairs, batch_format="pandas"
-    ).to_pandas())
+        pairs, batch_format="pandas"))
 
 
 # the word-3-gram set of every doc as the oracles spell it (the
@@ -623,12 +612,11 @@ def _pairs_empty() -> pd.DataFrame:
     })
 
 
-def _sorted_pairs(out: pd.DataFrame) -> pd.DataFrame:
-    """The collected (doc_a, doc_b, jaccard) result in oracle order.  When
-    every batch emitted zero pairs, Ray's ``to_pandas`` falls back to
-    the upstream schema and loses the mapped columns."""
-    if "doc_a" not in out.columns or out.empty:
-        return _pairs_empty()
+def _sorted_pairs(ds) -> pd.DataFrame:
+    """The (doc_a, doc_b, jaccard) pairs of ``ds`` collected in oracle
+    order (typed and empty when no batch emitted a pair)."""
+    out = exchange.to_pandas(ds, doc_a="int64", doc_b="int64",
+                             jaccard="float64")
     out = out.astype({"doc_a": "int64", "doc_b": "int64"})
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
@@ -725,8 +713,7 @@ def _verify_pairs(docs, pairs, tau: float, nb: int) -> pd.DataFrame:
                   if hi > lo]
         return _sorted_pairs(
             ray.data.from_pandas(chunks)
-            .map_batches(verify_batch, batch_format="pandas")
-            .to_pandas())
+            .map_batches(verify_batch, batch_format="pandas"))
 
     def explode_a(p: pd.DataFrame, gr: pd.DataFrame) -> pd.DataFrame:
         # cross-band repeats of a pair all land in doc_a's bucket: this
@@ -763,7 +750,7 @@ def _verify_pairs(docs, pairs, tau: float, nb: int) -> pd.DataFrame:
     by_b = (exploded, {"k": _I64, "doc_a": _I64, "s_a": _I64, "gkey": _U64},
             None)
     return _sorted_pairs(exchange.cogroup(
-        [by_b, (cand_grams, _GRAMS, None)], "k", nb, verify_b).to_pandas())
+        [by_b, (cand_grams, _GRAMS, None)], "k", nb, verify_b))
 
 
 def q_dedup_minhash_lsh(sf_dir: str):
@@ -962,15 +949,10 @@ def q_dedup_simhash(sf_dir: str):
         })
 
     # bb < SIMHASH_BANDS·nb_band, so the exchange's bucket IS bb
-    out = exchange.shuffle(
+    out = exchange.to_pandas(exchange.shuffle(
         docs.map_batches(sigs, batch_format="pyarrow"), "bb",
         SIMHASH_BANDS * nb_band, band_pairs,
-    ).to_pandas()
-    if "doc_a" not in out.columns:
-        return pd.DataFrame({
-            c: pd.Series([], dtype="int64")
-            for c in ("doc_a", "doc_b", "hamming")
-        })
+    ), doc_a="int64", doc_b="int64", hamming="int64")
     out = out.drop_duplicates(["doc_a", "doc_b"])
     out = out.astype({"doc_a": "int64", "doc_b": "int64", "hamming": "int64"})
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
@@ -1008,13 +990,10 @@ def q_dedup_embedding_nn(sf_dir: str):
             "cosine": np.round(sims[np.arange(len(g)), nn_idx], 6),
         })
 
-    out = (
-        ds.groupby("label")
-        .map_groups(nn_in_group, batch_format="pandas")
-        .to_pandas()
-    )
-    if "vec_id" not in out.columns:  # every block a singleton
-        return empty
+    # every block a singleton: no row
+    out = exchange.to_pandas(
+        ds.groupby("label").map_groups(nn_in_group, batch_format="pandas"),
+        vec_id="int64", nn_vec_id="int64", cosine="float64")
     return out.sort_values("vec_id").reset_index(drop=True)
 
 

@@ -75,11 +75,28 @@ hops keep the edge Dataset's block count.
 Bucket keys (``kb_arrow``) follow the key column's type, so neither
 primitive takes a hashing parameter:
 
-* an integer key is ``key & (nb-1)`` after an int64 cast;
+* an integer key is ``key & (nb-1)`` after an int64 cast — user ids
+  (``retention``, ``rolling_unique_users``), shingle digest halves
+  ``k1`` (``ngram_novelty``, ``vocab_growth``, ``hapax_rate_by_source``)
+  and ``epoch_shuffle``'s range bucket, which is below ``nb`` and so
+  maps to itself (bucket order stays key order);
 * a uint64 key (a 64-bit digest) masks its own low bits — no int64
-  cast, which overflows at ≥ 2^63;
+  cast, which overflows at ≥ 2^63 — as ``curation_pipeline``'s md5
+  prefix does (an int64 view of a digest, like ``dup_ngram_docs``'
+  window hash, gets the same low bits from the integer rule);
 * a string key is its process-stable siphash masked to ``nb``, the
-  same function as ``kb_words``.
+  same function as ``kb_words`` — the word and token keys of the
+  bigram, vocabulary and top-term exchanges.
+
+Driver read.  ``to_pandas(ds, **dtypes)`` is the one read of an
+exchange's or a map's partials on the driver.  Ray's ``to_pandas`` of
+a dataset whose blocks are all empty has no columns: a ``shuffle``
+that forms no group has ``schema()`` None, and a map whose UDFs return
+typed empty pandas frames comes back with its string columns typed
+``null``.  So neither the plan nor the blocks know the columns; the
+caller declares the ones it reads, with their pandas dtypes, and an
+empty result is a typed empty frame (a wordless corpus gives the
+oracle's zero rows instead of a ``KeyError``).
 """
 
 from __future__ import annotations
@@ -372,6 +389,18 @@ def cogroup(sides, key: str, nb: int, finalize):
         .groupby("kb")
         .map_groups(split, batch_format="pyarrow")
     )
+
+
+def to_pandas(ds, **dtypes):
+    """``ds.to_pandas()``, or, when ``ds`` has no row, an empty frame
+    with the declared columns (name → pandas dtype): Ray's frame of
+    all-empty blocks has no columns."""
+    import pandas as pd
+
+    out = ds.to_pandas()
+    if len(out):
+        return out
+    return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in dtypes.items()})
 
 
 def kb_words(words, nb: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from crawler_tjce_ray.pipelines.exchange import shuffle
+from crawler_tjce_ray.pipelines.exchange import shuffle, to_pandas
 from crawler_tjce_ray.pipelines.relational import _nb_rows, _pack_pairs, _read
 from crawler_tjce_ray.pipelines.textops import _read_docs
 from crawler_tjce_ray.pipelines.webtext import WORD_RE, _explode_words
@@ -159,11 +159,9 @@ def q_pagerank_parts(sf_dir: str):
         u, inv = np.unique(batch["src_i"], return_inverse=True)
         return {"src_i": u, "w": np.bincount(inv, weights=batch["w"])}
 
-    # an edgeless graph (every order one line) yields no partial at
-    # all, and Ray's frame of no blocks has no columns
-    deg_parts = edges_idx.map_batches(
-        deg_partial, batch_format="numpy"
-    ).to_pandas().reindex(columns=["src_i", "w"])
+    # an edgeless graph (every order one line) yields no partial
+    deg_parts = to_pandas(edges_idx.map_batches(
+        deg_partial, batch_format="numpy"), src_i="int64", w="float64")
     outdeg = np.zeros(n, dtype=np.float64)
     np.add.at(outdeg, deg_parts["src_i"].to_numpy(np.int64),
               deg_parts["w"].to_numpy(np.float64))
@@ -179,8 +177,8 @@ def q_pagerank_parts(sf_dir: str):
             u, inv = np.unique(batch["dst_i"], return_inverse=True)
             return {"dst_i": u, "c": np.bincount(inv, weights=c)}
 
-        parts = edges_idx.map_batches(contrib, batch_format="numpy") \
-            .to_pandas().reindex(columns=["dst_i", "c"])
+        parts = to_pandas(edges_idx.map_batches(contrib, batch_format="numpy"),
+                          dst_i="int64", c="float64")
         cv = np.zeros(n, dtype=np.float64)
         np.add.at(cv, parts["dst_i"].to_numpy(np.int64),
                   parts["c"].to_numpy(np.float64))
@@ -277,9 +275,9 @@ def _funnel(sf_dir: str, events: list[str], win=None) -> pd.DataFrame:
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
     # a stream with no funnel events shuffles nothing: zero counts
-    parts = shuffle(ds, "user_id", _nb_rows(sf_dir, "events"), counts,
-                    combine=_of_types(FUNNEL)).to_pandas() \
-        .reindex(columns=["n1", "n2", "n3"], fill_value=0).sum()
+    parts = to_pandas(shuffle(ds, "user_id", _nb_rows(sf_dir, "events"), counts,
+                              combine=_of_types(FUNNEL)),
+                      n1="int64", n2="int64", n3="int64").sum()
     n = [int(parts["n1"]), int(parts["n2"]), int(parts["n3"])]
     prev = [n[0], n[0], n[1]]
     return pd.DataFrame({
@@ -441,9 +439,9 @@ def _event_ngrams(sf_dir: str, cols: list[str]) -> pd.DataFrame:
         return p.groupby(cols, as_index=False).agg(n=(cols[0], "size"))
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
-    parts = shuffle(ds, "user_id", _nb_rows(sf_dir, "events"), grams).to_pandas()
-    # Ray drops the empty partials of streams shorter than n: no columns
-    out = parts.reindex(columns=[*cols, "n"]) \
+    # a stream shorter than n everywhere has no partial
+    out = to_pandas(shuffle(ds, "user_id", _nb_rows(sf_dir, "events"), grams),
+                    **dict.fromkeys(cols, object), n="int64") \
         .groupby(cols, as_index=False)["n"].sum()
     out["n"] = out["n"].astype("int64")
     return out
@@ -555,9 +553,9 @@ def q_edge_reciprocity(sf_dir: str):
         n_recip = int((dirs == 2).sum()) * 2
         return pd.DataFrame({"n_edges": [n_edges], "n_recip": [n_recip]})
 
-    p = shuffle(edges, "pair", _nb_rows(sf_dir, "lineitem"), count_bucket,
-                combine=directed_pairs).to_pandas() \
-        .reindex(columns=["n_edges", "n_recip"], fill_value=0).sum()
+    p = to_pandas(shuffle(edges, "pair", _nb_rows(sf_dir, "lineitem"),
+                          count_bucket, combine=directed_pairs),
+                  n_edges="int64", n_recip="int64").sum()
     ne, nr = int(p["n_edges"]), int(p["n_recip"])
     return pd.DataFrame({
         "n_edges": pd.Series([ne], dtype="int64"),
@@ -622,8 +620,9 @@ def q_inverted_index(sf_dir: str):
         return m.sort_values(["df", "tok"], ascending=[False, True],
                              kind="mergesort").head(IDX_TOPK)
 
-    cand = shuffle(ds, "tok", _nb_rows(sf_dir, "documents"), bucket_index,
-                   combine=pairs).to_pandas()
+    cand = to_pandas(shuffle(ds, "tok", _nb_rows(sf_dir, "documents"),
+                             bucket_index, combine=pairs),
+                     tok=object, df="int64", postings=object)
     top = cand.sort_values(["df", "tok"], ascending=[False, True],
                            kind="mergesort").head(IDX_TOPK).reset_index(drop=True)
     top["df"] = top["df"].astype("int64")
@@ -869,10 +868,10 @@ def q_degree_distribution(sf_dir: str):
     documented state bound; shard on the bucket key past ~10⁸ nodes).
     Nodes with no outgoing edge report degree 0 via the node array."""
     edges, nodes = _edges_ds_and_nodes(sf_dir)
-    deg_parts = edges.map_batches(
+    deg_parts = to_pandas(edges.map_batches(
         lambda df: df.groupby("src", as_index=False)["w"].sum(),
         batch_format="pandas",
-    ).to_pandas().reindex(columns=["src", "w"])
+    ), src="int64", w="float64")
     deg = deg_parts.groupby("src")["w"].sum()
     od = deg.to_numpy(np.float64).astype("int64")  # w is whole-valued
     degrees, counts = np.unique(od, return_counts=True)
@@ -937,8 +936,8 @@ def q_bfs_hops(sf_dir: str):
             succ = np.unique(np.asarray(batch["dst"], np.int64)[m])
             return {"dst": succ}
 
-        parts = edges.map_batches(nbrs, batch_format="numpy") \
-            .to_pandas().reindex(columns=["dst"])
+        parts = to_pandas(edges.map_batches(nbrs, batch_format="numpy"),
+                          dst="int64")
         new = np.setdiff1d(
             parts["dst"].to_numpy(np.int64), visited, assume_unique=False
         )

@@ -1025,10 +1025,9 @@ def q_big_spenders(sf_dir: str):
         ).round(6)
         return out[["custkey", "segment", "spend", "ratio_to_avg"]]
 
-    out = per_cust.map_batches(pick, batch_format="pandas").to_pandas()
-    if "custkey" not in out.columns:  # every block empty
-        out = pd.DataFrame({"custkey": [], "segment": [],
-                            "spend": [], "ratio_to_avg": []})
+    out = _ex.to_pandas(per_cust.map_batches(pick, batch_format="pandas"),
+                        custkey="int64", segment=object, spend="float64",
+                        ratio_to_avg="float64")
     out = out.astype({"custkey": "int64", "segment": object,
                       "spend": "float64", "ratio_to_avg": "float64"})
     return out.sort_values("custkey").reset_index(drop=True)
@@ -4865,15 +4864,13 @@ def q_part_cooccurrence(sf_dir: str):
                           kind="mergesort")
         return s.head(100)[["pair", "c"]]
 
-    parts = (
+    # no order with two parts: no pair partial
+    parts = _ex.to_pandas(
         _ex.shuffle(ds, "l_orderkey", nb, pairs_in_bucket)
         .map_batches(pair_bucket, batch_format="pyarrow")
         .groupby("pb")
-        .map_groups(sum_topk_in_bucket, batch_format="pandas")
-        .to_pandas()
-        # no order with two parts: no pair partial, and no columns
-        .reindex(columns=["pair", "c"])
-    )
+        .map_groups(sum_topk_in_bucket, batch_format="pandas"),
+        pair="int64", c="int64")
     parts = parts.sort_values(["c", "pair"], ascending=[False, True],
                               kind="mergesort").head(100)
     pair = parts["pair"].to_numpy(np.int64)

@@ -18,6 +18,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from crawler_tjce_ray.pipelines import exchange as _ex
 from crawler_tjce_ray.pipelines.relational import _read
 
 QUANTILES = [0.5, 0.9, 0.99]
@@ -285,11 +286,10 @@ def q_heavy_hitters_exact(sf_dir: str):
             "c": sub.to_numpy(dtype=np.int64),
         })
 
-    exact_counts = (
-        ds.map_batches(exact, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("token")["c"].sum()
-    )
+    # a corpus with no word has no survivor and no partial
+    exact_counts = _ex.to_pandas(
+        ds.map_batches(exact, batch_format="pyarrow"), token=object, c="int64"
+    ).groupby("token")["c"].sum()
     hh = exact_counts[exact_counts >= threshold].sort_index()
     return pd.DataFrame({
         "token": hh.index.astype(object),
@@ -590,16 +590,15 @@ def _quickselect(ds, derive, k: int, n: int, gmin: float, gmax: float) -> float:
 
 def _select_base_stats(ds, derive):
     """(n, min, max) of the derived column in one streaming pass."""
-    base = ds.map_batches(
+    base = _ex.to_pandas(ds.map_batches(
         lambda df: (lambda v: pd.DataFrame({
             "n": [len(v)],
             "mn": [v.min() if len(v) else np.inf],
             "mx": [v.max() if len(v) else -np.inf],
         }))(derive(df)),
         batch_format="pandas",
-    ).to_pandas()
-    if base.empty or "n" not in base.columns:
-        # a fully-empty upstream yields a schemaless empty frame
+    ), n="int64", mn="float64", mx="float64")
+    if base.empty:  # a fully-empty upstream has no partial
         return 0, float("inf"), float("-inf")
     return int(base["n"].sum()), float(base["mn"].min()), float(base["mx"].max())
 
@@ -865,7 +864,6 @@ def q_lorenz_deciles(sf_dir: str):
     banding is value-deterministic, never row-order dependent."""
     import math
 
-    from crawler_tjce_ray.pipelines import exchange as _ex
     from crawler_tjce_ray.pipelines.relational import _nb_rows, _spend_partial
 
     nb = _nb_rows(sf_dir, "orders")  # row-carrying exchange

@@ -7,10 +7,16 @@ pandas where the kernel needs it); per-doc work is vectorized
 pyarrow.compute / numpy — no Python loop over rows in the hot path
 except the per-row hash digests (C-implemented hashlib, O(bytes)).
 
-Scale notes: all queries are embarrassingly parallel per-document maps
-with a final small sort — no shuffle except the tiny confusion-matrix
-groupby in ``lang_id_confusion``.  At 100 TB each stage streams block
-by block; nothing materializes the corpus.
+Scale notes: most queries are embarrassingly parallel per-document
+maps with a final small sort.  The vocabulary-keyed ones —
+``hapax_rate_by_source`` (on the token digest half ``k1``),
+``top_terms_per_lang`` and ``vocab_overlap_sources`` (on the token)
+— run ONE ``exchange.shuffle`` each, with the per-batch partial as
+the combine: the vocabulary grows with the corpus (Heaps' law), so a
+groupby on the token itself would not scale.  ``lang_id_confusion``
+has a tiny |langs|² groupby, and ``pack_sequences_sharded`` is a true
+per-shard group.  At 100 TB each stage streams block by block;
+nothing materializes the corpus.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from crawler_tjce_ray.pipelines import exchange
 from crawler_tjce_ray.pipelines.relational import _nb_rows
 
 # Both pyarrow.compute and DuckDB use RE2 — identical match semantics
@@ -249,63 +256,36 @@ def q_hapax_rate_by_source(sf_dir: str):
     hapax-poor, scraped natural text hapax-rich).
 
     Per-batch vectorized (token, source) count partials hash tokens to
-    two-int64 md5 keys (strings never ride the shuffle) → ONE
-    digest-bucket exchange (a token's every partial lands in one
-    bucket, so the global count-==-1 test is exact in-bucket) →
-    additive per-(bucket, source) vocab/hapax counters; the driver
-    folds O(buckets × sources) rows."""
+    the two int64 shingle keys (``shingles.shingle_keys``; strings
+    never ride the shuffle) → ONE ``exchange.shuffle`` on ``k1`` (a
+    token's every partial lands in one bucket, so the global
+    count-==-1 test is exact in-bucket) → additive per-(bucket,
+    source) vocab/hapax counters; the driver folds O(buckets ×
+    sources) rows."""
+    from crawler_tjce_ray.functions.shingles import shingle_keys
+
     nb = _nb_rows(sf_dir, 'documents')  # row-carrying exchange
     ds = _read_docs(sf_dir, ["source", "text"])
 
-    def key_rows(df: pd.DataFrame) -> pd.DataFrame:
-        toks = df["text"].str.split(" ")
-        n = toks.str.len().to_numpy(np.int64)
-        if not n.sum():
-            return pd.DataFrame({
-                "k1": pd.Series([], dtype="int64"),
-                "k2": pd.Series([], dtype="int64"),
-                "source": pd.Series([], dtype=object),
-                "c": pd.Series([], dtype="int64"),
-                "kb": pd.Series([], dtype="int64"),
-            })
-        long = pd.DataFrame({
-            "source": np.repeat(df["source"].to_numpy(object), n),
-            "tok": np.concatenate([np.asarray(t, object) for t in toks]),
-        })
-        g = long.groupby(["tok", "source"], as_index=False).size() \
-            .rename(columns={"size": "c"})
-        # two keyed 64-bit siphashes = 128 identity bits, vectorized
-        # (same scheme as functions/shingles.py; engine-internal only)
-        toks = g["tok"].to_numpy(object)
-        k1 = pd.util.hash_array(toks, hash_key="tjce-shingle-k1!",
-                                categorize=False).view(np.int64)
-        k2 = pd.util.hash_array(toks, hash_key="tjce-shingle-k2!",
-                                categorize=False).view(np.int64)
-        out = pd.DataFrame({
-            "k1": k1,
-            "k2": k2,
-            "source": g["source"].to_numpy(object),
-            "c": g["c"].astype("int64"),
-        })
-        out["kb"] = out["k1"].to_numpy(np.int64) & np.int64(nb - 1)
-        return out
+    def key_rows(t: pa.Table) -> pa.Table:
+        toks = pc.split_pattern(t["text"], " ")
+        g = pa.table({
+            "tok": pc.list_flatten(toks),
+            "source": pc.take(t["source"], pc.list_parent_indices(toks)),
+        }).group_by(["tok", "source"], use_threads=False) \
+            .aggregate([("tok", "count")])
+        k1, k2 = shingle_keys(g["tok"].to_numpy(zero_copy_only=False))
+        return pa.table({"k1": k1, "k2": k2, "source": g["source"],
+                         "c": g["tok_count"]})
 
     def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby(["k1", "k2", "source"], as_index=False)["c"].sum()
-        out = s.groupby("source", as_index=False).agg(
-            vocab=("c", "size"),
-            hapax=("c", lambda x: int((x == 1).sum())),
-        )
-        out["source"] = out["source"].astype(object)
-        return out.astype({"vocab": "int64", "hapax": "int64"})
+        s["hapax"] = (s["c"] == 1).astype("int64")
+        return s.groupby("source", as_index=False).agg(
+            vocab=("c", "size"), hapax=("hapax", "sum"))
 
-    parts = (
-        ds.map_batches(key_rows, batch_format="pandas")
-        .groupby("kb")
-        .map_groups(fold_bucket, batch_format="pandas")
-        .to_pandas()
-        .groupby("source", as_index=False)[["vocab", "hapax"]].sum()
-    )
+    parts = exchange.shuffle(ds, "k1", nb, fold_bucket, combine=key_rows) \
+        .to_pandas().groupby("source", as_index=False)[["vocab", "hapax"]].sum()
     out = pd.DataFrame({
         "source": parts["source"].astype(object),
         "vocab_size": parts["vocab"].astype("int64"),
@@ -885,10 +865,14 @@ def q_pack_sequences_sharded(sf_dir: str, n_shards: int = 16):
     runs independently per deterministic ``doc_id % n_shards`` shard
     (coarse groups, vectorized length pass), and sequence ids are
     shard-prefixed (``shard << 40 | local``) so no cross-shard
-    coordination exists at any point.  Fully deterministic, so it
-    carries its own oracle: a per-shard recursive-CTE scan (PARTITION
-    the row numbers by shard, recurse within the shard) reproduces the
-    shard-local greedy folds exactly."""
+    coordination exists at any point.  The shard is a true per-key
+    group — the fold is sequential over ONE shard's docs — so it
+    stays on ``groupby("shard").map_groups`` rather than
+    ``exchange.shuffle``, whose buckets mix keys (like
+    ``dedup_embedding_nn``'s label blocks).  Fully deterministic, so
+    it carries its own oracle: a per-shard recursive-CTE scan
+    (PARTITION the row numbers by shard, recurse within the shard)
+    reproduces the shard-local greedy folds exactly."""
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
     def lens(df: pd.DataFrame) -> pd.DataFrame:
@@ -973,100 +957,59 @@ FROM pack ORDER BY doc_id
 
 TOP_TERMS_K = 3
 
-def _token_bucket(
-    df: pd.DataFrame, nb: int, col: str = "token"
-) -> pd.Series:
-    """Deterministic ``nb``-way bucket of a token column (``nb`` a
-    power of two, sized from input bytes by the caller — the partials
-    carry token STRINGS, so the exchange payload grows with the
-    corpus).  Vocabulary cardinality grows with the corpus (Heaps'
-    law: 10⁷–10⁸ distinct tokens at 100 TB), and Ray 2.49's sort-based
-    groupby/aggregate degenerates on high-cardinality keys (68 s at
-    116k keys measured — the part_cooccurrence finding), so
-    vocab-keyed stages ride a coarse hash exchange with exact
-    in-bucket pandas work instead: a token lands in exactly one bucket
-    for any nb, so in-bucket sums/dedup/top-k partials are globally
-    exact."""
-    h = pd.util.hash_array(df[col].to_numpy(dtype=object))
-    return pd.Series((h % nb).astype("int64"), index=df.index)
-
 
 def q_top_terms_per_lang(sf_dir: str):
     """Grouped top-k vocabulary: the k most frequent tokens per
     language with a deterministic (count DESC, token ASC) tie-break —
     the corpus-inspection query a curation run starts from.  Per-block
     partial counts keyed (lang, token) shrink the shuffle to the
-    block's DISTINCT vocabulary (not its token stream); one
-    size-derived token-hash exchange sums the partials in-bucket (see
-    ``_token_bucket`` — the key space is the vocabulary, which grows
-    with the corpus) and each bucket emits its per-lang top-k partial,
-    so the driver merges ≤ buckets·|langs|·k rows no matter the
-    corpus size."""
+    block's DISTINCT vocabulary (not its token stream); ONE
+    ``exchange.shuffle`` on the token sums the partials in-bucket and
+    each bucket emits its per-lang top-k partial, so the driver merges
+    ≤ buckets·|langs|·k rows no matter the corpus size.
+
+    Why a token-hash exchange and not a groupby on the token: the key
+    space is the vocabulary, which grows with the corpus (Heaps' law:
+    10⁷–10⁸ distinct tokens at 100 TB), and Ray 2.49's sort-based
+    groupby/aggregate degenerates on high-cardinality keys (68 s at
+    116k keys measured — the part_cooccurrence finding).  A token
+    lands in exactly one bucket for any fan-out, so in-bucket sums
+    and top-k partials are globally exact; the fan-out is sized from
+    input bytes, since the partials carry token strings."""
     nb = _nb_rows(sf_dir, 'documents')  # token strings ride
     ds = _read_docs(sf_dir, ["lang", "text"])
 
-    def partial(t: pa.Table) -> pd.DataFrame:
+    def partial(t: pa.Table) -> pa.Table:
         # tokenize the whole batch once (zero-copy Arrow), then count
-        # per (lang, token) — same counts as the old per-lang loop
+        # per (lang, token)
         idx, w = tokens_flat(t.column("text"))
         lang = t.column("lang").to_numpy(zero_copy_only=False)
-        if len(w):
-            ex = pd.DataFrame({"lang": lang.astype(object)[idx], "w": w})
-            c = ex.groupby(["lang", "w"], as_index=False).size()
-            outs = [pd.DataFrame({
-                "lang": c["lang"].astype(object),
-                "token": c["w"].astype(object),
-                "c": c["size"].to_numpy(dtype=np.int64),
-            })]
-        else:
-            outs = []
-        if not outs:
-            return pd.DataFrame({
-                "lang": pd.Series([], dtype=object),
-                "token": pd.Series([], dtype=object),
-                "c": pd.Series([], dtype="int64"),
-            })
-        return pd.concat(outs, ignore_index=True)
+        c = pd.DataFrame({"lang": lang.astype(object)[idx], "token": w}) \
+            .groupby(["lang", "token"], as_index=False).size()
+        return pa.Table.from_pandas(c.rename(columns={"size": "c"}),
+                                    preserve_index=False)
 
     def sum_topk_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby(["lang", "token"], as_index=False)["c"].sum()
-        outs = [
-            sub.sort_values(["c", "token"], ascending=[False, True],
-                            kind="mergesort").head(TOP_TERMS_K)
-            for _, sub in s.groupby("lang", sort=False)
-        ]
-        return pd.concat(outs, ignore_index=True) if outs else s
+        return s.sort_values(["lang", "c", "token"],
+                             ascending=[True, False, True],
+                             kind="mergesort").groupby("lang").head(TOP_TERMS_K)
 
     # a (lang, token)'s whole count lives in one token bucket, so the
     # global per-lang top-k is inside the union of the bucket-local
     # per-lang top-k partials; the driver merges ≤ nb·|langs|·k rows
-    parts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda df: df.assign(tb=_token_bucket(df, nb)),
-                     batch_format="pandas")
-        .groupby("tb")
-        .map_groups(sum_topk_in_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["c", "token"], ascending=[False, True], kind="mergesort"
-        ).head(TOP_TERMS_K)
-        g["rk"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    out = (
-        parts.groupby("lang", group_keys=False)[["lang", "token", "c"]]
-        .apply(topk)
-        .rename(columns={"c": "cnt"})
-    )
-    out["cnt"] = out["cnt"].astype("int64")
-    return (
-        out[["lang", "token", "cnt", "rk"]]
-        .sort_values(["lang", "rk"])
-        .reset_index(drop=True)
-    )
+    parts = exchange.to_pandas(
+        exchange.shuffle(ds, "token", nb, sum_topk_in_bucket, combine=partial),
+        lang=object, token=object, c="int64")
+    top = parts.sort_values(["lang", "c", "token"],
+                            ascending=[True, False, True],
+                            kind="mergesort").groupby("lang").head(TOP_TERMS_K)
+    return pd.DataFrame({
+        "lang": top["lang"],
+        "token": top["token"],
+        "cnt": top["c"].astype("int64"),
+        "rk": top.groupby("lang").cumcount().astype("int64") + 1,
+    }).reset_index(drop=True)
 
 
 SQL_TOP_TERMS_PER_LANG = """
@@ -1094,8 +1037,9 @@ def q_vocab_overlap_sources(sf_dir: str):
     that guides dedup thresholds and mixture weights.
 
     Scale shape: per-block DISTINCT (source, token) partials → ONE
-    size-derived token-hash exchange (see ``_token_bucket``; the key
-    space is the vocabulary, which grows with the corpus) → in-bucket
+    ``exchange.shuffle`` on the token (a token-hash exchange, not a
+    groupby on the token: the key space is the vocabulary, which
+    grows with the corpus — see ``q_top_terms_per_lang``) → in-bucket
     exact dedup + per-source vocab-size and per-pair common-token
     partials → the driver merges ≤ buckets·|sources|² rows.  The
     corpus text never rides a shuffle."""
@@ -1104,15 +1048,9 @@ def q_vocab_overlap_sources(sf_dir: str):
     nb = _nb_rows(sf_dir, 'documents')  # token strings ride
     ds = _read_docs(sf_dir, ["source", "text"])
 
-    def distinct_partial(t: pa.Table) -> pd.DataFrame:
-        # one whole-batch tokenize, then distinct (source, token)
-        # pairs — same set as the old per-source unique loop
+    def distinct_partial(t: pa.Table) -> pa.Table:
+        # one whole-batch tokenize, then distinct (source, token) pairs
         idx, w = tokens_flat(t.column("text"))
-        if not len(w):
-            return pd.DataFrame({
-                "source": pd.Series([], dtype="string"),
-                "token": pd.Series([], dtype="string"),
-            })
         srcs = t.column("source").to_numpy(zero_copy_only=False)
         out = pd.DataFrame({
             "source": srcs.astype(object)[idx], "token": w,
@@ -1121,7 +1059,8 @@ def q_vocab_overlap_sources(sf_dir: str):
         # per-source pandas groupby dropped NaN keys; bucket_stats
         # sorts source labels and cannot order None against str)
         out = out.loc[out["source"].notna()]
-        return out.drop_duplicates(ignore_index=True)
+        return pa.Table.from_pandas(out.drop_duplicates(ignore_index=True),
+                                    preserve_index=False)
 
     def bucket_stats(g: pd.DataFrame) -> pd.DataFrame:
         """Exact per-bucket partials from the globally-deduped
@@ -1145,17 +1084,12 @@ def q_vocab_overlap_sources(sf_dir: str):
             "n": pd.Series(n_col, dtype="int64"),
         })
 
-    # ONE token-hash exchange (see _token_bucket): a token's rows all
-    # land in one bucket, so in-bucket dedup is globally exact and the
-    # driver merges ≤ nb·|S|² partial rows
-    parts = (
-        ds.map_batches(distinct_partial, batch_format="pyarrow")
-        .map_batches(lambda df: df.assign(tb=_token_bucket(df, nb)),
-                     batch_format="pandas")
-        .groupby("tb")
-        .map_groups(bucket_stats, batch_format="pandas")
-        .to_pandas()
-    )
+    # a token's rows all land in one bucket, so in-bucket dedup is
+    # globally exact and the driver merges ≤ nb·|S|² partial rows
+    parts = exchange.to_pandas(
+        exchange.shuffle(ds, "token", nb, bucket_stats,
+                         combine=distinct_partial),
+        source_a=object, source_b=object, n="int64")
     agg = parts.groupby(["source_a", "source_b"], as_index=False)["n"].sum()
     vsizes = (
         agg[agg["source_b"] == ""].set_index("source_a")["n"]
@@ -1300,12 +1234,10 @@ def q_char_trigram_topk(sf_dir: str):
             })
         return pd.concat(outs, ignore_index=True)
 
-    parts = (
-        ds.map_batches(partial, batch_format="pandas")
-        .to_pandas()
-        .groupby(["lang", "tri_key"], as_index=False)["n"]
-        .sum()
-    )
+    parts = exchange.to_pandas(
+        ds.map_batches(partial, batch_format="pandas"),
+        lang=object, tri_key="int64", n="int64",
+    ).groupby(["lang", "tri_key"], as_index=False)["n"].sum()
     parts = parts.sort_values(["lang", "n", "tri_key"],
                               ascending=[True, False, True],
                               kind="mergesort")

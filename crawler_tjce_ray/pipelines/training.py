@@ -10,10 +10,14 @@ kernels, per-batch partials before any shuffle, coarse hash buckets
 driver state bounded by O(result) or O(#buckets) — never O(corpus).
 
 Scale notes per query are on the function docstrings; the common
-theme is that the only all-to-all exchanges here are (a) the
-uniform md5 range buckets of the epoch shuffle and (b) the
-size-derived gram / user bucket shuffles, each carrying fixed-width
-keys rather than text.
+theme is that every all-to-all exchange here is one
+``exchange.shuffle``: (a) the uniform md5 range buckets of the epoch
+shuffle (the range bucket ``sb`` is its own shuffle key, so bucket
+order stays key order), (b) the window-digest and user-id shuffles,
+each carrying fixed-width keys rather than text, with the per-batch
+partial (``_doc_window_pairs``, ``_day_users``) as the combine, and
+(c) the word-keyed bigram shuffles of ``bigram_lm`` and
+``bigram_pmi_topk``, which share webtext's ``_bigram_counts`` partial.
 """
 
 from __future__ import annotations
@@ -23,11 +27,14 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from crawler_tjce_ray.pipelines import exchange
 from crawler_tjce_ray.pipelines.relational import _nb_rows, _read
 from crawler_tjce_ray.pipelines.textops import _read_docs
-from crawler_tjce_ray.pipelines.webtext import WORD_RE, _explode_words
+from crawler_tjce_ray.pipelines.webtext import (
+    WORD_RE, _bigram_counts, _explode_words,
+)
 
 # ---------------------------------------------------------------------------
 # deterministic epoch shuffle
@@ -54,65 +61,49 @@ def q_epoch_shuffle(sf_dir: str):
 
     Distributed recipe (NOT ``ds.sort`` and NOT ``random_shuffle``,
     which are full materializing sorts): md5 keys are uniform, so the
-    first key byte range-partitions the corpus into 256 equal buckets
-    whose lexicographic key order equals the bucket order.  One pass
-    of per-batch bucket-count partials gives the driver a 256-entry
-    prefix-sum table; the single 256-bucket shuffle then sorts and
-    enumerates each bucket independently.  Driver state is O(256);
-    the shuffle carries (doc_id, 32-byte key) rows only — at 100 TB
-    the payload columns are re-attached later by doc_id, they never
-    ride the shuffle."""
+    key's first bytes range-partition the corpus into ``nb`` equal
+    buckets whose key order equals the bucket order.  ONE
+    ``exchange.shuffle`` on the range bucket ``sb`` (below ``nb``, so
+    its own bucket) sorts each bucket and numbers its rows ``lpos``
+    independently; a document's position is then its rank in
+    (``sb``, ``lpos``) order, a merge of sorted runs the driver reads
+    anyway.  The shuffle carries (doc_id, 32-byte key) rows only — at
+    100 TB the payload columns are re-attached later by doc_id, they
+    never ride the shuffle."""
     ds = _read_docs(sf_dir, ["doc_id"])
     # uniform RANGE buckets (prefix order == bucket order), 256 floor,
     # widening with the corpus so one bucket's (doc_id, key) rows stay
     # task-sized; nb ≤ 65536, so two hex bytes scale the whole range
     nb = max(256, _nb_rows(sf_dir, "documents"))
 
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        skey = _md5_hex(df["doc_id"], EPOCH_SALT)
-        return pd.DataFrame({
-            "doc_id": df["doc_id"].astype("int64"),
-            "skey": skey,
+    def keyed(t: pa.Table) -> pa.Table:
+        skey = _md5_hex(t["doc_id"].to_pandas(), EPOCH_SALT)
+        return pa.table({
+            "doc_id": pc.cast(t["doc_id"], pa.int64()),
+            "skey": pa.array(skey, pa.string()),
             # first two hex bytes scaled to nb uniform range buckets;
             # fixed-width hex prefix order == numeric order, so bucket
             # order == key order at any nb (nb=256 → first byte)
-            "sb": pd.Series([int(k[:4], 16) * nb // 65536 for k in skey],
-                            dtype="int64"),
+            "sb": pa.array([int(k[:4], 16) * nb // 65536 for k in skey],
+                           pa.int64()),
         })
-
-    # consumed twice (count pass + enumerate pass): materialize the
-    # 3-column keyed table once, not the documents read
-    keyed_ds = ds.map_batches(keyed, batch_format="pandas").materialize()
-
-    counts = (
-        keyed_ds.map_batches(
-            lambda df: df.groupby("sb", as_index=False).agg(n=("sb", "size")),
-            batch_format="pandas",
-        )
-        .to_pandas()
-        .groupby("sb")["n"].sum()
-    )
-    offsets: dict[int, int] = {}
-    running = 0
-    for sb in sorted(counts.index):
-        offsets[int(sb)] = running
-        running += int(counts[sb])
 
     def enumerate_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["skey", "doc_id"], kind="mergesort").reset_index(drop=True)
-        start = offsets[int(g["sb"].iloc[0])]
         return pd.DataFrame({
-            "pos": np.arange(start, start + len(g), dtype="int64"),
-            "doc_id": g["doc_id"].astype("int64"),
+            "sb": g["sb"],
+            "lpos": np.arange(len(g), dtype=np.int64),
+            "doc_id": g["doc_id"],
             "skey": g["skey"],
         })
 
-    out = (
-        keyed_ds.groupby("sb")
-        .map_groups(enumerate_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    return out.sort_values("pos").reset_index(drop=True)
+    out = exchange.shuffle(ds, "sb", nb, enumerate_bucket, combine=keyed) \
+        .to_pandas().sort_values(["sb", "lpos"]).reset_index(drop=True)
+    return pd.DataFrame({
+        "pos": np.arange(len(out), dtype=np.int64),
+        "doc_id": out["doc_id"].astype("int64"),
+        "skey": out["skey"],
+    })
 
 
 SQL_EPOCH_SHUFFLE = f"""
@@ -132,7 +123,7 @@ FROM documents ORDER BY pos
 DUP_N = 8  # words per window — the cross-doc duplication unit
 
 
-def _doc_window_pairs(b, nb: int = 64) -> pd.DataFrame:
+def _doc_window_pairs(b) -> pd.DataFrame:
     """Distinct (doc_id, hash(window)) pairs for every DUP_N-word
     window of every document in the batch.  Windows are formed with
     plain frame-level shifts (vectorized); a window is valid iff the
@@ -142,30 +133,18 @@ def _doc_window_pairs(b, nb: int = 64) -> pd.DataFrame:
     The window digest is one vectorized process-stable siphash pass
     (8-byte keys on the gram exchange instead of 32-char md5 hex;
     collisions are the same 64-bit exposure the dedup gram digests
-    carry, documented there)."""
+    carry, documented there), kept as its int64 view: the shuffle's
+    integer rule takes the same low bits as the uint64 digest's."""
     ex = _explode_words(b)
-    if ex.empty:
-        return pd.DataFrame({
-            "doc_id": pd.Series([], dtype="int64"),
-            "gkey": pd.Series([], dtype="object"),
-            "gb": pd.Series([], dtype="int64"),
-        })
-    ex = ex.reset_index(drop=True)
-    parts = [ex["w"]]
+    ng = ex["w"]
     for k in range(1, DUP_N):
-        parts.append(ex["w"].shift(-k))
-    valid = ex["doc_id"].shift(-(DUP_N - 1)) == ex["doc_id"]
-    ng = parts[0].copy()
-    for p in parts[1:]:
-        ng = ng + " " + p
-    pairs = pd.DataFrame({"doc_id": ex["doc_id"], "ng": ng})[valid.to_numpy()]
-    pairs = pairs.drop_duplicates(["doc_id", "ng"])
+        ng = ng + " " + ex["w"].shift(-k)
+    valid = (ex["doc_id"].shift(-(DUP_N - 1)) == ex["doc_id"]).to_numpy()
+    pairs = pd.DataFrame({"doc_id": ex["doc_id"], "ng": ng})[valid] \
+        .drop_duplicates(["doc_id", "ng"])
     gkey = pd.util.hash_array(pairs["ng"].to_numpy(object))  # uint64
-    return pd.DataFrame({
-        "doc_id": pairs["doc_id"].astype("int64").to_numpy(),
-        "gkey": gkey.view(np.int64),  # bit-preserving; identity only
-        "gb": (gkey & np.uint64(nb - 1)).astype(np.int64),
-    })
+    return pd.DataFrame({"doc_id": pairs["doc_id"].to_numpy(np.int64),
+                         "gkey": gkey.view(np.int64)})
 
 
 def q_dup_ngram_docs(sf_dir: str):
@@ -174,54 +153,33 @@ def q_dup_ngram_docs(sf_dir: str):
     repeated-substring signal Lee et al. cut training data on.  Docs
     with fewer than 8 words have no window and are excluded.
 
-    Recipe: one gram pass builds distinct (doc_id, hash(window))
-    pairs; the pairs table is materialized ONCE and feeds (a) the
-    per-doc window-count partials (no shuffle — pairs are doc-locally
-    distinct, so per-batch sizes are additive) and (b) the single
-    bucketed gram shuffle where a gram's global doc-count decides
-    sharedness, emitting per-(doc, bucket) partial shared-counts.
-    The shuffle carries 32-byte digests, never window text; driver
-    state is O(#docs) — the result itself.  At 100 TB the digest
-    would drop to uint64 and the result would stream to parquet
-    instead of the driver; the structure is unchanged."""
+    Recipe: the combine of ONE ``exchange.shuffle`` on the window
+    digest builds distinct (doc_id, hash(window)) pairs
+    (``_doc_window_pairs``); in each bucket a gram's global doc-count
+    decides sharedness, and the bucket emits additive per-doc
+    (n_grams, n_shared) partials — pairs are globally distinct, so
+    every (doc, window) counts once in one bucket.  The shuffle
+    carries 8-byte digests, never window text; driver state is
+    O(#docs) — the result itself.  At 100 TB the result would stream
+    to parquet instead of the driver; the structure is unchanged."""
     ds = _read_docs(sf_dir, ["doc_id", "text"])
     nb = _nb_rows(sf_dir, "documents")  # digest rows ride the exchange
-    pairs = ds.map_batches(
-        lambda b: _doc_window_pairs(b, nb), batch_format="pyarrow"
-    ).materialize()
 
-    n_grams = (
-        pairs.map_batches(
-            lambda df: df.groupby("doc_id", as_index=False).agg(n=("doc_id", "size")),
-            batch_format="pandas",
-        )
-        .to_pandas()
-        .groupby("doc_id", as_index=False)["n"].sum()
-        .rename(columns={"n": "n_grams"})
-    )
-
-    def shared_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def doc_counts(g: pd.DataFrame) -> pd.DataFrame:
         # pairs are globally distinct per (doc, gram): size == #docs
         c = g.groupby("gkey")["doc_id"].transform("size")
-        hit = g.loc[(c >= 2).to_numpy()]
-        return hit.groupby("doc_id", as_index=False).agg(n_shared=("gkey", "size"))
+        return pd.DataFrame({
+            "doc_id": g["doc_id"], "n_grams": np.int64(1),
+            "n_shared": (c >= 2).astype("int64"),
+        }).groupby("doc_id", as_index=False).sum()
 
-    shared = (
-        pairs.groupby("gb")
-        .map_groups(shared_in_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    shared = (
-        shared.groupby("doc_id", as_index=False)["n_shared"].sum()
-        if len(shared)
-        else pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                           "n_shared": pd.Series([], dtype="int64")})
-    )
+    def pairs(t: pa.Table) -> pa.Table:
+        return pa.Table.from_pandas(_doc_window_pairs(t), preserve_index=False)
 
-    out = n_grams.merge(shared, on="doc_id", how="left")
-    out["n_shared"] = out["n_shared"].fillna(0).astype("int64")
-    out["n_grams"] = out["n_grams"].astype("int64")
-    out["doc_id"] = out["doc_id"].astype("int64")
+    out = exchange.to_pandas(
+        exchange.shuffle(ds, "gkey", nb, doc_counts, combine=pairs),
+        doc_id="int64", n_grams="int64", n_shared="int64",
+    ).groupby("doc_id", as_index=False).sum()
     out["shared_frac"] = out["n_shared"].to_numpy(np.float64) / out[
         "n_grams"
     ].to_numpy(np.float64)
@@ -270,33 +228,15 @@ def q_bigram_lm(sf_dir: str):
     (denominator = w1's occurrences as a bigram left word, so the
     table is a proper conditional distribution).
 
-    Recipe: per-batch partial bigram counts (the combiner — raw word
-    streams never shuffle) → ONE coarse-bucket shuffle keyed on hash(w1)
-    so every row of a given w1 lands in one bucket and both c12 and
-    the c1 marginal finalize in-bucket → per-bucket top-k, driver
-    merge of ≤ 64·k candidates.  Global top-k is safe because each
-    bucket's counts are final (bucket key depends on w1 only)."""
+    Recipe: per-batch partial bigram counts (``webtext._bigram_counts``,
+    the combine — raw word streams never shuffle) → ONE
+    ``exchange.shuffle`` on the word ``w1``, so every row of a given w1
+    lands in one bucket and both c12 and the c1 marginal finalize
+    in-bucket → per-bucket top-k, driver merge of ≤ buckets·k
+    candidates.  Global top-k is safe because each bucket's counts
+    are final (bucket key depends on w1 only)."""
     nb = _nb_rows(sf_dir, 'documents')  # row-carrying exchange
     ds = _read_docs(sf_dir, ["doc_id", "text"])
-    md5 = hashlib.md5
-
-    def partial(t: pa.Table) -> pd.DataFrame:
-        ex = _explode_words(t)
-        if ex.empty:
-            return pd.DataFrame({
-                "w1": pd.Series([], dtype="object"),
-                "w2": pd.Series([], dtype="object"),
-                "c": pd.Series([], dtype="int64"),
-                "gb": pd.Series([], dtype="int64"),
-            })
-        ex = ex.reset_index(drop=True)
-        nxt = ex["w"].shift(-1)
-        same = (ex["doc_id"].shift(-1) == ex["doc_id"]).to_numpy()
-        b = pd.DataFrame({"w1": ex["w"][same], "w2": nxt[same]})
-        c = b.groupby(["w1", "w2"], as_index=False).size().rename(columns={"size": "c"})
-        c["c"] = c["c"].astype("int64")
-        c["gb"] = exchange.kb_words(c["w1"].to_numpy(object), nb)
-        return c
 
     def bucket_final(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby(["w1", "w2"], as_index=False).agg(c12=("c", "sum"))
@@ -305,12 +245,9 @@ def q_bigram_lm(sf_dir: str):
                              ascending=[False, True, True],
                              kind="mergesort").head(BIGRAM_TOPK)
 
-    cand = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("gb")
-        .map_groups(bucket_final, batch_format="pandas")
-        .to_pandas()
-    )
+    cand = exchange.to_pandas(
+        exchange.shuffle(ds, "w1", nb, bucket_final, combine=_bigram_counts),
+        w1=object, w2=object, c12="int64", c1="int64")
     top = cand.sort_values(["c12", "w1", "w2"], ascending=[False, True, True],
                            kind="mergesort").head(BIGRAM_TOPK).reset_index(drop=True)
     return pd.DataFrame({
@@ -322,16 +259,20 @@ def q_bigram_lm(sf_dir: str):
     })
 
 
-SQL_BIGRAM_LM = rf"""
-WITH w AS (
-  SELECT doc_id, regexp_extract_all(lower(text), '{WORD_RE}') AS ws FROM documents
-), pos AS (
+# the bigrams ``b`` of the word lists ``w`` and their counts ``c``:
+# the CTEs both bigram oracles share
+_SQL_BIGRAMS = """pos AS (
   SELECT doc_id, ws, unnest(range(1, len(ws))) AS i FROM w WHERE len(ws) >= 2
 ), b AS (
   SELECT ws[i] AS w1, ws[i + 1] AS w2 FROM pos
 ), c AS (
   SELECT w1, w2, COUNT(*) AS c12 FROM b GROUP BY w1, w2
-), d AS (
+)"""
+
+SQL_BIGRAM_LM = rf"""
+WITH w AS (
+  SELECT doc_id, regexp_extract_all(lower(text), '{WORD_RE}') AS ws FROM documents
+), {_SQL_BIGRAMS}, d AS (
   SELECT w1, w2, c12, SUM(c12) OVER (PARTITION BY w1) AS c1 FROM c
 )
 SELECT w1, w2, CAST(c12 AS BIGINT) AS c12, CAST(c1 AS BIGINT) AS c1,
@@ -344,27 +285,29 @@ FROM d ORDER BY c12 DESC, w1, w2 LIMIT {BIGRAM_TOPK}
 # day-over-day retention
 # ---------------------------------------------------------------------------
 
+def _day_users(t: pa.Table) -> pa.Table:
+    """Distinct (day, user_id) pairs of an events batch, ``day`` the
+    event time floored to midnight: the combine under both user-bucket
+    exchanges — at most one pair per user-day leaves a batch."""
+    return pa.table({
+        "day": pc.floor_temporal(t["ts"], unit="day"),
+        "user_id": pc.cast(t["user_id"], pa.int64()),
+    }).group_by(["day", "user_id"], use_threads=False).aggregate([])
+
+
 def q_retention(sf_dir: str):
     """Cohort retention over the events stream: for every calendar
     day, how many distinct users were active, how many of those were
     also active the NEXT day, and the retention rate.
 
-    Recipe: per-batch distinct (day, user) pairs (the combiner —
-    event rows never shuffle, at most one pair per user-day leaves a
-    batch) → ONE bucketed shuffle on user_id so each user's day
-    history is complete in its bucket → vectorized next-day detection
-    (sort + groupby-shift) emitting per-day additive partials →
-    driver sum over O(#days × 64) rows."""
+    Recipe: per-batch distinct (day, user) pairs (``_day_users``, the
+    combine — event rows never shuffle) → ONE ``exchange.shuffle`` on
+    user_id so each user's day history is complete in its bucket →
+    vectorized next-day detection (sort + groupby-shift) emitting
+    per-day additive partials → driver sum over O(#days × buckets)
+    rows."""
     nb = _nb_rows(sf_dir, 'events')  # row-carrying exchange
     ds = _read(sf_dir, "events", ["ts", "user_id"])
-
-    def pair_partial(df: pd.DataFrame) -> pd.DataFrame:
-        p = pd.DataFrame({
-            "day": df["ts"].dt.normalize(),
-            "user_id": df["user_id"].astype("int64"),
-        }).drop_duplicates()
-        p["ub"] = p["user_id"] & np.int64(nb - 1)
-        return p
 
     def bucket_kernel(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["day", "user_id"]).sort_values(
@@ -382,12 +325,8 @@ def q_retention(sf_dir: str):
         m["n_retained"] = m["n_retained"].fillna(0).astype("int64")
         return m
 
-    parts = (
-        ds.map_batches(pair_partial, batch_format="pandas")
-        .groupby("ub")
-        .map_groups(bucket_kernel, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = exchange.shuffle(ds, "user_id", nb, bucket_kernel,
+                             combine=_day_users).to_pandas()
     out = parts.groupby("day", as_index=False).agg(
         n_active=("n_active", "sum"), n_retained=("n_retained", "sum")
     )
@@ -425,61 +364,43 @@ def q_rolling_unique_users(sf_dir: str):
     Interval trick: a user contributes to day d iff they were active
     in [d−6, d], i.e. the user's coverage is the union of [a, a+6]
     over their active days a.  So: per-batch distinct (day, user)
-    pairs (combiner) → ONE user-bucket shuffle where each user's
-    sorted active days merge into coverage intervals VECTORIZED
-    (gap > 6 starts a new interval) → each interval emits two diff
-    rows (+1 at start, −1 past end) → additive per-day diff partials
-    → O(#days) driver cumsum.  Raw events never shuffle; nothing is
-    ever user × day sized."""
+    pairs (``_day_users``, the combine) → ONE ``exchange.shuffle`` on
+    user_id where each user's sorted active days merge into coverage
+    intervals VECTORIZED (gap > 6 starts a new interval) → each
+    interval emits two diff rows (+1 at start, −1 past end), and each
+    bucket marks its active days (``seen``) → additive per-day
+    partials → O(#days) driver cumsum, read at the days some bucket
+    marked.  Raw events never shuffle; nothing is ever user × day
+    sized."""
     nb = _nb_rows(sf_dir, 'events')  # row-carrying exchange
     ds = _read(sf_dir, "events", ["ts", "user_id"])
     w = ROLLING_WINDOW_DAYS
 
-    def pair_partial(df: pd.DataFrame) -> pd.DataFrame:
-        p = pd.DataFrame({
-            "day": df["ts"].values.astype("datetime64[D]").astype(np.int64),
-            "user_id": df["user_id"].astype("int64"),
-        }).drop_duplicates()
-        p["ub"] = p["user_id"] & np.int64(nb - 1)
-        return p
-
     def diff_partial(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(["day", "user_id"]).sort_values(
-            ["user_id", "day"], kind="mergesort"
-        ).reset_index(drop=True)
+        g = pd.DataFrame({
+            "day": g["day"].values.astype("datetime64[D]").astype(np.int64),
+            "user_id": g["user_id"],
+        }).drop_duplicates().sort_values(["user_id", "day"], kind="mergesort") \
+            .reset_index(drop=True)
         prev = g.groupby("user_id", sort=False)["day"].shift()
         new_iv = (prev.isna() | (g["day"] - prev > w - 1)).to_numpy()
         seg = np.cumsum(new_iv)
         iv = pd.DataFrame({"seg": seg, "day": g["day"]}).groupby(
             "seg", as_index=False
         ).agg(s=("day", "min"), e=("day", "max"))
+        days = g["day"].unique()
+        one, none = np.ones(len(iv), np.int64), np.zeros(len(iv), np.int64)
         diff = pd.DataFrame({
-            "day": np.concatenate([iv["s"], iv["e"] + w]),
-            "delta": np.concatenate([
-                np.ones(len(iv), np.int64), -np.ones(len(iv), np.int64),
-            ]),
+            "day": np.concatenate([iv["s"], iv["e"] + w, days]),
+            "delta": np.concatenate([one, -one, np.zeros(len(days), np.int64)]),
+            "seen": np.concatenate([none, none, np.ones(len(days), np.int64)]),
         })
-        return diff.groupby("day", as_index=False)["delta"].sum()
+        return diff.groupby("day", as_index=False)[["delta", "seen"]].sum()
 
-    # ONE scan of events: the distinct-pair partials feed both the
-    # diff shuffle and the observed-day set (materialized so neither
-    # consumer re-reads the parquet)
-    pairs_ds = ds.map_batches(pair_partial, batch_format="pandas").materialize()
-    diffs = (
-        pairs_ds.groupby("ub")
-        .map_groups(diff_partial, batch_format="pandas")
-        .to_pandas()
-        .groupby("day", as_index=False)["delta"].sum()
-        .sort_values("day").reset_index(drop=True)
-    )
-    days = (
-        pairs_ds.map_batches(
-            lambda df: pd.DataFrame({"day": np.unique(df["day"])}),
-            batch_format="pandas",
-        )
-        .to_pandas()["day"].unique()
-    )
-    days = np.sort(days)
+    diffs = exchange.shuffle(ds, "user_id", nb, diff_partial,
+                             combine=_day_users).to_pandas() \
+        .groupby("day", as_index=False)[["delta", "seen"]].sum()
+    days = np.sort(diffs.loc[diffs["seen"] > 0, "day"].to_numpy(np.int64))
     # cumsum over the contiguous range, then select observed days
     lo, hi = int(diffs["day"].min()), int(diffs["day"].max())
     delta = np.zeros(hi - lo + 1, np.int64)
@@ -524,47 +445,15 @@ def q_bigram_pmi_topk(sf_dir: str):
     expression tree as the oracle, rounded to 6 dp, ranked (pmi desc,
     w1, w2) so rank boundaries never diverge."""
     nb = _nb_rows(sf_dir, 'documents')  # row-carrying exchange
-    from crawler_tjce_ray.pipelines.webtext import _explode_words
-
     ds = _read_docs(sf_dir, ["doc_id", "text"])
-    md5 = hashlib.md5
-
-    def bigram_partial(t: pa.Table) -> pd.DataFrame:
-        ex = _explode_words(t)
-        if ex.empty:
-            return pd.DataFrame({
-                "w1": pd.Series([], dtype="object"),
-                "w2": pd.Series([], dtype="object"),
-                "c": pd.Series([], dtype="int64"),
-                "gb": pd.Series([], dtype="int64"),
-            })
-        ex = ex.reset_index(drop=True)
-        nxt = ex["w"].shift(-1)
-        same = (ex["doc_id"].shift(-1) == ex["doc_id"]).to_numpy()
-        b = pd.DataFrame({"w1": ex["w"][same], "w2": nxt[same]})
-        c = b.groupby(["w1", "w2"], as_index=False).size() \
-            .rename(columns={"size": "c"})
-        c["c"] = c["c"].astype("int64")
-        c["gb"] = exchange.kb_words(c["w1"].to_numpy(object), nb)
-        return c
 
     def bucket_final(g: pd.DataFrame) -> pd.DataFrame:
         sm = g.groupby(["w1", "w2"], as_index=False).agg(c12=("c", "sum"))
         return sm.loc[sm["c12"] >= PMI_MIN_COUNT]
 
-    pairs = (
-        ds.map_batches(bigram_partial, batch_format="pyarrow")
-        .groupby("gb")
-        .map_groups(bucket_final, batch_format="pandas")
-        .to_pandas()
-    )
-    if pairs.empty:
-        return pd.DataFrame({
-            "w1": pd.Series([], dtype=object),
-            "w2": pd.Series([], dtype=object),
-            "c12": pd.Series([], dtype="int64"),
-            "pmi": pd.Series([], dtype="float64"),
-        })
+    pairs = exchange.to_pandas(
+        exchange.shuffle(ds, "w1", nb, bucket_final, combine=_bigram_counts),
+        w1=object, w2=object, c12="int64")
     cand = set(pairs["w1"]) | set(pairs["w2"])
 
     def unigram_partial(t: pa.Table) -> pd.DataFrame:
@@ -621,13 +510,7 @@ WITH w AS (
   SELECT t, COUNT(*) AS c FROM tok GROUP BY t
 ), nn AS (
   SELECT CAST(COUNT(*) AS DOUBLE) AS n FROM tok
-), pos AS (
-  SELECT doc_id, ws, unnest(range(1, len(ws))) AS i FROM w WHERE len(ws) >= 2
-), b AS (
-  SELECT ws[i] AS w1, ws[i + 1] AS w2 FROM pos
-), c AS (
-  SELECT w1, w2, COUNT(*) AS c12 FROM b GROUP BY w1, w2
-), tt AS (
+), {_SQL_BIGRAMS}, tt AS (
   SELECT CAST(COUNT(*) AS DOUBLE) AS t FROM b
 )
 SELECT c.w1, c.w2, CAST(c.c12 AS BIGINT) AS c12,

@@ -12,6 +12,20 @@ histogram) is either broadcast once via ``ray.put`` or reduced from
 per-batch partials.  At 100 TB every query here streams block by
 block; the only driver-side state is O(distinct n-grams of the
 benchmark set) and O(distinct n_chars values).
+
+Cross-doc keys that grow with the corpus go through
+``exchange.shuffle``, with the per-batch partial as its combine: the
+word bigrams of ``bigram_logprob`` (and its distinct-word count) on
+the word ``w1``, ``curation_pipeline``'s dedup winners on the text
+digest's uint64 prefix, and the distinct word-8-gram keys of
+``ngram_novelty`` and ``vocab_growth`` (one ``_doc_shingle_keys``
+partial) on the digest half ``k1``.  ``sample_to_budget`` is the one
+true per-key group (one budget per source) and stays on
+``groupby("source").map_groups``.  The unigram-LM scorers share one
+vocabulary partial (``_vocab``) and one broadcast scorer
+(``_doc_means``).  Every driver read of partials that can all be
+empty — a corpus with no word has no token, gram or bigram — goes
+through ``exchange.to_pandas`` with its declared columns.
 """
 
 from __future__ import annotations
@@ -24,6 +38,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from crawler_tjce_ray.pipelines import exchange
 from crawler_tjce_ray.pipelines.relational import _nb_rows
 from crawler_tjce_ray.pipelines.textops import _read_docs
 
@@ -231,7 +246,9 @@ def q_top_bigram_frac(sf_dir: str):
             / top["total"].to_numpy(np.float64),
         })
 
-    out = ds.map_batches(top_bigram, batch_format="pyarrow").to_pandas()
+    out = exchange.to_pandas(
+        ds.map_batches(top_bigram, batch_format="pyarrow"),
+        doc_id="int64", top_bigram=object, top_bigram_frac="float64")
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -299,10 +316,9 @@ def _bench_gram_partial(t: pa.Table) -> pd.DataFrame:
 def _collect_bench_grams(ds) -> set:
     """Reduce the benchmark slice's distinct 5-grams from per-batch
     partials (eval sets are tiny next to the corpus)."""
-    return set(
-        ds.map_batches(_bench_gram_partial, batch_format="pyarrow")
-        .to_pandas()["ng"]
-    )
+    return set(exchange.to_pandas(
+        ds.map_batches(_bench_gram_partial, batch_format="pyarrow"),
+        ng="string")["ng"])
 
 
 def q_decontaminate(sf_dir: str):
@@ -342,8 +358,9 @@ def q_decontaminate(sf_dir: str):
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
-SQL_DECONTAMINATE = rf"""
-WITH w AS (
+# the distinct word 5-grams ``g`` of every document and the benchmark
+# slice's set ``bench``: the CTEs both decontamination oracles share
+_SQL_BENCH_GRAMS = rf"""w AS (
   SELECT doc_id, regexp_extract_all(lower(text), '{WORD_RE}') AS ws FROM documents
 ), pos AS (
   SELECT doc_id, ws, unnest(range(1, len(ws) - {DECON_N - 2})) AS i
@@ -354,7 +371,10 @@ WITH w AS (
   FROM pos
 ), bench AS (
   SELECT DISTINCT ng FROM g WHERE doc_id % {DECON_MOD} = 0
-), hits AS (
+)"""
+
+SQL_DECONTAMINATE = f"""
+WITH {_SQL_BENCH_GRAMS}, hits AS (
   SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n_shared
   FROM g JOIN bench USING (ng)
   WHERE doc_id % {DECON_MOD} <> 0 GROUP BY doc_id
@@ -475,7 +495,9 @@ def q_line_filter(sf_dir: str):
         }).reset_index()
         return out[["doc_id", "n_kept_lines", "clean_text"]]
 
-    out = ds.map_batches(scrub, batch_format="pandas").to_pandas()
+    out = exchange.to_pandas(
+        ds.map_batches(scrub, batch_format="pandas"),
+        doc_id="int64", n_kept_lines="int64", clean_text=object)
     # final frame in numpy-object string form: the driver's value hash
     # is dtype-sensitive and the DuckDB oracle lands as object
     out["clean_text"] = out["clean_text"].astype(object)
@@ -552,73 +574,96 @@ FROM g ORDER BY source
 # unigram-LM scoring (perplexity-style quality signal)
 # ---------------------------------------------------------------------------
 
+def _vocab(ds, target_mod: int = 0) -> pd.DataFrame:
+    """The corpus vocabulary as (w, n) token counts — plus ``nt``, the
+    count inside the ``doc_id % target_mod == 0`` slice, when
+    ``target_mod`` is set — reduced on the driver from per-batch
+    partials (driver state O(vocab)).  Shared by every unigram-LM
+    scorer."""
+
+    def counts(t: pa.Table) -> pd.DataFrame:
+        ex = _explode_words(t)
+        ex["n"] = np.int64(1)
+        if target_mod:
+            ex["nt"] = (ex["doc_id"] % target_mod == 0).astype("int64")
+        g = ex.drop(columns="doc_id").groupby("w", as_index=False).sum()
+        return g.astype({"w": "string"})
+
+    cols = {"w": "string", "n": "int64"} | ({"nt": "int64"} if target_mod else {})
+    return exchange.to_pandas(
+        ds.map_batches(counts, batch_format="pyarrow"), **cols
+    ).groupby("w", as_index=False).sum()
+
+
+def _unigram_table(ds) -> dict:
+    """ln P(w) under the corpus's own add-one-smoothed unigram LM, for
+    every word of its vocabulary."""
+    vocab = _vocab(ds)
+    logp = np.log((vocab["n"].to_numpy(np.float64) + 1.0)
+                  / (int(vocab["n"].sum()) + len(vocab)))
+    return dict(zip(vocab["w"], logp))
+
+
+def _doc_means(ds, table: dict, name: str, keep=()):
+    """Per document of ``ds``: ``doc_id``, the ``keep`` columns,
+    ``n_tokens`` and ``name`` — the mean of ``table[w]`` over its
+    tokens, 0.0 for a doc with none.  ``table`` is broadcast once via
+    ``ray.put``; each batch scores its own docs vectorized, so values
+    never shuffle."""
+    import ray
+
+    table_ref = ray.put(table)
+
+    def score(t: pa.Table) -> pd.DataFrame:
+        ex = _explode_words(t)
+        ex["v"] = ex["w"].map(ray.get(table_ref)).astype("float64")
+        g = ex.groupby("doc_id", as_index=False).agg(
+            n_tokens=("v", "size"), s=("v", "sum"))
+        out = _doc_base(t)
+        for c in keep:
+            out[c] = t.column(c).to_numpy(zero_copy_only=False)
+        out = out.merge(g, on="doc_id", how="left")
+        n = out["n_tokens"].fillna(0).astype("int64")
+        out["n_tokens"] = n
+        out[name] = np.where(n > 0, out.pop("s") / n, 0.0)
+        return out
+
+    return ds.map_batches(score, batch_format="pyarrow")
+
+
 def q_unigram_logprob(sf_dir: str):
     """Unigram language-model score per document: mean ln P(token)
     under the corpus's own unigram distribution (add-one smoothed) —
     the cheap stand-in for model-based perplexity filtering.
 
     Two streaming passes, same shape as BM25: (1) per-batch token
-    count partials reduce to the global vocabulary (driver state
-    O(vocab)); (2) the log-prob table broadcasts once via ``ray.put``
-    and each batch computes its docs' mean scores vectorized.  Tokens
-    sum in document order on both engines (ordered token stream), so
-    only the usual float tail differs (within the checker's 1e-6)."""
-    import ray
-
+    count partials reduce to the global vocabulary (``_vocab``, driver
+    state O(vocab)); (2) the log-prob table broadcasts once and each
+    batch computes its docs' mean scores vectorized (``_doc_means``).
+    Tokens sum in document order on both engines (ordered token
+    stream), so only the usual float tail differs (within the
+    checker's 1e-6)."""
     ds = _read_docs(sf_dir, ["doc_id", "text"])
-
-    def counts(t: pa.Table) -> pd.DataFrame:
-        toks = _explode_words(t)
-        if toks.empty:
-            return pd.DataFrame({"w": pd.Series([], dtype="string"),
-                                 "n": pd.Series([], dtype="int64")})
-        g = toks.groupby("w", as_index=False).size()
-        return pd.DataFrame({"w": g["w"].astype("string"),
-                             "n": g["size"].astype("int64")})
-
-    vocab = (
-        ds.map_batches(counts, batch_format="pyarrow")
-        .to_pandas().groupby("w", as_index=False).sum()
-    )
-    total = int(vocab["n"].sum())
-    vsize = len(vocab)
-    logp = np.log((vocab["n"].to_numpy(np.float64) + 1.0) / (total + vsize))
-    table = dict(zip(vocab["w"], logp))
-    table_ref = ray.put(table)
-
-    def score(b) -> pd.DataFrame:
-        tbl = ray.get(table_ref)
-        ex = _explode_words(b)
-        if ex.empty:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "n_tokens": pd.Series([], dtype="int64"),
-                                 "mean_logprob": pd.Series([], dtype="float64")})
-        ex["lp"] = ex["w"].map(tbl)  # every token is in-vocab (self-corpus)
-        g = ex.groupby("doc_id", as_index=False).agg(
-            n_tokens=("lp", "size"), sum_lp=("lp", "sum")
-        )
-        out = _doc_base(b).merge(g, on="doc_id", how="left")
-        out["n_tokens"] = out["n_tokens"].fillna(0).astype("int64")
-        # round 9: per-doc token-logprob summation order differs
-        # between engines; the driver's value hash is strict
-        out["mean_logprob"] = np.round(np.where(
-            out["n_tokens"] > 0, out["sum_lp"] / out["n_tokens"], 0.0
-        ), 9)
-        return out[["doc_id", "n_tokens", "mean_logprob"]]
-
-    out = ds.map_batches(score, batch_format="pyarrow").to_pandas()
+    out = _doc_means(ds, _unigram_table(ds), "mean_logprob").to_pandas()
+    # round 9: per-doc token-logprob summation order differs between
+    # engines; the driver's value hash is strict
+    out["mean_logprob"] = np.round(out["mean_logprob"], 9)
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
-SQL_UNIGRAM_LOGPROB = rf"""
-WITH toks AS (
+# every token, the vocabulary counts and the LM constants: the CTEs
+# both unigram-LM oracles share
+_SQL_UNIGRAM_LM = f"""toks AS (
   SELECT doc_id, unnest(regexp_extract_all(lower(text), '{WORD_RE}')) AS w
   FROM documents
 ), vocab AS (
   SELECT w, COUNT(*) AS n FROM toks GROUP BY w
 ), consts AS (
   SELECT SUM(n) AS total, COUNT(*) AS vsize FROM vocab
-), scored AS (
+)"""
+
+SQL_UNIGRAM_LOGPROB = f"""
+WITH {_SQL_UNIGRAM_LM}, scored AS (
   SELECT t.doc_id, ln((v.n + 1.0) / (c.total + c.vsize)) AS lp
   FROM toks t JOIN vocab v USING (w), consts c
 )
@@ -657,49 +702,11 @@ def q_perplexity_buckets(sf_dir: str):
     distinct document means sit within 1e-9 — it absorbs the cross-
     engine float-tail divergence of the two mean computations without
     changing any real bucket boundary."""
-    import ray
-
     from crawler_tjce_ray.pipelines.sketches import _grouped_quantile_select
 
     ds = _read_docs(sf_dir, ["doc_id", "lang", "text"])
-
-    def counts(t: pa.Table) -> pd.DataFrame:
-        toks = _explode_words(t)
-        if toks.empty:
-            return pd.DataFrame({"w": pd.Series([], dtype="string"),
-                                 "n": pd.Series([], dtype="int64")})
-        g = toks.groupby("w", as_index=False).size()
-        return pd.DataFrame({"w": g["w"].astype("string"),
-                             "n": g["size"].astype("int64")})
-
-    vocab = (
-        ds.map_batches(counts, batch_format="pyarrow")
-        .to_pandas().groupby("w", as_index=False).sum()
-    )
-    total = int(vocab["n"].sum())
-    vsize = len(vocab)
-    logp = np.log((vocab["n"].to_numpy(np.float64) + 1.0) / (total + vsize))
-    table_ref = ray.put(dict(zip(vocab["w"], logp)))
-
-    def score(t: pa.Table) -> pd.DataFrame:
-        tbl = ray.get(table_ref)
-        ex = _explode_words(t)
-        out = _doc_base(t)
-        out["lang"] = t.column("lang").to_numpy(
-            zero_copy_only=False).astype(object)
-        if ex.empty:
-            out["mean_logprob"] = np.float64(0.0)
-            return out
-        ex["lp"] = ex["w"].map(tbl)
-        g = ex.groupby("doc_id", as_index=False).agg(
-            n_tokens=("lp", "size"), sum_lp=("lp", "sum")
-        )
-        out = out.merge(g, on="doc_id", how="left")
-        n = out["n_tokens"].fillna(0).to_numpy(np.int64)
-        out["mean_logprob"] = np.where(n > 0, out["sum_lp"] / n, 0.0)
-        return out[["doc_id", "lang", "mean_logprob"]]
-
-    scored = ds.map_batches(score, batch_format="pyarrow").materialize()
+    scored = _doc_means(ds, _unigram_table(ds), "mean_logprob",
+                        keep=("lang",)).materialize()
     t33 = _grouped_quantile_select(
         sf_dir, 1.0 / 3, ds=scored, group_col="lang", value_col="mean_logprob"
     )
@@ -735,15 +742,8 @@ def q_perplexity_buckets(sf_dir: str):
     )
 
 
-SQL_PERPLEXITY_BUCKETS = rf"""
-WITH toks AS (
-  SELECT doc_id, unnest(regexp_extract_all(lower(text), '{WORD_RE}')) AS w
-  FROM documents
-), vocab AS (
-  SELECT w, COUNT(*) AS n FROM toks GROUP BY w
-), consts AS (
-  SELECT SUM(n) AS total, COUNT(*) AS vsize FROM vocab
-), lp AS (
+SQL_PERPLEXITY_BUCKETS = f"""
+WITH {_SQL_UNIGRAM_LM}, lp AS (
   SELECT t.doc_id, ln((v.n + 1.0) / (c.total + c.vsize)) AS lp
   FROM toks t JOIN vocab v USING (w), consts c
 ), scored AS (
@@ -801,57 +801,18 @@ def q_importance_weights(sf_dir: str):
     only, not in the driver.  Rounding can itself straddle a decimal
     boundary, but at 9 dp the window is ~1e-15/1e-9 per value —
     vanishing next to a guaranteed ulp mismatch."""
-    import ray
-
     ds = _read_docs(sf_dir, ["doc_id", "text"])
-
-    def counts(t: pa.Table) -> pd.DataFrame:
-        toks = _explode_words(t)
-        if toks.empty:
-            return pd.DataFrame({"w": pd.Series([], dtype="string"),
-                                 "nt": pd.Series([], dtype="int64"),
-                                 "ns": pd.Series([], dtype="int64")})
-        is_t = (toks["doc_id"] % DSIR_MOD == 0).to_numpy()
-        toks["nt"] = is_t.astype("int64")
-        toks["ns"] = (~is_t).astype("int64")
-        g = toks.groupby("w", as_index=False).agg(nt=("nt", "sum"),
-                                                  ns=("ns", "sum"))
-        g["w"] = g["w"].astype("string")
-        return g
-
-    vocab = (
-        ds.map_batches(counts, batch_format="pyarrow")
-        .to_pandas().groupby("w", as_index=False).sum()
-    )
-    tott, tots, vsize = int(vocab["nt"].sum()), int(vocab["ns"].sum()), len(vocab)
-    lr = (
-        np.log((vocab["nt"].to_numpy(np.float64) + 1.0) / (tott + vsize))
-        - np.log((vocab["ns"].to_numpy(np.float64) + 1.0) / (tots + vsize))
-    )
-    table_ref = ray.put(dict(zip(vocab["w"], lr)))
-
-    def score(t: pa.Table) -> pd.DataFrame:
-        tbl = ray.get(table_ref)
-        ex = _explode_words(t)
-        base = _doc_base(t)
-        base["is_target"] = (base["doc_id"] % DSIR_MOD == 0).astype("int64")
-        if ex.empty:
-            base["n_tokens"] = np.int64(0)
-            base["mean_logratio"] = 0.0
-            return base
-        ex["lr"] = ex["w"].map(tbl)  # every token is in-vocab (self-corpus)
-        g = ex.groupby("doc_id", as_index=False).agg(
-            n_tokens=("lr", "size"), sum_lr=("lr", "sum")
-        )
-        out = base.merge(g, on="doc_id", how="left")
-        out["n_tokens"] = out["n_tokens"].fillna(0).astype("int64")
-        out["mean_logratio"] = np.round(np.where(
-            out["n_tokens"] > 0, out["sum_lr"] / out["n_tokens"], 0.0
-        ), 9)
-        return out[["doc_id", "is_target", "n_tokens", "mean_logratio"]]
-
-    out = ds.map_batches(score, batch_format="pyarrow").to_pandas()
-    return out.sort_values("doc_id").reset_index(drop=True)
+    vocab = _vocab(ds, DSIR_MOD)
+    nt = vocab["nt"].to_numpy(np.int64)
+    ns = vocab["n"].to_numpy(np.int64) - nt
+    tott, tots, vsize = int(nt.sum()), int(ns.sum()), len(vocab)
+    lr = (np.log((nt + 1.0) / (tott + vsize))
+          - np.log((ns + 1.0) / (tots + vsize)))
+    out = _doc_means(ds, dict(zip(vocab["w"], lr)), "mean_logratio").to_pandas()
+    out["is_target"] = (out["doc_id"] % DSIR_MOD == 0).astype("int64")
+    out["mean_logratio"] = np.round(out["mean_logratio"], 9)
+    return out[["doc_id", "is_target", "n_tokens", "mean_logratio"]] \
+        .sort_values("doc_id").reset_index(drop=True)
 
 
 SQL_IMPORTANCE_WEIGHTS = rf"""
@@ -885,6 +846,20 @@ ORDER BY d.doc_id
 """
 
 
+def _bigram_counts(t: pa.Table, by_doc: bool = False) -> pa.Table:
+    """Per-batch word-bigram counts ``c`` per (w1, w2) — per (doc_id,
+    w1, w2) when ``by_doc`` — over adjacent words of one document: the
+    combine under every w1-keyed bigram exchange, so raw word streams
+    never shuffle."""
+    ex = _explode_words(t)
+    same = (ex["doc_id"].shift(-1) == ex["doc_id"]).to_numpy()
+    b = pd.DataFrame({"doc_id": ex["doc_id"][same], "w1": ex["w"][same],
+                      "w2": ex["w"].shift(-1)[same]})
+    keys = ["doc_id", "w1", "w2"] if by_doc else ["w1", "w2"]
+    c = b.groupby(keys, as_index=False).size().rename(columns={"size": "c"})
+    return pa.Table.from_pandas(c.astype({"c": "int64"}), preserve_index=False)
+
+
 def q_bigram_logprob(sf_dir: str):
     """Bigram language-model score per document: mean
     ln P(w2 | w1) with add-one smoothing — the step up from
@@ -893,82 +868,43 @@ def q_bigram_logprob(sf_dir: str):
     Scale design: unlike the unigram scorer (whose O(vocab) table can
     broadcast), the bigram table is O(vocab²) and must NEVER land on
     the driver.  Instead the model is built and consumed inside ONE
-    hash(w1)-bucket shuffle: every (doc, w1, w2, k) row of a given w1
-    lands in one bucket, so c12, the c1 marginal, AND each doc's score
-    contributions k·ln((c12+1)/(c1+V)) all finalize in-bucket — the
+    ``exchange.shuffle`` on ``w1`` (``_bigram_counts`` per doc is the
+    combine): every (doc, w1, w2, c) row of a given w1 lands in one
+    bucket, so c12, the c1 marginal, AND each doc's score
+    contributions c·ln((c12+1)/(c1+V)) all finalize in-bucket — the
     only things that cross back are per-(bucket, doc) partial sums,
-    output-sized.  V (corpus distinct-word count) reduces from 64
-    per-bucket distinct counts (driver state: 64 ints)."""
+    output-sized.  V (corpus distinct-word count) reduces from
+    per-bucket distinct counts of a first shuffle on the word (driver
+    state: one int per bucket)."""
     nb = _nb_rows(sf_dir, 'documents')  # row-carrying exchange
-
-    from crawler_tjce_ray.pipelines.exchange import kb_words
-
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
     # pass 1: V from per-batch distinct words, counted per word bucket
-    def distinct_words(t: pa.Table) -> pd.DataFrame:
-        ex = _explode_words(t)
-        uw = pd.unique(ex["w"])
-        return pd.DataFrame({
-            "w": pd.Series(uw, dtype="object"),
-            "gb": pd.Series(kb_words(uw, nb), dtype="int64"),
-        })
+    def distinct_words(t: pa.Table) -> pa.Table:
+        return pa.table({"w": pa.array(pd.unique(_explode_words(t)["w"]),
+                                       pa.string())})
 
-    vparts = (
-        ds.map_batches(distinct_words, batch_format="pyarrow")
-        .groupby("gb")
-        .map_groups(
-            lambda g: pd.DataFrame({"nv": [g["w"].nunique()]}),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
-    vsize = int(vparts["nv"].sum())
-
-    # pass 2: per-batch per-doc bigram-count partials (the combiner —
-    # raw word streams never shuffle), bucketed on hash(w1)
-    def doc_bigrams(t: pa.Table) -> pd.DataFrame:
-        ex = _explode_words(t).reset_index(drop=True)
-        nxt = ex["w"].shift(-1)
-        same = (ex["doc_id"].shift(-1) == ex["doc_id"]).to_numpy()
-        b = pd.DataFrame({
-            "doc_id": ex["doc_id"][same],
-            "w1": ex["w"][same],
-            "w2": nxt[same],
-        })
-        if b.empty:
-            return pd.DataFrame({
-                "doc_id": pd.Series([], dtype="int64"),
-                "w1": pd.Series([], dtype="object"),
-                "w2": pd.Series([], dtype="object"),
-                "k": pd.Series([], dtype="int64"),
-                "gb": pd.Series([], dtype="int64"),
-            })
-        c = b.groupby(["doc_id", "w1", "w2"], as_index=False).size() \
-             .rename(columns={"size": "k"})
-        c["k"] = c["k"].astype("int64")
-        c["gb"] = kb_words(c["w1"].to_numpy(object), nb)
-        c["doc_id"] = c["doc_id"].astype("int64")
-        return c
+    vparts = exchange.shuffle(
+        ds, "w", nb, lambda g: pd.DataFrame({"nv": [g["w"].nunique()]}),
+        combine=distinct_words)
+    vsize = int(exchange.to_pandas(vparts, nv="int64")["nv"].sum())
 
     # in-bucket: counts are final (bucket key depends on w1 only), so
     # the model row and the score join never leave the bucket
     def score_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        c12 = g.groupby(["w1", "w2"])["k"].transform("sum").to_numpy(np.float64)
-        c1 = g.groupby("w1")["k"].transform("sum").to_numpy(np.float64)
-        lp = g["k"].to_numpy(np.float64) * np.log((c12 + 1.0) / (c1 + vsize))
-        part = pd.DataFrame({"doc_id": g["doc_id"], "n": g["k"], "lp": lp})
+        c12 = g.groupby(["w1", "w2"])["c"].transform("sum").to_numpy(np.float64)
+        c1 = g.groupby("w1")["c"].transform("sum").to_numpy(np.float64)
+        lp = g["c"].to_numpy(np.float64) * np.log((c12 + 1.0) / (c1 + vsize))
+        part = pd.DataFrame({"doc_id": g["doc_id"], "n": g["c"], "lp": lp})
         return part.groupby("doc_id", as_index=False).agg(
             n=("n", "sum"), lp=("lp", "sum")
         )
 
-    parts = (
-        ds.map_batches(doc_bigrams, batch_format="pyarrow")
-        .groupby("gb")
-        .map_groups(score_bucket, batch_format="pandas")
-        .to_pandas()
-        .groupby("doc_id", as_index=False).sum()
-    )
+    parts = exchange.to_pandas(
+        exchange.shuffle(ds, "w1", nb, score_bucket,
+                         combine=lambda t: _bigram_counts(t, by_doc=True)),
+        doc_id="int64", n="int64", lp="float64",
+    ).groupby("doc_id", as_index=False).sum()
     ids = ds.select_columns(["doc_id"]).to_pandas()
     out = ids.merge(parts, on="doc_id", how="left")
     out["n_bigrams"] = out["n"].fillna(0).astype("int64")
@@ -1024,13 +960,16 @@ def q_sample_to_budget(sf_dir: str):
     One streaming pass computes (doc, source, n_tokens, md5 key) rows
     (token counts are zero-copy RE2, the key is the ``hash_split``
     md5 discipline); the ONLY shuffle is the source groupby, and each
-    group's selection is one vectorized sort + cumsum.  At corpus
-    scale the per-source scan uses the ``epoch_shuffle`` recipe
-    instead (256 uniform md5 range buckets + prefix-sum offsets) —
-    the budget cut is then a per-bucket filter against the broadcast
-    running totals; the semantics here are identical."""
-    import hashlib
-
+    group's selection is one vectorized sort + cumsum.  The source is
+    a true per-key group — the budget cut is a running sum over ONE
+    source's docs in key order — so it stays on
+    ``groupby("source").map_groups`` rather than ``exchange.shuffle``,
+    whose buckets mix keys (like ``dedup_embedding_nn``'s label
+    blocks).  At corpus scale the per-source scan uses the
+    ``epoch_shuffle`` recipe instead (uniform md5 range buckets +
+    prefix-sum offsets) — the budget cut is then a per-bucket filter
+    against the broadcast running totals; the semantics here are
+    identical."""
     ds = _read_docs(sf_dir, ["doc_id", "text", "source"])
     md5 = hashlib.md5
 
@@ -1191,10 +1130,9 @@ def q_tfidf_keywords(sf_dir: str):
         return pd.DataFrame({"w": g["w"].astype("string"),
                              "c": g["size"].astype("int64")})
 
-    dfc = (
-        ds.map_batches(df_partial, batch_format="pyarrow")
-        .to_pandas().groupby("w")["c"].sum()
-    )
+    dfc = exchange.to_pandas(
+        ds.map_batches(df_partial, batch_format="pyarrow"), w="string", c="int64"
+    ).groupby("w")["c"].sum()
     idf = dict(zip(dfc.index, np.log(float(n_docs) / dfc.to_numpy(np.float64))))
     idf_ref = ray.put(idf)
 
@@ -1226,7 +1164,9 @@ def q_tfidf_keywords(sf_dir: str):
             "score": top["score"].astype("float64"),
         })
 
-    out = ds.map_batches(topk, batch_format="pyarrow").to_pandas()
+    out = exchange.to_pandas(
+        ds.map_batches(topk, batch_format="pyarrow"),
+        doc_id="int64", rank="int64", term=object, score="float64")
     out["term"] = out["term"].astype(str)
     return out.sort_values(["doc_id", "rank"]).reset_index(drop=True)
 
@@ -1270,23 +1210,21 @@ def q_curation_pipeline(sf_dir: str):
 
     1. one tiny pass over the benchmark slice (``doc_id % 97 == 0``)
        reduces its distinct 5-grams from partials → ``ray.put`` once;
-    2. one streaming pass over the corpus FUSES quality scoring,
+    2. the combine of ONE ``exchange.shuffle`` FUSES quality scoring,
        contamination check and the per-batch dedup combiner — text
        never leaves the map stage; each batch emits only
-       ``(dkey, doc_id, lang, n_re_tokens)`` for its batch-local
-       winners;
-    3. the coarse-bucket shuffle of those fixed-width records picks
-       global winners (min doc_id per dkey) and pre-aggregates per
-       language INSIDE the bucket, so the driver reduce sees
-       O(buckets × langs) rows.
+       ``(dkey, dp, doc_id, lang, n_re_tokens)`` for its batch-local
+       winners, ``dp`` being the digest's first 8 bytes as a uint64;
+    3. the shuffle on ``dp`` (every copy of a text shares its digest,
+       so lands in one bucket) picks global winners (min doc_id per
+       dkey) and pre-aggregates per language INSIDE the bucket, so the
+       driver reduce sees O(buckets × langs) rows.
 
     Shuffle volume is O(surviving docs × ~50 bytes) — proportional to
     the corpus row count but never its text — and every stage
     streams.  Output: per-language doc and token counts of the final
     curated corpus (exact; DuckDB-oracle-checked end-to-end)."""
     nb = _nb_rows(sf_dir, 'documents')  # row-carrying exchange
-    import hashlib
-
     import ray
 
     from crawler_tjce_ray.pipelines.textops import (
@@ -1296,7 +1234,8 @@ def q_curation_pipeline(sf_dir: str):
     ds = _read_docs(sf_dir, ["doc_id", "text", "lang"])
     bench_ref = ray.put(_collect_bench_grams(ds))
 
-    def survivors(df: pd.DataFrame) -> pd.DataFrame:
+    def survivors(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         q = quality_frame(df)
         keep = (q["quality_ok"].to_numpy() == 1) & (
             df["doc_id"].to_numpy() % DECON_MOD != 0
@@ -1312,15 +1251,13 @@ def q_curation_pipeline(sf_dir: str):
         digests = [hashlib.md5(x.encode()).digest() for x in norm]
         n_re = pc.cast(
             pc.count_substring_regex(
-                pc.utf8_lower(pa.array(sub["text"].astype(str))), BPE_TOKEN_RE
+                pc.utf8_lower(pa.array(sub["text"], pa.string())), BPE_TOKEN_RE
             ),
             pa.int64(),
         ).to_numpy(zero_copy_only=False)
         out = pd.DataFrame({
-            "kb": pd.Series(
-                [int.from_bytes(d[:8], "big") % nb for d in digests],
-                dtype="int64",
-            ),
+            "dp": pd.Series([int.from_bytes(d[:8], "big") for d in digests],
+                            dtype="uint64"),
             "dkey": pd.Series([d.hex() for d in digests], dtype="string"),
             "doc_id": pd.Series(
                 sub["doc_id"].to_numpy(dtype=np.int64), dtype="int64"
@@ -1329,7 +1266,8 @@ def q_curation_pipeline(sf_dir: str):
             "n_re_tokens": pd.Series(n_re, dtype="int64"),
         })
         # batch-local combiner: only batch winners enter the shuffle
-        return out.sort_values("doc_id", kind="mergesort").drop_duplicates("dkey")
+        out = out.sort_values("doc_id", kind="mergesort").drop_duplicates("dkey")
+        return pa.Table.from_pandas(out, preserve_index=False)
 
     def bucket_agg(g: pd.DataFrame) -> pd.DataFrame:
         w = g.sort_values("doc_id", kind="mergesort").drop_duplicates("dkey")
@@ -1337,12 +1275,9 @@ def q_curation_pipeline(sf_dir: str):
             n_docs=("doc_id", "size"), n_tokens=("n_re_tokens", "sum")
         )
 
-    parts = (
-        ds.map_batches(survivors, batch_format="pandas")
-        .groupby("kb")
-        .map_groups(bucket_agg, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = exchange.to_pandas(
+        exchange.shuffle(ds, "dp", nb, bucket_agg, combine=survivors),
+        lang=object, n_docs="int64", n_tokens="int64")
     out = parts.groupby("lang", as_index=False).agg(
         n_docs=("n_docs", "sum"), n_tokens=("n_tokens", "sum")
     )
@@ -1370,18 +1305,7 @@ WITH t AS (
   WHERE n_tok_sp >= 20
     AND CAST(stop_hits AS DOUBLE)/n_tok_sp >= 0.02
     AND doc_id % {DECON_MOD} <> 0
-), w AS (
-  SELECT doc_id, regexp_extract_all(lower(text), '{WORD_RE}') AS ws FROM documents
-), pos AS (
-  SELECT doc_id, ws, unnest(range(1, len(ws) - {DECON_N - 2})) AS i
-  FROM w WHERE len(ws) >= {DECON_N}
-), g AS (
-  SELECT DISTINCT doc_id,
-         ws[i] || ' ' || ws[i+1] || ' ' || ws[i+2] || ' ' || ws[i+3] || ' ' || ws[i+4] AS ng
-  FROM pos
-), bench AS (
-  SELECT DISTINCT ng FROM g WHERE doc_id % {DECON_MOD} = 0
-), contaminated AS (
+), {_SQL_BENCH_GRAMS}, contaminated AS (
   SELECT DISTINCT doc_id FROM g JOIN bench USING (ng)
   WHERE doc_id % {DECON_MOD} <> 0
 ), surv AS (
@@ -1649,6 +1573,21 @@ FROM d LEFT JOIN g USING (doc_id) ORDER BY d.doc_id
 _NOV_GRAM = 8
 
 
+def _doc_shingle_keys(t: pa.Table) -> pa.Table:
+    """Distinct (k1, k2, doc_id) rows — a document's distinct word-8-
+    gram keys (``shingle_occurrences``) — for one batch: docs are
+    row-atomic, so batch-local dedup is globally exact per doc.  The
+    combine under both first-occurrence exchanges, keyed on ``k1``."""
+    from crawler_tjce_ray.functions.shingles import shingle_occurrences
+
+    occ = shingle_occurrences(t["text"].to_pandas(), _NOV_GRAM) \
+        .drop_duplicates(["row", "k1", "k2"])
+    doc = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    return pa.table({"k1": occ["k1"].to_numpy(np.int64),
+                     "k2": occ["k2"].to_numpy(np.int64),
+                     "doc_id": doc[occ["row"].to_numpy()]})
+
+
 def q_ngram_novelty(sf_dir: str):
     """Novelty score per document: the fraction of its distinct word-
     8-gram shingles whose GLOBAL first occurrence (min doc_id over the
@@ -1657,74 +1596,31 @@ def q_ngram_novelty(sf_dir: str):
     scraped-again content (complement of the Lee-et-al. dedup view:
     there the repeated gram is removed, here it scores the doc).
 
-    Two streaming passes over text, zero driver text state:
-
-    1. totals — per-batch vectorized distinct-gram COUNT per doc
-       (docs are row-atomic, so batch-local distinct is exact);
-       additive O(#docs) rows;
-    2. first-seen — per-doc distinct (gram-md5, doc_id) rows ride ONE
-       shuffle on size-derived digest buckets (a gram's every
-       occurrence lands in one bucket), in-bucket min-doc_id per gram
-       collapses to additive (doc_id, n_first) partials — what returns
-       is bounded by #docs, never by gram volume.
+    One streaming pass over text, zero driver text state: per-doc
+    distinct (gram key, doc_id) rows (``_doc_shingle_keys``) ride ONE
+    ``exchange.shuffle`` on the digest half ``k1`` (a gram's every
+    occurrence lands in one bucket), and each bucket emits additive
+    per-doc (n_grams, n_first) partials: every (doc, gram) row counts
+    once in one bucket, and counts as first where the doc is its
+    gram's min doc_id — what returns is bounded by #docs, never by
+    gram volume.
 
     novelty = n_first / n_grams (exact integers; ratio deterministic),
     rounded to 6 dp like every libm-adjacent repo ratio."""
-    from crawler_tjce_ray.functions.shingles import shingle_occurrences
-
     nb = _nb_rows(sf_dir, 'documents')  # gram-volume exchange
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
-    def _doc_keys(df: pd.DataFrame) -> pd.DataFrame:
-        """Distinct (doc_id, gram-key) pairs for the batch, from the
-        shared vectorized shingle kernel — docs are row-atomic, so
-        batch-local dedup is globally exact per doc."""
-        occ = shingle_occurrences(df["text"], _NOV_GRAM, nb)
-        if occ.empty:  # typed empty — Ray drops columns of bare empties
-            return pd.DataFrame({
-                "k1": pd.Series([], dtype="int64"),
-                "k2": pd.Series([], dtype="int64"),
-                "doc_id": pd.Series([], dtype="int64"),
-                "kb": pd.Series([], dtype="int64"),
-            })
-        d = occ.drop_duplicates(["row", "k1", "k2"])
+    def doc_counts(g: pd.DataFrame) -> pd.DataFrame:
+        first = g.groupby(["k1", "k2"])["doc_id"].transform("min")
         return pd.DataFrame({
-            "k1": d["k1"].to_numpy(np.int64),
-            "k2": d["k2"].to_numpy(np.int64),
-            "doc_id": df["doc_id"].to_numpy(np.int64)[d["row"].to_numpy()],
-            "kb": d["kb"].to_numpy(np.int64),
-        })
+            "doc_id": g["doc_id"], "n_grams": np.int64(1),
+            "n_first": (first == g["doc_id"]).astype("int64"),
+        }).groupby("doc_id", as_index=False).sum()
 
-    def totals(df: pd.DataFrame) -> pd.DataFrame:
-        k = _doc_keys(df)
-        out = k.groupby("doc_id", as_index=False).size() \
-            .rename(columns={"size": "n_grams"})
-        return out.astype({"doc_id": "int64", "n_grams": "int64"})
-
-    tot = (
-        ds.map_batches(totals, batch_format="pandas")
-        .to_pandas()
-        .groupby("doc_id", as_index=False)["n_grams"].sum()
-    )
-
-    key_rows = _doc_keys
-
-    def first_counts(g: pd.DataFrame) -> pd.DataFrame:
-        w = g.groupby(["k1", "k2"], as_index=False)["doc_id"].min()
-        out = w.groupby("doc_id", as_index=False).agg(n_first=("k1", "size"))
-        return out.astype({"doc_id": "int64", "n_first": "int64"})
-
-    firsts = (
-        ds.map_batches(key_rows, batch_format="pandas")
-        .groupby("kb")
-        .map_groups(first_counts, batch_format="pandas")
-        .to_pandas()
-        .groupby("doc_id", as_index=False)["n_first"].sum()
-    )
-
-    out = tot.merge(firsts, on="doc_id", how="left")
-    out["n_first"] = out["n_first"].fillna(0).astype("int64")
-    out = out.loc[out["n_grams"] > 0].copy()
+    out = exchange.to_pandas(
+        exchange.shuffle(ds, "k1", nb, doc_counts, combine=_doc_shingle_keys),
+        doc_id="int64", n_grams="int64", n_first="int64",
+    ).groupby("doc_id", as_index=False).sum()
     out["novelty"] = (
         out["n_first"].to_numpy(np.float64)
         / out["n_grams"].to_numpy(np.float64)
@@ -1732,14 +1628,18 @@ def q_ngram_novelty(sf_dir: str):
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
-SQL_NGRAM_NOVELTY = """
-WITH w AS (
+# every word-8-gram occurrence ``g`` (space-split words, as the
+# engine's shingles): the CTEs both first-occurrence oracles share
+_SQL_GRAMS8 = """w AS (
   SELECT doc_id, string_split(text, ' ') AS ws FROM documents
 ), g AS (
   SELECT doc_id, array_to_string(ws[i:i+7], ' ') AS gram
   FROM (SELECT doc_id, ws, unnest(range(1, greatest(len(ws) - 6, 1))) AS i
         FROM w)
-), dg AS (
+)"""
+
+SQL_NGRAM_NOVELTY = f"""
+WITH {_SQL_GRAMS8}, dg AS (
   SELECT DISTINCT doc_id, gram FROM g
 ), f AS (
   SELECT gram, MIN(doc_id) AS first_doc FROM dg GROUP BY gram
@@ -1758,8 +1658,8 @@ def q_vocab_growth(sf_dir: str):
     """Heaps-law curve: cumulative distinct word-8-gram vocabulary at
     ten doc_id cutoffs (deciles of the max id) — "how fast does new
     text stop being new", the saturation diagnostic behind corpus-
-    size planning.  Reuses the ``ngram_novelty`` machinery: each
-    gram's global FIRST doc_id is decided in its digest bucket, and a
+    size planning.  Reuses the ``ngram_novelty`` exchange: each
+    gram's global FIRST doc_id is decided in its ``k1`` bucket, and a
     bucket emits one additive 10-bin histogram of first-ids binned by
     the broadcast cutoffs — the driver folds buckets × 10 ints and
     takes one cumulative sum."""
@@ -1772,25 +1672,6 @@ def q_vocab_growth(sf_dir: str):
     nb = _nb_rows(sf_dir, 'documents')  # gram-volume exchange
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
-    from crawler_tjce_ray.functions.shingles import shingle_occurrences
-
-    def key_rows(df: pd.DataFrame) -> pd.DataFrame:
-        occ = shingle_occurrences(df["text"], _NOV_GRAM, nb)
-        if occ.empty:
-            return pd.DataFrame({
-                "k1": pd.Series([], dtype="int64"),
-                "k2": pd.Series([], dtype="int64"),
-                "doc_id": pd.Series([], dtype="int64"),
-                "kb": pd.Series([], dtype="int64"),
-            })
-        d = occ.drop_duplicates(["row", "k1", "k2"])
-        return pd.DataFrame({
-            "k1": d["k1"].to_numpy(np.int64),
-            "k2": d["k2"].to_numpy(np.int64),
-            "doc_id": df["doc_id"].to_numpy(np.int64)[d["row"].to_numpy()],
-            "kb": d["kb"].to_numpy(np.int64),
-        })
-
     def hist_bucket(g: pd.DataFrame) -> pd.DataFrame:
         first = g.groupby(["k1", "k2"])["doc_id"].min().to_numpy(np.int64)
         # bin i counts grams first seen at doc_id <= cuts[i] but
@@ -1802,14 +1683,10 @@ def q_vocab_growth(sf_dir: str):
             "n_new": counts.astype(np.int64),
         })
 
-    parts = (
-        ds.map_batches(key_rows, batch_format="pandas")
-        .groupby("kb")
-        .map_groups(hist_bucket, batch_format="pandas")
-        .to_pandas()
-        .groupby("bin", as_index=False)["n_new"].sum()
-        .sort_values("bin")
-    )
+    parts = exchange.to_pandas(
+        exchange.shuffle(ds, "k1", nb, hist_bucket, combine=_doc_shingle_keys),
+        bin="int64", n_new="int64",
+    ).groupby("bin", as_index=False)["n_new"].sum()
     full = np.zeros(10, dtype=np.int64)
     full[parts["bin"].to_numpy()] = parts["n_new"].to_numpy(np.int64)
     return pd.DataFrame({
@@ -1819,14 +1696,8 @@ def q_vocab_growth(sf_dir: str):
     })
 
 
-SQL_VOCAB_GROWTH = """
-WITH w AS (
-  SELECT doc_id, string_split(text, ' ') AS ws FROM documents
-), g AS (
-  SELECT doc_id, array_to_string(ws[i:i+7], ' ') AS gram
-  FROM (SELECT doc_id, ws, unnest(range(1, greatest(len(ws) - 6, 1))) AS i
-        FROM w)
-), f AS (
+SQL_VOCAB_GROWTH = f"""
+WITH {_SQL_GRAMS8}, f AS (
   SELECT gram, MIN(doc_id) AS fd FROM g GROUP BY gram
 ), m AS (
   SELECT MAX(doc_id) AS mx FROM documents

@@ -1,10 +1,13 @@
 """Degenerate-input agreement paths (ADVICE r3): zero-total Pareto,
 no-converter quantiles, event streams with no funnel event or n-gram,
-empty documents source, and the 32-bit pair-packing guards — each is
-a path the sf testdata never exercises, pinned here so the engine and
-oracle agree on the edge too."""
+empty documents source, the 32-bit pair-packing guards, and whole
+oracle sweeps over degenerate copies of sf0.01 (one line per order, a
+wordless corpus) — each is a path the sf testdata never exercises,
+pinned here so the engine and oracle agree on the edge too."""
 
+import importlib
 import math
+import os
 
 import numpy as np
 import pandas as pd
@@ -198,6 +201,59 @@ class TestDegenerateOracleAgreement:
         assert got["source"].tolist() == want["source"].tolist()
 
 
+SF = "/root/testdata/sf0.01"
+
+
+def _first_line_per_order(t: pa.Table) -> pa.Table:
+    """lineitem cut to the first line of each order: the
+    part-succession graph has no edge and no order holds a pair."""
+    t = t.sort_by([("l_orderkey", "ascending"), ("l_linenumber", "ascending")])
+    k = t["l_orderkey"].to_numpy()
+    return t.filter(pa.array(np.r_[True, k[1:] != k[:-1]]))
+
+
+def _wordless(t: pa.Table) -> pa.Table:
+    """documents with every text empty and every n_chars 0: no word,
+    no n-gram and no token partial anywhere."""
+    t = t.set_column(t.schema.get_field_index("text"), "text",
+                     pa.array([""] * t.num_rows, pa.string()))
+    return t.set_column(t.schema.get_field_index("n_chars"), "n_chars",
+                        pa.array([0] * t.num_rows, pa.int64()))
+
+
+def _degenerate(tmp_path_factory, table: str, derive) -> str:
+    """A copy of sf0.01 with ``table`` replaced by ``derive(table)``,
+    made with pyarrow in a temp dir; the other tables are linked."""
+    d = tmp_path_factory.mktemp(derive.__name__.strip("_"))
+    for f in os.listdir(SF):
+        if f.endswith(".parquet") and f != f"{table}.parquet":
+            os.symlink(os.path.join(SF, f), d / f)
+    pq.write_table(derive(pq.read_table(f"{SF}/{table}.parquet")),
+                   str(d / f"{table}.parquet"))
+    return str(d)
+
+
+def _assert_oracle_equal(sf_dir: str, mod: str, name: str) -> None:
+    """The query equals its DuckDB oracle on ``sf_dir`` under the
+    strict string compare (sorted columns and rows, ``str`` values)."""
+    import duckdb
+
+    m = importlib.import_module(f"crawler_tjce_ray.pipelines.{mod}")
+    got = m.QUERIES[name](sf_dir)
+    con = duckdb.connect()
+    for f in os.listdir(sf_dir):
+        con.execute(f"CREATE VIEW {f[:-len('.parquet')]} AS SELECT * FROM "
+                    f"read_parquet('{sf_dir}/{f}')")
+    want = con.execute(m.ORACLE_SQL[name]).df()
+
+    def strict(df):
+        df = df[sorted(df.columns)].astype(str)
+        return df.sort_values(list(df.columns), kind="mergesort") \
+            .reset_index(drop=True)
+
+    assert strict(got).equals(strict(want))
+
+
 ONE_LINE_QUERIES = [
     ("graph", "pagerank_parts"), ("graph", "bfs_hops"),
     ("graph", "degree_distribution"), ("graph", "edge_reciprocity"),
@@ -208,15 +264,7 @@ ONE_LINE_QUERIES = [
 
 @pytest.fixture(scope="module")
 def one_line_per_order(tmp_path_factory):
-    """sf0.01's lineitem cut to the first line of each order: the
-    part-succession graph has no edge and no order holds a pair."""
-    t = pq.read_table("/root/testdata/sf0.01/lineitem.parquet").sort_by(
-        [("l_orderkey", "ascending"), ("l_linenumber", "ascending")])
-    k = t["l_orderkey"].to_numpy()
-    d = tmp_path_factory.mktemp("one_line")
-    pq.write_table(t.filter(pa.array(np.r_[True, k[1:] != k[:-1]])),
-                   str(d / "lineitem.parquet"))
-    return str(d)
+    return _degenerate(tmp_path_factory, "lineitem", _first_line_per_order)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -227,20 +275,28 @@ def test_one_line_per_order(one_line_per_order, mod, name):
     the driver used to read frames with no columns; each query must
     equal its oracle under the strict string compare, NULL ratios
     (reciprocity, wedges, clustering) included."""
-    import importlib
+    _assert_oracle_equal(one_line_per_order, mod, name)
 
-    import duckdb
 
-    m = importlib.import_module(f"crawler_tjce_ray.pipelines.{mod}")
-    got = m.QUERIES[name](one_line_per_order)
-    con = duckdb.connect()
-    con.execute("CREATE VIEW lineitem AS SELECT * FROM "
-                f"read_parquet('{one_line_per_order}/lineitem.parquet')")
-    want = con.execute(m.ORACLE_SQL[name]).df()
+# every text-module oracle query, and the other two word-keyed ones
+WORDLESS_QUERIES = [
+    (mod, name) for mod in ("webtext", "training", "textops")
+    for name in importlib.import_module(
+        f"crawler_tjce_ray.pipelines.{mod}").ORACLE_SQL
+] + [("graph", "inverted_index"), ("sketches", "heavy_hitters_exact")]
 
-    def strict(df):
-        df = df[sorted(df.columns)].astype(str)
-        return df.sort_values(list(df.columns), kind="mergesort") \
-            .reset_index(drop=True)
 
-    assert strict(got).equals(strict(want))
+@pytest.fixture(scope="module")
+def wordless_corpus(tmp_path_factory):
+    return _degenerate(tmp_path_factory, "documents", _wordless)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("mod,name", WORDLESS_QUERIES,
+                         ids=[n for _, n in WORDLESS_QUERIES])
+def test_wordless_corpus(wordless_corpus, mod, name):
+    """Every oracle-backed text query on a corpus with no word: each
+    exchange forms no group and each token partial is empty, so the
+    driver reads its partials through ``exchange.to_pandas`` and must
+    return the oracle's zero rows and empty tables."""
+    _assert_oracle_equal(wordless_corpus, mod, name)

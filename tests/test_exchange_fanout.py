@@ -1,8 +1,9 @@
 """Exchange fan-out and read-block parameterization: the row-carrying
 coarse-bucket exchanges — hash_join_big, segment_year_revenue,
 semi_join_vip, dedup_substring_clean (plus the jaccard-prefix and
-minhash scale tiers), the graph family — must produce ORACLE-EQUAL
-output at any power-of-two bucket count and any read block count.
+minhash scale tiers), the graph and text families — must produce
+ORACLE-EQUAL output at any power-of-two bucket count and any read
+block count.
 The driver runs the size-derived default (1–2 blocks and buckets on
 the test tables); these tests force 16- and 128-way fan-outs, and
 reads split to their cap, on the same inputs and require strict
@@ -219,6 +220,18 @@ class TestFanoutInvariance:
             SQL_VOCAB_GROWTH, q_vocab_growth,
         )
         _check(q_vocab_growth, SQL_VOCAB_GROWTH, con)
+
+    # ---- text exchanges with no forced fan-out test of their own above
+    @pytest.mark.parametrize("name", [
+        "bigram_logprob", "curation_pipeline", "dup_ngram_docs",
+        "bigram_pmi_topk", "retention", "rolling_unique_users",
+        "hapax_rate_by_source",
+    ])
+    def test_text_exchange(self, name, forced_buckets, con):
+        from crawler_tjce_ray.pipelines import textops, training, webtext
+
+        m = next(m for m in (webtext, training, textops) if name in m.QUERIES)
+        _check(m.QUERIES[name], m.ORACLE_SQL[name], con)
 
     def test_region_year_revenue_combiner(self, forced_buckets, con):
         from crawler_tjce_ray.pipelines.relational import (

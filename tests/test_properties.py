@@ -240,9 +240,14 @@ def test_shingle_occurrences_match_naive(texts, n):
             key = (row, k1, k2)
             exp[key] = exp.get(key, 0) + 1
     assert got == exp
-    # bucket column is derived from k1 alone
+    # the gram exchanges key on k1 alone: a gram's bucket is k1's low bits
     if len(occ):
-        assert (occ["kb"] == (occ["k1"] & 63)).all()
+        import pyarrow as pa
+
+        from crawler_tjce_ray.pipelines.exchange import kb_arrow
+
+        kb = kb_arrow(pa.array(occ["k1"]), 64).to_numpy()
+        assert (kb == (occ["k1"] & 63).to_numpy()).all()
 
 
 # ---------------------------------------------------------------------------
