@@ -3,10 +3,11 @@ architecture):
 
     seeds → frontier ──per wave──►
       select (priority sort + per-host politeness cap + wave cap)
-      → URL-seen filter (cuckoo shards hosted in the fetch actors,
-        check-and-add)
-      → fetch (actor pool, grown on demand: page-store lookup + robots
-        + token bucket)
+      → URL-seen filter (cuckoo shards hosted in the fetch pool's
+        members, check-and-add)
+      → fetch (member pool, grown on demand: page-store lookup + robots
+        + token bucket; member 0 is the driver, members 1… are Ray
+        actors, so a pool of n members starts n−1 actors)
       → parse (stateless DSR extract) → records/<kind>/wave=k parquet
       → outlinks → frontier ∪ new urls
       → checkpoint (frontier, seen key log + cuckoo shard snapshot
@@ -119,14 +120,17 @@ class CrawlConfig:
     wave_size: int = 256
     per_host_budget: int = 8          # politeness: fetches per host per wave
     max_waves: int = 100              # O7 crawl depth cap (reference max_pages)
-    # URL-seen shards, hosted in the fetch actors (shard s on live actor
-    # s % n_live); the count, not the actor count, fixes the checkpoint
+    # URL-seen shards, hosted in the fetch pool's members (shard s on
+    # live member s % n_live); the count, not the member count, fixes
+    # the checkpoint
     n_seen_shards: int = 4
     log2_buckets: int = 16
     store_buckets: int = DEFAULT_STORE_BUCKETS
-    # the fetch pool's maximum (capped at cluster CPUs - 2); the pool
-    # runs one actor per fetch_batch_size urls of the largest wave so
-    # far, so small politeness-capped waves run on one actor
+    # the fetch pool's maximum member count (capped at cluster CPUs -
+    # 2); the pool runs one member per fetch_batch_size urls of the
+    # largest wave so far.  Member 0 is the driver and each other
+    # member a Ray actor, so small politeness-capped waves run on the
+    # driver alone and start no actor
     fetch_concurrency: int = 4
     fetch_batch_size: int = 64
     current_year: int = 2026
@@ -338,7 +342,7 @@ def _flatten_outlinks(t: pa.Table) -> pa.Table:
     Links come from the page's embedded hyperlink list plus the
     restart-token chain (T2: the RT cursor implies the next page of
     the chain; the generator embeds it as a link too, so this is the
-    union).  Link *discovery* happens inside the fetch actors
+    union).  Link *discovery* happens inside the fetch members
     (distributed, page already in memory); this is just the vectorized
     list-flatten of that column."""
     links = t["links"].combine_chunks()
@@ -382,7 +386,7 @@ def run_crawl(
     n_fetch = max(1, min(cfg.fetch_concurrency, cluster_cpus - 2))
 
     def pool_size(selected_rows: int) -> int:
-        # actors a wave asks for: one per fetch_batch_size urls (the
+        # members a wave asks for: one per fetch_batch_size urls (the
         # pool caps it at n_fetch and never shrinks), a rule of the row
         # count and config alone, so the pool-size history is
         # deterministic
@@ -401,12 +405,12 @@ def run_crawl(
         phase_t[name] = round(phase_t.get(name, 0.0) + now - t_mark, 4)
         t_mark = now
 
-    # record extraction is FUSED into the fetch actors (operator
+    # record extraction is FUSED into the fetch members (operator
     # fusion): the page body is parsed where it was fetched, so html
     # never crosses the object store and the pool's cores do the
     # parse work instead of idling behind a separate task fan-out.
-    # Neither the pool nor the seen shards start an actor here: the
-    # first wave starts every actor it asks for at once
+    # Neither the pool nor the seen shards start a member here: the
+    # first wave starts every member it asks for at once
     pool = FetchPool(
         store_dir, cfg.store_buckets, n_fetch,
         records_dir=os.path.join(workdir, "records") if cfg.extract_records else None,
@@ -491,7 +495,7 @@ def run_crawl(
                     continue
             _lap("t_select")
 
-            # start the actors this wave asks for (blocking; the first
+            # start the members this wave asks for (blocking; the first
             # wave starts the pool) and start or move the seen shards
             # whose host changed
             if pool.grow(pool_size(selected.num_rows)):
@@ -507,14 +511,14 @@ def run_crawl(
             requeued = pa.array([], pa.string())
             adds: list[pa.Table] = []  # Dataset-mode wave-sized additions
             if todo.num_rows:
-                # fetch+parse run fused inside the actor pool (records are
-                # written there, before the actors reply, so the wave's
+                # fetch+parse run fused inside the pool (records are
+                # written there, before the members reply, so the wave's
                 # records are durable before its checkpoint); the returned
                 # table carries only url/status/links — never html
                 fetched = pool.fetch(todo, wave)  # bounded by wave_size
                 _lap("t_fetch")
 
-                # outlinks were discovered inside the fetch actors (the
+                # outlinks were discovered inside the fetch members (the
                 # page body never comes back to the driver for re-parsing);
                 # here we only flatten the small list column — vectorized
                 outlinks = _flatten_outlinks(fetched)

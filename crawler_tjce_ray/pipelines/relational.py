@@ -436,11 +436,10 @@ def q_supplier_region(sf_dir: str):
 
     # |regions| group keys: per-batch partials + driver rollup, no
     # shuffle (same combiner recipe as q_join_agg / q_pricing_summary)
-    parts = (
+    parts = _ex.to_pandas(
         _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-    )
+        .map_batches(partial, batch_format="pyarrow"),
+        r_name=object, n_suppliers="int64", max_acctbal="float64")
     out = parts.groupby("r_name", as_index=False).agg(
         n_suppliers=("n_suppliers", "sum"), max_acctbal=("max_acctbal", "max")
     )
@@ -488,11 +487,10 @@ def q_brand_revenue(sf_dir: str):
         agg = tt.group_by("p_brand").aggregate([("rev", "sum")])
         return agg.select(["p_brand", "rev_sum"])
 
-    parts = (
+    parts = _ex.to_pandas(
         _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-    )
+        .map_batches(partial, batch_format="pyarrow"),
+        p_brand=object, rev_sum="float64")
     out = parts.groupby("p_brand", as_index=False)["rev_sum"].sum()
     out["revenue"] = out["rev_sum"].round(2)
     return out[["p_brand", "revenue"]].sort_values("p_brand").reset_index(drop=True)
@@ -762,12 +760,13 @@ def q_asof_join(sf_dir: str):
         })
 
     ts = pa.timestamp("us")
-    out = _ex.cogroup([
+    out = _ex.to_pandas(_ex.cogroup([
         (events, {"key": pa.int64(), "t": ts, "event_id": pa.int64()},
          _pick(key="user_id", t="ts", event_id="event_id")),
         (o, {"key": pa.int64(), "t": ts, "o_orderkey": pa.int64()},
          _pick(key="o_custkey", t="o_orderdate", o_orderkey="o_orderkey")),
-    ], "key", nb, merge).to_pandas()
+    ], "key", nb, merge), event_id="int64", user_id="int64",
+        ts="datetime64[us]", o_orderkey="int64")
     out = out.astype({"event_id": "int64", "user_id": "int64", "o_orderkey": "int64"})
     return out.sort_values("event_id").reset_index(drop=True)
 
@@ -898,11 +897,10 @@ def q_event_dwell(sf_dir: str):
         })
         return out
 
-    out = (
-        _ex.shuffle(ds, "user_id", nb, dwell)
-        .to_pandas()
-        .astype({"event_id": "int64", "user_id": "int64", "dwell_us": "int64"})
-    )
+    out = _ex.to_pandas(_ex.shuffle(ds, "user_id", nb, dwell),
+                        event_id="int64", user_id="int64", dwell_us="int64"
+                        ).astype({"event_id": "int64", "user_id": "int64",
+                                  "dwell_us": "int64"})
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -1006,9 +1004,9 @@ def q_big_spenders(sf_dir: str):
         return df.groupby("segment", as_index=False).agg(
             tot_c=("spend_c", "sum"), n_cust=("spend_c", "size"))
 
-    seg_parts = per_cust.map_batches(
-        seg_partial, batch_format="pandas",
-    ).to_pandas()
+    seg_parts = _ex.to_pandas(
+        per_cust.map_batches(seg_partial, batch_format="pandas"),
+        segment=object, tot_c="int64", n_cust="int64")
     seg = seg_parts.groupby("segment", as_index=False).sum()
     tot_by_seg = dict(zip(seg["segment"], seg["tot_c"].astype("int64")))
     n_by_seg = dict(zip(seg["segment"], seg["n_cust"].astype("int64")))
@@ -1291,13 +1289,12 @@ def q_purchase_id_islands(sf_dir: str):
         ends = ids[np.r_[brk, len(ids) - 1]]
         return pd.DataFrame({"start_id": starts, "end_id": ends})
 
-    parts = (
+    parts = _ex.to_pandas(
         ds.map_batches(matching, batch_format="pyarrow")
         .groupby("rb")
-        .map_groups(islands, batch_format="pandas")
-        .to_pandas()
-        .sort_values("start_id").reset_index(drop=True)
-    )
+        .map_groups(islands, batch_format="pandas"),
+        start_id="int64", end_id="int64",
+    ).sort_values("start_id").reset_index(drop=True)
     # stitch islands that touch across range-bucket borders
     starts, ends = [], []
     for s0, e0 in zip(parts["start_id"], parts["end_id"]):
@@ -1474,13 +1471,14 @@ def q_ship_latency_by_priority(sf_dir: str):
                            "max_days": "int64"})
 
     ts = pa.timestamp("us")
-    parts = _ex.cogroup([
+    parts = _ex.to_pandas(_ex.cogroup([
         (orders, {"key": pa.int64(), "priority": pa.string(), "odate": ts},
          _pick(key="o_orderkey", priority="o_orderpriority",
                odate="o_orderdate")),
         (line, {"key": pa.int64(), "sdate": ts},
          _pick(key="l_orderkey", sdate="l_shipdate")),
-    ], "key", nb, agg_bucket).to_pandas()
+    ], "key", nb, agg_bucket), priority=object, n_orders="int64",
+        sum_days="int64", max_days="int64")
     out = parts.groupby("priority", as_index=False, dropna=False).agg(
         n_orders=("n_orders", "sum"), sum_days=("sum_days", "sum"),
         max_days=("max_days", "max"))
@@ -1537,11 +1535,9 @@ def q_path_to_purchase(sf_dir: str):
             "user_id": zero, "n_before": np.zeros(len(zero), np.int64)})])
         return out.astype({"user_id": "int64", "n_before": "int64"})
 
-    out = (
-        _ex.shuffle(ds, "user_id", nb, count_before)
-        .to_pandas()
-        .astype({"user_id": "int64", "n_before": "int64"})
-    )
+    out = _ex.to_pandas(_ex.shuffle(ds, "user_id", nb, count_before),
+                        user_id="int64", n_before="int64"
+                        ).astype({"user_id": "int64", "n_before": "int64"})
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -1585,7 +1581,8 @@ def q_session_type_pairs(sf_dir: str):
                              "size": "n_sessions"})
         return out.astype({"n_sessions": "int64"})
 
-    parts = _ex.shuffle(ds, "user_id", nb, pairs).to_pandas()
+    parts = _ex.to_pandas(_ex.shuffle(ds, "user_id", nb, pairs),
+                          type_a=object, type_b=object, n_sessions="int64")
     out = parts.groupby(["type_a", "type_b"], as_index=False)[
         "n_sessions"].sum()
     out["n_sessions"] = out["n_sessions"].astype("int64")
@@ -1740,8 +1737,9 @@ def q_price_cv_topk(sf_dir: str):
         return out.sort_values(["cv", "part"], ascending=[False, True],
                                kind="mergesort").head(PRICE_CV_TOPK)
 
-    parts = _ex.shuffle(line, "part", nb, cv_in_bucket,
-                        combine=moment_partial).to_pandas()
+    parts = _ex.to_pandas(_ex.shuffle(line, "part", nb, cv_in_bucket,
+                                      combine=moment_partial),
+                          part="int64", n="int64", cv="float64")
     top = parts.sort_values(["cv", "part"], ascending=[False, True],
                             kind="mergesort").head(PRICE_CV_TOPK)
     return pd.DataFrame({
@@ -1901,10 +1899,11 @@ def q_region_year_revenue(sf_dir: str):
             rev_c=("rev_c", "sum"), n_items=("n", "sum"))
 
     i64 = pa.int64()
-    parts = _ex.cogroup([
+    parts = _ex.to_pandas(_ex.cogroup([
         (orders, {"key": i64, "year": i64}, year_of),
         (line, {"key": i64, "rid": i64, "rev_c": i64, "n": i64}, combine_line),
-    ], "key", nb, join_bucket).to_pandas()
+    ], "key", nb, join_bucket), rid="int64", year="int64", rev_c="int64",
+        n_items="int64")
     agg = parts.groupby(["rid", "year"], as_index=False).agg(
         rev_c=("rev_c", "sum"), n_items=("n_items", "sum"))
     out = pd.DataFrame({
@@ -2045,13 +2044,12 @@ def q_attribution_first_touch(sf_dir: str):
         out = j.groupby("channel", as_index=False)["n"].sum()
         return out.astype({"n": "int64"})
 
-    parts = (
+    parts = _ex.to_pandas(
         ds.map_batches(combine, batch_format="pandas")
         .groupby("kb")
-        .map_groups(attribute, batch_format="pandas")
-        .to_pandas()
-        .groupby("channel", as_index=False)["n"].sum()
-    )
+        .map_groups(attribute, batch_format="pandas"),
+        channel=object, n="int64",
+    ).groupby("channel", as_index=False)["n"].sum()
     tot = int(parts["n"].sum())
     out = pd.DataFrame({
         "channel": parts["channel"].astype(object),
@@ -2499,12 +2497,11 @@ def q_median_order_gap(sf_dir: str):
             "median_gap_days": d["gap"].to_numpy(np.int64)[pick],
         })
 
-    out = (
-        _ex.shuffle(ds, "o_custkey", nb, med)
-        .to_pandas()
-        .astype({"o_custkey": "int64", "n_gaps": "int64",
-                 "median_gap_days": "int64"})
-    )
+    out = _ex.to_pandas(_ex.shuffle(ds, "o_custkey", nb, med),
+                        o_custkey="int64", n_gaps="int64",
+                        median_gap_days="int64"
+                        ).astype({"o_custkey": "int64", "n_gaps": "int64",
+                                  "median_gap_days": "int64"})
     return out.sort_values("o_custkey").reset_index(drop=True)
 
 
@@ -3317,14 +3314,15 @@ def q_hash_join_big(sf_dir: str):
                          dropna=False).agg(revenue=("rev", "sum"),
                                            n_items=("rev", "size"))
 
-    parts = _ex.cogroup([
+    parts = _ex.to_pandas(_ex.cogroup([
         (orders, {"key": pa.int64(), "priority": pa.string()},
          _pick(key="o_orderkey", priority="o_orderpriority")),
         (line, {"key": pa.int64(), "price": pa.float64(),
                 "disc": pa.float64(), "flag": pa.string()},
          _pick(key="l_orderkey", price="l_extendedprice", disc="l_discount",
                flag="l_returnflag")),
-    ], "key", nb, join_bucket).to_pandas()
+    ], "key", nb, join_bucket), priority=object, flag=object,
+        revenue="float64", n_items="int64")
     out = parts.groupby(["priority", "flag"], as_index=False, dropna=False).agg(
         revenue=("revenue", "sum"), n_items=("n_items", "sum")
     )
@@ -3428,12 +3426,13 @@ def q_segment_year_revenue(sf_dir: str):
         (orders, {"key": i64, "custkey": i64, "year": i64}, order_rows),
         (line, {"key": i64, "rev_c": i64, "n": i64}, combine_line),
     ], "key", nb1, join_orderkey)
-    parts = _ex.cogroup([
+    parts = _ex.to_pandas(_ex.cogroup([
         (hop1, {"custkey": i64, "year": i64, "rev_c": i64, "n_items": i64},
          None),
         (cust, {"custkey": i64, "segment": pa.string()},
          _pick(custkey="c_custkey", segment="c_mktsegment")),
-    ], "custkey", nb2, join_custkey).to_pandas()
+    ], "custkey", nb2, join_custkey), segment=object, year="int64",
+        rev_c="int64", n_items="int64")
     out = parts.groupby(["segment", "year"], as_index=False, dropna=False).agg(
         rev_c=("rev_c", "sum"), n_items=("n_items", "sum"))
     out = pd.DataFrame({
@@ -4999,7 +4998,9 @@ def q_burstiness_users(sf_dir: str):
                 agg["std"].to_numpy(np.float64) / (su / n), 6),
         })
 
-    out = _ex.shuffle(ds, "user_id", nb, stats).to_pandas()
+    out = _ex.to_pandas(_ex.shuffle(ds, "user_id", nb, stats),
+                        user_id="int64", n_gaps="int64",
+                        mean_gap_s="float64", cv_gap="float64")
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -5054,11 +5055,11 @@ def q_semi_join_vip(sf_dir: str):
             .agg(n=("priority", "size"))
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-    parts = _ex.cogroup([
+    parts = _ex.to_pandas(_ex.cogroup([
         (orders, {"custkey": pa.int64(), "priority": pa.string()}, candidates),
         (cust, {"custkey": pa.int64()},
          lambda t: pa.table({"custkey": t.filter(vip(t))["c_custkey"]})),
-    ], "custkey", nb, verify_bucket).to_pandas()
+    ], "custkey", nb, verify_bucket), priority=object, n="int64")
     out = parts.groupby("priority", as_index=False, dropna=False)["n"].sum()
     return (
         pd.DataFrame({
@@ -5106,14 +5107,15 @@ def q_customer_year_setops(sf_dir: str):
             "s": pd.Series([], dtype=object),
         })
 
+    ops = ["except_95_96", "except_96_95", "intersect", "union_distinct"]
+
     def classify_bucket(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["custkey", "s"])
         in_a = pd.Index(d.loc[d["s"] == "a", "custkey"])
         in_b = pd.Index(d.loc[d["s"] == "b", "custkey"])
         n_int = int(in_a.isin(in_b).sum())
         return pd.DataFrame({
-            "op": ["except_95_96", "except_96_95", "intersect",
-                   "union_distinct"],
+            "op": ops,
             "n": pd.Series(
                 [len(in_a) - n_int, len(in_b) - n_int, n_int,
                  len(in_a) + len(in_b) - n_int],
@@ -5121,19 +5123,20 @@ def q_customer_year_setops(sf_dir: str):
             ),
         })
 
-    parts = (
+    parts = _ex.to_pandas(
         ds.map_batches(partial, batch_format="pandas")
         .map_batches(
             lambda df: df.assign(kb=(df["custkey"].to_numpy("int64") & np.int64(nb - 1))),
             batch_format="pandas",
         )
         .groupby("kb")
-        .map_groups(classify_bucket, batch_format="pandas")
-        .to_pandas()
+        .map_groups(classify_bucket, batch_format="pandas"),
+        op=object, n="int64",
     )
-    out = parts.groupby("op", as_index=False)["n"].sum()
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values("op").reset_index(drop=True)
+    # no bucket at all (no order in either year): every count is 0
+    n = parts.groupby("op")["n"].sum().reindex(ops, fill_value=0)
+    return pd.DataFrame({"op": pd.Series(ops, dtype=object),
+                         "n": n.to_numpy(np.int64)})
 
 
 SQL_CUSTOMER_YEAR_SETOPS = """

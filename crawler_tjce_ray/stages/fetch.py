@@ -6,10 +6,12 @@ sandbox the network is simulated by a hash-bucketed Parquet *page
 store* lookup.  What is real and load-bearing:
 
 * the actor-pool shape (``FetchPool``: long-lived ``FetchActor``
-  processes, url-hash routed, started on demand up to a maximum like
+  members, url-hash routed, started on demand up to a maximum like
   Ray Data's autoscaling ``ActorPoolStrategy(min_size, max_size)``)
-  with per-actor state: store handles, robots cache, token buckets —
-  constructed once in ``__init__``;
+  with per-member state: store handles, robots cache, token buckets —
+  constructed once in ``__init__``.  Member 0 runs in the driver
+  process and members 1… are Ray actors, so a pool of n members
+  starts n−1 worker processes and a crawl of small waves starts none;
 * the per-host politeness token bucket (virtual time: one wave = one
   refill period) — the authoritative budget is enforced at wave
   selection (host affinity there is total); the in-actor bucket is a
@@ -20,8 +22,10 @@ store* lookup.  What is real and load-bearing:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+from types import SimpleNamespace
 
 # orjson fast path with stdlib-exact fallback for big-int/NaN bodies
 # (orjson silently floats >64-bit ints and rejects NaN/Infinity)
@@ -312,13 +316,14 @@ class HttpTransport:
 
 
 class FetchActor:
-    """One ``FetchPool`` actor: frontier urls → fetched pages (a
-    ``__call__`` per wave on this actor's url-hash share), with record
-    extraction FUSED into the same actor when
+    """One ``FetchPool`` member: frontier urls → fetched pages (a
+    ``__call__`` per wave on this member's url-hash share), with record
+    extraction FUSED into the same member when
     ``records_dir`` is set (operator fusion: the page body is parsed
     where it was fetched and never crosses the object store — a
     separate extract fan-out would leave the fetch pool's cores idle
-    and ship gigabytes of html per wave).
+    and ship gigabytes of html per wave).  Member 0 is an instance in
+    the driver process (``DriverMember``); the others are Ray actors.
 
     Input: the wave's url and host lists, plus the wave number.
     Output: per url, in input order, ``status`` (ok | missing |
@@ -328,9 +333,9 @@ class FetchActor:
     worker import Ray's Arrow serializer chain (``ray.data`` and pandas
     through it), which costs more CPU than a small wave's fetch.
 
-    The actor also hosts URL-seen cuckoo shards (``seen_*`` methods,
+    The member also hosts URL-seen cuckoo shards (``seen_*`` methods,
     driven by ``stages.seen.ShardedSeenSet``): the seen test runs in
-    the long-lived actors that own the url-hash partitions, so the
+    the long-lived members that own the url-hash partitions, so the
     seen set needs no processes of its own.
     """
 
@@ -505,8 +510,56 @@ class FetchActor:
         }
 
 
+@functools.cache
+def _remote_fetch_actor():
+    """The Ray actor class of ``FetchActor``, made once per process:
+    Ray exports a class to each new cluster and job on its first
+    ``.remote()``, so one class serves every pool, and a crawl does not
+    pay the export (0.05 s of driver CPU) again."""
+    import ray
+
+    return ray.remote(num_cpus=1)(FetchActor)
+
+
+class Done:
+    """A ``DriverMember`` call's result, in place of the ObjectRef a Ray
+    actor's call returns."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+def gather(refs: list) -> list:
+    """``ray.get(refs)`` for a list that may mix ``DriverMember``
+    results (``Done``) with ObjectRefs of the pool's Ray actors, in
+    list order."""
+    import ray
+
+    remote = iter(ray.get([r for r in refs if not isinstance(r, Done)]))
+    return [r.value if isinstance(r, Done) else next(remote) for r in refs]
+
+
+class DriverMember:
+    """Member 0 of a ``FetchPool``: a ``FetchActor`` in the driver
+    process behind the actor-handle protocol the pool and
+    ``ShardedSeenSet`` use.  ``member.method.remote(...)`` runs the
+    method here, at once, and returns its result as a ``Done``, which
+    ``gather`` reads next to the actors' ObjectRefs (a ``ray.put``
+    instead would cost the raylet ~1 ms of CPU per call); an error
+    raises from ``.remote`` itself."""
+
+    def __init__(self, actor: FetchActor):
+        self.actor = actor
+
+    def __getattr__(self, name: str):
+        method = getattr(self.actor, name)
+        return SimpleNamespace(remote=lambda *a, **kw: Done(method(*a, **kw)))
+
+
 class FetchPool:
-    """A persistent, elastic pool of fetch actors reused across waves.
+    """A persistent, elastic pool of fetch members reused across waves.
 
     A fresh ``map_batches`` actor pool per wave pays actor startup and
     loses the per-actor bucket/robots caches every wave; this pool is
@@ -514,13 +567,15 @@ class FetchPool:
     politeness buckets and caches live for the whole crawl — matching
     the reference's long-lived ``requests.Session`` (T1).
 
-    Actors start on demand, like Ray Data's autoscaling
+    Members start on demand, like Ray Data's autoscaling
     ``ActorPoolStrategy(min_size, max_size=n_actors)``: the pool
-    starts none, and ``grow`` adds actors, never past ``n_actors``,
+    starts none, and ``grow`` adds members, never past ``n_actors``,
     when a wave needs them (the crawl's first wave starts all it needs
-    at once); it never shrinks.  Each actor costs a process spawn plus
-    its first call's imports, so a crawl of small (politeness-capped)
-    waves runs on one."""
+    at once); it never shrinks.  Member 0 is a ``DriverMember``, the
+    driver itself; each later member is a Ray actor and costs a worker
+    process spawn plus its imports, so a pool of n members starts n−1
+    actors, and a crawl of small (politeness-capped) waves starts
+    none."""
 
     def __init__(self, store_dir: str, n_buckets: int = DEFAULT_STORE_BUCKETS,
                  n_actors: int = 4, records_dir: str | None = None,
@@ -528,19 +583,22 @@ class FetchPool:
                  per_host_rate: int = 10**9,
                  max_retries: int = 3,
                  robots_ttl_waves: int | None = None):
-        import ray
-
         self.n_buckets = n_buckets
-        self.n_actors = n_actors  # the maximum; ``actors`` are the live ones
-        self._remote_cls = ray.remote(num_cpus=1)(FetchActor)
+        self.n_actors = n_actors  # the maximum; ``actors`` are the live members
         self._actor_kwargs = dict(
             store_dir=store_dir, n_buckets=n_buckets,
             records_dir=records_dir, current_year=current_year,
             per_host_rate=per_host_rate, max_retries=max_retries,
             robots_ttl_waves=robots_ttl_waves,
-            cap_arrow_threads=True,  # dedicated actor process
         )
-        self.actors: list = []
+        self.actors: list = []  # actors[0] is the DriverMember
+
+    def _start(self, i: int):
+        if i == 0:
+            # Arrow's thread caps are process-wide: the driver keeps its own
+            return DriverMember(FetchActor(actor_id=0, **self._actor_kwargs))
+        return _remote_fetch_actor().remote(
+            actor_id=i, cap_arrow_threads=True, **self._actor_kwargs)
 
     def _buckets(self, i: int, n_live: int) -> list[int]:
         # bucket-affinity dispatch: actor i owns buckets ≡ i (mod
@@ -552,46 +610,45 @@ class FetchPool:
         return list(range(i, self.n_buckets, n_live))
 
     def grow(self, n: int) -> bool:
-        """Start actors, in parallel, until ``min(n, n_actors)`` are
-        live, and block until they are up; every actor then caches only
-        its new bucket share.  Returns whether the pool grew."""
-        import ray
-
+        """Start members until ``min(n, n_actors)`` are live (the Ray
+        actors in parallel), and block until they are up; every member
+        then caches only its new bucket share.  Returns whether the
+        pool grew."""
         n = min(n, self.n_actors)
         n_old = len(self.actors)
         if n <= n_old:
             return False
         # handles are kept before the wait, so shutdown() also kills
         # an actor whose start failed
-        self.actors.extend(self._remote_cls.remote(actor_id=i, **self._actor_kwargs)
-                           for i in range(n_old, n))
+        self.actors.extend(self._start(i) for i in range(n_old, n))
         # also the wait: a new actor answers once it is up
-        ray.get([a.keep_buckets.remote(self._buckets(i, n))
-                 for i, a in enumerate(self.actors)])
+        gather([a.keep_buckets.remote(self._buckets(i, n))
+                for i, a in enumerate(self.actors)])
         return True
 
     def fetch(self, wave_tbl: pa.Table, wave: int) -> pa.Table:
         """Fetch one wave's frontier rows → url, host, status, links
         (+ html when extraction is not fused), seed, depth.  A row goes
-        to actor ``url_key % n_buckets % len(actors)`` (its page-store
+        to member ``url_key % n_buckets % len(actors)`` (its page-store
         bucket's owner) as url and host lists; the output is
-        actor-major (actor 0's rows in input order, then actor 1's,
+        member-major (member 0's rows in input order, then member 1's,
         ...), so callers match rows by url."""
-        import ray
-
         table = wave_tbl.select(["url", "host", "seed", "depth"])
-        parts, futures = [], []
+        parts, members = [], []
         if table.num_rows:
             n_live = np.uint64(len(self.actors))
             owner = wave_tbl["url_key"].to_numpy() % np.uint64(self.n_buckets) % n_live
             for i, actor in enumerate(self.actors):
                 idx = np.nonzero(owner == i)[0]
                 if len(idx):
-                    part = table.take(pa.array(idx))
-                    parts.append(part)
-                    futures.append(actor.__call__.remote(
-                        part["url"].to_pylist(), part["host"].to_pylist(), wave))
-        replies = ray.get(futures)
+                    parts.append(table.take(pa.array(idx)))
+                    members.append(actor)
+        # submitted last member first: the actors' calls are in flight
+        # while member 0 runs its share here, in the driver
+        futures = [actor.__call__.remote(part["url"].to_pylist(),
+                                         part["host"].to_pylist(), wave)
+                   for actor, part in zip(members[::-1], parts[::-1])][::-1]
+        replies = gather(futures)
         rows = pa.concat_tables(parts) if parts else table
 
         def column(name, typ):
@@ -606,20 +663,19 @@ class FetchPool:
         return pa.table(out)
 
     def stats(self) -> dict[str, int]:
-        """Merged (summed) lifetime counters of every actor in the pool
-        — the queryable T8 metrics surface."""
-        import ray
-
+        """Merged (summed) lifetime counters of every member of the
+        pool — the queryable T8 metrics surface."""
         merged: dict[str, int] = {}
-        for s in ray.get([a.stats.remote() for a in self.actors]):
+        for s in gather([a.stats.remote() for a in self.actors]):
             for k, v in s.items():
                 merged[k] = merged.get(k, 0) + int(v)
         return merged
 
     def shutdown(self):
-        """Kill every actor the pool started."""
+        """Kill every actor the pool started (member 0, the driver,
+        is dropped)."""
         import ray
 
-        for a in self.actors:
+        for a in self.actors[1:]:
             ray.kill(a)
         self.actors = []

@@ -1,13 +1,14 @@
-"""Sharded URL-seen set: cuckoo-filter shards hosted in the fetch actors.
+"""Sharded URL-seen set: cuckoo-filter shards hosted in the fetch pool.
 
 A shared mutable index is the one piece the Dataset API cannot
-express (SURVEY.md §7.4), so the shards live in long-lived Ray actors
-— the crawl's fetch pool, whose url-hash-partitioned actors already
-run for the whole crawl.  Shard ``s`` is a plain ``CuckooFilter`` on
-``hosts[s % len(hosts)]`` (the Mercator layout: the URL-seen test runs
-at the node that owns the URL's partition), so the seen set costs no
-processes of its own.  Everything talks to the shards in *batched,
-vectorized* calls: one call per host actor per operation, carrying
+express (SURVEY.md §7.4), so the shards live in long-lived members of
+the crawl's fetch pool, whose url-hash-partitioned members (the
+driver, then Ray actors) already run for the whole crawl.  Shard
+``s`` is a plain ``CuckooFilter`` on ``hosts[s % len(hosts)]`` (the
+Mercator layout: the URL-seen test runs at the node that owns the
+URL's partition), so the seen set costs no processes of its own.
+Everything talks to the shards in *batched, vectorized* calls: one
+call per host member per operation, carrying
 ``{shard_id: keys}``.  Shard count is fixed at creation and does not
 depend on the host count (resharding = rebuild).  The shards start
 with their hosts, and when the fetch pool grows, ``rehost`` moves each
@@ -32,8 +33,8 @@ Scale path: shard count ≈ cluster cores; each shard holds
 from __future__ import annotations
 
 import numpy as np
-import ray
 
+from crawler_tjce_ray.stages.fetch import gather
 from crawler_tjce_ray.state.cuckoo import CuckooFilter
 
 # key-log header: int64 (n_shards, log2_buckets, n_checked, n_removed)
@@ -42,10 +43,11 @@ _LOG_HEADER = 32
 
 class ShardedSeenSet:
     """Driver-side handle over K seen-set shards spread over the host
-    actors (any actor exposing the ``seen_*`` methods of
-    ``stages.fetch.FetchActor``), placed by ``rehost``.  The hosts'
-    owner (``FetchPool``) owns their processes; this handle never
-    kills them."""
+    members (a Ray actor or a ``stages.fetch.DriverMember`` exposing
+    the ``seen_*`` methods of ``stages.fetch.FetchActor``; replies are
+    read with ``stages.fetch.gather``), placed by ``rehost``.  The
+    hosts' owner (``FetchPool``) owns their processes; this handle
+    never kills them."""
 
     def __init__(self, n_shards: int, log2_buckets: int):
         self.n_shards = n_shards
@@ -68,19 +70,19 @@ class ShardedSeenSet:
         n_old, n_new = len(self.hosts), len(hosts)
         old, self.hosts = self.hosts, list(hosts)
         if not n_old:
-            ray.get([h.seen_init.remote(ids, self.log2_buckets)
-                     for h, ids in self._host_shards().items()])
+            gather([h.seen_init.remote(ids, self.log2_buckets)
+                    for h, ids in self._host_shards().items()])
             return
         sources: dict = {}  # old host → the shards it hands over
         for s in range(self.n_shards):
             if s % n_old != s % n_new:
                 sources.setdefault(old[s % n_old], []).append(s)
         targets: dict = {}  # new host → {shard: bytes} it takes over
-        for part in ray.get([h.seen_to_bytes.remote(ids) for h, ids in sources.items()]):
+        for part in gather([h.seen_to_bytes.remote(ids) for h, ids in sources.items()]):
             for s, blob in part.items():
                 targets.setdefault(self.hosts[s % n_new], {})[s] = blob
-        ray.get([h.seen_load_bytes.remote(targets.get(h, {}), sources.get(h, []))
-                 for h in dict.fromkeys([*sources, *targets])])
+        gather([h.seen_load_bytes.remote(targets.get(h, {}), sources.get(h, []))
+                for h in dict.fromkeys([*sources, *targets])])
 
     def _host_shards(self) -> dict:
         """host actor → its shard ids (shard s on hosts[s % n_hosts])."""
@@ -117,7 +119,7 @@ class ShardedSeenSet:
         out = np.zeros(len(keys), dtype=bool)
         if keys.size:
             parts = self._scatter(keys)
-            masks = ray.get([
+            masks = gather([
                 h.seen_check_and_add.remote({s: keys[i] for s, i in rows.items()})
                 for h, rows in parts.items()
             ])
@@ -134,7 +136,7 @@ class ShardedSeenSet:
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return 0
-        removed = sum(ray.get([
+        removed = sum(gather([
             h.seen_remove.remote({s: keys[i] for s, i in rows.items()})
             for h, rows in self._scatter(keys).items()
         ]))
@@ -182,7 +184,7 @@ class ShardedSeenSet:
         """Every shard's bytes in shard order (a snapshot); the key log
         restarts from here."""
         merged: dict = {}
-        for part in ray.get([h.seen_to_bytes.remote() for h in self._host_shards()]):
+        for part in gather([h.seen_to_bytes.remote() for h in self._host_shards()]):
             merged.update(part)
         self.log_bytes = 0
         return [merged[s] for s in range(self.n_shards)]
@@ -193,7 +195,7 @@ class ShardedSeenSet:
         headers = [CuckooFilter.blob_header(b) for b in blobs]
         if any(log2 != self.log2_buckets for log2, _ in headers):
             raise ValueError(f"shard blobs are not 2^{self.log2_buckets} buckets")
-        ray.get([
+        gather([
             h.seen_load_bytes.remote({s: blobs[s] for s in ids})
             for h, ids in self._host_shards().items()
         ])

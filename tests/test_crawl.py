@@ -234,8 +234,9 @@ class TestCrawl:
         a crawl cut on 2 fetch actors and resumed on 1 reproduces the
         uninterrupted trace and the same final shard blobs.  Each crawl
         starts only the fetch actors its waves ask for (one per
-        fetch_batch_size selected urls, up to n_fetch), and none
-        outlives run_crawl."""
+        fetch_batch_size selected urls, up to n_fetch), member 0 in
+        the driver and the others as Ray actors, and none outlives
+        run_crawl."""
         pages, _ = corpus
         workdir_full = str(tmp_path / "full")
         full = self._run(corpus, workdir_full)
@@ -262,8 +263,9 @@ class TestCrawl:
         max_selected = max(m["selected"] for m in cut.metrics)
         n_cut = min(2, -(-max_selected // 4))
         assert n_cut == 2
-        assert _actor_classes(cut_actors) == ["FetchActor"] * n_cut
-        assert _actor_classes(resume_actors) == ["FetchActor"]
+        # member 0 is the driver: a pool of n members starts n - 1 actors
+        assert _actor_classes(cut_actors) == ["FetchActor"] * (n_cut - 1)
+        assert _actor_classes(resume_actors) == []
         _assert_all_dead(cut_actors | resume_actors)
 
     def test_seen_overflow_fails_wave_and_frees_actors(self, corpus, tmp_path):
@@ -346,14 +348,15 @@ class TestCrawl:
         assert sum(CuckooFilter.blob_header(b)[1] for b in final) == r.metrics[-1]["seen_total"]
 
     def test_pool_grows_mid_crawl(self, corpus, tmp_path):
-        """The fetch pool starts one actor at the first wave (3 urls)
-        and grows to fetch_concurrency at the first wave that selects
-        more than fetch_batch_size urls, moving the seen shards whose
-        host changed.  The trace, the record rows and the final seen blobs
-        equal a one-actor crawl's, and a crawl cut after the growth
-        wave and resumed reproduces the uninterrupted trace, record
-        rows and pool sizes; its first wave reports the pool's restart
-        as t_pool_grow."""
+        """The fetch pool starts one member, the driver, at the first
+        wave (3 urls) and grows to fetch_concurrency at the first wave
+        that selects more than fetch_batch_size urls, starting one Ray
+        actor and moving the seen shards whose host changed.  The
+        trace, the record rows and the final seen blobs equal a
+        one-member crawl's, which starts no Ray actor, and a crawl cut
+        after the growth wave and resumed reproduces the uninterrupted
+        trace, record rows and pool sizes; its first wave reports the
+        pool's restart as t_pool_grow."""
         pages, _ = corpus
 
         def cfg(**kw):
@@ -362,12 +365,13 @@ class TestCrawl:
                         fetch_concurrency=2, fetch_batch_size=4)
             return CrawlConfig(**{**base, **kw})
 
-        one = run_crawl(pages, str(tmp_path / "one"), config=cfg(fetch_concurrency=1))
         before = _actor_ids()
+        one = run_crawl(pages, str(tmp_path / "one"), config=cfg(fetch_concurrency=1))
+        assert _actor_ids() == before  # its one member is the driver
         grown = run_crawl(pages, str(tmp_path / "grown"), config=cfg())
         actors = _actor_ids() - before
         _assert_all_dead(actors)
-        assert _actor_classes(actors) == ["FetchActor"] * 2
+        assert _actor_classes(actors) == ["FetchActor"]
 
         sizes = [m["fetch_actors"] for m in grown.metrics]
         first = next(i for i, m in enumerate(grown.metrics) if m["selected"] > 4)
@@ -453,7 +457,7 @@ class TestCrawl:
         with pytest.raises(ray.exceptions.RayActorError, match="ZeroDivisionError"):
             run_crawl(pages, workdir, config=cfg)
         actors = _actor_ids() - before
-        assert _actor_classes(actors) == ["FetchActor"] * 2
+        assert _actor_classes(actors) == ["FetchActor"]  # member 1; member 0 is the driver
         _assert_all_dead(actors)
         done = crawl._completed_waves(workdir)
         assert done and all(crawl._read_metrics(workdir, w)["fetch_actors"] == 1 for w in done)

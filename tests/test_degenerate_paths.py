@@ -2,8 +2,9 @@
 no-converter quantiles, event streams with no funnel event or n-gram,
 empty documents source, the 32-bit pair-packing guards, and whole
 oracle sweeps over degenerate copies of sf0.01 (one line per order, a
-wordless corpus) — each is a path the sf testdata never exercises,
-pinned here so the engine and oracle agree on the edge too."""
+wordless corpus, the first 5 rows of every table) — each is a path the
+sf testdata never exercises, pinned here so the engine and oracle
+agree on the edge too."""
 
 import importlib
 import math
@@ -236,15 +237,21 @@ def _degenerate(tmp_path_factory, table: str, derive) -> str:
 def _assert_oracle_equal(sf_dir: str, mod: str, name: str) -> None:
     """The query equals its DuckDB oracle on ``sf_dir`` under the
     strict string compare (sorted columns and rows, ``str`` values)."""
+    m = importlib.import_module(f"crawler_tjce_ray.pipelines.{mod}")
+    _assert_equal(sf_dir, m.QUERIES[name], m.ORACLE_SQL[name])
+
+
+def _assert_equal(sf_dir: str, query, sql: str) -> None:
     import duckdb
 
-    m = importlib.import_module(f"crawler_tjce_ray.pipelines.{mod}")
-    got = m.QUERIES[name](sf_dir)
+    got = query(sf_dir)
+    if hasattr(got, "to_pandas"):  # a registry query may return a Dataset
+        got = got.to_pandas()
     con = duckdb.connect()
     for f in os.listdir(sf_dir):
         con.execute(f"CREATE VIEW {f[:-len('.parquet')]} AS SELECT * FROM "
                     f"read_parquet('{sf_dir}/{f}')")
-    want = con.execute(m.ORACLE_SQL[name]).df()
+    want = con.execute(sql).df()
 
     def strict(df):
         df = df[sorted(df.columns)].astype(str)
@@ -300,3 +307,42 @@ def test_wordless_corpus(wordless_corpus, mod, name):
     driver reads its partials through ``exchange.to_pandas`` and must
     return the oracle's zero rows and empty tables."""
     _assert_oracle_equal(wordless_corpus, mod, name)
+
+
+def _oracle_queries():
+    from crawler_tjce_ray.pipelines import registry
+
+    queries = registry.build_queries()
+    return sorted(n for n in registry.build_oracle_sql() if n in queries)
+
+
+# a typed error each of these documents for k > n (k-means k=8 over 5 vectors)
+K_OVER_N = {"kmeans_embeddings", "semdedup"}
+
+
+@pytest.fixture(scope="module")
+def five_rows(tmp_path_factory):
+    """sf0.01 cut to the first 5 rows of every table, written with
+    pyarrow: most joins match nothing, most exchanges form no group."""
+    d = tmp_path_factory.mktemp("five_rows")
+    for f in os.listdir(SF):
+        if f.endswith(".parquet"):
+            pq.write_table(pq.read_table(f"{SF}/{f}").slice(0, 5), str(d / f))
+    return str(d)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("name", _oracle_queries())
+def test_five_rows_per_table(five_rows, name):
+    """Every oracle-backed query on 5-row tables equals its oracle
+    under the strict string compare; the driver reads partials that
+    can all be empty through ``exchange.to_pandas``.  The k-means
+    queries raise their typed k > n error instead."""
+    from crawler_tjce_ray.pipelines import registry
+
+    query = registry.build_queries()[name]
+    if name in K_OVER_N:
+        with pytest.raises(ValueError, match="exceeds the 5 embeddings"):
+            query(five_rows)
+        return
+    _assert_equal(five_rows, query, registry.build_oracle_sql()[name])

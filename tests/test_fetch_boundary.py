@@ -10,7 +10,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from crawler_tjce_ray.stages.fetch import FetchPool, build_page_store
+from crawler_tjce_ray.stages.fetch import DEFAULT_STORE_BUCKETS, FetchPool, build_page_store
 from crawler_tjce_ray.state.frontier import host_of, url_sha1_64
 
 MISSING = "https://example.invalid/powerbi/precatorios/none/page/0"
@@ -37,19 +37,23 @@ def _wave(urls):
 
 
 def _fetch_one_wave(store, urls, records_dir):
-    """One wave on a pool grown to one actor → (output, whether the
-    actor process imported ``ray.data``)."""
+    """One wave on a pool grown to two members (member 0 is the driver,
+    member 1 a Ray actor, each fetching some of ``urls``) → (output rows
+    by url, output column names, whether the actor process imported
+    ``ray.data``)."""
     import ray
 
-    pool = FetchPool(store, n_actors=1, records_dir=records_dir)
+    pool = FetchPool(store, n_actors=2, records_dir=records_dir)
     try:
-        pool.grow(1)
+        pool.grow(2)
         out = pool.fetch(_wave(urls), 0)
-        imported = ray.get(pool.actors[0].__ray_call__.remote(
+        imported = ray.get(pool.actors[1].__ray_call__.remote(
             lambda self: "ray.data" in sys.modules))
     finally:
         pool.shutdown()
-    return out, imported
+    assert {url_sha1_64(u) % DEFAULT_STORE_BUCKETS % 2 for u in urls} == {0, 1}
+    assert out.num_rows == len(urls)  # member-major: index it by url
+    return {r["url"]: r for r in out.to_pylist()}, out.column_names, imported
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -58,22 +62,21 @@ class TestFetchActorBoundary:
         store, bodies = corpus
         urls = [*bodies, MISSING]
         records = str(tmp_path / "records")
-        out, imported = _fetch_one_wave(store, urls, records)
+        rows, columns, imported = _fetch_one_wave(store, urls, records)
         assert imported is False
-        assert out.column_names == ["url", "host", "status", "links", "seed", "depth"]
-        assert out["url"].to_pylist() == urls  # one actor: input order
-        assert out["status"].to_pylist() == ["ok"] * len(bodies) + ["missing"]
-        assert out["seed"].to_pylist() == urls
-        assert out["depth"].to_pylist() == list(range(len(urls)))
-        assert all(out["links"].to_pylist()[:-1])
-        assert os.listdir(records)  # extraction ran in the actor
+        assert columns == ["url", "host", "status", "links", "seed", "depth"]
+        assert sorted(rows) == sorted(urls)
+        assert [rows[u]["status"] for u in urls] == ["ok"] * len(bodies) + ["missing"]
+        assert [rows[u]["seed"] for u in urls] == urls
+        assert [rows[u]["depth"] for u in urls] == list(range(len(urls)))
+        assert all(rows[u]["links"] for u in bodies)
+        assert os.listdir(records)  # extraction ran in the pool
 
     def test_unfused_wave_returns_html(self, corpus):
         store, bodies = corpus
         urls = [*bodies, MISSING]
-        out, imported = _fetch_one_wave(store, urls, None)
+        rows, columns, imported = _fetch_one_wave(store, urls, None)
         assert imported is False
-        assert out.column_names == ["url", "host", "status", "links", "html",
-                                    "seed", "depth"]
-        assert out["html"].to_pylist() == [*bodies.values(), None]
-        assert out["status"].to_pylist()[-1] == "missing"
+        assert columns == ["url", "host", "status", "links", "html", "seed", "depth"]
+        assert [rows[u]["html"] for u in urls] == [*bodies.values(), None]
+        assert rows[MISSING]["status"] == "missing"

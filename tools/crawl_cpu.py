@@ -9,7 +9,10 @@ every process below it (gcs_server, raylet, Ray workers and actors)
 every 30 ms.  Prints one row per process: the CPU seconds it used
 during the measured crawl, whether it started or exited during it,
 and its role (``driver``, ``FetchActor``, ``raylet``, ``gcs_server``,
-the Ray task it last ran, ...), then the total per role.
+the Ray task it last ran, ...), then the fetch pool's member count and
+the Ray actors the crawl started, then the total per role.  The fetch
+pool's member 0 runs in the driver, so its share is in the driver's
+row; only members 1… are ``FetchActor`` processes.
 
     python tools/crawl_cpu.py                 # perfbench's corpus cache
     python tools/crawl_cpu.py --cache DIR     # corpus and workdir in DIR
@@ -162,11 +165,15 @@ def main(argv: list[str] | None = None) -> int:
     crawls = load_crawls()
     prep = crawls.prepare(WORKLOAD, SEED, args.cache)
     crawls.one_crawl(prep)  # warm-up
+    # the GCS actor table (ray.util.state needs the dashboard)
+    actors_before = set(ray._private.state.actors())
     t0 = time.perf_counter()
     with Sampler(INTERVAL) as sampler:
         res, _, _ = crawls.one_crawl(prep)
     wall = time.perf_counter() - t0
     error = crawls.check_crawl(res, prep)
+    table = ray._private.state.actors()
+    started = sorted(table[a]["ActorClassName"] for a in set(table) - actors_before)
     ray.shutdown()
 
     rows = sampler.rows()
@@ -177,10 +184,11 @@ def main(argv: list[str] | None = None) -> int:
     summary = {
         "wall_s": round(wall, 3), "pages_ok": ok, "waves": res.waves_run,
         "error": error,
-        # the live pool size each wave's metrics report (None on a
-        # tree whose pool starts every actor up front)
-        "fetch_actors": max((m.get("fetch_actors") or 0 for m in res.metrics),
+        # the pool's largest member count over the waves' metrics
+        # (None on a tree whose pool starts every actor up front)
+        "pool_members": max((m.get("fetch_actors") or 0 for m in res.metrics),
                             default=0) or None,
+        "ray_actors_started": started,
         "cpu_s": round(sum(r["cpu_s"] for r in rows), 3),
         "by_role": dict(sorted(by_role.items(), key=lambda kv: -kv[1])),
     }
@@ -193,7 +201,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{r['pid']:>8} {r['cpu_s']:>8.3f}  {'yes' if r['started'] else '-':>7}"
                   f" {'yes' if r['exited'] else '-':>6}  {r['role']}")
     print(f"\nwall {summary['wall_s']} s, {ok} ok pages in {res.waves_run} waves, "
-          f"pool size {summary['fetch_actors'] or 'not reported'}; "
+          f"{summary['pool_members'] or 'unreported'} pool members, "
+          f"Ray actors started: {', '.join(started) or 'none'}; "
           f"CPU {summary['cpu_s']} s in total; "
           f"{'crawl correct' if error is None else 'crawl WRONG: ' + error}")
     for name, cpu in summary["by_role"].items():
