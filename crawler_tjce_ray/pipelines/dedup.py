@@ -25,6 +25,9 @@ Scale design (100 TB):
   broadcast via ``ray.put`` and pair batches count intersections
   vectorized; above it two cogroup hops (by doc_a, then by doc_b)
   count them with no driver gram state.
+- SimHash near-dups and the image phash near-dups
+  (``stages/multimodal.phash_dedup_pairs``) share ONE banded-Hamming
+  pairs exchange, ``hamming_pairs``.
 - the all-pairs ``dedup_ngram_jaccard`` query is the verification
   kernel demonstrated on a full small table for the DuckDB oracle —
   at scale it only ever runs on LSH candidates.
@@ -891,11 +894,67 @@ def batch_simhash64(gram_lists: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def hamming_pairs(ds, ids: tuple[str, str, str], h: str, bands: int,
+                  nb_band: int, max_hamming: int) -> pd.DataFrame:
+    """Pairs of rows of ``ds`` whose 64-bit hashes (column ``h``, the
+    int64 bit-view) are within ``max_hamming`` bits, by pigeonhole
+    band blocking: with ``bands`` > ``max_hamming`` equal-width bands
+    every such pair shares ≥ 1 identical band.  The shuffle's combine
+    emits each row's ``bands`` (band, band key, id, hash) rows; the
+    bucket of a row is ``bb`` = band · ``nb_band`` + the band key's low
+    bits, which is below the fan-out ``bands · nb_band`` and so is the
+    exchange's bucket itself (equal keys always co-locate).  In-bucket:
+    self-merge on the band key, vectorized XOR-popcount verify.  The
+    id column is ``ids[0]``; the result's columns are ``ids[1]``,
+    ``ids[2]`` (id a < id b) and ``hamming``, one row per pair, sorted
+    by the ids."""
+    col, a, b = ids
+    width = 64 // bands
+
+    def banded(t: pa.Table) -> pa.Table:
+        sig = t[h].to_numpy(zero_copy_only=False).astype(np.int64) \
+            .view(np.uint64)
+        shifts = np.uint64(width) * np.arange(bands, dtype=np.uint64)
+        bkey = ((sig[:, None] >> shifts[None, :])
+                & np.uint64((1 << width) - 1)).reshape(-1).astype(np.int64)
+        band = np.tile(np.arange(bands, dtype=np.int64), len(sig))
+        return pa.table({
+            "bb": band * np.int64(nb_band) + (bkey & np.int64(nb_band - 1)),
+            "bkey": bkey,
+            "id": np.repeat(t[col].to_numpy(zero_copy_only=False)
+                            .astype(np.int64), bands),
+            "h": np.repeat(sig.view(np.int64), bands),
+        })
+
+    def band_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        m = g[["bkey", "id", "h"]].drop_duplicates("id")
+        j = m.merge(m, on="bkey", suffixes=("_a", "_b"))
+        j = j[j["id_a"] < j["id_b"]]
+        xor = np.bitwise_xor(j["h_a"].to_numpy(np.int64).view(np.uint64),
+                             j["h_b"].to_numpy(np.int64).view(np.uint64))
+        ham = np.unpackbits(xor.view(np.uint8).reshape(len(j), 8),
+                            axis=1).sum(axis=1)
+        keep = ham <= max_hamming
+        return pd.DataFrame({
+            a: j["id_a"].to_numpy(np.int64)[keep],
+            b: j["id_b"].to_numpy(np.int64)[keep],
+            "hamming": ham[keep].astype("int64"),
+        })
+
+    out = exchange.to_pandas(
+        exchange.shuffle(ds, "bb", bands * nb_band, band_pairs,
+                         combine=banded),
+        **{a: "int64", b: "int64", "hamming": "int64"})
+    out = out.drop_duplicates([a, b])
+    return out.sort_values([a, b]).reset_index(drop=True)
+
+
 def q_dedup_simhash(sf_dir: str):
-    """SimHash near-dup pairs (hamming ≤ 3) via 4×16-bit band blocking:
-    pigeonhole guarantees every qualifying pair shares ≥1 band, so the
-    only exchange is one shuffle on (band, 16-bit key bits).  Non-SQL →
-    rows-only; kernel pinned in tests/test_dedup_similarity.py."""
+    """SimHash near-dup pairs (hamming ≤ 3) via 4×16-bit band blocking
+    (``hamming_pairs``): pigeonhole guarantees every qualifying pair
+    shares ≥1 band, so the only exchange is one shuffle on (band,
+    16-bit key bits).  Non-SQL → rows-only; kernel pinned in
+    tests/test_dedup_similarity.py."""
     # signature rows are corpus-scale (SIMHASH_BANDS rows/doc): the
     # per-band groups sub-bucket on the 16-bit band key's low bits
     # (equal keys always co-locate); the size-derived value is the
@@ -903,59 +962,18 @@ def q_dedup_simhash(sf_dir: str):
     nb_band = exchange.band_subbuckets(_nb_docs(sf_dir), SIMHASH_BANDS)
     docs = _read_docs(sf_dir, ["doc_id", "text"])
 
-    def sigs(t: pa.Table) -> pd.DataFrame:
-        # fully vectorized: batch signatures + a (docs × bands) shift
-        # matrix for the band keys; sim64 keeps ALL 64 bits via an
-        # int64 reinterpret (bit 63 must participate in the hamming
-        # distance); Arrow batches — split kernel, no pandas text copy
-        gram_lists = batch_gram_hashes(t["text"])
-        h = batch_simhash64(gram_lists)
-        n = len(h)
-        shifts = (np.uint64(16) * np.arange(SIMHASH_BANDS, dtype=np.uint64))
-        bkeys = ((h[:, None] >> shifts[None, :]) & np.uint64(0xFFFF))
-        bk64 = bkeys.reshape(-1).astype(np.int64)
-        band_idx = np.tile(np.arange(SIMHASH_BANDS, dtype=np.int64), n)
-        return pd.DataFrame({
-            "bb": band_idx * np.int64(nb_band)
-            + (bk64 & np.int64(nb_band - 1)),
-            "bkey": bk64,
-            "doc_id": np.repeat(
-                t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
-                SIMHASH_BANDS),
-            "sim64": np.repeat(h.view(np.int64), SIMHASH_BANDS),
-        })
+    def sigs(t: pa.Table) -> pa.Table:
+        # batch signatures kept as their int64 bit-view (bit 63 must
+        # participate in the hamming distance); Arrow batches — split
+        # kernel, no pandas text copy
+        h = batch_simhash64(batch_gram_hashes(t["text"]))
+        return pa.table({"doc_id": pc.cast(t["doc_id"], pa.int64()),
+                         "sim64": h.view(np.int64)})
 
-    def band_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        """One (band, sub-bucket) group: bucket pair-gen via self-merge
-        on the 16-bit band key; hamming distance computed vectorized
-        (XOR → byte view → unpackbits popcount)."""
-        m = g[["bkey", "doc_id", "sim64"]].drop_duplicates("doc_id")
-        j = m.merge(m, on="bkey", suffixes=("_a", "_b"))
-        j = j[j["doc_id_a"] < j["doc_id_b"]]
-        if j.empty:
-            return pd.DataFrame(
-                {"doc_a": [], "doc_b": [], "hamming": []}
-            ).astype("int64")
-        xor = np.bitwise_xor(
-            j["sim64_a"].to_numpy(dtype=np.int64).view(np.uint64),
-            j["sim64_b"].to_numpy(dtype=np.int64).view(np.uint64),
-        )
-        ham = np.unpackbits(xor.view(np.uint8).reshape(len(j), 8), axis=1).sum(axis=1)
-        keep = ham <= SIMHASH_MAX_HAMMING
-        return pd.DataFrame({
-            "doc_a": j["doc_id_a"].to_numpy()[keep],
-            "doc_b": j["doc_id_b"].to_numpy()[keep],
-            "hamming": ham[keep].astype("int64"),
-        })
-
-    # bb < SIMHASH_BANDS·nb_band, so the exchange's bucket IS bb
-    out = exchange.to_pandas(exchange.shuffle(
-        docs.map_batches(sigs, batch_format="pyarrow"), "bb",
-        SIMHASH_BANDS * nb_band, band_pairs,
-    ), doc_a="int64", doc_b="int64", hamming="int64")
-    out = out.drop_duplicates(["doc_a", "doc_b"])
-    out = out.astype({"doc_a": "int64", "doc_b": "int64", "hamming": "int64"})
-    return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    return hamming_pairs(
+        docs.map_batches(sigs, batch_format="pyarrow"),
+        ("doc_id", "doc_a", "doc_b"), "sim64", SIMHASH_BANDS, nb_band,
+        SIMHASH_MAX_HAMMING)
 
 
 # ---------------------------------------------------------------------------

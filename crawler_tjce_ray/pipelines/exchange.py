@@ -76,17 +76,29 @@ Bucket keys (``kb_arrow``) follow the key column's type, so neither
 primitive takes a hashing parameter:
 
 * an integer key is ``key & (nb-1)`` after an int64 cast — user ids
-  (``retention``, ``rolling_unique_users``), shingle digest halves
-  ``k1`` (``ngram_novelty``, ``vocab_growth``, ``hapax_rate_by_source``)
-  and ``epoch_shuffle``'s range bucket, which is below ``nb`` and so
-  maps to itself (bucket order stays key order);
+  (``retention``, ``rolling_unique_users``, ``merge_intervals``,
+  ``attribution_first_touch``), customer keys (``first_last_order``,
+  ``dense_rank_topk``, ``customer_year_setops``), shingle digest
+  halves ``k1`` (``ngram_novelty``, ``vocab_growth``,
+  ``hapax_rate_by_source``), ``part_cooccurrence``'s packed pair
+  xor-folded onto its low half (both partkeys mix into the bucket),
+  ``purchase_id_islands``' range bucket ``event_id >> 10`` (a 1024-id
+  range stays whole, so runs split only at range borders), and the
+  band bucket ``bb`` of the banded Hamming pairs
+  (``dedup.hamming_pairs``: ``dedup_simhash`` and the phash image
+  dedup) and ``epoch_shuffle``'s range bucket, both below ``nb`` and
+  so mapped to themselves (bucket order stays key order);
 * a uint64 key (a 64-bit digest) masks its own low bits — no int64
   cast, which overflows at ≥ 2^63 — as ``curation_pipeline``'s md5
   prefix does (an int64 view of a digest, like ``dup_ngram_docs``'
   window hash, gets the same low bits from the integer rule);
 * a string key is its process-stable siphash masked to ``nb``, the
   same function as ``kb_words`` — the word and token keys of the
-  bigram, vocabulary and top-term exchanges.
+  bigram, vocabulary and top-term exchanges, ``top_paths``' path, and
+  ``fuzzy_name_pairs``' name, deletion key and pair key
+  ``name_a + "\\x00" + name_b`` (for a power-of-two ``nb`` the mask is
+  the ``% nb`` those hops used before, so every row keeps its
+  bucket).
 
 Driver read.  ``to_pandas(ds, **dtypes)`` is the one read of an
 exchange's or a map's partials on the driver.  Ray's ``to_pandas`` of

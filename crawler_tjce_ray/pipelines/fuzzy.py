@@ -14,11 +14,12 @@ Scale design (10⁹ distinct names):
   pair with ``levenshtein(a, b) <= 1`` and ``a != b``, ``K(a) ∩ K(b)``
   is non-empty (a substitution shares the deletion at the differing
   position; an insertion makes the shorter name itself a deletion of
-  the longer one), so ONE ``groupby(key)`` shuffle of O(n · len) small
-  rows co-locates every true match — no O(n²) pass anywhere.
-- **Candidate dedup**: a pair can share several keys; a second tiny
-  ``groupby(name_a, name_b)`` collapses duplicates before
-  verification.
+  the longer one), so ONE ``exchange.shuffle`` on the key, of
+  O(n · len) small rows, co-locates every true match — no O(n²) pass
+  anywhere.
+- **Candidate dedup**: a pair can share several keys; a second
+  shuffle on the pair key ``name_a + "\\x00" + name_b`` collapses
+  duplicates before verification.
 - **Verification** is vectorized per (len_a, len_b) class with NumPy
   byte matrices (mismatch counting for equal lengths, the
   first-mismatch/suffix-shift trick for length-±1), because a shared
@@ -35,6 +36,8 @@ import itertools
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 MAX_EDIT = 1  # del1 neighborhood ⇔ levenshtein <= 1
 
@@ -181,16 +184,6 @@ def _verify_pairs(df: pd.DataFrame) -> pd.DataFrame:
     return out
 
 
-def _hash_bucket(s: pd.Series, nb: int) -> pd.Series:
-    """Deterministic ``nb``-way bucket of a string column (pandas
-    hash_array uses a fixed hash key, so buckets are stable across
-    processes/rounds).  ``nb`` is size-derived by the caller — names,
-    deletion keys and candidate pairs all grow with the corpus, so
-    these exchanges are row-carrying."""
-    h = pd.util.hash_array(s.to_numpy(dtype=object))
-    return pd.Series((h % nb).astype("int64"), index=s.index)
-
-
 def _pairs_in_key_bucket(g: pd.DataFrame) -> pd.DataFrame:
     """Candidate pairs within one coarse key bucket: pandas groupby on
     the exact deletion key, pair loop per key group (alphabet-bounded,
@@ -207,63 +200,33 @@ def q_fuzzy_name_pairs(sf_dir: str):
     distance 1 (deletion-neighborhood blocked self-join; see module
     doc for the 10⁹-name plan).
 
-    Every shuffle here is a coarse size-derived hash exchange with
-    exact in-bucket pandas work — names, deletion keys and candidate pairs
-    all have cardinality that grows with the data, and Ray 2.49's
-    sort-based groupby degenerates on high-cardinality keys (measured
-    68 s for 116k keys at sf0.01; the part_cooccurrence recipe).  A
-    name / key / pair lands in exactly one bucket, so in-bucket dedup
-    and pairing are globally exact."""
+    Every hop is a string-keyed ``exchange.shuffle`` over a coarse
+    size-derived fan-out with exact in-bucket pandas work — names,
+    deletion keys and candidate pairs all have cardinality that grows
+    with the data, and Ray 2.49's sort-based groupby degenerates on
+    high-cardinality keys (measured 68 s for 116k keys at sf0.01; the
+    part_cooccurrence recipe).  A name / key / pair lands in exactly
+    one bucket, so in-bucket dedup and pairing are globally exact."""
     from crawler_tjce_ray.pipelines import exchange
 
-    nb_fan = exchange.buckets_for_bytes(
-        exchange.table_bytes(sf_dir, "customer"))
-    names = (
-        _read_names(sf_dir)
-        .map_batches(
-            lambda df: pd.DataFrame({"name": df["c_name"].unique()}),
-            batch_format="pandas",
-        )
-        .map_batches(
-            lambda df: df.assign(nb=_hash_bucket(df["name"], nb_fan)),
-            batch_format="pandas",
-        )
-        .groupby("nb")
-        .map_groups(
-            lambda g: g.drop_duplicates("name")[["name"]],
-            batch_format="pandas",
-        )
-    )
-    candidates = (
-        names.map_batches(_deletion_keys, batch_format="pandas")
-        .map_batches(
-            lambda df: df.assign(kb=_hash_bucket(df["key"], nb_fan)),
-            batch_format="pandas",
-        )
-        .groupby("kb")
-        .map_groups(_pairs_in_key_bucket, batch_format="pandas")
-    )
-    # a pair can surface from several deletion keys (hence several kb
-    # buckets): one more coarse exchange on the pair hash dedups
-    # globally, then verification runs in-bucket on the deduped set
-    out = (
-        candidates.map_batches(
-            lambda df: df.assign(
-                pb=_hash_bucket(df["name_a"].astype(object) + "\x00"
-                                + df["name_b"].astype(object), nb_fan)
-            ),
-            batch_format="pandas",
-        )
-        .groupby("pb")
-        .map_groups(
-            lambda g: _verify_pairs(
-                g.drop_duplicates(["name_a", "name_b"])[["name_a", "name_b"]]
-            ),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
-    out["dist"] = out["dist"].astype("int64")
+    nb = exchange.buckets_for_bytes(exchange.table_bytes(sf_dir, "customer"))
+    names = exchange.shuffle(
+        _read_names(sf_dir), "name", nb,
+        lambda g: g.drop_duplicates("name")[["name"]],
+        combine=lambda t: pa.table({"name": pc.unique(t["c_name"])}))
+    candidates = exchange.shuffle(
+        names.map_batches(_deletion_keys, batch_format="pandas"), "key", nb,
+        _pairs_in_key_bucket)
+    # a pair can surface from several deletion keys (hence several
+    # buckets): one more exchange keyed on the pair dedups globally,
+    # then verification runs in-bucket on the deduped set
+    out = exchange.to_pandas(exchange.shuffle(
+        candidates, "pair", nb,
+        lambda g: _verify_pairs(
+            g.drop_duplicates(["name_a", "name_b"])[["name_a", "name_b"]]),
+        combine=lambda t: t.append_column("pair", pc.binary_join_element_wise(
+            t["name_a"], t["name_b"], "\x00"))),
+        name_a=object, name_b=object, dist="int64")
     return out.sort_values(["name_a", "name_b"]).reset_index(drop=True)
 
 

@@ -8,10 +8,15 @@ small sides are broadcast (never shuffled), aggregates pre-combine
 per-batch where the key-space is small, and only provably small
 results are materialized.  A single-input exchange on an integer
 column is one ``exchange.shuffle`` call (optional Arrow combine + ``kb``
-tag in one map, then a pandas finalize per bucket); a two-sided join on
-an integer key is one ``exchange.cogroup`` call (each side projected
-and cast in Arrow, one pandas frame per side per bucket); the hops
-keyed by a hash or a range of a column tag by hand.
+tag in one map, then a pandas finalize per bucket), keyed on an integer
+column, a string (``top_paths``' path), a range bucket
+(``purchase_id_islands``) or a folded pair key (``part_cooccurrence``);
+a pandas per-batch partial runs as its own ``map_batches`` ahead of the
+shuffle (Ray fuses the two maps).  A two-sided join on an integer key
+is one ``exchange.cogroup`` call (each side projected and cast in
+Arrow, one pandas frame per side per bucket).  ``resequence`` and
+``stratified_sample`` keep ``groupby(key).map_groups``: each is a true
+per-key group over a key space too small to need buckets.
 """
 
 from __future__ import annotations
@@ -79,6 +84,20 @@ def _cents(x) -> pa.ChunkedArray:
     order-independent."""
     return pc.cast(pc.floor(pc.add(
         pc.multiply(x, pa.scalar(100.0)), pa.scalar(0.5))), pa.int64())
+
+
+def _priority_counts(parts: pd.DataFrame) -> pd.DataFrame:
+    """(o_orderpriority, n_orders) from (priority, n) partials, the
+    NULL priority kept as its own group, ascending."""
+    out = parts.groupby("priority", as_index=False, dropna=False)["n"].sum()
+    return (
+        pd.DataFrame({
+            "o_orderpriority": _str_col(out["priority"]),
+            "n_orders": out["n"].astype("int64"),
+        })
+        .sort_values("o_orderpriority")
+        .reset_index(drop=True)
+    )
 
 
 def _spend_partial(t: pa.Table) -> pa.Table:
@@ -579,7 +598,11 @@ def q_resequence(sf_dir: str):
     The shuffle groups by MONTH, not day: per-batch partial counts
     feed the month prefix-sums, and each month group ranks its rows in
     one vectorized sort — grouping by the 2400 distinct days would pay
-    per-group dispatch far exceeding the rank work."""
+    per-group dispatch far exceeding the rank work.  It stays a true
+    per-key ``groupby("month").map_groups`` rather than
+    ``exchange.shuffle``: ``rank_group`` reads its month's offset from
+    the group's one key, and the ~80 months are already as coarse as
+    buckets would be."""
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
 
     def with_month(t: pa.Table) -> pa.Table:
@@ -1262,12 +1285,15 @@ def q_purchase_id_islands(sf_dir: str):
     ("which id ranges are missing?").
 
     Range-partition recipe (hash would split runs): distinct matching
-    ids ride ONE shuffle on ``event_id >> 10`` range buckets — runs
-    are contiguous, so a bucket's interior islands are exact; only the
-    two boundary islands per bucket can continue into a neighbor, and
-    the driver's final fold stitches islands whose ends touch across
-    the sorted O(#islands) rows it already holds (result-bounded, no
+    ids ride ONE ``exchange.shuffle`` keyed on the ``event_id >> 10``
+    range bucket, so each 1024-id range lands whole in one bucket and a
+    bucket's interior islands are exact (two ranges sharing a bucket
+    are ``nb`` ranges apart, so no island spans them); only the two
+    boundary islands per range can continue into a neighbor, and the
+    driver's final fold stitches islands whose ends touch across the
+    sorted O(#islands) rows it already holds (result-bounded, no
     second pass)."""
+    nb = _nb_rows(sf_dir, "events")  # row-carrying exchange
     ds = _read(sf_dir, "events", ["event_id", "event_type"])
 
     def matching(t: pa.Table) -> pa.Table:
@@ -1279,20 +1305,13 @@ def q_purchase_id_islands(sf_dir: str):
 
     def islands(g: pd.DataFrame) -> pd.DataFrame:
         ids = np.unique(g["event_id"].to_numpy(np.int64))
-        if not len(ids):
-            return pd.DataFrame({
-                "start_id": pd.Series([], dtype="int64"),
-                "end_id": pd.Series([], dtype="int64"),
-            })
         brk = np.flatnonzero(np.diff(ids) > 1)
         starts = ids[np.r_[0, brk + 1]]
         ends = ids[np.r_[brk, len(ids) - 1]]
         return pd.DataFrame({"start_id": starts, "end_id": ends})
 
     parts = _ex.to_pandas(
-        ds.map_batches(matching, batch_format="pyarrow")
-        .groupby("rb")
-        .map_groups(islands, batch_format="pandas"),
+        _ex.shuffle(ds, "rb", nb, islands, combine=matching),
         start_id="int64", end_id="int64",
     ).sort_values("start_id").reset_index(drop=True)
     # stitch islands that touch across range-bucket borders
@@ -1370,15 +1389,20 @@ def q_session_stats(sf_dir: str):
     })
 
 
-SQL_SESSION_STATS = """
-WITH marked AS (
-  SELECT user_id, ts, event_id,
-         CASE WHEN lag(ts) OVER w IS NULL
+# the 30-minute session-start flag and the CTE that numbers sessions,
+# shared by the session oracles
+_SQL_NEW_SESS = """         CASE WHEN lag(ts) OVER w IS NULL
                    OR ts - lag(ts) OVER w > INTERVAL 30 MINUTE
               THEN 1 ELSE 0 END AS new_sess
   FROM events
   WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-), tagged AS (
+), tagged AS ("""
+
+
+SQL_SESSION_STATS = f"""
+WITH marked AS (
+  SELECT user_id, ts, event_id,
+{_SQL_NEW_SESS}
   SELECT user_id, ts,
          SUM(new_sess) OVER (PARTITION BY user_id ORDER BY ts, event_id
               ROWS UNBOUNDED PRECEDING) AS sid
@@ -1591,15 +1615,10 @@ def q_session_type_pairs(sf_dir: str):
     return out.sort_values(["type_a", "type_b"]).reset_index(drop=True)
 
 
-SQL_SESSION_TYPE_PAIRS = """
+SQL_SESSION_TYPE_PAIRS = f"""
 WITH marked AS (
   SELECT user_id, ts, event_id, event_type,
-         CASE WHEN lag(ts) OVER w IS NULL
-                   OR ts - lag(ts) OVER w > INTERVAL 30 MINUTE
-              THEN 1 ELSE 0 END AS new_sess
-  FROM events
-  WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-), tagged AS (
+{_SQL_NEW_SESS}
   SELECT user_id, event_type,
          SUM(new_sess) OVER (PARTITION BY user_id ORDER BY ts, event_id
               ROWS UNBOUNDED PRECEDING) AS sid
@@ -1775,10 +1794,11 @@ def q_top_paths(sf_dir: str):
     user's path; this asks which paths dominate).  Stage 1: the same
     user-bucket shuffle assembles each user's head-5 path and emits
     per-(bucket, path) partial counts.  Stage 2: path cardinality
-    grows with the data, so partials re-shuffle on md5(path)
-    buckets where counts finalize and each bucket keeps its local
-    top-{TOP_PATHS_K}; the driver merges ≤ 64·k candidate rows with a
-    (count desc, path) tie-break shared with the oracle."""
+    grows with the data, so partials re-shuffle on the path string
+    (``kb_arrow``'s string bucket) where counts finalize and each
+    bucket keeps its local top-{TOP_PATHS_K}; the driver merges
+    ≤ nb·k candidate rows with a (count desc, path) tie-break shared
+    with the oracle."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     nb = _nb_rows(sf_dir, "events")  # row-carrying exchange: size fan-out
@@ -1797,25 +1817,17 @@ def q_top_paths(sf_dir: str):
         c = pd.DataFrame({"path": journey.to_numpy(object)}) \
             .groupby("path", as_index=False).size() \
             .rename(columns={"size": "c"})
-        # vectorized keyed hash for the path bucket (strings
-        # still ride the shuffle — they ARE the output key)
-        c["pb"] = (pd.util.hash_array(
-            c["path"].to_numpy(object), hash_key="tjce-shingle-k1!",
-            categorize=False).view(np.int64) & np.int64(nb - 1)).astype("int64")
-        c["c"] = c["c"].astype("int64")
-        return c
+        return c.astype({"c": "int64"})
 
     def topk_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         sm = g.groupby("path", as_index=False)["c"].sum()
         return sm.sort_values(["c", "path"], ascending=[False, True],
                               kind="mergesort").head(TOP_PATHS_K)
 
-    cand = (
-        _ex.shuffle(ds, "user_id", nb, path_counts)
-        .groupby("pb")
-        .map_groups(topk_in_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    cand = _ex.to_pandas(
+        _ex.shuffle(_ex.shuffle(ds, "user_id", nb, path_counts),
+                    "path", nb, topk_in_bucket),
+        path=object, c="int64")
     top = cand.sort_values(["c", "path"], ascending=[False, True],
                            kind="mergesort").head(TOP_PATHS_K)
     return pd.DataFrame({
@@ -1916,14 +1928,19 @@ def q_region_year_revenue(sf_dir: str):
     return out.sort_values(["r_name", "order_year"]).reset_index(drop=True)
 
 
-SQL_REGION_YEAR_REVENUE = """
-SELECT r_name,
-       CAST(EXTRACT(year FROM o_orderdate) AS BIGINT) AS order_year,
+# revenue and line count per order year over lineitem ⋈ orders, shared
+# by the year-revenue rollups
+_SQL_YEAR_REVENUE = """       CAST(EXTRACT(year FROM o_orderdate) AS BIGINT) AS order_year,
        SUM(CAST(FLOOR(l_extendedprice * (1 - l_discount) * 100 + 0.5)
                 AS BIGINT)) / 100.0 AS revenue,
        CAST(COUNT(*) AS BIGINT) AS n_items
 FROM lineitem
-JOIN orders ON l_orderkey = o_orderkey
+JOIN orders ON l_orderkey = o_orderkey"""
+
+
+SQL_REGION_YEAR_REVENUE = f"""
+SELECT r_name,
+{_SQL_YEAR_REVENUE}
 JOIN supplier ON l_suppkey = s_suppkey
 JOIN nation ON s_nationkey = n_nationkey
 JOIN region ON n_regionkey = r_regionkey
@@ -2032,7 +2049,6 @@ def q_attribution_first_touch(sf_dir: str):
             .groupby("user_id").size()
         out = first.copy()
         out["pn"] = out["user_id"].map(pn).fillna(0).astype("int64")
-        out["kb"] = out["user_id"].to_numpy(np.int64) & np.int64(nb - 1)
         return out
 
     def attribute(g: pd.DataFrame) -> pd.DataFrame:
@@ -2045,9 +2061,8 @@ def q_attribution_first_touch(sf_dir: str):
         return out.astype({"n": "int64"})
 
     parts = _ex.to_pandas(
-        ds.map_batches(combine, batch_format="pandas")
-        .groupby("kb")
-        .map_groups(attribute, batch_format="pandas"),
+        _ex.shuffle(ds.map_batches(combine, batch_format="pandas"),
+                    "user_id", nb, attribute),
         channel=object, n="int64",
     ).groupby("channel", as_index=False)["n"].sum()
     tot = int(parts["n"].sum())
@@ -2939,26 +2954,10 @@ def q_token_histogram(sf_dir: str):
     pre-aggregation shape: each batch emits its own token counts (a
     combiner over the batch vocabulary), the driver merges the small
     partials — the full token stream is never shuffled."""
-    from crawler_tjce_ray.pipelines.textops import _read_docs
+    from crawler_tjce_ray.pipelines.textops import _read_docs, token_counts
 
-    ds = _read_docs(sf_dir, ["text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        # one Arrow pass: split → flatten → group count (the pandas
-        # explode+value_counts version built Python string objects)
-        toks = pc.list_flatten(pc.split_pattern(t["text"], " "))
-        g = pa.table({"tok": toks}).group_by("tok").aggregate([
-            ("tok", "count"),
-        ])
-        return pa.table({
-            "tok": g["tok"], "n": pc.cast(g["tok_count"], pa.int64()),
-        })
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    g = parts.groupby("tok", as_index=False)["n"].sum()
-    g["n"] = g["n"].astype("int64")
-    g = g.sort_values(["n", "tok"], ascending=[False, True], kind="mergesort")
-    return g.head(20).reset_index(drop=True)
+    return token_counts(_read_docs(sf_dir, ["text"])) \
+        .head(20).reset_index(drop=True)
 
 
 SQL_TOKEN_HISTOGRAM = """
@@ -3062,7 +3061,10 @@ def q_stratified_sample(sf_dir: str):
     md5 order (seeded reservoir analog with an exact oracle).  Per-group
     sort of a pre-pruned 2-column table; at scale the md5 order key is
     computed in the map stage and a per-group top-k keeps the shuffle
-    payload tiny."""
+    payload tiny.  It stays a true per-key ``groupby("lang").map_groups``
+    rather than ``exchange.shuffle``: ``pick`` takes the first 25 of
+    ONE language, and the handful of languages is already as coarse as
+    buckets would be."""
     import hashlib
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
@@ -3444,14 +3446,9 @@ def q_segment_year_revenue(sf_dir: str):
     return out.sort_values(["c_mktsegment", "order_year"]).reset_index(drop=True)
 
 
-SQL_SEGMENT_YEAR_REVENUE = """
+SQL_SEGMENT_YEAR_REVENUE = f"""
 SELECT c_mktsegment,
-       CAST(EXTRACT(year FROM o_orderdate) AS BIGINT) AS order_year,
-       SUM(CAST(FLOOR(l_extendedprice * (1 - l_discount) * 100 + 0.5)
-                AS BIGINT)) / 100.0 AS revenue,
-       CAST(COUNT(*) AS BIGINT) AS n_items
-FROM lineitem
-JOIN orders ON l_orderkey = o_orderkey
+{_SQL_YEAR_REVENUE}
 JOIN customer ON o_custkey = c_custkey
 GROUP BY 1, 2 ORDER BY 1, 2
 """
@@ -3598,6 +3595,21 @@ FROM orders GROUP BY o_orderpriority ORDER BY o_orderpriority
 """
 
 
+def _n_chars_hist(ds) -> pd.DataFrame:
+    """(n_chars, n) value counts of the documents' ``n_chars``,
+    ascending: per-batch partials, O(distinct values) driver fold."""
+
+    def val_counts(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby("n_chars", as_index=False).size()
+        return g.rename(columns={"size": "n"})
+
+    return (
+        ds.map_batches(val_counts, batch_format="pandas")
+        .to_pandas().groupby("n_chars", as_index=False).sum()
+        .sort_values("n_chars").reset_index(drop=True)
+    )
+
+
 def q_chars_percent_rank(sf_dir: str):
     """PERCENT_RANK over the whole corpus WITHOUT a global sort: the
     integer ``n_chars`` column reduces to a value-count histogram
@@ -3606,16 +3618,7 @@ def q_chars_percent_rank(sf_dir: str):
     doc — the distributed recipe for rank-style windows on
     low-cardinality keys."""
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
-
-    def val_counts(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("n_chars", as_index=False).size()
-        return g.rename(columns={"size": "n"})
-
-    hist = (
-        ds.map_batches(val_counts, batch_format="pandas")
-        .to_pandas().groupby("n_chars", as_index=False).sum()
-        .sort_values("n_chars").reset_index(drop=True)
-    )
+    hist = _n_chars_hist(ds)
     total = int(hist["n"].sum())
     # SQL PERCENT_RANK = (rank - 1) / (n - 1), ties share the min rank
     hist["rank_min"] = hist["n"].cumsum().shift(fill_value=0) + 1
@@ -3972,15 +3975,7 @@ def q_bloom_anti_join(sf_dir: str):
         (cust, {"custkey": i64},
          lambda t: pa.table({"custkey": t.filter(blocked(t))["c_custkey"]})),
     ], "custkey", nb, verify_bucket).to_pandas()
-    out = parts.groupby("priority", as_index=False, dropna=False)["n"].sum()
-    return (
-        pd.DataFrame({
-            "o_orderpriority": _str_col(out["priority"]),
-            "n_orders": out["n"].astype("int64"),
-        })
-        .sort_values("o_orderpriority")
-        .reset_index(drop=True)
-    )
+    return _priority_counts(parts)
 
 
 SQL_BLOOM_ANTI_JOIN = """
@@ -4304,16 +4299,7 @@ def q_row_number_ntile(sf_dir: str):
     (a value never straddles buckets).  Total is the only other
     broadcast scalar, so NTILE's uneven-bucket arithmetic is local."""
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
-
-    def val_counts(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("n_chars", as_index=False).size()
-        return g.rename(columns={"size": "n"})
-
-    hist = (
-        ds.map_batches(val_counts, batch_format="pandas")
-        .to_pandas().groupby("n_chars", as_index=False).sum()
-        .sort_values("n_chars").reset_index(drop=True)
-    )
+    hist = _n_chars_hist(ds)
     total = int(hist["n"].sum())
     offset = dict(zip(hist["n_chars"],
                       hist["n"].cumsum().shift(fill_value=0).astype("int64")))
@@ -4440,14 +4426,11 @@ GROUP BY user_id ORDER BY user_id
 """
 
 
-def q_chi2_lang_source(sf_dir: str):
-    """Chi-square independence table for lang × source: observed
-    count, expected count under independence, and the per-cell χ²
-    contribution — the corpus-balance diagnostic for mixture design.
-    Per-batch contingency partials combine on the driver (key space
-    |langs| × |sources|, independent of row count); every float is a
-    product/quotient of exact integer totals, so no summation-order
-    ambiguity exists."""
+def _lang_source_cells(sf_dir: str):
+    """The lang × source contingency table of ``documents``: per-batch
+    Arrow group counts folded on the driver (|langs| × |sources|
+    rows).  Returns the (lang, source, n) cells and, as float64, the
+    grand total and each cell's row total, column total and count."""
     ds = _read(sf_dir, "documents", ["lang", "source"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -4461,12 +4444,23 @@ def q_chi2_lang_source(sf_dir: str):
         ds.map_batches(partial, batch_format="pyarrow")
         .to_pandas().groupby(["lang", "source"], as_index=False)["n"].sum()
     )
-    total = float(cells["n"].sum())
     row_t = cells.groupby("lang")["n"].sum()
     col_t = cells.groupby("source")["n"].sum()
-    rn = cells["lang"].map(row_t).to_numpy(np.float64)
-    cn = cells["source"].map(col_t).to_numpy(np.float64)
-    n = cells["n"].to_numpy(np.float64)
+    return (cells, float(cells["n"].sum()),
+            cells["lang"].map(row_t).to_numpy(np.float64),
+            cells["source"].map(col_t).to_numpy(np.float64),
+            cells["n"].to_numpy(np.float64))
+
+
+def q_chi2_lang_source(sf_dir: str):
+    """Chi-square independence table for lang × source: observed
+    count, expected count under independence, and the per-cell χ²
+    contribution — the corpus-balance diagnostic for mixture design.
+    Per-batch contingency partials combine on the driver (key space
+    |langs| × |sources|, independent of row count); every float is a
+    product/quotient of exact integer totals, so no summation-order
+    ambiguity exists."""
+    cells, total, rn, cn, n = _lang_source_cells(sf_dir)
     expected = rn * cn / total
     contrib = (n - expected) ** 2 / expected
     out = pd.DataFrame({
@@ -4479,13 +4473,18 @@ def q_chi2_lang_source(sf_dir: str):
     return out.sort_values(["lang", "source"]).reset_index(drop=True)
 
 
-SQL_CHI2_LANG_SOURCE = """
-WITH c AS (
+# the contingency cells with their total, row and column totals, shared
+# by the lang × source oracles
+_SQL_LANG_SOURCE_CELLS = """WITH c AS (
   SELECT lang, source, COUNT(*) AS n FROM documents GROUP BY lang, source),
 t AS (SELECT CAST(SUM(n) AS DOUBLE) AS tot FROM c),
 r AS (SELECT lang, CAST(SUM(n) AS DOUBLE) AS rn FROM c GROUP BY lang),
 cl AS (SELECT source, CAST(SUM(n) AS DOUBLE) AS cn FROM c GROUP BY source)
-SELECT c.lang, c.source, CAST(c.n AS BIGINT) AS n,
+SELECT c.lang, c.source, CAST(c.n AS BIGINT) AS n,"""
+
+
+SQL_CHI2_LANG_SOURCE = f"""
+{_SQL_LANG_SOURCE_CELLS}
        r.rn * cl.cn / t.tot AS expected,
        POWER(c.n - r.rn * cl.cn / t.tot, 2) / (r.rn * cl.cn / t.tot) AS contrib
 FROM c JOIN r USING (lang) JOIN cl USING (source) CROSS JOIN t
@@ -4503,25 +4502,7 @@ def q_mi_lang_source(sf_dir: str):
     Arrow group counts, driver folds |langs| × |sources| rows.  PMI =
     ln(n·total / (rn·cn)) rounded to 6 dp (repo-wide libm convention:
     ln is the one non-exact op; both engines round the same double)."""
-    ds = _read(sf_dir, "documents", ["lang", "source"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["lang", "source"]).aggregate([("lang", "count")])
-        return pa.table({
-            "lang": g["lang"], "source": g["source"],
-            "n": pc.cast(g["lang_count"], pa.int64()),
-        })
-
-    cells = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas().groupby(["lang", "source"], as_index=False)["n"].sum()
-    )
-    total = float(cells["n"].sum())
-    row_t = cells.groupby("lang")["n"].sum()
-    col_t = cells.groupby("source")["n"].sum()
-    rn = cells["lang"].map(row_t).to_numpy(np.float64)
-    cn = cells["source"].map(col_t).to_numpy(np.float64)
-    n = cells["n"].to_numpy(np.float64)
+    cells, total, rn, cn, n = _lang_source_cells(sf_dir)
     pmi = np.log(n * total / (rn * cn))
     out = pd.DataFrame({
         "lang": cells["lang"],
@@ -4533,13 +4514,8 @@ def q_mi_lang_source(sf_dir: str):
     return out.sort_values(["lang", "source"]).reset_index(drop=True)
 
 
-SQL_MI_LANG_SOURCE = """
-WITH c AS (
-  SELECT lang, source, COUNT(*) AS n FROM documents GROUP BY lang, source),
-t AS (SELECT CAST(SUM(n) AS DOUBLE) AS tot FROM c),
-r AS (SELECT lang, CAST(SUM(n) AS DOUBLE) AS rn FROM c GROUP BY lang),
-cl AS (SELECT source, CAST(SUM(n) AS DOUBLE) AS cn FROM c GROUP BY source)
-SELECT c.lang, c.source, CAST(c.n AS BIGINT) AS n,
+SQL_MI_LANG_SOURCE = f"""
+{_SQL_LANG_SOURCE_CELLS}
        ROUND(LN(c.n * t.tot / (r.rn * cl.cn)), 6) AS pmi,
        ROUND((c.n / t.tot) * LN(c.n * t.tot / (r.rn * cl.cn)), 6) AS mi_part
 FROM c JOIN r USING (lang) JOIN cl USING (source) CROSS JOIN t
@@ -4663,19 +4639,11 @@ def q_first_last_order(sf_dir: str):
             "last_price": g.loc[imax, "last_price"].to_numpy("float64"),
         })
 
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .map_batches(
-            lambda df: df.assign(
-                kb=(df["c_custkey"].to_numpy("int64") & np.int64(nb - 1))),
-            batch_format="pandas",
-        )
-        .groupby("kb")
-        .map_groups(final_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    out["c_custkey"] = out["c_custkey"].astype("int64")
-    out["n_orders"] = out["n_orders"].astype("int64")
+    out = _ex.to_pandas(
+        _ex.shuffle(ds.map_batches(partial, batch_format="pandas"),
+                    "c_custkey", nb, final_bucket),
+        c_custkey="int64", n_orders="int64", first_price="float64",
+        last_price="float64")
     return out.sort_values("c_custkey").reset_index(drop=True)
 
 
@@ -4828,8 +4796,9 @@ def q_part_cooccurrence(sf_dir: str):
     on coarse orderkey buckets; inside a bucket the pairs fall out
     of one vectorized dedup + self-merge (orders are disjoint across
     buckets, so bucket pair-counts are exact partials that sum).
-    Stage 2 re-shuffles the packed ``p1<<32|p2`` partials on
-    pair-hash buckets (xor-folded so both partkeys mix in) — the pair
+    Stage 2 re-shuffles the packed ``p1<<32|p2`` partials keyed on
+    the pair xor-folded onto its low half (so both partkeys mix into
+    the bucket) — the pair
     space grows with the data, so unlike the tiny combiner queries it
     must NOT merge on the driver.  A pair lands in exactly one bucket,
     so the in-bucket pandas sum is the exact global count and each
@@ -4853,9 +4822,9 @@ def q_part_cooccurrence(sf_dir: str):
         u, c = np.unique(pair, return_counts=True)
         return pd.DataFrame({"pair": u, "c": c.astype(np.int64)})
 
-    def pair_bucket(t: pa.Table) -> pa.Table:
-        folded = pc.bit_wise_xor(t["pair"], pc.shift_right(t["pair"], 32))
-        return t.append_column("pb", _ex.kb_arrow(folded, nb))
+    def fold(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "fold", pc.bit_wise_xor(t["pair"], pc.shift_right(t["pair"], 32)))
 
     def sum_topk_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("pair", as_index=False)["c"].sum()
@@ -4865,10 +4834,8 @@ def q_part_cooccurrence(sf_dir: str):
 
     # no order with two parts: no pair partial
     parts = _ex.to_pandas(
-        _ex.shuffle(ds, "l_orderkey", nb, pairs_in_bucket)
-        .map_batches(pair_bucket, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(sum_topk_in_bucket, batch_format="pandas"),
+        _ex.shuffle(_ex.shuffle(ds, "l_orderkey", nb, pairs_in_bucket),
+                    "fold", nb, sum_topk_in_bucket, combine=fold),
         pair="int64", c="int64")
     parts = parts.sort_values(["c", "pair"], ascending=[False, True],
                               kind="mergesort").head(100)
@@ -5060,15 +5027,7 @@ def q_semi_join_vip(sf_dir: str):
         (cust, {"custkey": pa.int64()},
          lambda t: pa.table({"custkey": t.filter(vip(t))["c_custkey"]})),
     ], "custkey", nb, verify_bucket), priority=object, n="int64")
-    out = parts.groupby("priority", as_index=False, dropna=False)["n"].sum()
-    return (
-        pd.DataFrame({
-            "o_orderpriority": _str_col(out["priority"]),
-            "n_orders": out["n"].astype("int64"),
-        })
-        .sort_values("o_orderpriority")
-        .reset_index(drop=True)
-    )
+    return _priority_counts(parts)
 
 
 SQL_SEMI_JOIN_VIP = """
@@ -5124,13 +5083,8 @@ def q_customer_year_setops(sf_dir: str):
         })
 
     parts = _ex.to_pandas(
-        ds.map_batches(partial, batch_format="pandas")
-        .map_batches(
-            lambda df: df.assign(kb=(df["custkey"].to_numpy("int64") & np.int64(nb - 1))),
-            batch_format="pandas",
-        )
-        .groupby("kb")
-        .map_groups(classify_bucket, batch_format="pandas"),
+        _ex.shuffle(ds.map_batches(partial, batch_format="pandas"),
+                    "custkey", nb, classify_bucket),
         op=object, n="int64",
     )
     # no bucket at all (no order in either year): every count is 0
@@ -5180,10 +5134,7 @@ def q_dense_rank_topk(sf_dir: str):
     def local_filter(df: pd.DataFrame) -> pd.DataFrame:
         rk = df.groupby("o_custkey")["o_totalprice"].rank(
             method="dense", ascending=False)
-        out = df.loc[rk <= K, ["o_custkey", "o_orderkey", "o_totalprice"]]
-        out = out.copy()
-        out["kb"] = out["o_custkey"].to_numpy("int64") & np.int64(nb - 1)
-        return out
+        return df.loc[rk <= K, ["o_custkey", "o_orderkey", "o_totalprice"]]
 
     def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.reset_index(drop=True)
@@ -5194,15 +5145,12 @@ def q_dense_rank_topk(sf_dir: str):
         out["drk"] = rk[rk <= K].astype("int64").to_numpy()
         return out
 
-    out = (
-        ds.map_batches(local_filter, batch_format="pandas")
-        .groupby("kb")
-        .map_groups(rank_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    out = out.rename(columns={"o_custkey": "c_custkey"})
-    out["c_custkey"] = out["c_custkey"].astype("int64")
-    out["o_orderkey"] = out["o_orderkey"].astype("int64")
+    out = _ex.to_pandas(
+        _ex.shuffle(ds.map_batches(local_filter, batch_format="pandas"),
+                    "o_custkey", nb, rank_bucket),
+        o_custkey="int64", o_orderkey="int64", o_totalprice="float64",
+        drk="int64",
+    ).rename(columns={"o_custkey": "c_custkey"})
     out["o_totalprice"] = out["o_totalprice"].round(2)
     return (
         out.sort_values(["c_custkey", "drk", "o_orderkey"])
@@ -5297,11 +5245,6 @@ def q_merge_intervals(sf_dir: str):
     ds = _read(sf_dir, "events", ["user_id", "ts"])
     WIN = pd.Timedelta(seconds=300)
 
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["kb"] = df["user_id"].to_numpy("int64") & np.int64(nb - 1)
-        return df
-
     def islands(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"]).reset_index(drop=True)
         g["end"] = g["ts"] + WIN
@@ -5318,15 +5261,9 @@ def q_merge_intervals(sf_dir: str):
             .agg(n_islands=("gid", "size"), covered_us=("cov_us", "sum"))
         )
 
-    out = (
-        ds.map_batches(bucket, batch_format="pandas")
-        .groupby("kb")
-        .map_groups(islands, batch_format="pandas")
-        .to_pandas()
-    )
-    out["user_id"] = out["user_id"].astype("int64")
-    out["n_islands"] = out["n_islands"].astype("int64")
-    out["covered_us"] = out["covered_us"].astype("int64")
+    out = _ex.to_pandas(_ex.shuffle(ds, "user_id", nb, islands),
+                        user_id="int64", n_islands="int64",
+                        covered_us="int64")
     return out.sort_values("user_id").reset_index(drop=True)
 
 

@@ -26,18 +26,8 @@ import os
 import pyarrow as pa
 import ray
 
-from crawler_tjce_ray.stages.extract import (
-    ExtractEditais,
-    ExtractPagamentos,
-    ExtractPrecatorios,
-    filter_kind,
-)
-
-_EXTRACTORS = {
-    "precatorios": ExtractPrecatorios,
-    "editais": ExtractEditais,
-    "pagamentos": ExtractPagamentos,
-}
+from crawler_tjce_ray.pipelines.extract_all import _EXTRACTORS
+from crawler_tjce_ray.stages.extract import filter_kind
 
 
 def _list_shards(pages_path: str) -> list[str]:

@@ -59,14 +59,26 @@ def final_topk(g: pd.DataFrame) -> pd.DataFrame:
     return g[["query_id", "rank", "vec_id", "cosine"]]
 
 
-def _finalize(out: pd.DataFrame) -> pd.DataFrame:
-    out = out.astype({"query_id": "int64", "rank": "int64", "vec_id": "int64"})
+def _per_query_topk(sf_dir: str, partial) -> pd.DataFrame:
+    """The shared tail of the three top-k searches: ``partial`` (pandas
+    batch → per-batch (query_id, vec_id, cosine) top-k rows) over the
+    embeddings scan, then ``final_topk`` per query.  A true per-key
+    group, not a bucket exchange: there are ``N_QUERIES`` keys, each
+    group holds at most blocks × ``TOP_K`` rows, and ``final_topk``
+    ranks one query at a time."""
+    from crawler_tjce_ray.pipelines.exchange import to_pandas
+
+    out = to_pandas(
+        _read_emb(sf_dir).map_batches(partial, batch_format="pandas")
+        .groupby("query_id").map_groups(final_topk, batch_format="pandas"),
+        query_id="int64", rank="int64", vec_id="int64", cosine="float64")
     out["cosine"] = np.round(out["cosine"], 6)
     return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
 
 
 def _empty_scores() -> pd.DataFrame:
-    """Typed empty partial — Ray may hand a map stage an empty block."""
+    """Typed empty partial of a batch with no candidate for any
+    query."""
     return pd.DataFrame(columns=["query_id", "vec_id", "cosine"]).astype(
         {"query_id": "int64", "vec_id": "int64", "cosine": "float64"}
     )
@@ -77,8 +89,6 @@ def _topk_scores_batch(
 ) -> pd.DataFrame:
     """One batch × all queries: float64 matmul, per-batch top-k per
     query (partial combine)."""
-    if not len(df):
-        return _empty_scores()
     mat = np.stack(df["embedding"].to_numpy()).astype(np.float64)
     vnorm = np.linalg.norm(mat, axis=1)
     qnorm = np.linalg.norm(qmat, axis=1)
@@ -109,14 +119,7 @@ def q_ann_cosine_topk(sf_dir: str):
         qi, qm = ray.get(ref)
         return _topk_scores_batch(df, qi, qm, TOP_K)
 
-    out = (
-        _read_emb(sf_dir)
-        .map_batches(partial, batch_format="pandas")
-        .groupby("query_id")
-        .map_groups(final_topk, batch_format="pandas")
-        .to_pandas()
-    )
-    return _finalize(out)
+    return _per_query_topk(sf_dir, partial)
 
 
 SQL_ANN_COSINE_TOPK = f"""
@@ -183,8 +186,6 @@ def q_ann_ivf_topk(sf_dir: str):
     ref = ray.put((qids, qmat, cents, probes))
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return _empty_scores()
         qi, qm, cc, pr = ray.get(ref)
         mat = np.stack(df["embedding"].to_numpy()).astype(np.float64)
         mn = mat / np.linalg.norm(mat, axis=1, keepdims=True)
@@ -202,14 +203,7 @@ def q_ann_ivf_topk(sf_dir: str):
             return _empty_scores()
         return pd.concat(outs, ignore_index=True)
 
-    out = (
-        _read_emb(sf_dir)
-        .map_batches(partial, batch_format="pandas")
-        .groupby("query_id")
-        .map_groups(final_topk, batch_format="pandas")
-        .to_pandas()
-    )
-    return _finalize(out)
+    return _per_query_topk(sf_dir, partial)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +264,6 @@ def q_ann_lsh_topk(sf_dir: str):
     ref = ray.put((qids, qmat, planes, qcodes))
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return _empty_scores()
         qi, qm, pl, qc = ray.get(ref)
         mat = np.stack(df["embedding"].to_numpy()).astype(np.float64)
         codes = _lsh_codes(mat, pl)
@@ -296,14 +288,7 @@ def q_ann_lsh_topk(sf_dir: str):
             rows, columns=["query_id", "vec_id", "cosine"]
         ).astype({"query_id": "int64", "vec_id": "int64", "cosine": "float64"})
 
-    out = (
-        _read_emb(sf_dir)
-        .map_batches(partial, batch_format="pandas")
-        .groupby("query_id")
-        .map_groups(final_topk, batch_format="pandas")
-        .to_pandas()
-    )
-    return _finalize(out)
+    return _per_query_topk(sf_dir, partial)
 
 
 def _lsh_oracle_sql(dim: int = 64) -> str:
@@ -437,11 +422,6 @@ def q_hard_negatives(sf_dir: str):
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         qi, ql, qm = ray.get(ref)
-        if not len(df):
-            return pd.DataFrame(columns=[
-                "query_id", "neg_vec_id", "neg_label", "cosine",
-            ]).astype({"query_id": "int64", "neg_vec_id": "int64",
-                       "neg_label": "int64", "cosine": "float64"})
         mat = np.stack(df["embedding"].to_numpy()).astype(np.float64)
         sims = (mat @ qm.T) / np.outer(
             np.linalg.norm(mat, axis=1), np.linalg.norm(qm, axis=1)
@@ -508,13 +488,6 @@ def q_embedding_dim_variance(sf_dir: str):
     orderings; float64 end-to-end on both sides (the oracle casts the
     float32 list to DOUBLE[], the ``ann_cosine_topk`` discipline)."""
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "dim": pd.Series([], dtype="int64"),
-                "s": pd.Series([], dtype="float64"),
-                "ss": pd.Series([], dtype="float64"),
-                "n": pd.Series([], dtype="int64"),
-            })
         mat = np.stack(df["embedding"].to_numpy()).astype(np.float64)
         return pd.DataFrame({
             "dim": np.arange(mat.shape[1], dtype=np.int64),
@@ -568,12 +541,6 @@ def q_label_cohesion(sf_dir: str):
     import ray
 
     def p1(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "label": pd.Series([], dtype="int64"),
-                "n": pd.Series([], dtype="int64"),
-                "s": pd.Series([], dtype="object"),
-            })
         mat = np.stack(df["embedding"].to_numpy()).astype(np.float64)
         lab = df["label"].to_numpy(np.int64)
         rows = []
@@ -600,12 +567,6 @@ def q_label_cohesion(sf_dir: str):
     ref = ray.put((labels, cent, cnorm))
 
     def p2(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "label": pd.Series([], dtype="int64"),
-                "n": pd.Series([], dtype="int64"),
-                "cs": pd.Series([], dtype="float64"),
-            })
         lbs, cm, cn = ray.get(ref)
         mat = np.stack(df["embedding"].to_numpy()).astype(np.float64)
         lab = df["label"].to_numpy(np.int64)
@@ -699,9 +660,6 @@ def q_rrf_fusion(sf_dir: str):
     qn = np.linalg.norm(qvec)
 
     def cos_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(columns=["doc_id", "cos"]).astype(
-                {"doc_id": "int64", "cos": "float64"})
         mat = np.stack(df["embedding"].to_numpy()).astype(np.float64)
         cos = (mat @ qvec) / (np.linalg.norm(mat, axis=1) * qn)
         part = pd.DataFrame({
@@ -735,33 +693,16 @@ def q_rrf_fusion(sf_dir: str):
 
 
 def _rrf_sql() -> str:
-    from crawler_tjce_ray.pipelines.textops import (
-        BM25_B, BM25_K1, BM25_TERMS,
-    )
+    import textwrap
 
-    terms_list = ", ".join(f"'{t}'" for t in BM25_TERMS)
+    from crawler_tjce_ray.pipelines.textops import _SQL_BM25_SUM, _SQL_BM25_TF
+
     return f"""
-WITH toks AS (
-  SELECT doc_id, string_split(text, ' ') AS ws FROM documents
-), stats AS (
-  SELECT COUNT(*) AS n_docs, AVG(length(ws)) AS avg_len FROM toks
-), tf AS (
-  SELECT t.doc_id, q.term,
-         length(list_filter(t.ws, x -> x = q.term)) AS tf,
-         length(t.ws) AS dl
-  FROM toks t CROSS JOIN (SELECT unnest([{terms_list}]) AS term) q
-), df AS (
+{_SQL_BM25_TF}
   SELECT term, SUM(CASE WHEN tf > 0 THEN 1 ELSE 0 END) AS df
   FROM tf GROUP BY term
 ), bm AS (
-  SELECT tf.doc_id,
-         ROUND(SUM(
-           ln(1.0 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-           * tf.tf * ({BM25_K1} + 1)
-           / (tf.tf + {BM25_K1} * (1 - {BM25_B} + {BM25_B} * tf.dl / s.avg_len))
-         ), 6) AS bm25
-  FROM tf JOIN df USING (term) CROSS JOIN stats s
-  GROUP BY tf.doc_id
+{textwrap.indent(_SQL_BM25_SUM, "  ")}
 ), ra AS (
   SELECT doc_id,
          ROW_NUMBER() OVER (ORDER BY bm25 DESC, doc_id) AS r

@@ -176,6 +176,17 @@ def cms_estimate(sk: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     return ests.min(axis=0)
 
 
+def _merged_cms(parts: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of the per-batch CMS partials (``sketch`` bytes) and the
+    sorted union of their ``cand`` token lists."""
+    sk = np.zeros((CMS_D, CMS_W), dtype=np.int64)
+    cands: set[str] = set()
+    for blob, cand in zip(parts["sketch"], parts["cand"]):
+        sk += np.frombuffer(blob, dtype=np.int64).reshape(CMS_D, CMS_W)
+        cands.update(cand)
+    return sk, np.array(sorted(cands), dtype=object)
+
+
 def q_cms_heavy_hitters(sf_dir: str):
     """Heavy hitters via Count-Min sketch — the sketch counterpart of
     the exact ``token_histogram``: each batch emits ONE (d×w) int64
@@ -204,12 +215,7 @@ def q_cms_heavy_hitters(sf_dir: str):
         })
 
     parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    sk = np.zeros((CMS_D, CMS_W), dtype=np.int64)
-    cands: set[str] = set()
-    for blob, cand in zip(parts["sketch"], parts["cand"]):
-        sk += np.frombuffer(blob, dtype=np.int64).reshape(CMS_D, CMS_W)
-        cands.update(cand)
-    cand_arr = np.array(sorted(cands), dtype=object)
+    sk, cand_arr = _merged_cms(parts)
     est = cms_estimate(sk, cand_arr)
     out = pd.DataFrame({"token": cand_arr, "est_count": est.astype("int64")})
     out = out.sort_values(["est_count", "token"], ascending=[False, True])
@@ -263,15 +269,9 @@ def q_heavy_hitters_exact(sf_dir: str):
         })
 
     parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    sk = np.zeros((CMS_D, CMS_W), dtype=np.int64)
-    cands: set[str] = set()
-    for blob, cand in zip(parts["sketch"], parts["cand"]):
-        sk += np.frombuffer(blob, dtype=np.int64).reshape(CMS_D, CMS_W)
-        cands.update(cand)
+    sk, cand_arr = _merged_cms(parts)
     n_tokens = int(parts["total"].sum())
     threshold = math.ceil(HH_PHI * n_tokens)
-
-    cand_arr = np.array(sorted(cands), dtype=object)
     est = cms_estimate(sk, cand_arr)
     survivors = frozenset(cand_arr[est >= threshold])
 

@@ -711,10 +711,11 @@ def q_bm25_score(sf_dir: str):
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
-def _bm25_sql() -> str:
-    terms_list = ", ".join(f"'{t}'" for t in BM25_TERMS)
-    return f"""
-WITH toks AS (
+_BM25_TERMS_SQL = ", ".join(f"'{t}'" for t in BM25_TERMS)
+# the BM25 oracles' token, corpus-stats and term-frequency CTEs (the
+# document-frequency CTE follows) and their per-doc score; the rrf
+# oracle nests the score one level deeper
+_SQL_BM25_TF = f"""WITH toks AS (
   SELECT doc_id, string_split(text, ' ') AS ws FROM documents
 ), stats AS (
   SELECT COUNT(*) AS n_docs, AVG(length(ws)) AS avg_len FROM toks
@@ -722,22 +723,24 @@ WITH toks AS (
   SELECT t.doc_id, q.term,
          length(list_filter(t.ws, x -> x = q.term)) AS tf,
          length(t.ws) AS dl
-  FROM toks t CROSS JOIN (SELECT unnest([{terms_list}]) AS term) q
-), df AS (
-  SELECT term, SUM(CASE WHEN tf > 0 THEN 1 ELSE 0 END) AS df FROM tf GROUP BY term
-)
-SELECT tf.doc_id,
+  FROM toks t CROSS JOIN (SELECT unnest([{_BM25_TERMS_SQL}]) AS term) q
+), df AS ("""
+_SQL_BM25_SUM = f"""SELECT tf.doc_id,
        ROUND(SUM(
          ln(1.0 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
          * tf.tf * ({BM25_K1} + 1)
          / (tf.tf + {BM25_K1} * (1 - {BM25_B} + {BM25_B} * tf.dl / s.avg_len))
        ), 6) AS bm25
 FROM tf JOIN df USING (term) CROSS JOIN stats s
-GROUP BY tf.doc_id ORDER BY tf.doc_id
+GROUP BY tf.doc_id"""
+
+
+SQL_BM25_SCORE = f"""
+{_SQL_BM25_TF}
+  SELECT term, SUM(CASE WHEN tf > 0 THEN 1 ELSE 0 END) AS df FROM tf GROUP BY term
+)
+{_SQL_BM25_SUM} ORDER BY tf.doc_id
 """
-
-
-SQL_BM25_SCORE = _bm25_sql()
 
 
 # ---------------------------------------------------------------------------
@@ -1270,16 +1273,12 @@ ORDER BY lang, n DESC, tri
 """
 
 
-def q_zipf_slope(sf_dir: str):
-    """Corpus health check: the Zipf exponent — the slope of
-    log-frequency on log-rank over the whole-corpus unigram table
-    (natural text sits near −1; boilerplate-heavy or deduplicated-away
-    corpora drift).  Token counts come from the same per-batch Arrow
-    combiner as ``token_histogram``; the rank/regression finish is
-    O(vocabulary) on the driver (at web scale the vocabulary merge
-    rides the existing token-bucket shuffle of ``unigram_logprob``
-    before this finish)."""
-    ds = _read_docs(sf_dir, ["text"])
+def token_counts(ds) -> pd.DataFrame:
+    """Whole-corpus (tok, n) counts of the space-split ``text`` of
+    ``ds``, n descending then tok: each batch's one Arrow pass (split →
+    flatten → group count; the pandas explode+value_counts version
+    built Python string objects) emits its own counts, and the driver
+    sums the small partials — the token stream never shuffles."""
 
     def partial(t: pa.Table) -> pa.Table:
         toks = pc.list_flatten(pc.split_pattern(t["text"], " "))
@@ -1290,13 +1289,23 @@ def q_zipf_slope(sf_dir: str):
             "tok": g["tok"], "n": pc.cast(g["tok_count"], pa.int64()),
         })
 
-    g = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("tok", as_index=False)["n"]
-        .sum()
-    )
-    g = g.sort_values(["n", "tok"], ascending=[False, True], kind="mergesort")
+    g = ds.map_batches(partial, batch_format="pyarrow").to_pandas() \
+        .groupby("tok", as_index=False)["n"].sum()
+    g["n"] = g["n"].astype("int64")
+    return g.sort_values(["n", "tok"], ascending=[False, True],
+                         kind="mergesort")
+
+
+def q_zipf_slope(sf_dir: str):
+    """Corpus health check: the Zipf exponent — the slope of
+    log-frequency on log-rank over the whole-corpus unigram table
+    (natural text sits near −1; boilerplate-heavy or deduplicated-away
+    corpora drift).  Token counts come from the same per-batch Arrow
+    combiner as ``token_histogram``; the rank/regression finish is
+    O(vocabulary) on the driver (at web scale the vocabulary merge
+    rides the existing token-bucket shuffle of ``unigram_logprob``
+    before this finish)."""
+    g = token_counts(_read_docs(sf_dir, ["text"]))
     n = g["n"].to_numpy(np.float64)
     rank = np.arange(1, len(g) + 1, dtype=np.float64)
     x, y = np.log(rank), np.log(n)

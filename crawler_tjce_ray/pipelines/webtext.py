@@ -302,15 +302,15 @@ def _doc_ngrams(b, n: int) -> pd.DataFrame:
     return out.drop_duplicates(["doc_id", "ng"])
 
 
-def _bench_gram_partial(t: pa.Table) -> pd.DataFrame:
+def _bench_gram_partial(t: pa.Table) -> pa.Table:
     """Per-batch distinct 5-grams of the benchmark slice
     (``doc_id % DECON_MOD == 0``) — shared by ``decontaminate`` and
-    ``curation_pipeline`` so both agree on the benchmark set."""
+    ``curation_pipeline`` so both agree on the benchmark set.  An Arrow
+    table with a typed ``string`` column, so Ray sizes an empty one."""
     doc = t.column("doc_id").to_numpy(zero_copy_only=False)
     part = t.filter(pa.array(doc % DECON_MOD == 0))
-    grams = _doc_ngrams(part, DECON_N)[["ng"]].drop_duplicates()
-    # "string" dtype (not object) so Ray can size empty blocks
-    return grams.astype({"ng": "string"})
+    grams = _doc_ngrams(part, DECON_N)["ng"].drop_duplicates()
+    return pa.table({"ng": pa.array(grams.to_numpy(object), pa.string())})
 
 
 def _collect_bench_grams(ds) -> set:

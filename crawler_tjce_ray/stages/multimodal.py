@@ -486,69 +486,21 @@ class ImagePHashStage:
 def phash_dedup_pairs(media_ds, nb_band: int = 1) -> pd.DataFrame:
     """Near-dup image pairs (hamming ≤ ``PHASH_MAX_HAMMING``) from any
     media Dataset — the multimodal sibling of ``dedup.q_dedup_simhash``:
-    an actor-pool hash stage, then ``PHASH_BANDS``×16-bit band blocking
-    (only (band key, id, hash) rows shuffle, never payloads) with
-    vectorized XOR-popcount verification in-bucket.  Hash rows are
-    corpus-scale, so each band's group sub-buckets on the band key's
-    low bits — callers size ``nb_band`` from the media corpus bytes
-    (equal keys co-locate for any power-of-two value)."""
+    an actor-pool hash stage, then the same ``dedup.hamming_pairs``
+    ``PHASH_BANDS``×16-bit band blocking (only (band key, id, hash)
+    rows shuffle, never payloads) with vectorized XOR-popcount
+    verification in-bucket.  Hash rows are corpus-scale, so each band's
+    group sub-buckets on the band key's low bits — callers size
+    ``nb_band`` from the media corpus bytes (equal keys co-locate for
+    any power-of-two value)."""
+    from crawler_tjce_ray.pipelines.dedup import hamming_pairs
+
     hashed = media_ds.map_batches(
         ImagePHashStage, batch_format="pyarrow", batch_size=32,
         concurrency=_stage_concurrency(),
     )
-
-    def banded(df: pd.DataFrame) -> pd.DataFrame:
-        ph = df["phash"].to_numpy(np.int64).view(np.uint64)
-        rows = []
-        for band in range(PHASH_BANDS):
-            bkey = ((ph >> np.uint64(16 * band)) & np.uint64(0xFFFF))
-            rows.append(pd.DataFrame({
-                "bb": np.int64(band) * np.int64(nb_band)
-                + (bkey.astype(np.int64) & np.int64(nb_band - 1)),
-                "bkey": bkey.astype(np.int64),
-                "media_id": df["media_id"].astype("int64"),
-                "ph64": ph.view(np.int64),
-            }))
-        return pd.concat(rows, ignore_index=True)
-
-    def band_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        m = g[["bkey", "media_id", "ph64"]].drop_duplicates("media_id")
-        j = m.merge(m, on="bkey", suffixes=("_a", "_b"))
-        j = j[j["media_id_a"] < j["media_id_b"]]
-        if j.empty:
-            return pd.DataFrame(
-                {"media_a": [], "media_b": [], "hamming": []}
-            ).astype("int64")
-        xor = np.bitwise_xor(
-            j["ph64_a"].to_numpy(np.int64).view(np.uint64),
-            j["ph64_b"].to_numpy(np.int64).view(np.uint64),
-        )
-        ham = np.unpackbits(
-            xor.view(np.uint8).reshape(len(j), 8), axis=1
-        ).sum(axis=1)
-        keep = ham <= PHASH_MAX_HAMMING
-        return pd.DataFrame({
-            "media_a": j["media_id_a"].to_numpy()[keep],
-            "media_b": j["media_id_b"].to_numpy()[keep],
-            "hamming": ham[keep].astype("int64"),
-        })
-
-    out = (
-        hashed.map_batches(banded, batch_format="pandas")
-        .groupby("bb")
-        .map_groups(band_pairs, batch_format="pandas")
-        .to_pandas()
-    )
-    if "media_a" not in out.columns:  # no near-dups → schema-less empty
-        return pd.DataFrame({
-            "media_a": pd.Series([], dtype="int64"),
-            "media_b": pd.Series([], dtype="int64"),
-            "hamming": pd.Series([], dtype="int64"),
-        })
-    out = out.drop_duplicates(["media_a", "media_b"]).astype(
-        {"media_a": "int64", "media_b": "int64", "hamming": "int64"}
-    )
-    return out.sort_values(["media_a", "media_b"]).reset_index(drop=True)
+    return hamming_pairs(hashed, ("media_id", "media_a", "media_b"),
+                         "phash", PHASH_BANDS, nb_band, PHASH_MAX_HAMMING)
 
 
 def q_multimodal_phash_dedup(sf_dir: str) -> pd.DataFrame:

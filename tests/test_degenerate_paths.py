@@ -309,6 +309,38 @@ def test_wordless_corpus(wordless_corpus, mod, name):
     _assert_oracle_equal(wordless_corpus, mod, name)
 
 
+# the queries whose bucket exchange moved onto ``exchange.shuffle`` last,
+# each reading orders, events or lineitem
+ZERO_ROW_QUERIES = [
+    "purchase_id_islands", "top_paths", "attribution_first_touch",
+    "first_last_order", "part_cooccurrence", "customer_year_setops",
+    "dense_rank_topk", "merge_intervals",
+]
+
+
+@pytest.fixture(scope="module")
+def zero_rows(tmp_path_factory):
+    """sf0.01 with orders, events and lineitem cut to zero rows (typed,
+    written with pyarrow); the other tables are linked."""
+    d = tmp_path_factory.mktemp("zero_rows")
+    for f in os.listdir(SF):
+        if f[:-len(".parquet")] in ("orders", "events", "lineitem"):
+            pq.write_table(pq.read_table(f"{SF}/{f}").slice(0, 0), str(d / f))
+        elif f.endswith(".parquet"):
+            os.symlink(os.path.join(SF, f), d / f)
+    return str(d)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("name", ZERO_ROW_QUERIES)
+def test_zero_row_tables(zero_rows, name):
+    """No row reaches the exchange, so every partial is empty and Ray's
+    frame has no columns; the driver reads it through
+    ``exchange.to_pandas`` and must return the oracle's empty (or
+    zero-count) result, not a ``KeyError``."""
+    _assert_oracle_equal(zero_rows, "relational", name)
+
+
 def _oracle_queries():
     from crawler_tjce_ray.pipelines import registry
 

@@ -271,9 +271,14 @@ class TestFanoutInvariance:
         dedup._DUP_PAIRS_CACHE.clear()
         _check(getattr(dedup, f"q_{name}"), getattr(dedup, sql), con)
 
-    # ---- exchange.shuffle: the shared spend histogram and the combine path
+    # ---- exchange.shuffle: the shared spend histogram, the combine
+    # path, pandas partials ahead of the shuffle, and the string, range
+    # and folded-pair keys
     @pytest.mark.parametrize("name", [
         "concentration_stats", "price_cv_topk", "orders_per_customer_hist",
+        "first_last_order", "dense_rank_topk", "merge_intervals",
+        "customer_year_setops", "attribution_first_touch",
+        "purchase_id_islands", "top_paths", "part_cooccurrence",
     ])
     def test_shuffle_combine(self, name, forced_buckets, con):
         from crawler_tjce_ray.pipelines import relational

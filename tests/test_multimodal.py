@@ -157,7 +157,8 @@ class TestPHashDedup:
         b = ImagePHashStage()(t)["phash"][0].as_py()
         assert a == b
 
-    def test_planted_near_dups_found(self):
+    @pytest.mark.parametrize("nb_band", [1, 16])
+    def test_planted_near_dups_found(self, nb_band):
         import ray.data as rd
 
         from crawler_tjce_ray.stages.multimodal import phash_dedup_pairs
@@ -182,7 +183,8 @@ class TestPHashDedup:
         rows.append({"media_id": 11, "kind": "image",
                      "payload": self._payload(32, 24, noisy)})
 
-        out = phash_dedup_pairs(rd.from_pandas(pd.DataFrame(rows)))
+        out = phash_dedup_pairs(rd.from_pandas(pd.DataFrame(rows)),
+                                nb_band=nb_band)
         pairs = set(zip(out["media_a"], out["media_b"]))
         for i in range(3):
             assert (i, 8 + i) in pairs

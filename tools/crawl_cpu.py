@@ -14,6 +14,12 @@ the Ray actors the crawl started, then the total per role.  The fetch
 pool's member 0 runs in the driver, so its share is in the driver's
 row; only members 1… are ``FetchActor`` processes.
 
+The sampler keeps running for ``SETTLE`` seconds after the crawl
+returns, so CPU the crawl causes afterwards —
+a worker process Ray starts to replace a killed actor's, the raylet
+reaping it — is counted too: each row's ``settle_s`` column and one
+line of its own give that share, apart from the crawl's.
+
     python tools/crawl_cpu.py                 # perfbench's corpus cache
     python tools/crawl_cpu.py --cache DIR     # corpus and workdir in DIR
     python tools/crawl_cpu.py --json          # one JSON object
@@ -36,6 +42,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TICK = os.sysconf("SC_CLK_TCK")
 INTERVAL = 0.03     # sampling period, s
+SETTLE = 2.0        # sampling past the crawl's return, s
 WORKLOAD, SEED = "crawl_narrow", 0  # perfbench/run.py's default seed
 NUM_CPUS = 4        # perfbench/run.py's Ray session
 
@@ -82,12 +89,18 @@ class Sampler:
         self.first: dict[int, float] = {}   # pid -> CPU at its first sample
         self.last: dict[int, float] = {}    # pid -> CPU at its latest sample
         self.roles: dict[int, str] = {}     # pid -> last role other than IDLE
+        self.at_mark: dict[int, float] = {}  # pid -> CPU at ``mark()``
         self.before: set[int] = set()
         self.alive: set[int] = set()
+        self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def sample(self) -> set[int]:
+        with self._lock:
+            return self._sample()
+
+    def _sample(self) -> set[int]:
         parent: dict[int, int] = {}
         cpu: dict[int, float] = {}
         for name in os.listdir("/proc"):
@@ -127,14 +140,23 @@ class Sampler:
         self._thread.join()
         self.alive = self.sample()
 
+    def mark(self) -> None:
+        """Split the samples here: CPU used before the mark is the
+        crawl's, after it the settle period's."""
+        self.sample()
+        self.at_mark = dict(self.last)
+
     def rows(self) -> list[dict]:
         out = []
         for pid, cpu in self.last.items():
             started = pid not in self.before
-            used = cpu - (0.0 if started else self.first[pid])
-            out.append({"pid": pid, "role": self.roles[pid], "cpu_s": round(used, 3),
+            base = 0.0 if started else self.first[pid]
+            mark = self.at_mark.get(pid, base)
+            out.append({"pid": pid, "role": self.roles[pid],
+                        "cpu_s": round(mark - base, 3),
+                        "settle_s": round(cpu - mark, 3),
                         "started": started, "exited": pid not in self.alive})
-        return sorted(out, key=lambda r: -r["cpu_s"])
+        return sorted(out, key=lambda r: -(r["cpu_s"] + r["settle_s"]))
 
 
 def load_crawls():
@@ -170,7 +192,9 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     with Sampler(INTERVAL) as sampler:
         res, _, _ = crawls.one_crawl(prep)
-    wall = time.perf_counter() - t0
+        wall = time.perf_counter() - t0
+        sampler.mark()
+        time.sleep(SETTLE)
     error = crawls.check_crawl(res, prep)
     table = ray._private.state.actors()
     started = sorted(table[a]["ActorClassName"] for a in set(table) - actors_before)
@@ -178,8 +202,12 @@ def main(argv: list[str] | None = None) -> int:
 
     rows = sampler.rows()
     by_role: dict[str, float] = {}
+    settle_by_role: dict[str, float] = {}
     for r in rows:
         by_role[r["role"]] = round(by_role.get(r["role"], 0.0) + r["cpu_s"], 3)
+        if r["settle_s"] > 0:
+            settle_by_role[r["role"]] = round(
+                settle_by_role.get(r["role"], 0.0) + r["settle_s"], 3)
     ok = int((res.trace["status"] == "ok").sum())
     summary = {
         "wall_s": round(wall, 3), "pages_ok": ok, "waves": res.waves_run,
@@ -191,14 +219,18 @@ def main(argv: list[str] | None = None) -> int:
         "ray_actors_started": started,
         "cpu_s": round(sum(r["cpu_s"] for r in rows), 3),
         "by_role": dict(sorted(by_role.items(), key=lambda kv: -kv[1])),
+        "settle_s": SETTLE,
+        "settle_cpu_s": round(sum(r["settle_s"] for r in rows), 3),
+        "settle_by_role": dict(sorted(settle_by_role.items(), key=lambda kv: -kv[1])),
     }
     if args.json:
         print(json.dumps({**summary, "processes": rows}))
         return 0
-    print(f"{'pid':>8} {'cpu_s':>8}  started exited  role")
+    print(f"{'pid':>8} {'cpu_s':>8} {'settle_s':>8}  started exited  role")
     for r in rows:
-        if r["cpu_s"] > 0 or r["started"] or r["exited"]:
-            print(f"{r['pid']:>8} {r['cpu_s']:>8.3f}  {'yes' if r['started'] else '-':>7}"
+        if r["cpu_s"] > 0 or r["settle_s"] > 0 or r["started"] or r["exited"]:
+            print(f"{r['pid']:>8} {r['cpu_s']:>8.3f} {r['settle_s']:>8.3f}  "
+                  f"{'yes' if r['started'] else '-':>7}"
                   f" {'yes' if r['exited'] else '-':>6}  {r['role']}")
     print(f"\nwall {summary['wall_s']} s, {ok} ok pages in {res.waves_run} waves, "
           f"{summary['pool_members'] or 'unreported'} pool members, "
@@ -207,6 +239,9 @@ def main(argv: list[str] | None = None) -> int:
           f"{'crawl correct' if error is None else 'crawl WRONG: ' + error}")
     for name, cpu in summary["by_role"].items():
         print(f"{cpu:>8.3f}  {name}")
+    after = ", ".join(f"{n} {c}" for n, c in summary["settle_by_role"].items())
+    print(f"after the crawl: CPU {summary['settle_cpu_s']} s in the "
+          f"{SETTLE} s settle period ({after or 'none'})")
     return 0
 
 
