@@ -26,13 +26,14 @@ Scale notes: the per-wave working set is bounded by ``wave_size``.
 Below ``distributed_select_threshold`` pending urls the frontier is a
 driver Arrow table (``FRONTIER_SCHEMA``), and every step from select
 to checkpoint runs on Arrow and NumPy; above it the frontier is a
-Dataset end-to-end — selection (sort + groupby(host).map_groups(head)
-+ limit), outlink membership (streaming semi-join probe) and the
-checkpoint write all run distributed, the frontier re-enters each
-wave from the checkpoint's Parquet, and the driver holds only
-wave-sized tables and counters.  The two modes are semantically identical (pinned by
-tests/test_frontier_distributed.py) and a crawl migrates between them
-as the frontier grows or drains.  Records and page-store IO are
+Dataset end-to-end — selection (``select_wave`` per block, then once
+on the driver over the blocks' picks), outlink membership (streaming
+semi-join probe) and the checkpoint write all run distributed, the
+frontier re-enters each wave from the checkpoint's Parquet, and the
+driver holds only wave-sized tables and counters.  The two modes share
+one selection kernel and pick the same waves (pinned by
+tests/test_frontier_distributed.py); a crawl migrates between them as
+the frontier grows or drains.  Records and page-store IO are
 always distributed.
 """
 

@@ -151,20 +151,14 @@ def q_dup_rate_by_source(sf_dir: str):
             "source": df["source"].astype(object),
         })
 
-    def dup_counts(g: pd.DataFrame) -> pd.DataFrame:
+    def dup_counts(g: pd.DataFrame) -> pa.Table:
+        # typed Arrow output, so Ray keeps the columns of an empty one
+        # and can size it
         n = g.groupby(["k1", "k2"])["k1"].transform("size")
-        dup = g.loc[n.to_numpy() >= 2]
-        if dup.empty:  # typed empty — Ray drops columns of bare empties
-            return pd.DataFrame({
-                "source": pd.Series([], dtype="string"),
-                "n_dup": pd.Series([], dtype="int64"),
-            })
-        out = dup.groupby("source", as_index=False).agg(
-            n_dup=("source", "size")
-        )
-        out["source"] = out["source"].astype("string")
-        out["n_dup"] = out["n_dup"].astype("int64")
-        return out
+        out = g.loc[n.to_numpy() >= 2].groupby("source", as_index=False).agg(
+            n_dup=("source", "size"))
+        return pa.Table.from_pandas(out, preserve_index=False, schema=pa.schema(
+            [("source", pa.string()), ("n_dup", pa.int64())]))
 
     keys = ds.map_batches(key_rows, batch_format="pandas")
     # a dup-free corpus yields no partial

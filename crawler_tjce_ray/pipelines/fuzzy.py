@@ -32,8 +32,6 @@ Scale design (10⁹ distinct names):
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -77,17 +75,6 @@ def _deletion_keys(df: pd.DataFrame) -> pd.DataFrame:
         "key": pd.Series([], dtype="string"),
         "name": pd.Series([], dtype="string"),
     })
-
-
-def _bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-    """All ordered candidate pairs within one deletion-key bucket.
-    Bucket membership is alphabet-bounded (see module doc), so the
-    pair loop is O(|Σ|²·len²) per bucket, never O(n²)."""
-    names = sorted(set(g["name"]))
-    if len(names) < 2:
-        return _empty_pairs()
-    a, b = zip(*itertools.combinations(names, 2))
-    return pd.DataFrame({"name_a": list(a), "name_b": list(b)})
 
 
 def _lev_le1_scalar(a: str, b: str) -> bool:
@@ -185,14 +172,15 @@ def _verify_pairs(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def _pairs_in_key_bucket(g: pd.DataFrame) -> pd.DataFrame:
-    """Candidate pairs within one coarse key bucket: pandas groupby on
-    the exact deletion key, pair loop per key group (alphabet-bounded,
-    see module doc), local dedup."""
-    outs = [_empty_pairs()]
-    for _, sub in g.groupby("key", sort=False):
-        outs.append(_bucket_pairs(sub))
-    out = pd.concat(outs, ignore_index=True)
-    return out.drop_duplicates(ignore_index=True) if len(out) else out
+    """Candidate pairs within one coarse key bucket: one self-merge on
+    the exact deletion key over the keys two or more rows share, kept
+    as ``name_a < name_b`` and deduplicated in-bucket.  A key's names
+    are alphabet-bounded (see module doc), so the merge is
+    O(|Σ|²·len²) per key, never O(n²)."""
+    g = g.loc[g["key"].duplicated(keep=False), ["key", "name"]]
+    p = g.merge(g, on="key", suffixes=("_a", "_b"))
+    p = p.loc[p["name_a"] < p["name_b"], ["name_a", "name_b"]]
+    return p.drop_duplicates(ignore_index=True) if len(p) else _empty_pairs()
 
 
 def q_fuzzy_name_pairs(sf_dir: str):

@@ -428,7 +428,9 @@ def _event_ngrams(sf_dir: str, cols: list[str]) -> pd.DataFrame:
     (gram, n) partials, ≤ |types|^n rows per bucket → driver sum,
     sorted by the gram."""
 
-    def grams(g: pd.DataFrame) -> pd.DataFrame:
+    schema = pa.schema([(c, pa.string()) for c in cols] + [("n", pa.int64())])
+
+    def grams(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         user = g["user_id"]
         same = np.ones(len(g), dtype=bool)
@@ -436,7 +438,9 @@ def _event_ngrams(sf_dir: str, cols: list[str]) -> pd.DataFrame:
             same &= (user.shift(-i) == user).to_numpy()
         p = pd.DataFrame({c: g["event_type"].shift(-i)[same]
                           for i, c in enumerate(cols)})
-        return p.groupby(cols, as_index=False).agg(n=(cols[0], "size"))
+        # typed Arrow output, so Ray can size an empty one
+        return pa.Table.from_pandas(p.groupby(cols, as_index=False).agg(
+            n=(cols[0], "size")), schema=schema, preserve_index=False)
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
     # a stream shorter than n everywhere has no partial

@@ -5,7 +5,7 @@ The frontier is a Parquet-checkpointed table (FIXTURES.md F7); on the
 driver it is one ``pa.Table`` with ``FRONTIER_SCHEMA``:
 
     url, url_key (uint64 = first 8 bytes of sha1(canonical url)),
-    host, host_hash, priority, next_fetch_wave, depth, seed
+    host, priority, next_fetch_wave, depth, seed
 
 Ordering contract (north rule / SURVEY.md §4): the crawl order is
 defined by the frontier sort key ``(priority, next_fetch_wave, url)``
@@ -24,8 +24,8 @@ import pyarrow.compute as pc
 
 FRONTIER_SCHEMA = pa.schema([
     ("url", pa.string()), ("url_key", pa.uint64()), ("host", pa.string()),
-    ("host_hash", pa.int64()), ("priority", pa.int32()),
-    ("next_fetch_wave", pa.int32()), ("depth", pa.int32()), ("seed", pa.string()),
+    ("priority", pa.int32()), ("next_fetch_wave", pa.int32()),
+    ("depth", pa.int32()), ("seed", pa.string()),
 ])
 SORT_KEYS = [("priority", "ascending"), ("next_fetch_wave", "ascending"),
              ("url", "ascending")]
@@ -78,36 +78,22 @@ def host_of(url: str) -> str:
     return (urllib.parse.urlsplit(url).hostname or "").lower()
 
 
-def host_hash_salted(host: str, url: str, hot_hosts: dict[str, int] | None = None) -> int:
-    """Partition key: hash(host), salted into ``n`` sub-partitions for
-    hosts listed in ``hot_hosts`` (skew handling: the dominant host
-    would otherwise serialize an entire partition — SURVEY.md §4 Skew)."""
-    base = int.from_bytes(hashlib.sha1(host.encode()).digest()[:8], "big")
-    if hot_hosts and host in hot_hosts:
-        salt = url_sha1_64(url) % hot_hosts[host]
-        return (base + salt) & 0x7FFFFFFFFFFFFFFF
-    return base & 0x7FFFFFFFFFFFFFFF
-
-
 def make_frontier_rows(
     urls: list[str],
     priority=0,
     wave: int = 0,
     depth=0,
     seed="",
-    hot_hosts: dict[str, int] | None = None,
 ) -> pa.Table:
     """Build canonical frontier rows for a url list (seeds, and the
     outlinks of a wave).  ``priority``, ``depth`` and ``seed`` are one
     value for every row or one per url."""
     canon = [canonicalize_url(u) for u in urls]
-    hosts = [host_of(u) for u in canon]
     n = len(canon)
     return pa.table({
         "url": canon,
         "url_key": [url_sha1_64(u) for u in canon],
-        "host": hosts,
-        "host_hash": [host_hash_salted(h, u, hot_hosts) for h, u in zip(hosts, canon)],
+        "host": [host_of(u) for u in canon],
         "priority": _int32s(priority, n),
         "next_fetch_wave": _int32s(wave, n),
         "depth": _int32s(depth, n),
@@ -150,10 +136,8 @@ def select_wave(
     dominant host never stalls the wave (skew rule: carry, don't
     barrier).
 
-    This driver implementation holds to ~10^7 pending urls;
-    ``select_wave_distributed`` below is the semantically identical
-    Ray-Data path for larger frontiers (equivalence pinned by
-    tests/test_frontier_distributed.py).
+    Large-frontier mode runs this same kernel per block and then on
+    the union of the blocks' picks (``select_wave_distributed``).
     """
     nfw = frontier["next_fetch_wave"].to_numpy()
     eligible = np.flatnonzero(nfw <= wave)
@@ -182,46 +166,38 @@ def select_wave_distributed(
     wave_size: int,
     per_host_budget: int,
 ):
-    """Dataset-level wave selection for frontiers too large for the
-    driver (the 10^10-URL regime of the north rule) — semantically
-    identical to ``select_wave``:
+    """``select_wave`` for a frontier Dataset too large for the driver
+    (the 10^10-URL regime of the north rule), with the same result:
 
-    1. filter eligible (``next_fetch_wave <= wave``) — stateless map;
-    2. global sort by the total order key (the only all-to-all);
-    3. per-host politeness cap via ``groupby(host)`` + sorted head
-       (hosts co-locate by the groupby hash; salted ``host_hash``
-       splits a dominant host across partitions while the budget stays
-       host-global because the cap re-applies on the full host group);
-    4. ``limit(wave_size)`` — the wave itself is driver-sized by
-       definition, so it materializes; the DEFERRED remainder stays a
-       Dataset (anti-membership filter against the broadcast selected
-       key set, with ``next_fetch_wave`` bumped).
+    1. candidates: one map runs ``select_wave`` on each whole block and
+       keeps the block's selected rows (at most ``wave_size`` each);
+    2. the driver runs ``select_wave`` on the union of the candidates;
+    3. the deferred frontier stays a Dataset: a map drops the selected
+       ``url_key`` set and bumps ``next_fetch_wave`` to ``wave + 1``
+       where it is ``<= wave``.
 
-    Returns ``(selected: pa.Table, deferred: ray.data.Dataset)``.
+    Exact for any partition: a row of the global wave is within its
+    host's budget inside its own block, and inside its block each host
+    has no more capped rows ahead of it than globally, where fewer than
+    ``wave_size`` are — so the row is among its block's picks.  There
+    is no exchange, so a dominant host never forms one group.
+
+    Returns ``(selected: pa.Table, deferred: ray.data.Dataset)``; both
+    carry ``FRONTIER_SCHEMA`` (blocks of older layouts are cast).
     """
-    import pandas as pd
 
-    sort_keys = [k for k, _ in SORT_KEYS]
+    def candidates(t: pa.Table) -> pa.Table:
+        return select_wave(as_frontier([t]), wave, wave_size, per_host_budget)[0]
 
-    def split_eligible(df: pd.DataFrame) -> pd.DataFrame:
-        return df[df["next_fetch_wave"] <= wave]
+    selected, _ = select_wave(as_frontier(frontier_ds.map_batches(
+        candidates, batch_format="pyarrow", batch_size=None).iter_batches(
+        batch_size=None, batch_format="pyarrow")), wave, wave_size, per_host_budget)
+    keys = selected["url_key"].combine_chunks()
 
-    eligible = frontier_ds.map_batches(split_eligible, batch_format="pandas")
+    def defer(t: pa.Table) -> pa.Table:
+        t = as_frontier([t])
+        t = t.filter(pc.invert(pc.is_in(t["url_key"], value_set=keys)))
+        nfw = t["next_fetch_wave"].to_numpy()
+        return with_next_fetch_wave(t, np.where(nfw <= wave, wave + 1, nfw))
 
-    def head_per_host(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(sort_keys, kind="mergesort").head(per_host_budget)
-
-    capped = eligible.groupby("host").map_groups(head_per_host, batch_format="pandas")
-    selected = as_frontier(capped.sort(sort_keys).limit(wave_size).iter_batches(
-        batch_size=None, batch_format="pyarrow"))
-    selected = selected.take(pc.sort_indices(selected, SORT_KEYS))
-    sel_keys = selected["url_key"].to_numpy()
-
-    def defer(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[~np.isin(df["url_key"].to_numpy(np.uint64), sel_keys)].copy()
-        bump = df["next_fetch_wave"] <= wave
-        df.loc[bump, "next_fetch_wave"] = wave + 1
-        return df
-
-    deferred = frontier_ds.map_batches(defer, batch_format="pandas")
-    return selected, deferred
+    return selected, frontier_ds.map_batches(defer, batch_format="pyarrow")

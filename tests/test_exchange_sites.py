@@ -23,7 +23,6 @@ PER_KEY_GROUPS = sorted([
     ("pipelines/textops.py", "q_pack_sequences_sharded"),  # shard
     ("pipelines/webtext.py", "q_sample_to_budget"),        # source
     ("stages/fetch.py", "build_page_store"),               # bucket
-    ("state/frontier.py", "select_wave_distributed"),      # host
 ])
 
 

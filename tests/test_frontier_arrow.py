@@ -104,14 +104,17 @@ def test_frontier_schema_round_trips_both_checkpoint_layouts(tmp_path):
     they come back as the driver table or as a Dataset.  A
     ``frontier.parquet`` comes back as the driver table even above the
     threshold: a driver-mode wave's outlinks can grow the saved
-    frontier past it."""
+    frontier past it.  A frontier saved with the older schema's extra
+    ``host_hash`` column restores the same way."""
     import ray.data as rd
 
     frontier = make_frontier_rows(
         [f"https://h{i % 3}.example/ü/{i}" for i in range(20)],
         priority=np.arange(20) % 2, wave=3, depth=1, seed="root")
     lineage = pa.table({"wave": [0]})
-    for name, saved in [("single", frontier), ("dir", rd.from_arrow(frontier))]:
+    legacy = frontier.add_column(3, "host_hash", pa.array(np.arange(20), pa.int64()))
+    for name, saved in [("single", frontier), ("dir", rd.from_arrow(frontier)),
+                        ("legacy", legacy), ("legacy_dir", rd.from_arrow(legacy))]:
         workdir = str(tmp_path / name)
         crawl._write_checkpoint(workdir, 0, saved, _NoSeen(), lineage, {})
         table, pending = crawl._load_checkpoint(workdir, 0, _NoSeen(), threshold=10**6)
@@ -121,9 +124,12 @@ def test_frontier_schema_round_trips_both_checkpoint_layouts(tmp_path):
         assert table.sort_by("url").equals(frontier.sort_by("url"))
         restored, pending = crawl._load_checkpoint(workdir, 0, _NoSeen(), threshold=0)
         assert pending == 20
-        if name == "single":
+        if isinstance(saved, pa.Table):
             assert restored.schema == FRONTIER_SCHEMA
             assert restored.sort_by("url").equals(frontier.sort_by("url"))
         else:
             assert restored.schema().base_schema.field("url_key").type == pa.uint64()
             assert restored.count() == 20
+            # every row is due and within its host's budget
+            selected, _ = crawl.select_wave_distributed(restored, 3, 64, 8)
+            assert selected.sort_by("url").equals(frontier.sort_by("url"))

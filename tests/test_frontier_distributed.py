@@ -36,15 +36,17 @@ def _norm(df: pd.DataFrame) -> pd.DataFrame:
 
 
 @pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("blocks", [1, 7, 16])
 @pytest.mark.parametrize("wave,wave_size,budget", [
-    (0, 64, 8), (1, 200, 5), (0, 10_000, 3),
+    (0, 64, 8), (1, 200, 5), (0, 10_000, 3), (1, 3, 1),
+    (-1, 64, 8),  # no row eligible: nothing selected, nothing bumped
 ])
-def test_distributed_matches_driver_path(wave, wave_size, budget):
+def test_distributed_matches_driver_path(wave, wave_size, budget, blocks):
     import ray.data as rd
 
     frontier = _skewed_frontier(800)
     sel_pd, def_pd = (t.to_pandas() for t in select_wave(frontier, wave, wave_size, budget))
-    ds = rd.from_arrow(frontier)
+    ds = rd.from_arrow(frontier).repartition(blocks)
     sel_rd, def_rd = select_wave_distributed(ds, wave, wave_size, budget)
     sel_rd = sel_rd.to_pandas()
 
@@ -54,6 +56,8 @@ def test_distributed_matches_driver_path(wave, wave_size, budget):
     if len(sel_rd):
         assert sel_rd.groupby("host")["url"].count().max() <= budget
     assert len(sel_rd) <= wave_size
+    if wave < 0:
+        assert len(sel_rd) == 0
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -9,9 +9,9 @@ import numpy as np
 import pandas as pd
 
 from crawler_tjce_ray.pipelines.fuzzy import (
-    _bucket_pairs,
     _deletion_keys,
     _lev_le1_scalar,
+    _pairs_in_key_bucket,
     _verify_pairs,
 )
 
@@ -67,11 +67,8 @@ def test_blocking_never_loses_a_true_pair():
     recovered from the key buckets ⊇ the true pair set."""
     rng = random.Random(13)
     names = sorted(set(_rand_names(rng, 60, lo=1, hi=5)))
-    keys = _deletion_keys(pd.DataFrame({"name": names}))
-    cands = set()
-    for _, g in keys.groupby("key"):
-        p = _bucket_pairs(g)
-        cands |= set(zip(p["name_a"], p["name_b"]))
+    p = _pairs_in_key_bucket(_deletion_keys(pd.DataFrame({"name": names})))
+    cands = set(zip(p["name_a"], p["name_b"]))
     for a, b in itertools.combinations(names, 2):
         if _lev(a, b) <= 1:
             assert (a, b) in cands, (a, b)
