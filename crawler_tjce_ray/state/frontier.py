@@ -136,12 +136,24 @@ def select_wave(
     dominant host never stalls the wave (skew rule: carry, don't
     barrier).
 
-    Large-frontier mode runs this same kernel per block and then on
-    the union of the blocks' picks (``select_wave_distributed``).
+    Large-frontier mode runs steps 1–4 (``_pick``) per block and then
+    this whole kernel on the union of the blocks' picks
+    (``select_wave_distributed``).
     """
+    order, picked = _pick(frontier, wave, wave_size, per_host_budget)
+    nfw = frontier["next_fetch_wave"].to_numpy()
+    rest = np.flatnonzero(nfw > wave)
+    deferred = with_next_fetch_wave(
+        frontier.take(np.concatenate([order[~picked], rest])),
+        np.r_[np.full(len(order) - picked.sum(), wave + 1, np.int32), nfw[rest]])
+    return frontier.take(order[picked]), deferred
+
+
+def _pick(frontier: pa.Table, wave: int, wave_size: int, per_host_budget: int):
+    """Steps 1–4 of ``select_wave``: the eligible row indices in sort
+    order, and the mask of those the wave picks."""
     nfw = frontier["next_fetch_wave"].to_numpy()
     eligible = np.flatnonzero(nfw <= wave)
-    rest = np.flatnonzero(nfw > wave)
     order = eligible[pc.sort_indices(frontier.take(eligible), SORT_KEYS).to_numpy()]
     # rank of each sorted row within its host: a stable sort by host
     # code, minus the position of the host's first row
@@ -154,10 +166,7 @@ def select_wave(
     keep = np.flatnonzero(rank < per_host_budget)
     picked = np.zeros(len(order), bool)
     picked[keep[:wave_size]] = True
-    deferred = with_next_fetch_wave(
-        frontier.take(np.concatenate([order[~picked], rest])),
-        np.r_[np.full(len(order) - picked.sum(), wave + 1, np.int32), nfw[rest]])
-    return frontier.take(order[picked]), deferred
+    return order, picked
 
 
 def select_wave_distributed(
@@ -169,8 +178,9 @@ def select_wave_distributed(
     """``select_wave`` for a frontier Dataset too large for the driver
     (the 10^10-URL regime of the north rule), with the same result:
 
-    1. candidates: one map runs ``select_wave`` on each whole block and
-       keeps the block's selected rows (at most ``wave_size`` each);
+    1. candidates: one map runs ``select_wave``'s pick (``_pick``) on
+       each whole block and keeps the block's selected rows (at most
+       ``wave_size`` each);
     2. the driver runs ``select_wave`` on the union of the candidates;
     3. the deferred frontier stays a Dataset: a map drops the selected
        ``url_key`` set and bumps ``next_fetch_wave`` to ``wave + 1``
@@ -187,7 +197,9 @@ def select_wave_distributed(
     """
 
     def candidates(t: pa.Table) -> pa.Table:
-        return select_wave(as_frontier([t]), wave, wave_size, per_host_budget)[0]
+        t = as_frontier([t])
+        order, picked = _pick(t, wave, wave_size, per_host_budget)
+        return t.take(order[picked])
 
     selected, _ = select_wave(as_frontier(frontier_ds.map_batches(
         candidates, batch_format="pyarrow", batch_size=None).iter_batches(

@@ -1,18 +1,19 @@
 """Time one large-frontier crawl wave from a checkpoint's Parquet.
 
     python tools/frontier_wave.py --pending 1000000 --reps 3
-    python tools/frontier_wave.py --pending 10000000 --reps 1 --json
+    python tools/frontier_wave.py --pending 10000000 --reps 1
 
-Generates a skewed frontier with NumPy and Arrow compute (``--hot`` of
-the urls on one of ``--hosts`` hosts, priority 0–2, every row due),
-writes it as the ``frontier_parquet/`` directory of ``--blocks`` files
-that a large-frontier checkpoint leaves, and then, per rep, runs the
-wave's frontier steps as ``pipelines/crawl.py`` runs them above
-``distributed_select_threshold``:
+Generates a skewed frontier of ``--pending`` urls with NumPy and Arrow
+compute (``HOT`` of the urls on one of ``HOSTS`` hosts, priority 0–2,
+every row due), writes it as the ``frontier_parquet/`` directory of
+``BLOCKS`` files that a large-frontier checkpoint leaves, and then, per
+rep, runs the wave's frontier steps as ``pipelines/crawl.py`` runs them
+above ``distributed_select_threshold`` (its own ``CPUS``-CPU Ray
+session):
 
 * ``select``: ``select_wave_distributed`` on ``read_parquet`` of the
   directory (the selected wave materializes; the defer stays lazy);
-* ``probe``: ``_keys_present`` of ``4 × --wave-size`` outlink keys,
+* ``probe``: ``_keys_present`` of ``4 × WAVE_SIZE`` outlink keys,
   half of them pending, against the deferred Dataset;
 * ``ckpt``: ``_write_checkpoint`` of the deferred Dataset ∪ the new
   outlink rows (the seen set is a stub that writes an empty log).
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import shutil
 import sys
@@ -43,6 +43,14 @@ import pyarrow.parquet as pq
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+HOSTS = 4096
+HOT = 0.65  # share of the urls on the dominant host
+BLOCKS = 16
+WAVE_SIZE = 256
+BUDGET = 8
+CPUS = 4
+SEED = 0
+
 
 def mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64's finalizer: a bijection on uint64."""
@@ -53,14 +61,14 @@ def mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def frontier_rows(start: int, stop: int, args, rng) -> pa.Table:
+def frontier_rows(start: int, stop: int, rng) -> pa.Table:
     """Frontier rows ``start..stop`` (row number ``i`` has url
     ``https://h<host>.example/p/<i>``), due at wave 0."""
     from crawler_tjce_ray.state.frontier import FRONTIER_SCHEMA
 
     n = stop - start
     i = np.arange(start, stop)
-    host_id = np.where(rng.random(n) < args.hot, 0, rng.integers(1, args.hosts, n))
+    host_id = np.where(rng.random(n) < HOT, 0, rng.integers(1, HOSTS, n))
     host = pc.binary_join_element_wise(
         "h", pc.cast(pa.array(host_id), pa.string()), ".example", "")
     url = pc.binary_join_element_wise(
@@ -89,14 +97,14 @@ def dir_bytes(d: str) -> int:
 
 
 def one_wave(fdir: str, workdir: str, probe_keys: np.ndarray,
-             new_rows: pa.Table, args) -> dict:
+             new_rows: pa.Table) -> dict:
     import ray.data as rd
 
     from crawler_tjce_ray.pipelines import crawl
 
     t0 = time.perf_counter()
     selected, deferred = crawl.select_wave_distributed(
-        rd.read_parquet(fdir), 0, args.wave_size, args.budget)
+        rd.read_parquet(fdir), 0, WAVE_SIZE, BUDGET)
     t1 = time.perf_counter()
     present = crawl._keys_present(deferred, probe_keys)
     adds = new_rows.filter(~np.isin(new_rows["url_key"].to_numpy(), present))
@@ -118,57 +126,41 @@ def one_wave(fdir: str, workdir: str, probe_keys: np.ndarray,
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pending", type=int, default=1_000_000)
-    ap.add_argument("--hosts", type=int, default=4096)
-    ap.add_argument("--hot", type=float, default=0.65,
-                    help="share of the urls on the dominant host")
-    ap.add_argument("--blocks", type=int, default=16)
-    ap.add_argument("--wave-size", type=int, default=256)
-    ap.add_argument("--budget", type=int, default=8)
     ap.add_argument("--reps", type=int, default=3)
-    ap.add_argument("--cpus", type=int, default=4)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--json", action="store_true", help="one JSON object")
     args = ap.parse_args()
 
     import ray
 
-    ray.init(address="local", num_cpus=args.cpus, include_dashboard=False,
+    ray.init(address="local", num_cpus=CPUS, include_dashboard=False,
              logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(SEED)
     tmp = tempfile.mkdtemp(prefix="frontier_wave_")
     try:
         fdir = os.path.join(tmp, "frontier_parquet")
         os.makedirs(fdir)
         t = time.perf_counter()
-        bounds = np.linspace(0, args.pending, args.blocks + 1).astype(np.int64)
+        bounds = np.linspace(0, args.pending, BLOCKS + 1).astype(np.int64)
         for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            pq.write_table(frontier_rows(int(lo), int(hi), args, rng),
+            pq.write_table(frontier_rows(int(lo), int(hi), rng),
                            os.path.join(fdir, f"part_{b:05d}.parquet"))
-        gen_s = round(time.perf_counter() - t, 2)
-        n_new = 2 * args.wave_size
-        new_rows = frontier_rows(args.pending, args.pending + n_new, args, rng)
+        print(f"generated {args.pending} pending urls in "
+              f"{time.perf_counter() - t:.2f} s", flush=True)
+        n_new = 2 * WAVE_SIZE
+        new_rows = frontier_rows(args.pending, args.pending + n_new, rng)
         old_keys = mix64(rng.choice(args.pending, n_new, replace=False))
         probe_keys = np.concatenate([old_keys, new_rows["url_key"].to_numpy()])
-        reps = []
         for r in range(args.reps):
             workdir = os.path.join(tmp, f"rep_{r}")
-            reps.append(one_wave(fdir, workdir, probe_keys, new_rows, args))
+            out = one_wave(fdir, workdir, probe_keys, new_rows)
             shutil.rmtree(workdir)
-            if not args.json:
-                print(f"rep {r}: " + " ".join(f"{k}={v}" for k, v in reps[-1].items()),
-                      flush=True)
+            print(f"rep {r}: " + " ".join(f"{k}={v}" for k, v in out.items()),
+                  flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
         ray.shutdown()
-    out = {"pending": args.pending, "hosts": args.hosts, "hot": args.hot,
-           "blocks": args.blocks, "wave_size": args.wave_size,
-           "budget": args.budget, "cpus": args.cpus, "generate_s": gen_s,
-           "reps": reps}
-    print(json.dumps(out) if args.json else
-          f"generated {args.pending} pending urls in {gen_s} s")
 
 
 if __name__ == "__main__":
