@@ -259,7 +259,13 @@ def q_kmeans_embeddings(sf_dir: str) -> pd.DataFrame:
     unrolled CTE blocks (see ``_lloyds_sql_chain``); convergence,
     determinism, local-Lloyd's equivalence, and the float assignment
     margins the oracle relies on are pinned in
-    tests/test_clustering.py."""
+    tests/test_clustering.py.
+
+    Raises ``ValueError`` ("k-means k=… exceeds the n embeddings …")
+    when the table holds fewer than ``KMEANS_K`` embeddings: the
+    deterministic init seeds each centroid from a distinct vector, and
+    training fewer than k would hand every consumer a different model
+    shape.  tests/test_degenerate_paths.py pins it on 5-row tables."""
     import ray
 
     cents, _, _ = train_kmeans(sf_dir)
@@ -368,7 +374,11 @@ def q_semdedup(sf_dir: str) -> pd.DataFrame:
     Oracle-backed (round 5): ``SQL_SEMDEDUP`` emulates the trained
     model + keep rule exactly (unrolled Lloyd's CTEs + an in-cluster
     self-join); invariants and the τ-gap float margin are pinned in
-    tests/test_clustering.py."""
+    tests/test_clustering.py.
+
+    Raises the same k > n ``ValueError`` as ``q_kmeans_embeddings``
+    (from ``train_kmeans``) when the table holds fewer than
+    ``KMEANS_K`` embeddings."""
     import ray
 
     cents, _, _ = train_kmeans(sf_dir)

@@ -96,26 +96,23 @@ def _nb_docs(sf_dir: str, inflate: int = 1) -> int:
 def q_dedup_exact(sf_dir: str):
     """Exact dedup: md5 of normalized text, keep min doc_id per key.
 
-    Combiner recipe (SURVEY §2.7): each batch pre-reduces to its own
-    (dkey, min id) pairs — the text never leaves the map stage, only
-    16-byte keys + ids — and the final min-merge runs over the already
-    per-batch-deduped pairs.  At 10^10 keys the final merge is a
-    hash-partition ``groupby`` writing partitioned output; here the
-    result is driver-sized by definition (the driver compares it)."""
-    ds = _read_docs(sf_dir, ["doc_id", "text"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        norm = normalize_text_series(df["text"])
-        part = pd.DataFrame({
-            "dkey": [hashlib.md5(x.encode()).hexdigest() for x in norm],
-            "doc_id": df["doc_id"].astype("int64"),
+    Combiner recipe (SURVEY §2.7) through ``exchange.aggregate``: each
+    batch pre-reduces to its own (dkey, min id) pairs — the text never
+    leaves the map stage, only 32-char keys + ids — and the driver
+    min-merges the per-batch-deduped pairs.  At 10^10 keys the final
+    merge is a hash-partition exchange writing partitioned output;
+    here the result is driver-sized by definition (the driver compares
+    it)."""
+    def keys(t: pa.Table) -> pa.Table:
+        norm = normalize_text_series(t["text"].to_pandas())
+        return pa.table({
+            "dkey": pa.array([hashlib.md5(x.encode()).hexdigest()
+                              for x in norm], pa.string()),
+            "doc_id": pc.cast(t["doc_id"], pa.int64()),
         })
-        return part.groupby("dkey", as_index=False)["doc_id"].min()
 
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    out = parts.groupby("dkey", as_index=False)["doc_id"].min()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    return out.sort_values("dkey").reset_index(drop=True)
+    return exchange.aggregate(_read_docs(sf_dir, ["doc_id", "text"]), "dkey",
+                              {"doc_id": ("doc_id", "min")}, keys)
 
 
 SQL_DEDUP_EXACT = r"""

@@ -1,6 +1,6 @@
 """Key-bucket exchanges: the one single-input shuffle, the one
-multi-input cogroup, and the plan sizing rule for read blocks and
-exchange fan-out.
+multi-input cogroup, the one driver-merged group-aggregate, and the
+plan sizing rule for read blocks and exchange fan-out.
 
 ``shuffle(ds, key, nb, finalize, combine=None)`` is the one path for a
 single-input exchange.  ONE pyarrow ``map_batches`` applies the
@@ -99,6 +99,37 @@ primitive takes a hashing parameter:
   ``name_a + "\\x00" + name_b`` (for a power-of-two ``nb`` the mask is
   the ``% nb`` those hops used before, so every row keeps its
   bucket).
+
+``aggregate(ds, by, aggs, derive=None)`` is the one group-aggregate
+whose groups fit the driver (months, flags, languages, distinct
+pairs), returned as a pandas frame sorted by ``by``:
+
+* Phase 1: ONE pyarrow ``map_batches`` runs ``derive`` (Arrow →
+  Arrow: the key and value columns, or a filter) and then
+  ``group_by(by, use_threads=False).aggregate``, so each batch ships
+  one partial row per group it holds.
+* Phase 2: the driver reads the partials with
+  ``iter_batches(batch_size=None, batch_format="pyarrow")``, sorts them
+  (one fold order whatever order the blocks arrive in, so a float sum
+  is the same on every run) and merges them with one more
+  ``use_threads=False`` ``group_by``.
+* ``aggs`` maps each output name to ``(column, fn)``.  ``fn`` is
+  ``count_all`` (rows), ``count`` (non-null values), ``sum``, ``min``
+  or ``max``; their merges are sum, sum, sum, min and max.  An empty
+  ``aggs`` is a DISTINCT over ``by``; an empty ``by`` is one global
+  row.  Mean and variance are (n, Σx, Σx²) columns that ``derive``
+  emits and the caller finishes, under the caller's own exactness rule
+  (integer cents, a final round).
+* NULL keys form a group, as in SQL, and an all-NULL sum is NULL.
+* Empty input: when no partial comes back, phase 1 runs on the empty
+  table of ``ds.schema()``, so the result is a typed, schema-complete
+  frame and no caller declares dtypes.  A Dataset with no schema at
+  all (a ``shuffle`` that formed no group) gives the empty frame with
+  the result's column names and no types.
+* There is no shuffle branch and no fan-out parameter: the merge is
+  O(blocks × groups) rows on the driver.  A key domain that grows with
+  the data stays on ``shuffle`` until ``shuffle`` finalizes in Arrow;
+  then a large-domain phase 2 can run per bucket there.
 
 Driver read.  ``to_pandas(ds, **dtypes)`` is the one read of an
 exchange's or a map's partials on the driver.  Ray's ``to_pandas`` of
@@ -401,6 +432,74 @@ def cogroup(sides, key: str, nb: int, finalize):
         .groupby("kb")
         .map_groups(split, batch_format="pyarrow")
     )
+
+
+# each aggregate's phase-1 Arrow kernel and its phase-2 merge
+_AGG_KERNELS = {
+    "count_all": ("count", pc.CountOptions(mode="all"), "sum"),
+    "count": ("count", pc.CountOptions(mode="only_valid"), "sum"),
+    "sum": ("sum", None, "sum"),
+    "min": ("min", None, "min"),
+    "max": ("max", None, "max"),
+}
+
+
+def _group(t: pa.Table, by: list[str], aggs: dict, phase: int) -> pa.Table:
+    """One ``use_threads=False`` Arrow ``group_by`` of ``t`` on ``by``:
+    phase 1 applies each aggregate's kernel to its source column,
+    phase 2 merges the phase-1 column of the same name.  Returns the
+    ``by`` columns, then one column per aggregate name."""
+    # one uniquely named input column per aggregate, so outputs never
+    # collide and are read back by name
+    cols, spec = {k: t[k] for k in by}, []
+    for i, (name, (col, fn)) in enumerate(aggs.items()):
+        kernel, opts, merge = _AGG_KERNELS[fn]
+        cols[f"_agg{i}"] = t[col if phase == 1 else name]
+        spec.append((f"_agg{i}", kernel, opts) if phase == 1
+                    else (f"_agg{i}", merge))
+    g = pa.table(cols).group_by(by, use_threads=False).aggregate(spec)
+    return pa.Table.from_arrays(
+        [g[k] for k in by] + [g[f"{c}_{f}"] for c, f, *_ in spec],
+        names=by + list(aggs))
+
+
+def aggregate(ds, by, aggs: dict, derive=None):
+    """Group-aggregate ``ds`` on the columns ``by`` (a name or a list;
+    ``[]`` for one global row) in two phases and return the result as
+    a pandas frame sorted by ``by``.  ``aggs`` maps each output name to
+    ``(column, fn)``, ``fn`` one of ``count_all`` (rows), ``count``
+    (non-null values), ``sum``, ``min`` or ``max`` (empty: DISTINCT
+    ``by``); ``derive`` (Arrow table → Arrow table) runs first in each
+    batch and yields the ``by`` and value columns (or filters rows).
+    See the module docstring for the merge rules."""
+    import pandas as pd
+
+    by = [by] if isinstance(by, str) else list(by)
+
+    def partial(t: pa.Table) -> pa.Table:
+        if derive is not None:
+            t = derive(t)
+        return _group(t, by, aggs, 1)
+
+    parts = [b for b in ds.map_batches(partial, batch_format="pyarrow")
+             .iter_batches(batch_size=None, batch_format="pyarrow")
+             if b.num_rows]
+    if not parts:
+        schema = ds.schema()
+        if schema is None:  # an exchange that formed no group: no types
+            return pd.DataFrame(columns=by + list(aggs))
+        # a pandas block's object column has no Arrow type: read as string
+        parts = [partial(pa.schema([
+            (n, t if isinstance(t, pa.DataType) else pa.string())
+            for n, t in zip(schema.names, schema.types)]).empty_table())]
+    parts = pa.concat_tables(parts, promote_options="default")
+    # one fold order, whatever order the blocks arrive in, so a float
+    # sum is the same on every run
+    parts = parts.sort_by([(c, "ascending") for c in parts.column_names])
+    merged = _group(parts, by, aggs, 2)
+    if by:
+        merged = merged.sort_by([(k, "ascending") for k in by])
+    return merged.to_pandas()
 
 
 def to_pandas(ds, **dtypes):

@@ -22,7 +22,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from crawler_tjce_ray.pipelines.exchange import shuffle, to_pandas
+from crawler_tjce_ray.pipelines.exchange import aggregate, shuffle, to_pandas
 from crawler_tjce_ray.pipelines.relational import _nb_rows, _pack_pairs, _read
 from crawler_tjce_ray.pipelines.textops import _read_docs
 from crawler_tjce_ray.pipelines.webtext import WORD_RE, _explode_words
@@ -98,11 +98,7 @@ def _edges_ds_and_nodes(sf_dir: str):
     edges = shuffle(ds, "l_orderkey", _nb_rows(sf_dir, "lineitem"),
                     edges_in_bucket).materialize()
 
-    node_parts = ds.map_batches(
-        lambda df: pd.DataFrame({"node": df["l_partkey"].unique()}),
-        batch_format="pandas",
-    ).to_pandas()
-    nodes = np.sort(node_parts["node"].astype("int64").unique())
+    nodes = aggregate(ds, "l_partkey", {})["l_partkey"].to_numpy(np.int64)
     # evict other-session (or other-job) entries only (their Datasets
     # died with it); same-session entries for other sf_dirs stay live,
     # so alternating queries over two corpora don't thrash the cache
@@ -867,17 +863,13 @@ def q_degree_distribution(sf_dir: str):
 
     Reuses the memoized edge Dataset; out-degree is additive edge
     multiplicity (SUM w — a (src, dst) pair may appear in several
-    order buckets, which sums correctly), so one streaming per-batch
-    partial folds into the O(#distinct-src) driver vector (pagerank's
+    order buckets, which sums correctly), so ``exchange.aggregate``
+    folds it into the O(#distinct-src) driver vector (pagerank's
     documented state bound; shard on the bucket key past ~10⁸ nodes).
     Nodes with no outgoing edge report degree 0 via the node array."""
     edges, nodes = _edges_ds_and_nodes(sf_dir)
-    deg_parts = to_pandas(edges.map_batches(
-        lambda df: df.groupby("src", as_index=False)["w"].sum(),
-        batch_format="pandas",
-    ), src="int64", w="float64")
-    deg = deg_parts.groupby("src")["w"].sum()
-    od = deg.to_numpy(np.float64).astype("int64")  # w is whole-valued
+    deg = aggregate(edges, "src", {"w": ("w", "sum")})
+    od = deg["w"].to_numpy(np.float64).astype("int64")  # w is whole-valued
     degrees, counts = np.unique(od, return_counts=True)
     n_zero = len(nodes) - len(od)
     if n_zero > 0 and (len(degrees) == 0 or degrees[0] != 0):

@@ -44,47 +44,21 @@ def build_queries() -> dict[str, Callable[[str], Any]]:
 
     def q_pages_min_ts(sf_dir: str):
         """S5 parity (edital last-updated probe): global min over the
-        pages table's warc_ts — per-batch partial min, tiny reduce."""
-        import pandas as pd
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
+        pages table's warc_ts through ``exchange.aggregate``."""
+        from crawler_tjce_ray.pipelines.exchange import aggregate
         from crawler_tjce_ray.sources.pages import read_pages
 
-        def partial(t: pa.Table) -> pa.Table:
-            ts_type = t.schema.field("warc_ts").type
-            if t.num_rows == 0:  # typed-empty, never null-typed [None]
-                return pa.table({"min_warc_ts": pa.array([], ts_type)})
-            return pa.table({
-                "min_warc_ts": pa.array([pc.min(t["warc_ts"]).as_py()], ts_type)
-            })
-
-        parts = (
-            read_pages(_pages(sf_dir), columns=["warc_ts"])
-            .map_batches(partial, batch_format="pyarrow")
-            .to_pandas()
-        )
-        return pd.DataFrame({"min_warc_ts": [parts["min_warc_ts"].min()]})
+        return aggregate(read_pages(_pages(sf_dir), columns=["warc_ts"]), [],
+                         {"min_warc_ts": ("warc_ts", "min")})
 
     def q_pages_lang_hist(sf_dir: str):
         """Language histogram over the pages corpus (exercises the
-        input_hint ``lang`` column; per-batch count partials)."""
-        import pandas as pd
-
+        input_hint ``lang`` column) through ``exchange.aggregate``."""
+        from crawler_tjce_ray.pipelines.exchange import aggregate
         from crawler_tjce_ray.sources.pages import read_pages
 
-        def partial(df: pd.DataFrame) -> pd.DataFrame:
-            g = df.groupby("lang", as_index=False).agg(n=("lang", "size"))
-            return g
-
-        parts = (
-            read_pages(_pages(sf_dir), columns=["lang"])
-            .map_batches(partial, batch_format="pandas")
-            .to_pandas()
-        )
-        out = parts.groupby("lang", as_index=False).sum()
-        out["n"] = out["n"].astype("int64")
-        return out.sort_values("lang").reset_index(drop=True)
+        return aggregate(read_pages(_pages(sf_dir), columns=["lang"]), "lang",
+                         {"n": ("lang", "count_all")})
 
     def _crawl_run(sf_dir: str):
         """One deterministic wave crawl over the small corpus, memoized

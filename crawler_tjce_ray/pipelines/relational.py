@@ -4,9 +4,10 @@ oracle SQL for the driver's correctness gate.
 Each query re-expresses a reference operator family (SURVEY.md §2) as
 a Ray Data pipeline and names every computed column identically to its
 oracle.  Scale notes are on each function: reads are column-pruned,
-small sides are broadcast (never shuffled), aggregates pre-combine
-per-batch where the key-space is small, and only provably small
-results are materialized.  A single-input exchange on an integer
+small sides are broadcast (never shuffled), a group-aggregate over a
+small key space is one ``exchange.aggregate`` call (an Arrow
+``group_by`` per batch, one more on the driver), and only provably
+small results are materialized.  A single-input exchange on an integer
 column is one ``exchange.shuffle`` call (optional Arrow combine + ``kb``
 tag in one map, then a pandas finalize per bucket), keyed on an integer
 column, a string (``top_paths``' path), a range bucket
@@ -170,34 +171,27 @@ def _hist_gini(hist: pd.DataFrame, val: str, top_k):
 
 def q_pricing_summary(sf_dir: str):
     """TPC-H Q1-style multi-aggregate (reference A-family: per-group
-    sums/counts).  Explicit combiner: each batch pre-reduces with a
-    zero-copy pyarrow ``group_by`` (6-value key space), so only
-    O(#blocks × 6) partial rows ever leave the map stage — no full
-    shuffle (Ray's Dataset groupby sort-exchanges every row, ~2.5×
-    slower here).  Mean is finished as sum/count at combine time."""
-    ds = _read(sf_dir, "lineitem",
-               ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"])
+    sums/counts) through ``exchange.aggregate``: the 6-value key space
+    pre-reduces per batch, so only O(#blocks × 6) partial rows leave
+    the map stage — no full shuffle.  Mean is Σ/n on the driver."""
+    def derive(t: pa.Table) -> pa.Table:
+        return t.append_column("disc_price", pc.multiply(
+            t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"])))
 
-    def partial(t: pa.Table) -> pa.Table:
-        disc = pc.multiply(t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        t = t.append_column("disc_price", disc)
-        return t.group_by(["l_returnflag", "l_linestatus"]).aggregate([
-            ("l_quantity", "sum"), ("l_extendedprice", "sum"),
-            ("disc_price", "sum"), ("l_quantity", "count"),
-        ])
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    g = parts.groupby(["l_returnflag", "l_linestatus"], as_index=False).sum()
-    out = pd.DataFrame({
-        "l_returnflag": g["l_returnflag"],
-        "l_linestatus": g["l_linestatus"],
-        "sum_qty": g["l_quantity_sum"].round(2),
-        "sum_base_price": g["l_extendedprice_sum"].round(2),
-        "sum_disc_price": g["disc_price_sum"].round(2),
-        "avg_qty": (g["l_quantity_sum"] / g["l_quantity_count"]).round(2),
-        "count_order": g["l_quantity_count"].astype("int64"),
-    })
-    return out.sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
+    g = _ex.aggregate(
+        _read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity",
+                                   "l_extendedprice", "l_discount"]),
+        ["l_returnflag", "l_linestatus"],
+        {"sum_qty": ("l_quantity", "sum"),
+         "sum_base_price": ("l_extendedprice", "sum"),
+         "sum_disc_price": ("disc_price", "sum"),
+         "n_qty": ("l_quantity", "count"),
+         "count_order": ("l_quantity", "count_all")}, derive)
+    g["avg_qty"] = (g["sum_qty"] / g["n_qty"]).round(2)
+    for c in ("sum_qty", "sum_base_price", "sum_disc_price"):
+        g[c] = g[c].round(2)
+    return g[["l_returnflag", "l_linestatus", "sum_qty", "sum_base_price",
+              "sum_disc_price", "avg_qty", "count_order"]]
 
 
 SQL_PRICING = """
@@ -215,16 +209,9 @@ ORDER BY l_returnflag, l_linestatus
 def q_groupby_count(sf_dir: str):
     """A1/A4: count per group (the reference's per-fetch record counts
     and invalid-reason histogram shape)."""
-    from ray.data.aggregate import Count
-
-    out = (
-        _read(sf_dir, "orders", ["o_orderpriority"])
-        .groupby("o_orderpriority")
-        .aggregate(Count(alias_name="n"))
-        .to_pandas()
-    )
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values("o_orderpriority").reset_index(drop=True)
+    return _ex.aggregate(_read(sf_dir, "orders", ["o_orderpriority"]),
+                         "o_orderpriority",
+                         {"n": ("o_orderpriority", "count_all")})
 
 
 SQL_GROUPBY_COUNT = """
@@ -235,15 +222,8 @@ GROUP BY o_orderpriority ORDER BY o_orderpriority
 
 def q_distinct(sf_dir: str):
     """A2/D1: distinct values (the entity-set union across pages)."""
-    from ray.data.aggregate import Count
-
-    out = (
-        _read(sf_dir, "customer", ["c_mktsegment"])
-        .groupby("c_mktsegment")
-        .aggregate(Count(alias_name="_n"))
-        .to_pandas()[["c_mktsegment"]]
-    )
-    return out.sort_values("c_mktsegment").reset_index(drop=True)
+    return _ex.aggregate(_read(sf_dir, "customer", ["c_mktsegment"]),
+                         "c_mktsegment", {})
 
 
 SQL_DISTINCT = "SELECT DISTINCT c_mktsegment FROM customer ORDER BY c_mktsegment"
@@ -251,19 +231,10 @@ SQL_DISTINCT = "SELECT DISTINCT c_mktsegment FROM customer ORDER BY c_mktsegment
 
 def q_min_max_dates(sf_dir: str):
     """A3/S5: global min/max over a timestamp column (the edital
-    last-updated probe, ds.min(\"warc_ts\") analog).  Partial min/max
-    per batch, final reduce over the tiny partials table."""
-    ds = _read(sf_dir, "events", ["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        ts_type = t.schema.field("ts").type
-        return pa.table({
-            "min_ts": pa.array([pc.min(t["ts"]).as_py()], ts_type),
-            "max_ts": pa.array([pc.max(t["ts"]).as_py()], ts_type),
-        })
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    return pd.DataFrame({"min_ts": [parts["min_ts"].min()], "max_ts": [parts["max_ts"].max()]})
+    last-updated probe, ds.min(\"warc_ts\") analog): one global row of
+    per-batch min/max partials."""
+    return _ex.aggregate(_read(sf_dir, "events", ["ts"]), [],
+                         {"min_ts": ("ts", "min"), "max_ts": ("ts", "max")})
 
 
 SQL_MIN_MAX = "SELECT MIN(ts) AS min_ts, MAX(ts) AS max_ts FROM events"
@@ -311,12 +282,7 @@ ORDER BY o_orderdate, o_orderkey LIMIT 500
 def q_filter_range_agg(sf_dir: str):
     """User-extension surface (main.py:698-729 apply_filters): range
     predicates pushed into a vectorized batch filter, then aggregate."""
-    from ray.data.aggregate import Sum
-
-    ds = _read(sf_dir, "lineitem",
-               ["l_returnflag", "l_shipdate", "l_discount", "l_extendedprice"])
-
-    def filt(t: pa.Table) -> pa.Table:
+    def derive(t: pa.Table) -> pa.Table:
         m = pc.and_(
             pc.greater_equal(t["l_shipdate"], pa.scalar(pd.Timestamp("1997-01-01"))),
             pc.and_(
@@ -328,14 +294,12 @@ def q_filter_range_agg(sf_dir: str):
         rev = pc.multiply(t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"]))
         return t.append_column("revenue", rev)
 
-    out = (
-        ds.map_batches(filt, batch_format="pyarrow")
-        .groupby("l_returnflag")
-        .aggregate(Sum("revenue", alias_name="revenue"))
-        .to_pandas()
-    )
+    out = _ex.aggregate(
+        _read(sf_dir, "lineitem",
+              ["l_returnflag", "l_shipdate", "l_discount", "l_extendedprice"]),
+        "l_returnflag", {"revenue": ("revenue", "sum")}, derive)
     out["revenue"] = out["revenue"].round(2)
-    return out.sort_values("l_returnflag").reset_index(drop=True)
+    return out
 
 
 SQL_FILTER_RANGE = """
@@ -399,30 +363,19 @@ ORDER BY n_name
 def q_join_agg(sf_dir: str):
     """J1 + A: broadcast join then grouped aggregate (customers per
     nation with balances).  The group key space is |nations| (tiny),
-    so each batch pre-reduces to per-nation partials and the only
-    cross-node traffic is O(blocks × nations) partial rows — no
-    all-to-all shuffle (the q_pricing_summary combiner recipe)."""
+    so ``exchange.aggregate`` pre-reduces each batch to per-nation
+    partials and the only cross-node traffic is O(blocks × nations)
+    partial rows — no all-to-all shuffle."""
     nation = _read(sf_dir, "nation").to_pandas()
     join = _broadcast_inner_lookup(
         nation["n_nationkey"], nation["n_name"], "c_nationkey", "n_name"
     )
-
-    def partial(t: pa.Table) -> pa.Table:
-        df = join(t).to_pandas()
-        g = df.groupby("n_name", as_index=False).agg(
-            num_customers=("c_acctbal", "size"), total_acctbal=("c_acctbal", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    parts = (
-        _read(sf_dir, "customer", ["c_nationkey", "c_acctbal"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-    )
-    out = parts.groupby("n_name", as_index=False).sum()
-    out["num_customers"] = out["num_customers"].astype("int64")
+    out = _ex.aggregate(
+        _read(sf_dir, "customer", ["c_nationkey", "c_acctbal"]), "n_name",
+        {"num_customers": ("c_acctbal", "count_all"),
+         "total_acctbal": ("c_acctbal", "sum")}, join)
     out["total_acctbal"] = out["total_acctbal"].round(2)
-    return out.sort_values("n_name").reset_index(drop=True)
+    return out
 
 
 SQL_JOIN_AGG = """
@@ -436,7 +389,8 @@ def q_supplier_region(sf_dir: str):
     """Two-level broadcast join (supplier ⋈ nation ⋈ region): the two
     dim tables compose driver-side (both tiny) into ONE broadcast
     nationkey→region-name lookup, so the fact table pays a single
-    vectorized index_in/take pass."""
+    vectorized index_in/take pass, and ``exchange.aggregate`` folds
+    the |regions| groups."""
     nation = _read(sf_dir, "nation").to_pandas()
     region = _read(sf_dir, "region").to_pandas()
     n2r = nation.merge(
@@ -445,26 +399,12 @@ def q_supplier_region(sf_dir: str):
     join = _broadcast_inner_lookup(
         n2r["n_nationkey"], n2r["r_name"], "s_nationkey", "r_name"
     )
-
-    def partial(t: pa.Table) -> pa.Table:
-        df = join(t).to_pandas()
-        g = df.groupby("r_name", as_index=False).agg(
-            n_suppliers=("s_acctbal", "size"), max_acctbal=("s_acctbal", "max")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    # |regions| group keys: per-batch partials + driver rollup, no
-    # shuffle (same combiner recipe as q_join_agg / q_pricing_summary)
-    parts = _ex.to_pandas(
-        _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"])
-        .map_batches(partial, batch_format="pyarrow"),
-        r_name=object, n_suppliers="int64", max_acctbal="float64")
-    out = parts.groupby("r_name", as_index=False).agg(
-        n_suppliers=("n_suppliers", "sum"), max_acctbal=("max_acctbal", "max")
-    )
-    out["n_suppliers"] = out["n_suppliers"].astype("int64")
+    out = _ex.aggregate(
+        _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"]), "r_name",
+        {"n_suppliers": ("s_acctbal", "count_all"),
+         "max_acctbal": ("s_acctbal", "max")}, join)
     out["max_acctbal"] = out["max_acctbal"].round(2)
-    return out.sort_values("r_name").reset_index(drop=True)
+    return out
 
 
 SQL_SUPPLIER_REGION = """
@@ -479,10 +419,10 @@ GROUP BY r_name ORDER BY r_name
 def q_brand_revenue(sf_dir: str):
     """Fact-to-dimension revenue rollup (lineitem ⋈ part → brand):
     each batch resolves the broadcast partkey→brand map and
-    pre-aggregates revenue per BRAND (25 keys — the per-batch partial
-    is tiny); no shuffle exists at all, the small partials flow
-    straight to a driver-side rollup.  Line items with no part match
-    are dropped by the inner-join lookup (mirrors the oracle).
+    pre-aggregates revenue per BRAND (25 keys) in
+    ``exchange.aggregate``; no shuffle exists at all.  Line items with
+    no part match are dropped by the inner-join lookup (mirrors the
+    oracle).
 
     Scale note: broadcast holds while the part dim fits the object
     store comfortably (~20 MB at sf1); past that, ``exchange.cogroup``
@@ -493,26 +433,16 @@ def q_brand_revenue(sf_dir: str):
         part["p_partkey"], part["p_brand"], "l_partkey", "p_brand"
     )
 
-    def partial(t: pa.Table) -> pa.Table:
+    def derive(t: pa.Table) -> pa.Table:
         t = join(t)
-        rev = pc.multiply(
-            t["l_extendedprice"],
-            pc.subtract(pa.scalar(1.0), t["l_discount"]),
-        )
-        tt = pa.table({"p_brand": t["p_brand"], "rev": rev})
-        # pyarrow group_by column ORDER is version-dependent; select by
-        # the documented "<col>_<agg>" NAME instead of renaming by
-        # position
-        agg = tt.group_by("p_brand").aggregate([("rev", "sum")])
-        return agg.select(["p_brand", "rev_sum"])
+        return t.append_column("rev", pc.multiply(
+            t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"])))
 
-    parts = _ex.to_pandas(
-        _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
-        .map_batches(partial, batch_format="pyarrow"),
-        p_brand=object, rev_sum="float64")
-    out = parts.groupby("p_brand", as_index=False)["rev_sum"].sum()
-    out["revenue"] = out["rev_sum"].round(2)
-    return out[["p_brand", "revenue"]].sort_values("p_brand").reset_index(drop=True)
+    out = _ex.aggregate(
+        _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"]),
+        "p_brand", {"revenue": ("rev", "sum")}, derive)
+    out["revenue"] = out["revenue"].round(2)
+    return out
 
 
 SQL_BRAND_REVENUE = """
@@ -595,10 +525,11 @@ def q_resequence(sf_dir: str):
     group counts (O(#groups) driver state — the same recipe
     assign_global_ordem uses for pages).
 
-    The shuffle groups by MONTH, not day: per-batch partial counts
-    feed the month prefix-sums, and each month group ranks its rows in
-    one vectorized sort — grouping by the 2400 distinct days would pay
-    per-group dispatch far exceeding the rank work.  It stays a true
+    The shuffle groups by MONTH, not day: ``exchange.aggregate``'s
+    month counts feed the month prefix-sums, and each month group
+    ranks its rows in one vectorized sort — grouping by the 2400
+    distinct days would pay per-group dispatch far exceeding the rank
+    work.  It stays a true
     per-key ``groupby("month").map_groups`` rather than
     ``exchange.shuffle``: ``rank_group`` reads its month's offset from
     the group's one key, and the ~80 months are already as coarse as
@@ -615,17 +546,7 @@ def q_resequence(sf_dir: str):
     # 3-column projection once instead of re-running read+map per sink
     monthly = ds.map_batches(with_month, batch_format="pyarrow").materialize()
 
-    def partial_counts(t: pa.Table) -> pa.Table:
-        g = t.group_by("month").aggregate([("o_orderkey", "count")])
-        return pa.table({
-            "month": g["month"],
-            "n": pc.cast(g["o_orderkey_count"], pa.int64()),
-        })
-
-    counts = (
-        monthly.map_batches(partial_counts, batch_format="pyarrow")
-        .to_pandas().groupby("month", as_index=False).sum().sort_values("month")
-    )
+    counts = _ex.aggregate(monthly, "month", {"n": ("o_orderkey", "count_all")})
     counts["offset"] = counts["n"].cumsum().shift(fill_value=0)
     offsets = dict(zip(counts["month"], counts["offset"]))
 
@@ -634,11 +555,9 @@ def q_resequence(sf_dir: str):
         g["ordem"] = offsets[g["month"].iloc[0]] + np.arange(1, len(g) + 1)
         return g[["ordem", "o_orderkey"]]
 
-    out = (
-        monthly.groupby("month")
-        .map_groups(rank_group, batch_format="pandas")
-        .to_pandas()
-    )
+    out = _ex.to_pandas(
+        monthly.groupby("month").map_groups(rank_group, batch_format="pandas"),
+        ordem="int64", o_orderkey="int64")
     out["ordem"] = out["ordem"].astype("int64")
     return out.sort_values("ordem").reset_index(drop=True)
 
@@ -652,32 +571,19 @@ FROM orders ORDER BY ordem
 
 def q_hourly_window(sf_dir: str):
     """§2.9 streaming-shaped: tumbling event-time window aggregate
-    (hour buckets × event type).  Same explicit-combiner recipe as
-    q_pricing_summary: per-batch pandas groupby partials (window keys
-    are dense within a batch), tiny final combine — the shuffle carries
+    (hour buckets × event type) through ``exchange.aggregate``: window
+    keys are dense within a batch, so the partials are
     O(#blocks × windows) rows, never the events."""
-    ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
+    def derive(t: pa.Table) -> pa.Table:
+        return t.append_column("window_start",
+                               pc.floor_temporal(t["ts"], unit="hour"))
 
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.table({
-            "window_start": pc.floor_temporal(t["ts"], unit="hour"),
-            "event_type": t["event_type"],
-            "value": t["value"],
-        }).group_by(["window_start", "event_type"]).aggregate([
-            ("value", "count"), ("value", "sum"),
-        ])
-        return pa.table({
-            "window_start": g["window_start"],
-            "event_type": g["event_type"],
-            "n": pc.cast(g["value_count"], pa.int64()),
-            "total_value": g["value_sum"],
-        })
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    out = parts.groupby(["window_start", "event_type"], as_index=False).sum()
-    out["n"] = out["n"].astype("int64")
+    out = _ex.aggregate(
+        _read(sf_dir, "events", ["ts", "event_type", "value"]),
+        ["window_start", "event_type"],
+        {"n": ("value", "count_all"), "total_value": ("value", "sum")}, derive)
     out["total_value"] = out["total_value"].round(2)
-    return out.sort_values(["window_start", "event_type"]).reset_index(drop=True)
+    return out
 
 
 SQL_HOURLY_WINDOW = """
@@ -689,31 +595,22 @@ FROM events GROUP BY 1, 2 ORDER BY 1, 2
 
 def q_sliding_window(sf_dir: str):
     """Sliding (3-hour, 1-hour step) windowed aggregate — the overlap
-    generalization of ``q_hourly_window``: per-batch hourly partials
-    (the only pass over events; shuffle carries O(blocks × hours)),
-    then the window roll runs over the tiny hourly table on the driver
-    with gap-aware reindexing (a RANGE frame, not a row frame)."""
-    ds = _read(sf_dir, "events", ["ts", "value"])
+    generalization of ``q_hourly_window``: hourly partials through
+    ``exchange.aggregate`` (the only pass over events), then the window
+    roll runs over the tiny hourly table on the driver with gap-aware
+    reindexing (a RANGE frame, not a row frame)."""
+    def derive(t: pa.Table) -> pa.Table:
+        return t.append_column("hour_start",
+                               pc.floor_temporal(t["ts"], unit="hour"))
 
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.table({
-            "hour_start": pc.floor_temporal(t["ts"], unit="hour"),
-            "value": t["value"],
-        }).group_by("hour_start").aggregate([
-            ("value", "count"), ("value", "sum"),
-        ])
-        return pa.table({
-            "hour_start": g["hour_start"],
-            "n": pc.cast(g["value_count"], pa.int64()),
-            "tv": g["value_sum"],
-        })
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    hourly = parts.groupby("hour_start", as_index=False).sum()
-    hourly = hourly.set_index("hour_start").sort_index()
+    hourly = _ex.aggregate(
+        _read(sf_dir, "events", ["ts", "value"]), "hour_start",
+        {"n": ("value", "count_all"), "tv": ("value", "sum")}, derive)
+    hourly = hourly.set_index("hour_start")
     # gap-aware: reindex to the continuous hour range so a 3-bucket
     # rolling sum equals the oracle's RANGE 2h-preceding frame
-    full = pd.date_range(hourly.index.min(), hourly.index.max(), freq="h")
+    full = pd.date_range(hourly.index.min(), hourly.index.max(), freq="h") \
+        if len(hourly) else hourly.index
     dense = hourly.reindex(full, fill_value=0)
     roll = dense.rolling(3, min_periods=1).sum()
     out = roll.loc[hourly.index]  # only hours that actually have events
@@ -1421,34 +1318,32 @@ FROM s
 """
 
 
+def _revenue_cents_by(sf_dir: str, unit: str) -> pd.DataFrame:
+    """(``unit``, rev_c): orders' integer-cent revenue per ``unit``
+    ("day", "week" — Monday weeks — or "month" of the year),
+    ascending, through ``exchange.aggregate``."""
+    def derive(t: pa.Table) -> pa.Table:
+        d = t["o_orderdate"]
+        k = pc.month(d) if unit == "month" else pc.floor_temporal(d, unit=unit)
+        return pa.table({unit: k, "rev_c": _cents(t["o_totalprice"])})
+
+    return _ex.aggregate(_read(sf_dir, "orders", ["o_orderdate", "o_totalprice"]),
+                         unit, {"rev_c": ("rev_c", "sum")}, derive)
+
+
 def q_weekly_revenue_wow(sf_dir: str):
     """Week-over-week revenue trend: Monday-week order revenue (exact
     integer cents) with the relative change vs the previous week —
-    the monitoring series every revenue dashboard plots.  Per-batch
-    additive (week, cents) partials (weeks are a tiny key space); the
-    LAG finishes on the driver's folded series; the first week's
-    change is NULL like the window oracle's."""
-    ds = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        day = df["o_orderdate"].dt.floor("D")
-        week = day - pd.to_timedelta(day.dt.weekday, unit="D")
-        cents = np.floor(
-            df["o_totalprice"].to_numpy(np.float64) * 100.0 + 0.5
-        ).astype("int64")
-        out = pd.DataFrame({"week": week, "rev_c": cents})
-        return out.groupby("week", as_index=False)["rev_c"].sum()
-
-    wk = (
-        ds.map_batches(partial, batch_format="pandas")
-        .to_pandas().groupby("week", as_index=False)["rev_c"].sum()
-        .sort_values("week").reset_index(drop=True)
-    )
+    the monitoring series every revenue dashboard plots.  Weeks are a
+    tiny key space folded by ``exchange.aggregate``; the LAG finishes
+    on the driver's series; the first week's change is NULL like the
+    window oracle's."""
+    wk = _revenue_cents_by(sf_dir, "week")
     prev = wk["rev_c"].shift(1)
     wow = (wk["rev_c"] - prev) / prev
     return pd.DataFrame({
         "week": wk["week"],
-        "revenue": wk["rev_c"].astype("int64").to_numpy(np.float64) / 100.0,
+        "revenue": wk["rev_c"].to_numpy(np.float64) / 100.0,
         "wow_pct": wow.astype("float64").round(6),
     })
 
@@ -1990,26 +1885,22 @@ def q_hourly_dense_counts(sf_dir: str):
     """Dense time-series: events per hour INCLUDING empty hours over
     the corpus's [min, max] hour span — the gap-filling operator
     (`hourly_window` only emits hours that occur; monitoring and
-    forecasting need the zeros).  Per-batch additive (hour, n)
-    partials plus a (min, max) pass; the dense hour domain generates
-    driver-side (bounded by the time span, not the data) and left-
-    joins the folded counts.  Pure integer timestamp arithmetic."""
-    ds = _read(sf_dir, "events", ["ts"])
+    forecasting need the zeros).  ``exchange.aggregate`` folds the
+    (hour, n) counts; the dense hour domain generates driver-side
+    (bounded by the time span, not the data) and left-joins them.
+    Pure integer timestamp arithmetic."""
+    def derive(t: pa.Table) -> pa.Table:
+        return pa.table({"hour": pc.floor_temporal(t["ts"], unit="hour")})
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        h = df["ts"].dt.floor("h")
-        out = h.value_counts().rename_axis("hour").reset_index(name="n")
-        return out.astype({"n": "int64"})
-
-    parts = (
-        ds.map_batches(partial, batch_format="pandas")
-        .to_pandas().groupby("hour", as_index=False)["n"].sum()
-    )
-    lo, hi = parts["hour"].min(), parts["hour"].max()
-    dense = pd.DataFrame({"hour": pd.date_range(lo, hi, freq="h")})
-    out = dense.merge(parts, on="hour", how="left")
+    parts = _ex.aggregate(_read(sf_dir, "events", ["ts"]), "hour",
+                          {"n": ("hour", "count_all")}, derive)
+    hours = pd.date_range(
+        parts["hour"].min(), parts["hour"].max(), freq="h",
+        unit=np.datetime_data(parts["hour"].dtype)[0]) \
+        if len(parts) else parts["hour"]
+    out = pd.DataFrame({"hour": hours}).merge(parts, on="hour", how="left")
     out["n"] = out["n"].fillna(0).astype("int64")
-    return out.sort_values("hour").reset_index(drop=True)
+    return out
 
 
 SQL_HOURLY_DENSE_COUNTS = """
@@ -2133,23 +2024,18 @@ def q_ks_two_sources(sf_dir: str):
     """Two-sample Kolmogorov–Smirnov distance between {KS_SRC_A} and
     {KS_SRC_B}'s document-length (n_chars) distributions — the
     drift/mixture-shift test run between corpus snapshots or sources.
-    Per-batch (value, source) count partials reduce to two value-count
-    histograms (O(distinct lengths) driver state — the
+    ``exchange.aggregate`` folds (value, source) counts into two
+    value-count histograms (O(distinct lengths) driver state — the
     chars_percent_rank discipline); the KS statistic is the max
     |ECDF_a − ECDF_b| over the merged support, a ratio of exact ints
     evaluated identically in the oracle, rounded to 6 dp."""
-    ds = _read(sf_dir, "documents", ["source", "n_chars"])
+    def derive(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_in(t["source"],
+                                 value_set=pa.array([KS_SRC_A, KS_SRC_B])))
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.loc[df["source"].isin([KS_SRC_A, KS_SRC_B])]
-        out = d.groupby(["n_chars", "source"], as_index=False).size() \
-            .rename(columns={"size": "n"})
-        return out.astype({"n_chars": "int64", "n": "int64"})
-
-    h = (
-        ds.map_batches(partial, batch_format="pandas")
-        .to_pandas().groupby(["n_chars", "source"], as_index=False)["n"].sum()
-    )
+    h = _ex.aggregate(_read(sf_dir, "documents", ["source", "n_chars"]),
+                      ["n_chars", "source"], {"n": ("source", "count_all")},
+                      derive)
     pv = h.pivot(index="n_chars", columns="source", values="n") \
         .fillna(0).sort_index()
     na = int(pv[KS_SRC_A].sum()) if KS_SRC_A in pv else 0
@@ -2160,10 +2046,11 @@ def q_ks_two_sources(sf_dir: str):
         .to_numpy(np.float64)
     ks = float(np.abs(ca / max(na, 1) - cb / max(nb, 1)).max()) \
         if len(pv) else 0.0
+    rows = 1 if len(pv) else 0  # SQL's GROUP BY over no length: no row
     return pd.DataFrame({
-        "n_a": pd.Series([na], dtype="int64"),
-        "n_b": pd.Series([nb], dtype="int64"),
-        "ks_stat": [round(ks, 6)],
+        "n_a": pd.Series([na] * rows, dtype="int64"),
+        "n_b": pd.Series([nb] * rows, dtype="int64"),
+        "ks_stat": [round(ks, 6)] * rows,
     })
 
 
@@ -2248,25 +2135,11 @@ def q_rolling_daily_revenue_p50(sf_dir: str):
     7 days' revenue (including the day) — the robust rolling baseline
     dashboards prefer over the mean (``rolling_avg3`` is this family's
     mean form; a median window cannot be pre-aggregated, which is why
-    it earns an operator).  Per-batch additive (day, cents) partials;
-    the dense day series and its 7-row windows finish on the driver —
-    bounded by the time span — with quantile_disc rank semantics over
-    exact ints, bit-equal to the window oracle."""
-    ds = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        day = df["o_orderdate"].dt.floor("D")
-        cents = np.floor(
-            df["o_totalprice"].to_numpy(np.float64) * 100.0 + 0.5
-        ).astype("int64")
-        out = pd.DataFrame({"day": day, "rev_c": cents})
-        return out.groupby("day", as_index=False)["rev_c"].sum()
-
-    daily = (
-        ds.map_batches(partial, batch_format="pandas")
-        .to_pandas().groupby("day", as_index=False)["rev_c"].sum()
-        .sort_values("day").reset_index(drop=True)
-    )
+    it earns an operator).  ``exchange.aggregate`` folds (day, cents);
+    the 7-row windows finish on the driver — bounded by the time
+    span — with quantile_disc rank semantics over exact ints,
+    bit-equal to the window oracle."""
+    daily = _revenue_cents_by(sf_dir, "day")
     rc = daily["rev_c"].to_numpy(np.int64)
     med = np.empty(len(rc), dtype=np.int64)
     for i in range(len(rc)):
@@ -2693,30 +2566,14 @@ FROM c CROSS JOIN t GROUP BY abc_class, t.tot ORDER BY abc_class
 def q_monthly_seasonality(sf_dir: str):
     """Calendar-month seasonality index: revenue per month-of-year
     with index = month_share × 12 (1.0 = a flat month) — the seasonal
-    profile forecasting normalizes by.  Per-batch additive (month,
-    cents) partials fold to 12 driver rows; ratios of exact ints,
-    rounded to 6 dp."""
-    ds = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        cents = np.floor(
-            df["o_totalprice"].to_numpy(np.float64) * 100.0 + 0.5
-        ).astype("int64")
-        out = pd.DataFrame({
-            "month": df["o_orderdate"].dt.month.astype("int64"),
-            "rev_c": cents,
-        })
-        return out.groupby("month", as_index=False)["rev_c"].sum()
-
-    m = (
-        ds.map_batches(partial, batch_format="pandas")
-        .to_pandas().groupby("month", as_index=False)["rev_c"].sum()
-        .sort_values("month").reset_index(drop=True)
-    )
+    profile forecasting normalizes by.  ``exchange.aggregate`` folds
+    (month, cents) to 12 rows; ratios of exact ints, rounded to 6
+    dp."""
+    m = _revenue_cents_by(sf_dir, "month")
     tot = int(m["rev_c"].sum())
     return pd.DataFrame({
-        "month": m["month"].astype("int64"),
-        "revenue": m["rev_c"].astype("int64").to_numpy(np.float64) / 100.0,
+        "month": m["month"],
+        "revenue": m["rev_c"].to_numpy(np.float64) / 100.0,
         "seasonality_index": (
             m["rev_c"].to_numpy(np.float64) * 12.0 / tot
         ).round(6),
@@ -2916,26 +2773,17 @@ FROM t CROSS JOIN tp
 def q_weekday_profile(sf_dir: str):
     """Day-of-week activity profile: events per ISO weekday (1 =
     Monday) with each day's share — the weekly rhythm panel beside
-    ``monthly_seasonality``.  Additive (weekday, n) partials fold to
-    seven driver rows; shares are ratios of exact ints."""
-    ds = _read(sf_dir, "events", ["ts"])
+    ``monthly_seasonality``.  ``exchange.aggregate`` folds (weekday, n)
+    to seven rows; shares are ratios of exact ints."""
+    def derive(t: pa.Table) -> pa.Table:
+        return pa.table({"weekday": pc.day_of_week(
+            t["ts"], count_from_zero=False, week_start=1)})
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        wd = (df["ts"].dt.weekday + 1).astype("int64")
-        out = wd.value_counts().rename_axis("weekday").reset_index(name="n")
-        return out.astype({"n": "int64"})
-
-    p = (
-        ds.map_batches(partial, batch_format="pandas")
-        .to_pandas().groupby("weekday", as_index=False)["n"].sum()
-        .sort_values("weekday").reset_index(drop=True)
-    )
-    tot = int(p["n"].sum())
-    return pd.DataFrame({
-        "weekday": p["weekday"].astype("int64"),
-        "n_events": p["n"].astype("int64"),
-        "share": (p["n"].to_numpy(np.float64) / tot).round(6),
-    })
+    p = _ex.aggregate(_read(sf_dir, "events", ["ts"]), "weekday",
+                      {"n_events": ("weekday", "count_all")}, derive)
+    p["share"] = (p["n_events"].to_numpy(np.float64)
+                  / int(p["n_events"].sum())).round(6)
+    return p
 
 
 SQL_WEEKDAY_PROFILE = """
@@ -3256,26 +3104,16 @@ FROM events ORDER BY event_id
 def q_reason_histogram(sf_dir: str):
     """M11/A4: validation-reason histogram (the legacy normalizer's
     invalid-row report, script.py:654-691) over documents."""
-    from ray.data.aggregate import Count
+    def derive(t: pa.Table) -> pa.Table:
+        reason = pa.scalar("ok")
+        for cond, r in [(pc.not_equal(t["lang"], "en"), "not_english"),
+                        (pc.greater(t["n_chars"], 400), "too_long"),
+                        (pc.less(t["n_chars"], 100), "too_short")]:
+            reason = pc.if_else(pc.fill_null(cond, False), r, reason)
+        return pa.table({"reason": reason})
 
-    def reason(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["reason"] = np.select(
-            [df["n_chars"] < 100, df["n_chars"] > 400, df["lang"] != "en"],
-            ["too_short", "too_long", "not_english"],
-            default="ok",
-        )
-        return df[["reason"]]
-
-    out = (
-        _read(sf_dir, "documents", ["n_chars", "lang"])
-        .map_batches(reason, batch_format="pandas")
-        .groupby("reason")
-        .aggregate(Count(alias_name="n"))
-        .to_pandas()
-    )
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values("reason").reset_index(drop=True)
+    return _ex.aggregate(_read(sf_dir, "documents", ["n_chars", "lang"]),
+                         "reason", {"n": ("reason", "count_all")}, derive)
 
 
 SQL_REASON_HISTOGRAM = """
@@ -3455,35 +3293,18 @@ GROUP BY 1, 2 ORDER BY 1, 2
 
 
 def _fine_revenue(sf_dir: str) -> pd.DataFrame:
-    """Finest-level (returnflag, linestatus) revenue/count table via
-    per-batch combiners — the one fact-table scan both ROLLUP and
+    """Finest-level (returnflag, linestatus) revenue/count table through
+    ``exchange.aggregate`` — the one fact-table scan both ROLLUP and
     CUBE derive every super-aggregate level from."""
-    ds = _read(sf_dir, "lineitem",
-               ["l_returnflag", "l_linestatus", "l_extendedprice", "l_discount"])
+    def derive(t: pa.Table) -> pa.Table:
+        return t.append_column("rev", pc.multiply(
+            t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"])))
 
-    def partial(t: pa.Table) -> pa.Table:
-        rev = pc.multiply(
-            t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"])
-        )
-        g = pa.table({
-            "l_returnflag": t["l_returnflag"],
-            "l_linestatus": t["l_linestatus"],
-            "rev": rev,
-        }).group_by(["l_returnflag", "l_linestatus"]).aggregate([
-            ("rev", "sum"), ("rev", "count"),
-        ])
-        return pa.table({
-            "l_returnflag": g["l_returnflag"],
-            "l_linestatus": g["l_linestatus"],
-            "revenue": g["rev_sum"],
-            "n_items": pc.cast(g["rev_count"], pa.int64()),
-        })
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["l_returnflag", "l_linestatus"], as_index=False).sum()
-    )
+    return _ex.aggregate(
+        _read(sf_dir, "lineitem",
+              ["l_returnflag", "l_linestatus", "l_extendedprice", "l_discount"]),
+        ["l_returnflag", "l_linestatus"],
+        {"revenue": ("rev", "sum"), "n_items": ("rev", "count_all")}, derive)
 
 
 def _finish_grouping_sets(frames: list[pd.DataFrame]) -> pd.DataFrame:
@@ -3499,7 +3320,7 @@ def _finish_grouping_sets(frames: list[pd.DataFrame]) -> pd.DataFrame:
 def q_rollup_revenue(sf_dir: str):
     """ROLLUP aggregation: revenue at (returnflag, linestatus), per
     returnflag, and grand total in one result.  Only the finest level
-    is computed distributed (the usual per-batch combiner); the
+    is computed distributed (``_fine_revenue``'s ``exchange.aggregate``); the
     super-aggregate levels derive from those few rows driver-side —
     rollups never rescan the fact table."""
     fine = _fine_revenue(sf_dir)
@@ -3509,7 +3330,8 @@ def q_rollup_revenue(sf_dir: str):
     lvl1["l_linestatus"] = None
     total = pd.DataFrame({
         "l_returnflag": [None], "l_linestatus": [None],
-        "revenue": [fine["revenue"].sum()], "n_items": [fine["n_items"].sum()],
+        "revenue": [fine["revenue"].sum(min_count=1)],
+        "n_items": [fine["n_items"].sum()],
     })
     return _finish_grouping_sets([fine, lvl1, total])
 
@@ -3529,7 +3351,7 @@ def q_cube_revenue(sf_dir: str):
     linestatus) in one result.  Same discipline as ``q_rollup_revenue``
     (and the same ``_fine_revenue`` scan): every super-aggregate —
     including the ((), linestatus) level that ROLLUP lacks — derives
-    from the finest combiner rows driver-side."""
+    from the finest-level rows driver-side."""
     fine = _fine_revenue(sf_dir)
     by_flag = fine.groupby("l_returnflag", as_index=False).agg(
         revenue=("revenue", "sum"), n_items=("n_items", "sum")
@@ -3541,7 +3363,8 @@ def q_cube_revenue(sf_dir: str):
     by_status["l_returnflag"] = None
     total = pd.DataFrame({
         "l_returnflag": [None], "l_linestatus": [None],
-        "revenue": [fine["revenue"].sum()], "n_items": [fine["n_items"].sum()],
+        "revenue": [fine["revenue"].sum(min_count=1)],
+        "n_items": [fine["n_items"].sum()],
     })
     return _finish_grouping_sets([fine, by_flag, by_status, total])
 
@@ -3559,30 +3382,22 @@ ORDER BY l_returnflag NULLS LAST, l_linestatus NULLS LAST
 def q_pivot_status(sf_dir: str):
     """Pivot (conditional aggregation): orders counted per priority
     with one column per order status.  Statuses are a tiny CLOSED set,
-    so the pivot is per-batch conditional counts — the combiner
-    carries |priorities| × |statuses| partials, no shuffle."""
-    ds = _read(sf_dir, "orders", ["o_orderpriority", "o_orderstatus"])
+    so the pivot is one 0/1 column per status summed by
+    ``exchange.aggregate`` — |priorities| × 4 partials, no shuffle."""
     statuses = ["F", "O", "P"]
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("o_orderpriority", as_index=False)
-        out = g.size().rename(columns={"size": "n_total"})
+    def derive(t: pa.Table) -> pa.Table:
+        cols = {"o_orderpriority": t["o_orderpriority"]}
         for s in statuses:
-            cnt = (
-                df[df["o_orderstatus"] == s]
-                .groupby("o_orderpriority", as_index=False).size()
-                .rename(columns={"size": f"n_{s}"})
-            )
-            out = out.merge(cnt, on="o_orderpriority", how="left")
-        return out.fillna(0)
+            cols[f"n_{s}"] = pc.fill_null(
+                pc.cast(pc.equal(t["o_orderstatus"], s), pa.int64()), 0)
+        return pa.table(cols)
 
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .to_pandas().groupby("o_orderpriority", as_index=False).sum()
-    )
-    for c in ["n_total"] + [f"n_{s}" for s in statuses]:
-        out[c] = out[c].astype("int64")
-    return out.sort_values("o_orderpriority").reset_index(drop=True)
+    aggs = {"n_total": ("o_orderpriority", "count_all")}
+    aggs.update({f"n_{s}": (f"n_{s}", "sum") for s in statuses})
+    return _ex.aggregate(
+        _read(sf_dir, "orders", ["o_orderpriority", "o_orderstatus"]),
+        "o_orderpriority", aggs, derive)
 
 
 SQL_PIVOT_STATUS = """
@@ -3595,30 +3410,15 @@ FROM orders GROUP BY o_orderpriority ORDER BY o_orderpriority
 """
 
 
-def _n_chars_hist(ds) -> pd.DataFrame:
-    """(n_chars, n) value counts of the documents' ``n_chars``,
-    ascending: per-batch partials, O(distinct values) driver fold."""
-
-    def val_counts(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("n_chars", as_index=False).size()
-        return g.rename(columns={"size": "n"})
-
-    return (
-        ds.map_batches(val_counts, batch_format="pandas")
-        .to_pandas().groupby("n_chars", as_index=False).sum()
-        .sort_values("n_chars").reset_index(drop=True)
-    )
-
-
 def q_chars_percent_rank(sf_dir: str):
     """PERCENT_RANK over the whole corpus WITHOUT a global sort: the
     integer ``n_chars`` column reduces to a value-count histogram
-    (per-batch partials, O(distinct values) driver state), the exact
-    min-rank CDF broadcasts, and a second vectorized pass maps every
-    doc — the distributed recipe for rank-style windows on
+    (``exchange.aggregate``, O(distinct values) driver state), the
+    exact min-rank CDF broadcasts, and a second vectorized pass maps
+    every doc — the distributed recipe for rank-style windows on
     low-cardinality keys."""
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
-    hist = _n_chars_hist(ds)
+    hist = _ex.aggregate(ds, "n_chars", {"n": ("n_chars", "count_all")})
     total = int(hist["n"].sum())
     # SQL PERCENT_RANK = (rank - 1) / (n - 1), ties share the min rank
     hist["rank_min"] = hist["n"].cumsum().shift(fill_value=0) + 1
@@ -3633,7 +3433,8 @@ def q_chars_percent_rank(sf_dir: str):
             "pct_rank": df["n_chars"].map(pr).astype("float64"),
         })
 
-    out = ds.map_batches(rank_map, batch_format="pandas").to_pandas()
+    out = _ex.to_pandas(ds.map_batches(rank_map, batch_format="pandas"),
+                        doc_id="int64", pct_rank="float64")
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -3645,29 +3446,19 @@ FROM documents ORDER BY doc_id
 
 def q_zscore_events(sf_dir: str):
     """Group-wise normalization (feature scaling): z-score each event's
-    value within its event_type.  Two streaming passes: per-batch
-    (n, Σv, Σv²) moment partials reduce driver-side to O(|types|)
-    constants, which broadcast into a vectorized normalize pass — the
-    value stream never shuffles."""
+    value within its event_type.  Two ``exchange.aggregate`` passes
+    reduce (n, Σv) and then Σ(v−μ)² to O(|types|) constants, which
+    broadcast into a vectorized normalize pass — the value stream
+    never shuffles."""
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
 
     # Two passes instead of the one-pass (Σv² − (Σv)²/n) formula: that
     # form cancels catastrophically for near-constant groups (variance
     # lands at a tiny NEGATIVE float → sqrt → NaN) while DuckDB's
     # STDDEV_SAMP is Welford-stable.  Pass 1 reduces means; pass 2
-    # reduces centered squares — both are per-batch partials.
-    def sums(t: pa.Table) -> pa.Table:
-        g = t.group_by("event_type").aggregate([
-            ("value", "count"), ("value", "sum"),
-        ])
-        return pa.table({
-            "event_type": g["event_type"],
-            "n": pc.cast(g["value_count"], pa.int64()),
-            "s": g["value_sum"],
-        })
-
-    parts = ds.map_batches(sums, batch_format="pyarrow").to_pandas()
-    st = parts.groupby("event_type", as_index=False).sum()
+    # reduces centered squares.
+    st = _ex.aggregate(ds, "event_type",
+                       {"n": ("value", "count"), "s": ("value", "sum")})
     st["mean"] = st["s"] / st["n"]
     # O(|types|) moment table, shipped in the closure and hash-joined
     # per batch (Arrow join — no Python map over rows)
@@ -3679,18 +3470,10 @@ def q_zscore_events(sf_dir: str):
     def centered(t: pa.Table) -> pa.Table:
         j = t.join(mean_tbl, keys="event_type")
         d = pc.subtract(j["value"], j["mean_"])
-        g = pa.table({
-            "event_type": j["event_type"], "ssd": pc.multiply(d, d),
-        }).group_by("event_type").aggregate([("ssd", "sum")])
-        return pa.table({
-            "event_type": g["event_type"], "ssd": g["ssd_sum"],
-        })
+        return pa.table({"event_type": j["event_type"], "ssd": pc.multiply(d, d)})
 
-    ssd = (
-        ds.map_batches(centered, batch_format="pyarrow")
-        .to_pandas().groupby("event_type", as_index=False).sum()
-    )
-    st = st.merge(ssd, on="event_type")
+    st = st.merge(_ex.aggregate(ds, "event_type", {"ssd": ("ssd", "sum")},
+                                centered), on="event_type")
     # n < 2 → NULL stddev in SQL → NaN here (divide-by-NaN propagates)
     st["sd"] = np.sqrt(
         np.where(st["n"] > 1, st["ssd"] / np.maximum(st["n"] - 1, 1), np.nan)
@@ -3714,7 +3497,8 @@ def q_zscore_events(sf_dir: str):
                 ndigits=9),
         })
 
-    out = ds.map_batches(normalize, batch_format="pyarrow").to_pandas()
+    out = _ex.to_pandas(ds.map_batches(normalize, batch_format="pyarrow"),
+                        event_id="int64", event_type=object, z="float64")
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -4061,62 +3845,43 @@ def _grouped_centered_moments(
 ):
     """Shared two-pass engine for the grouped moment/regression
     queries over (l_returnflag, l_quantity[, l_extendedprice]):
-    pass 1 reduces per-batch per-flag ``(n, Σx[, Σy])`` partials to
-    group means; pass 2 broadcasts the means and sums CENTERED
-    products per flag — ``Σ(x−μx)^p`` for each requested power and,
-    with ``with_y``, the regression sums ``Σdx², Σdy², Σdx·dy``.
-    Centering first kills the catastrophic cancellation of raw-power
-    formulas (x⁴ sums overflow double precision long before the
-    centered ones do).  Arrow end-to-end: the per-row group mean is
-    an ``index_in`` + ``take`` against the tiny flag vector, the
-    per-batch reduce a pyarrow ``group_by``.  Each pass ships
-    O(blocks × |flags| × |sums|) floats — values never shuffle.
-    Returns ``(flags, ns, mx, my, sums)`` where ``sums`` maps
-    ``"m{p}"`` / ``"xx"``/``"yy"``/``"xy"`` to per-flag arrays
+    pass 1 reduces per-flag ``(n, Σx[, Σy])`` to group means; pass 2
+    broadcasts the means and sums CENTERED products per flag —
+    ``Σ(x−μx)^p`` for each requested power and, with ``with_y``, the
+    regression sums ``Σdx², Σdy², Σdx·dy``.  Centering first kills the
+    catastrophic cancellation of raw-power formulas (x⁴ sums overflow
+    double precision long before the centered ones do).  Both passes
+    are ``exchange.aggregate`` calls; the per-row group mean is an
+    ``index_in`` + ``take`` against the tiny flag vector, and each
+    pass ships O(blocks × |flags| × |sums|) floats — values never
+    shuffle.  Returns ``(flags, ns, mx, my, sums)`` where ``sums``
+    maps ``"m{p}"`` / ``"xx"``/``"yy"``/``"xy"`` to per-flag arrays
     (``my`` is None without ``with_y``)."""
-    import ray
-
-    cols = ["l_returnflag", "l_quantity"] + (
-        ["l_extendedprice"] if with_y else []
-    )
+    ds = _read(sf_dir, "lineitem", columns=["l_returnflag", "l_quantity"]
+               + (["l_extendedprice"] if with_y else []))
 
     def p1(t: pa.Table) -> pa.Table:
-        data = {
-            "f": t["l_returnflag"],
-            "x": pc.cast(t["l_quantity"], pa.float64()),
-        }
-        aggs = [("x", "sum"), ("x", "count")]
+        data = {"f": t["l_returnflag"],
+                "x": pc.cast(t["l_quantity"], pa.float64())}
         if with_y:
             data["y"] = pc.cast(t["l_extendedprice"], pa.float64())
-            aggs.append(("y", "sum"))
-        g = pa.table(data).group_by("f").aggregate(aggs)
-        out = {"f": g["f"], "sx": g["x_sum"],
-               "n": pc.cast(g["x_count"], pa.float64())}
-        if with_y:
-            out["sy"] = g["y_sum"]
-        return pa.table(out)
+        return pa.table(data)
 
-    parts = (
-        _read(sf_dir, "lineitem", columns=cols)
-        .map_batches(p1, batch_format="pyarrow")
-        .to_pandas()
-    )
-    parts = (
-        parts.sort_values(list(parts.columns), kind="mergesort")
-        .groupby("f", as_index=False).sum()
-        .sort_values("f", kind="mergesort")
-    )
+    aggs = {"sx": ("x", "sum"), "n": ("x", "count")}
+    if with_y:
+        aggs["sy"] = ("y", "sum")
+    parts = _ex.aggregate(ds, "f", aggs, p1)
     flags = parts["f"].tolist()
     ns = parts["n"].to_numpy(np.float64)
     mx = (parts["sx"] / parts["n"]).to_numpy(np.float64)
     my = (parts["sy"] / parts["n"]).to_numpy(np.float64) if with_y else None
-    ref = ray.put((flags, mx, my))
+    fl = pa.array(flags, pa.string())
+    names = [f"m{p}" for p in powers] + (["xx", "yy", "xy"] if with_y else [])
 
     def p2(t: pa.Table) -> pa.Table:
-        fl, cx, cy = ray.get(ref)
-        idx = pc.index_in(t["l_returnflag"], value_set=pa.array(fl))
+        idx = pc.index_in(t["l_returnflag"], value_set=fl)
         dx = pc.subtract(pc.cast(t["l_quantity"], pa.float64()),
-                         pc.take(pa.array(cx, pa.float64()), idx))
+                         pc.take(pa.array(mx, pa.float64()), idx))
         cols_out = {"f": t["l_returnflag"]}
         acc = dx
         for p in range(2, max(powers, default=1) + 1):
@@ -4125,29 +3890,14 @@ def _grouped_centered_moments(
                 cols_out[f"m{p}"] = acc
         if with_y:
             dy = pc.subtract(pc.cast(t["l_extendedprice"], pa.float64()),
-                             pc.take(pa.array(cy, pa.float64()), idx))
+                             pc.take(pa.array(my, pa.float64()), idx))
             cols_out["xx"] = pc.multiply(dx, dx)
             cols_out["yy"] = pc.multiply(dy, dy)
             cols_out["xy"] = pc.multiply(dx, dy)
-        names = [c for c in cols_out if c != "f"]
-        return pa.table(cols_out).group_by("f").aggregate(
-            [(c, "sum") for c in names]
-        )
+        return pa.table(cols_out)
 
-    m = (
-        _read(sf_dir, "lineitem", columns=cols)
-        .map_batches(p2, batch_format="pyarrow")
-        .to_pandas()
-    )
-    m = (
-        m.sort_values(list(m.columns), kind="mergesort")
-        .groupby("f", as_index=False).sum()
-        .sort_values("f", kind="mergesort")
-    )
-    sums = {
-        c[: -len("_sum")]: m[c].to_numpy(np.float64)
-        for c in m.columns if c.endswith("_sum")
-    }
+    m = _ex.aggregate(ds, "f", {c: (c, "sum") for c in names}, p2)
+    sums = {c: m[c].to_numpy(np.float64) for c in names}
     return flags, ns, mx, my, sums
 
 
@@ -4233,29 +3983,14 @@ FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag
 
 def q_mode_qty_per_flag(sf_dir: str):
     """Group-wise MODE with a deterministic min-value tie-break:
-    the most frequent l_quantity per l_returnflag.  Per-batch
-    ``(flag, qty, count)`` partials combine on the driver (the key
-    space is |flags| × |distinct qty| ≈ tiny, independent of row
-    count — the same combiner discipline as ``token_histogram``);
+    the most frequent l_quantity per l_returnflag.
+    ``exchange.aggregate`` folds ``(flag, qty, count)`` (the key space
+    is |flags| × |distinct qty| ≈ tiny, independent of row count);
     the raw rows never shuffle.  Exact integer counts → exact
     oracle."""
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["l_returnflag", "l_quantity"]).aggregate([
-            ("l_quantity", "count"),
-        ])
-        return pa.table({
-            "l_returnflag": g["l_returnflag"],
-            "l_quantity": g["l_quantity"],
-            "c": pc.cast(g["l_quantity_count"], pa.int64()),
-        })
-
-    parts = (
-        _read(sf_dir, "lineitem", columns=["l_returnflag", "l_quantity"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["l_returnflag", "l_quantity"], as_index=False)["c"]
-        .sum()
-    )
+    parts = _ex.aggregate(
+        _read(sf_dir, "lineitem", columns=["l_returnflag", "l_quantity"]),
+        ["l_returnflag", "l_quantity"], {"c": ("l_quantity", "count_all")})
     # min-qty among max-count ties, per flag (deterministic)
     parts = parts.sort_values(
         ["l_returnflag", "c", "l_quantity"],
@@ -4299,7 +4034,7 @@ def q_row_number_ntile(sf_dir: str):
     (a value never straddles buckets).  Total is the only other
     broadcast scalar, so NTILE's uneven-bucket arithmetic is local."""
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
-    hist = _n_chars_hist(ds)
+    hist = _ex.aggregate(ds, "n_chars", {"n": ("n_chars", "count_all")})
     total = int(hist["n"].sum())
     offset = dict(zip(hist["n_chars"],
                       hist["n"].cumsum().shift(fill_value=0).astype("int64")))
@@ -4325,7 +4060,8 @@ def q_row_number_ntile(sf_dir: str):
             "decile": decile.astype("int64"),
         })
 
-    out = _ex.shuffle(ds, "n_chars", nbv, rank_in_bucket).to_pandas()
+    out = _ex.to_pandas(_ex.shuffle(ds, "n_chars", nbv, rank_in_bucket),
+                        doc_id="int64", rn="int64", decile="int64")
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -4427,23 +4163,12 @@ GROUP BY user_id ORDER BY user_id
 
 
 def _lang_source_cells(sf_dir: str):
-    """The lang × source contingency table of ``documents``: per-batch
-    Arrow group counts folded on the driver (|langs| × |sources|
-    rows).  Returns the (lang, source, n) cells and, as float64, the
-    grand total and each cell's row total, column total and count."""
-    ds = _read(sf_dir, "documents", ["lang", "source"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["lang", "source"]).aggregate([("lang", "count")])
-        return pa.table({
-            "lang": g["lang"], "source": g["source"],
-            "n": pc.cast(g["lang_count"], pa.int64()),
-        })
-
-    cells = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas().groupby(["lang", "source"], as_index=False)["n"].sum()
-    )
+    """The lang × source contingency table of ``documents``, folded by
+    ``exchange.aggregate`` (|langs| × |sources| rows).  Returns the
+    (lang, source, n) cells and, as float64, the grand total and each
+    cell's row total, column total and count."""
+    cells = _ex.aggregate(_read(sf_dir, "documents", ["lang", "source"]),
+                          ["lang", "source"], {"n": ("lang", "count_all")})
     row_t = cells.groupby("lang")["n"].sum()
     col_t = cells.groupby("source")["n"].sum()
     return (cells, float(cells["n"].sum()),
@@ -4456,7 +4181,7 @@ def q_chi2_lang_source(sf_dir: str):
     """Chi-square independence table for lang × source: observed
     count, expected count under independence, and the per-cell χ²
     contribution — the corpus-balance diagnostic for mixture design.
-    Per-batch contingency partials combine on the driver (key space
+    ``exchange.aggregate`` folds the contingency cells (key space
     |langs| × |sources|, independent of row count); every float is a
     product/quotient of exact integer totals, so no summation-order
     ambiguity exists."""
@@ -4498,8 +4223,8 @@ def q_mi_lang_source(sf_dir: str):
     source) — the information-theoretic sibling of
     ``q_chi2_lang_source`` (chi² asks "is the mixture independent?",
     MI says "how many nats does knowing the source tell you about the
-    language").  Same contingency-partials recipe: per-batch zero-copy
-    Arrow group counts, driver folds |langs| × |sources| rows.  PMI =
+    language").  Same contingency cells (``_lang_source_cells``,
+    |langs| × |sources| rows from ``exchange.aggregate``).  PMI =
     ln(n·total / (rn·cn)) rounded to 6 dp (repo-wide libm convention:
     ln is the one non-exact op; both engines round the same double)."""
     cells, total, rn, cn, n = _lang_source_cells(sf_dir)
@@ -4526,28 +4251,19 @@ ORDER BY lang, source
 def q_distinct_users_by_type(sf_dir: str):
     """Grouped EXACT distinct count — ``COUNT(DISTINCT user_id)`` per
     event_type — with the shuffle-shrinking discipline the exact path
-    needs at 100 TB: each block first dedupes its own (event_type,
-    user_id) pairs — the raw event stream never leaves the map stage,
-    only per-block DISTINCT pairs — and the final dedupe+tally runs
-    over the already-combined pairs (same combiner recipe as
-    ``q_dedup_exact``).  At 10^10 users the final merge becomes a
-    pair-keyed hash-partition ``groupby``; here the distinct-pair set
-    is driver-sized (types × users) by construction.  This is the
-    exact counterpart of the HLL ``approx_distinct_users``: same
-    question, exact pairs instead of a 2^p-byte sketch, the right
-    trade when the distinct set itself is exchange-affordable."""
-    ds = _read(sf_dir, "events", ["event_type", "user_id"])
-    pairs = ds.map_batches(
-        lambda df: df.drop_duplicates(), batch_format="pandas"
-    ).to_pandas()
-    out = (
-        pairs.drop_duplicates()
-        .groupby("event_type", as_index=False)
-        .size()
-        .rename(columns={"size": "n_users"})
-    )
-    out["n_users"] = out["n_users"].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
+    needs at 100 TB: ``exchange.aggregate`` groups (event_type,
+    user_id) pairs with no aggregate, so each block ships only its
+    DISTINCT pairs and the driver merges them; the tally runs over the
+    merged pairs.  At 10^10 users the final merge becomes a
+    pair-keyed exchange; here the distinct-pair set is driver-sized
+    (types × users) by construction.  This is the exact counterpart of
+    the HLL ``approx_distinct_users``: same question, exact pairs
+    instead of a 2^p-byte sketch, the right trade when the distinct
+    set itself is exchange-affordable."""
+    pairs = _ex.aggregate(_read(sf_dir, "events", ["event_type", "user_id"]),
+                          ["event_type", "user_id"], {})
+    return pairs.groupby("event_type", as_index=False, dropna=False) \
+        .agg(n_users=("user_id", "count"))
 
 
 SQL_DISTINCT_USERS_BY_TYPE = """
@@ -4559,27 +4275,16 @@ FROM events GROUP BY event_type ORDER BY event_type
 def q_sources_per_lang(sf_dir: str):
     """Ordered list/string aggregation — ``STRING_AGG(DISTINCT source
     ORDER BY source)`` per language — the one aggregate class
-    (collect-to-list) the registry lacked.  Same combiner discipline
-    as ``q_distinct_users_by_type``: blocks dedupe their own (lang,
-    source) pairs so the exchange carries per-block distinct pairs
-    only; the join-to-string happens once per group over the merged
-    distinct set.  The result is bounded by |langs × sources| — list
-    aggregation is only sane when the collected set is, and the
-    per-block dedupe is what keeps the big side streaming."""
-    ds = _read(sf_dir, "documents", ["lang", "source"])
-    pairs = ds.map_batches(
-        lambda df: df.drop_duplicates(), batch_format="pandas"
-    ).to_pandas().drop_duplicates()
-    out = (
-        pairs.sort_values(["lang", "source"])
-        .groupby("lang", as_index=False)
-        .agg(
-            n_sources=("source", "size"),
-            sources=("source", ",".join),
-        )
-    )
-    out["n_sources"] = out["n_sources"].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+    (collect-to-list) the registry lacked.  Same discipline as
+    ``q_distinct_users_by_type``: ``exchange.aggregate`` merges the
+    blocks' distinct (lang, source) pairs, sorted, and the
+    join-to-string happens once per group over them.  The result is
+    bounded by |langs × sources| — list aggregation is only sane when
+    the collected set is."""
+    pairs = _ex.aggregate(_read(sf_dir, "documents", ["lang", "source"]),
+                          ["lang", "source"], {})
+    return pairs.groupby("lang", as_index=False).agg(
+        n_sources=("source", "size"), sources=("source", ",".join))
 
 
 SQL_SOURCES_PER_LANG = """
@@ -4860,36 +4565,18 @@ GROUP BY 1, 2 ORDER BY pair_count DESC, p1, p2 LIMIT 100
 def q_welch_t_value(sf_dir: str):
     """Grouped two-sample statistics: Welch's t of ``value`` for each
     event_type against its complement (all other events).  One
-    streaming pass of per-batch (n, Σv, Σv²) partials per type — the
+    ``exchange.aggregate`` pass of (n, Σv, Σv²) per type — the
     complement's moments fall out of the global totals, so nothing is
     scanned twice and nothing shuffles.  The oracle spells out the
     identical naive-moment algebra so both engines share rounding
     behavior (the ``corr_qty_price`` discipline)."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
+    def derive(t: pa.Table) -> pa.Table:
+        return pa.table({"event_type": t["event_type"], "v": t["value"],
+                         "v2": pc.multiply(t["value"], t["value"])})
 
-    def partial(t: pa.Table) -> pa.Table:
-        t2 = pa.table({
-            "event_type": t["event_type"],
-            "v": t["value"],
-            "v2": pc.multiply(t["value"], t["value"]),
-        })
-        g = t2.group_by("event_type").aggregate([
-            ("v", "sum"), ("v2", "sum"), ("v", "count"),
-        ])
-        return pa.table({
-            "event_type": g["event_type"],
-            "s": g["v_sum"], "ss": g["v2_sum"],
-            "n": pc.cast(g["v_count"], pa.int64()),
-        })
-
-    m = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values(["event_type", "s"], kind="mergesort")
-        .groupby("event_type", as_index=False)
-        .sum()
-        .sort_values("event_type", kind="mergesort")
-    )
+    m = _ex.aggregate(_read(sf_dir, "events", ["event_type", "value"]),
+                      "event_type", {"s": ("v", "sum"), "ss": ("v2", "sum"),
+                                     "n": ("v", "count")}, derive)
     n = m["n"].to_numpy(np.float64)
     s = m["s"].to_numpy(np.float64)
     ss = m["ss"].to_numpy(np.float64)

@@ -481,29 +481,30 @@ FROM scored WHERE rank = 1 ORDER BY query_id
 def q_embedding_dim_variance(sf_dir: str):
     """Per-dimension feature statistics: the 10 highest-variance
     embedding dimensions (the feature-selection / whitening probe a
-    quantizer or PCA pass starts from).  Each batch emits one d-length
-    (Σv, Σv², n) partial — O(blocks × d) rows total, the corpus never
-    shuffles.  Ranked by the ROUNDED variance (dim ascending tie-break)
-    so the two engines can never disagree on knife-edge float
-    orderings; float64 end-to-end on both sides (the oracle casts the
-    float32 list to DOUBLE[], the ``ann_cosine_topk`` discipline)."""
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        mat = np.stack(df["embedding"].to_numpy()).astype(np.float64)
-        return pd.DataFrame({
+    quantizer or PCA pass starts from).  Each batch reduces to one
+    d-row (Σv, Σv², n) table that ``exchange.aggregate`` sums per dim —
+    O(blocks × d) rows total, the corpus never shuffles.  Ranked by the
+    ROUNDED variance (dim ascending tie-break) so the two engines can
+    never disagree on knife-edge float orderings; float64 end-to-end
+    on both sides (the oracle casts the float32 list to DOUBLE[], the
+    ``ann_cosine_topk`` discipline)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from crawler_tjce_ray.pipelines.exchange import aggregate
+
+    def moments(t: pa.Table) -> pa.Table:
+        flat = pc.list_flatten(t["embedding"]).to_numpy().astype(np.float64)
+        mat = flat.reshape(t.num_rows, -1) if t.num_rows else np.empty((0, 0))
+        return pa.table({
             "dim": np.arange(mat.shape[1], dtype=np.int64),
             "s": mat.sum(axis=0),
             "ss": (mat * mat).sum(axis=0),
             "n": np.full(mat.shape[1], mat.shape[0], dtype=np.int64),
         })
 
-    m = (
-        _read_emb(sf_dir, columns=("embedding",))
-        .map_batches(partial, batch_format="pandas")
-        .to_pandas()
-        .sort_values(["dim", "s"], kind="mergesort")
-        .groupby("dim", as_index=False)
-        .sum()
-    )
+    m = aggregate(_read_emb(sf_dir, columns=("embedding",)), "dim",
+                  {c: (c, "sum") for c in ("s", "ss", "n")}, moments)
     n = m["n"].to_numpy(np.float64)
     s = m["s"].to_numpy(np.float64)
     ss = m["ss"].to_numpy(np.float64)

@@ -12,22 +12,15 @@
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from crawler_tjce_ray.pipelines import exchange as _ex
 from crawler_tjce_ray.pipelines.relational import _read
 
 QUANTILES = [0.5, 0.9, 0.99]
-
-
-def _col_f64(t: pa.Table, col: str) -> np.ndarray:
-    """Float64 view of an Arrow column (nulls → NaN) — zero-copy when
-    the block is one null-free float64 chunk, one cast otherwise."""
-    return t[col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
 
 
 HLL_P = 12
@@ -242,22 +235,20 @@ def q_heavy_hitters_exact(sf_dir: str):
       ≥ phi must reach share ≥ phi in at least one block.  The merged
       CMS (est ≥ true, one-sided) then PRUNES candidates whose
       estimate is already below the threshold T = ⌈phi·N⌉.
-    pass 2: exact counts for the surviving candidates only — each
-      block ships ≤ |survivors| (token, count) rows instead of its
-      whole vocabulary, so the exact aggregation costs
-      O(blocks × |survivors|) regardless of vocabulary size (the
-      100-TB path where an exact full-vocab groupby is the
-      bottleneck).  Survivors ride task closures here; at cluster
-      scale the set goes through ``ray.put`` once."""
+    pass 2: exact counts for the surviving candidates only, through
+      ``exchange.aggregate`` — each block ships ≤ |survivors|
+      (token, count) rows instead of its whole vocabulary, so the
+      exact aggregation costs O(blocks × |survivors|) regardless of
+      vocabulary size (the 100-TB path where an exact full-vocab
+      groupby is the bottleneck).  Survivors ride task closures here;
+      at cluster scale the set goes through ``ray.put`` once."""
     import math
 
-    from crawler_tjce_ray.pipelines.textops import _read_docs
+    from crawler_tjce_ray.pipelines.textops import _read_docs, tokens_flat
 
     ds = _read_docs(sf_dir, ["text"]).materialize()  # two passes
 
     def partial(t: pa.Table) -> pd.DataFrame:
-        from crawler_tjce_ray.pipelines.textops import tokens_flat
-
         toks = pd.Series(tokens_flat(t.column("text"))[1], dtype=object)
         counts = toks.value_counts()
         total = int(counts.sum())
@@ -268,33 +259,21 @@ def q_heavy_hitters_exact(sf_dir: str):
             "total": [total],
         })
 
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
+    parts = _ex.to_pandas(ds.map_batches(partial, batch_format="pyarrow"),
+                          sketch=object, cand=object, total="int64")
     sk, cand_arr = _merged_cms(parts)
     n_tokens = int(parts["total"].sum())
     threshold = math.ceil(HH_PHI * n_tokens)
     est = cms_estimate(sk, cand_arr)
-    survivors = frozenset(cand_arr[est >= threshold])
+    survivors = pa.array(sorted(set(cand_arr[est >= threshold])), pa.string())
 
-    def exact(t: pa.Table, _keep=survivors) -> pd.DataFrame:
-        from crawler_tjce_ray.pipelines.textops import tokens_flat
+    def exact(t: pa.Table) -> pa.Table:
+        toks = pa.array(tokens_flat(t.column("text"))[1], pa.string())
+        return pa.table({"token": toks.filter(
+            pc.is_in(toks, value_set=survivors))})
 
-        toks = pd.Series(tokens_flat(t.column("text"))[1], dtype=object)
-        counts = toks.value_counts()
-        sub = counts[counts.index.isin(_keep)]
-        return pd.DataFrame({
-            "token": sub.index.astype(object),
-            "c": sub.to_numpy(dtype=np.int64),
-        })
-
-    # a corpus with no word has no survivor and no partial
-    exact_counts = _ex.to_pandas(
-        ds.map_batches(exact, batch_format="pyarrow"), token=object, c="int64"
-    ).groupby("token")["c"].sum()
-    hh = exact_counts[exact_counts >= threshold].sort_index()
-    return pd.DataFrame({
-        "token": hh.index.astype(object),
-        "cnt": hh.to_numpy(dtype=np.int64),
-    })
+    counts = _ex.aggregate(ds, "token", {"cnt": ("token", "count_all")}, exact)
+    return counts[counts["cnt"] >= threshold].reset_index(drop=True)
 
 
 SQL_HEAVY_HITTERS_EXACT = """
@@ -319,38 +298,31 @@ HIST_BINS = 16
 
 def q_value_histogram(sf_dir: str):
     """Equi-width histogram of a continuous column in two streaming
-    passes: one min/max pass pins the shared bin edges, then every
-    block reports ONE additive int64[bins] count vector — the shuffle
-    carries O(blocks × bins) integers no matter the row count, and the
-    raw values never move (the same partial-merge discipline as the
-    CMS/HLL sketches, but exact).  Bin arithmetic is plain IEEE-double
+    passes: one min/max pass pins the shared bin edges, then
+    ``exchange.aggregate`` counts rows per bin — O(blocks × bins)
+    partial rows no matter the row count, and the raw values never
+    move (the same partial-merge discipline as the CMS/HLL sketches,
+    but exact).  Bin arithmetic is plain IEEE-double
     ``floor((v − mn)/w)`` with w = (mx − mn)/bins, clamped to the last
     bin — the identical expression DuckDB evaluates, so the oracle
-    needs no tolerance."""
+    needs no tolerance.  NULL and NaN values fall in no bin."""
     ds = _read(sf_dir, "events", ["value"]).materialize()  # two passes
     _, mn, mx = _select_base_stats(ds, _derive_value)
     w = (mx - mn) / HIST_BINS
 
-    def hist(t: pa.Table) -> pa.Table:
-        v = _col_f64(t, "value")
-        v = v[~np.isnan(v)]
-        b = np.minimum(
-            np.floor((v - mn) / w), HIST_BINS - 1
-        ).astype(np.int64)
-        c = np.bincount(b, minlength=HIST_BINS)
-        return pa.table({
-            "bin": np.arange(HIST_BINS, dtype=np.int64),
-            "c": c.astype(np.int64),
-        })
+    def binned(t: pa.Table) -> pa.Table:
+        v = pc.cast(t["value"], pa.float64())
+        v = v.filter(pc.invert(pc.is_nan(v)))
+        b = pc.min_element_wise(
+            pc.floor(pc.divide(pc.subtract(v, mn), w)), HIST_BINS - 1.0)
+        return pa.table({"bin": pc.cast(b, pa.int64())})
 
-    parts = ds.map_batches(hist, batch_format="pyarrow").to_pandas()
-    agg = parts.groupby("bin")["c"].sum()
-    agg = agg[agg > 0]  # SQL GROUP BY emits no empty bins
-    bins = agg.index.to_numpy(dtype=np.int64)
+    agg = _ex.aggregate(ds, "bin", {"cnt": ("bin", "count_all")}, binned)
+    bins = agg["bin"].to_numpy(np.int64)
     return pd.DataFrame({
         "bin": bins,
         "bin_lo": np.round(mn + bins * w, 6),
-        "cnt": agg.to_numpy(dtype=np.int64),
+        "cnt": agg["cnt"].to_numpy(np.int64),
     })
 
 

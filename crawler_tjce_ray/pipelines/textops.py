@@ -13,10 +13,11 @@ maps with a final small sort.  The vocabulary-keyed ones —
 ``top_terms_per_lang`` and ``vocab_overlap_sources`` (on the token)
 — run ONE ``exchange.shuffle`` each, with the per-batch partial as
 the combine: the vocabulary grows with the corpus (Heaps' law), so a
-groupby on the token itself would not scale.  ``lang_id_confusion``
-has a tiny |langs|² groupby, and ``pack_sequences_sharded`` is a true
-per-shard group.  At 100 TB each stage streams block by block;
-nothing materializes the corpus.
+groupby on the token itself would not scale.  The small-key-space
+rollups — ``lang_id_confusion``'s |langs|² cells, the per-lang and
+per-source profiles — are ``exchange.aggregate`` calls, and
+``pack_sequences_sharded`` is a true per-shard group.  At 100 TB each
+stage streams block by block; nothing materializes the corpus.
 """
 
 from __future__ import annotations
@@ -317,20 +318,11 @@ def q_lang_purity_by_source(sf_dir: str):
     the lexicographically smallest — pinned on both engines), the
     share of docs carrying it, and the total — the "is this source's
     lang metadata trustworthy" check run before lang-filtered
-    training mixes.  Contingency count partials (|sources| × |langs|
-    driver fold, independent of corpus size); purity is a ratio of
-    exact ints rounded to 6 dp."""
-    ds = _read_docs(sf_dir, ["source", "lang"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby(["source", "lang"], as_index=False).size() \
-            .rename(columns={"size": "n"})
-        return out.astype({"n": "int64"})
-
-    cells = (
-        ds.map_batches(partial, batch_format="pandas")
-        .to_pandas().groupby(["source", "lang"], as_index=False)["n"].sum()
-    )
+    training mixes.  ``exchange.aggregate`` folds the contingency
+    counts (|sources| × |langs| rows, independent of corpus size);
+    purity is a ratio of exact ints rounded to 6 dp."""
+    cells = exchange.aggregate(_read_docs(sf_dir, ["source", "lang"]),
+                               ["source", "lang"], {"n": ("source", "count_all")})
     cells = cells.sort_values(["source", "n", "lang"],
                               ascending=[True, False, True],
                               kind="mergesort")
@@ -368,25 +360,12 @@ def q_char_class_profile(sf_dir: str):
     """Character-class profile per language: fractions of letters,
     digits, whitespace and other — the orthography sanity panel
     (digit-heavy "en" is probably tables, letter-less "zh" is
-    mislabeled).  Zero-copy Arrow RE2 counts per batch → additive
-    (lang, 4 counters) partials → driver ratios of exact ints,
+    mislabeled).  Zero-copy Arrow RE2 counts per batch, summed per
+    lang by ``exchange.aggregate`` → driver ratios of exact ints,
     rounded to 6 dp."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    ds = _read_docs(sf_dir, ["lang", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:  # typed empty
-            return pa.table({
-                "lang": pa.array([], pa.string()),
-                "n_chars": pa.array([], pa.int64()),
-                "letters": pa.array([], pa.int64()),
-                "digits": pa.array([], pa.int64()),
-                "spaces": pa.array([], pa.int64()),
-            })
+    def counts(t: pa.Table) -> pa.Table:
         txt = t["text"]
-        g = pa.table({
+        return pa.table({
             "lang": t["lang"],
             "n_chars": pc.cast(pc.utf8_length(txt), pa.int64()),
             "letters": pc.cast(pc.count_substring_regex(
@@ -395,22 +374,12 @@ def q_char_class_profile(sf_dir: str):
                 txt, r"[0-9]"), pa.int64()),
             "spaces": pc.cast(pc.count_substring_regex(
                 txt, r"\s"), pa.int64()),
-        }).group_by("lang").aggregate([
-            ("n_chars", "sum"), ("letters", "sum"),
-            ("digits", "sum"), ("spaces", "sum"),
-        ])
-        return pa.table({
-            "lang": g["lang"],
-            "n_chars": g["n_chars_sum"], "letters": g["letters_sum"],
-            "digits": g["digits_sum"], "spaces": g["spaces_sum"],
         })
 
-    p = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas().groupby("lang", as_index=False)[
-            ["n_chars", "letters", "digits", "spaces"]].sum()
-        .sort_values("lang").reset_index(drop=True)
-    )
+    p = exchange.aggregate(
+        _read_docs(sf_dir, ["lang", "text"]), "lang",
+        {c: (c, "sum") for c in ("n_chars", "letters", "digits", "spaces")},
+        counts)
     nc = p["n_chars"].to_numpy(np.float64)
     other = (p["n_chars"] - p["letters"] - p["digits"] - p["spaces"]) \
         .to_numpy(np.float64)
@@ -454,11 +423,9 @@ FROM c GROUP BY lang ORDER BY lang
 def q_lang_id_confusion(sf_dir: str):
     """Language-ID by stopword vote (n-gram heuristic family), then a
     confusion matrix against the labeled ``lang`` column.  The per-doc
-    predict is a stateless map; the groupby key-space is |langs|² — the
-    shuffle moves only pre-reduced partials."""
-    from ray.data.aggregate import Count
-
-    ds = _read_docs(sf_dir, ["doc_id", "text", "lang"])
+    predict runs in ``exchange.aggregate``'s map; the key space is
+    |langs|², so only O(blocks × |langs|²) partial rows reach the
+    driver and no all-to-all runs."""
     order = ["en", "es", "fr", "de"]  # deterministic tie-break priority
     stop_arrs = {k: pa.array(LANG_STOPWORDS[k]) for k in order}
 
@@ -487,14 +454,9 @@ def q_lang_id_confusion(sf_dir: str):
         pred[hits.max(axis=0) == 0] = "unk"
         return pa.table({"lang": t["lang"], "lang_pred": pa.array(pred, pa.string())})
 
-    out = (
-        ds.map_batches(predict, batch_format="pyarrow")
-        .groupby(["lang", "lang_pred"])
-        .aggregate(Count(alias_name="n"))
-        .to_pandas()
-    )
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values(["lang", "lang_pred"]).reset_index(drop=True)
+    return exchange.aggregate(_read_docs(sf_dir, ["text", "lang"]),
+                              ["lang", "lang_pred"],
+                              {"n": ("lang_pred", "count_all")}, predict)
 
 
 def _hits_sql(lang: str) -> str:
@@ -1142,24 +1104,10 @@ def q_lang_entropy_by_source(sf_dir: str):
     """Corpus-mix diagnostics: Shannon entropy (bits) of the language
     distribution inside each source — the "is this source monolingual
     or mixed" probe a curation pipeline runs before sampling weights.
-    Per-batch (source, lang) count partials; the key space is
-    |sources|×|langs| (data-independent and tiny), so the partials
-    merge on the driver like ``token_histogram``."""
-    ds = _read_docs(sf_dir, ["source", "lang"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["source", "lang"]).aggregate([("lang", "count")])
-        return pa.table({
-            "source": g["source"], "lang": g["lang"],
-            "n": pc.cast(g["lang_count"], pa.int64()),
-        })
-
-    parts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["source", "lang"], as_index=False)["n"]
-        .sum()
-    )
+    ``exchange.aggregate`` folds the (source, lang) counts; the key
+    space is |sources|×|langs| (data-independent and tiny)."""
+    parts = exchange.aggregate(_read_docs(sf_dir, ["source", "lang"]),
+                               ["source", "lang"], {"n": ("lang", "count_all")})
     tot = parts.groupby("source")["n"].transform("sum")
     p = parts["n"] / tot
     parts["plogp"] = p * np.log2(p)
@@ -1172,7 +1120,7 @@ def q_lang_entropy_by_source(sf_dir: str):
     # -Σ p·log2 p, negated after the sum as the oracle does: a
     # one-language source is -0.0, not 0.0
     out["lang_entropy_bits"] = np.round(-out.pop("plogp"), 6)
-    return out.sort_values("source").reset_index(drop=True)
+    return out
 
 
 SQL_LANG_ENTROPY_BY_SOURCE = """

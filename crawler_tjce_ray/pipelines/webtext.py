@@ -8,8 +8,8 @@ Same discipline as ``textops``: every stage is a stateless
 ``map_batches`` over Arrow/pandas batches with vectorized kernels
 (RE2 via pyarrow.compute, pandas explode/groupby — no Python loop
 over rows); cross-doc state (the benchmark n-gram set, the n_chars
-histogram) is either broadcast once via ``ray.put`` or reduced from
-per-batch partials.  At 100 TB every query here streams block by
+histogram) is either broadcast once via ``ray.put`` or reduced by
+``exchange.aggregate``.  At 100 TB every query here streams block by
 block; the only driver-side state is O(distinct n-grams of the
 benchmark set) and O(distinct n_chars values).
 
@@ -408,40 +408,20 @@ def _quantile_disc(counts: pd.DataFrame, q: float) -> int:
 def q_quantile_filter(sf_dir: str):
     """Percentile quality cut: drop documents below the corpus p10 of
     ``n_chars``, report survivors per language.  The exact discrete
-    quantile is computed from a distributed value-count histogram
-    (per-batch partials over the *integer* n_chars column — O(distinct
-    lengths) driver state, never a global sort), then the threshold
-    broadcast into a vectorized filter pass."""
+    quantile is computed from a value-count histogram
+    (``exchange.aggregate`` over the *integer* n_chars column —
+    O(distinct lengths) driver state, never a global sort), then the
+    threshold filters a second ``exchange.aggregate`` pass."""
     ds = _read_docs(sf_dir, ["lang", "n_chars"])
-
-    def val_counts(t: pa.Table) -> pa.Table:
-        vc = t["n_chars"].value_counts()
-        return pa.table({
-            "value": pc.cast(pc.struct_field(vc, "values"), pa.int64()),
-            "n": pc.cast(pc.struct_field(vc, "counts"), pa.int64()),
-        })
-
-    hist = (
-        ds.map_batches(val_counts, batch_format="pyarrow")
-        .to_pandas().groupby("value", as_index=False).sum()
-    )
-    p10 = _quantile_disc(hist, QUANTILE_Q)
-
-    def survivors(t: pa.Table) -> pa.Table:
-        kept = t.filter(pc.greater_equal(t["n_chars"], p10))
-        vc = kept["lang"].value_counts()
-        return pa.table({
-            "lang": pc.cast(pc.struct_field(vc, "values"), pa.string()),
-            "n_kept": pc.cast(pc.struct_field(vc, "counts"), pa.int64()),
-        })
-
-    out = (
-        ds.map_batches(survivors, batch_format="pyarrow")
-        .to_pandas().groupby("lang", as_index=False).sum()
-    )
-    out["n_kept"] = out["n_kept"].astype("int64")
-    out["p10"] = np.int64(p10)
-    return out.sort_values("lang").reset_index(drop=True)
+    hist = exchange.aggregate(ds, "n_chars", {"n": ("n_chars", "count")}) \
+        .rename(columns={"n_chars": "value"})
+    # an empty corpus has no threshold: no row survives, as in SQL
+    p10 = _quantile_disc(hist, QUANTILE_Q) if len(hist) else None
+    out = exchange.aggregate(
+        ds, "lang", {"n_kept": ("lang", "count_all")},
+        lambda t: t.filter(pc.greater_equal(t["n_chars"], p10)))
+    out["p10"] = np.int64(p10 or 0)
+    return out
 
 
 SQL_QUANTILE_FILTER = f"""
@@ -527,31 +507,18 @@ FROM kept GROUP BY doc_id ORDER BY doc_id
 def q_source_token_share(sf_dir: str):
     """Training-mixture accounting: whitespace tokens per source and
     each source's share of the corpus — the input to mixture
-    reweighting.  Per-batch (source, n_docs, n_tokens) partials; the
-    share divides by the driver-side total (tiny)."""
-    ds = _read_docs(sf_dir, ["source", "text"])
+    reweighting.  ``exchange.aggregate`` folds (source, n_docs,
+    n_tokens); the share divides by the driver-side total (tiny)."""
+    def tokens(t: pa.Table) -> pa.Table:
+        return pa.table({"source": t["source"], "tok": pc.cast(
+            pc.count_substring_regex(t["text"], r"\S+"), pa.int64())})
 
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.cast(
-            pc.count_substring_regex(t["text"], r"\S+"), pa.int64()
-        )
-        df = pd.DataFrame({
-            "source": t["source"].to_pandas(), "tok": toks.to_pandas()
-        })
-        g = df.groupby("source", as_index=False).agg(
-            n_docs=("tok", "size"), n_tokens=("tok", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas().groupby("source", as_index=False).sum()
-    )
-    out["n_docs"] = out["n_docs"].astype("int64")
-    out["n_tokens"] = out["n_tokens"].astype("int64")
+    out = exchange.aggregate(
+        _read_docs(sf_dir, ["source", "text"]), "source",
+        {"n_docs": ("tok", "count_all"), "n_tokens": ("tok", "sum")}, tokens)
     total = float(out["n_tokens"].sum())
     out["token_share"] = out["n_tokens"].to_numpy(np.float64) / total
-    return out.sort_values("source").reset_index(drop=True)
+    return out
 
 
 SQL_SOURCE_TOKEN_SHARE = r"""
@@ -1027,26 +994,16 @@ FROM c WHERE cum_tokens <= {TOKEN_BUDGET_PER_SOURCE} ORDER BY doc_id
 
 def q_lang_median_chars(sf_dir: str):
     """Group-wise exact median: per-language ``quantile_disc(0.5)`` of
-    doc length, computed from per-batch (lang, n_chars) count partials
-    — driver state is O(langs × distinct lengths), the corpus never
-    shuffles or sorts."""
-    ds = _read_docs(sf_dir, ["lang", "n_chars"])
-
-    def val_counts(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["lang", "n_chars"], as_index=False).size()
-        return g.rename(columns={"n_chars": "value", "size": "n"})
-
-    hist = (
-        ds.map_batches(val_counts, batch_format="pandas")
-        .to_pandas().groupby(["lang", "value"], as_index=False).sum()
-    )
-    out = (
-        hist.groupby("lang")
-        .apply(lambda g: _quantile_disc(g, 0.5), include_groups=False)
-        .rename("median_chars").reset_index()
-    )
-    out["median_chars"] = out["median_chars"].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+    doc length, computed from the (lang, n_chars) counts
+    ``exchange.aggregate`` folds — driver state is O(langs × distinct
+    lengths), the corpus never shuffles or sorts."""
+    hist = exchange.aggregate(_read_docs(sf_dir, ["lang", "n_chars"]),
+                              ["lang", "n_chars"], {"n": ("n_chars", "count")})
+    med = {lang: _quantile_disc(g.rename(columns={"n_chars": "value"}), 0.5)
+           for lang, g in hist.groupby("lang")}
+    return pd.DataFrame({"lang": pd.Series(list(med), dtype=object),
+                         "median_chars": pd.Series(list(med.values()),
+                                                   dtype="int64")})
 
 
 SQL_LANG_MEDIAN_CHARS = """

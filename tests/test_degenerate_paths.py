@@ -310,21 +310,40 @@ def test_wordless_corpus(wordless_corpus, mod, name):
 
 
 # the queries whose bucket exchange moved onto ``exchange.shuffle`` last,
-# each reading orders, events or lineitem
-ZERO_ROW_QUERIES = [
+# and the ones that group-aggregate through ``exchange.aggregate``, each
+# reading orders, events, lineitem or documents
+ZERO_ROW_QUERIES = [("relational", n) for n in (
     "purchase_id_islands", "top_paths", "attribution_first_touch",
     "first_last_order", "part_cooccurrence", "customer_year_setops",
     "dense_rank_topk", "merge_intervals",
+    "pricing_summary", "groupby_count", "min_max_dates", "filter_range_agg",
+    "brand_revenue", "hourly_window", "sliding_window", "weekly_revenue_wow",
+    "hourly_dense_counts", "ks_two_sources", "rolling_daily_revenue_p50",
+    "monthly_seasonality", "weekday_profile", "reason_histogram",
+    "rollup_revenue", "cube_revenue", "pivot_status", "chars_percent_rank",
+    "row_number_ntile", "mode_qty_per_flag", "chi2_lang_source",
+    "mi_lang_source", "distinct_users_by_type", "sources_per_lang",
+    "qty_moments_by_flag", "regr_price_qty", "welch_t_value",
+    "zscore_events", "resequence_ordem",
+)] + [
+    ("textops", "lang_purity_by_source"), ("textops", "char_class_profile"),
+    ("textops", "lang_id_confusion"), ("textops", "lang_entropy_by_source"),
+    ("webtext", "quantile_filter"), ("webtext", "source_token_share"),
+    ("webtext", "lang_median_chars"), ("sketches", "value_histogram"),
+    ("sketches", "heavy_hitters_exact"), ("graph", "degree_distribution"),
+    ("dedup", "dedup_exact"),
 ]
+
+ZERO_ROW_TABLES = ("orders", "events", "lineitem", "documents")
 
 
 @pytest.fixture(scope="module")
 def zero_rows(tmp_path_factory):
-    """sf0.01 with orders, events and lineitem cut to zero rows (typed,
-    written with pyarrow); the other tables are linked."""
+    """sf0.01 with orders, events, lineitem and documents cut to zero
+    rows (typed, written with pyarrow); the other tables are linked."""
     d = tmp_path_factory.mktemp("zero_rows")
     for f in os.listdir(SF):
-        if f[:-len(".parquet")] in ("orders", "events", "lineitem"):
+        if f[:-len(".parquet")] in ZERO_ROW_TABLES:
             pq.write_table(pq.read_table(f"{SF}/{f}").slice(0, 0), str(d / f))
         elif f.endswith(".parquet"):
             os.symlink(os.path.join(SF, f), d / f)
@@ -332,13 +351,15 @@ def zero_rows(tmp_path_factory):
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("name", ZERO_ROW_QUERIES)
-def test_zero_row_tables(zero_rows, name):
-    """No row reaches the exchange, so every partial is empty and Ray's
-    frame has no columns; the driver reads it through
-    ``exchange.to_pandas`` and must return the oracle's empty (or
-    zero-count) result, not a ``KeyError``."""
-    _assert_oracle_equal(zero_rows, "relational", name)
+@pytest.mark.parametrize("mod,name", ZERO_ROW_QUERIES,
+                         ids=[n for _, n in ZERO_ROW_QUERIES])
+def test_zero_row_tables(zero_rows, mod, name):
+    """No row reaches the exchange or the aggregate, so every partial
+    is empty: ``exchange.to_pandas`` returns the declared columns and
+    ``exchange.aggregate`` the typed empty result, and each query must
+    return the oracle's empty (or zero-count) result, not a
+    ``KeyError``."""
+    _assert_oracle_equal(zero_rows, mod, name)
 
 
 def _oracle_queries():

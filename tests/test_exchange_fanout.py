@@ -552,6 +552,8 @@ class TestNullGroupKeys:
         ("semi_join_vip", "SQL_SEMI_JOIN_VIP"),
         ("bloom_anti_join", "SQL_BLOOM_ANTI_JOIN"),
         ("big_spenders", "SQL_BIG_SPENDERS"),
+        ("groupby_count", "SQL_GROUPBY_COUNT"),
+        ("pivot_status", "SQL_PIVOT_STATUS"),
     ])
     def test_oracle_equal(self, null_sf, name, sql):
         import warnings
@@ -569,6 +571,83 @@ class TestNullGroupKeys:
             pd.testing.assert_frame_equal(
                 mine.reset_index(drop=True), ref, check_dtype=False)
         assert ref.isna().any().any() or name == "big_spenders"
+
+
+def _one_shot(t: pa.Table, by, aggs: dict) -> pd.DataFrame:
+    """``aggs`` over the whole of ``t`` in one Arrow ``group_by``."""
+    import pyarrow.compute as pc
+
+    spec = [(name, "count", pc.CountOptions(mode="all")) if fn == "count_all"
+            else (name, fn) for name, (_, fn) in aggs.items()]
+    cols = {k: t[k] for k in by} | {n: t[c] for n, (c, _) in aggs.items()}
+    g = pa.table(cols).group_by(by, use_threads=False).aggregate(spec)
+    out = pa.table({k: g[k] for k in by}
+                   | {n: g[f"{n}_{f}"] for n, f, *_ in spec})
+    if by:
+        out = out.sort_by([(k, "ascending") for k in by])
+    return out.to_pandas()
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestAggregate:
+    """``exchange.aggregate`` equals one Arrow ``group_by`` over the
+    whole table at any block count, keeps SQL's NULL semantics (a NULL
+    key is a group; an all-NULL sum is NULL), and returns a typed empty
+    frame for an empty input with no dtype declared anywhere."""
+
+    # per 8 rows: a → x [1, 4, NULL], b → [NULL, 7], NULL → [3, 6],
+    # c → [NULL] (row count 1, non-null count 0, sum NULL)
+    T = pa.table({
+        "k": pa.array(["a", "b", None, "a", "c", None, "b", "a"] * 5,
+                      pa.string()),
+        "x": pa.array([1, None, 3, 4, None, 6, 7, None] * 5, pa.int64()),
+    })
+    AGGS = {"n": ("x", "count_all"), "nx": ("x", "count"),
+            "s": ("x", "sum"), "lo": ("x", "min"), "hi": ("x", "max")}
+
+    @pytest.mark.parametrize("blocks", [1, 7, 16])
+    @pytest.mark.parametrize("by", [["k"], []], ids=["by_k", "global"])
+    def test_equals_one_shot_group_by(self, blocks, by):
+        import ray.data as rd
+
+        ds = rd.from_arrow(self.T).repartition(blocks)
+        got = exchange.aggregate(ds, by, self.AGGS)
+        pd.testing.assert_frame_equal(got, _one_shot(self.T, by, self.AGGS))
+        if by:
+            assert got["k"].tolist() == ["a", "b", "c", None]
+            assert got["n"].tolist() == [15, 10, 5, 10]
+            assert got["nx"].tolist() == [10, 5, 0, 10]
+            assert pd.isna(got["s"][2]) and got["s"][0] == 25
+
+    def test_distinct_and_derive(self):
+        import pyarrow.compute as pc
+        import ray.data as rd
+
+        ds = rd.from_arrow(self.T).repartition(7)
+        got = exchange.aggregate(
+            ds, "k", {}, lambda t: t.filter(pc.is_valid(t["x"])))
+        assert got["k"].tolist() == ["a", "b", None]
+        assert list(got.columns) == ["k"]
+
+    @pytest.mark.parametrize("how", ["zero_rows", "pandas_block",
+                                     "all_filtered"])
+    def test_empty_input_is_typed(self, how):
+        import pyarrow.compute as pc
+        import ray.data as rd
+
+        if how == "zero_rows":
+            ds, derive = rd.from_arrow(self.T.slice(0, 0)), None
+        elif how == "pandas_block":  # a pandas finalize's empty output
+            ds, derive = rd.from_pandas(self.T.slice(0, 0).to_pandas()), None
+        else:
+            ds = rd.from_arrow(self.T).repartition(7)
+            derive = lambda t: t.filter(pc.equal(t["k"], "none"))  # noqa: E731
+        got = exchange.aggregate(ds, "k", self.AGGS, derive)
+        want = _one_shot(self.T.slice(0, 0), ["k"], self.AGGS)
+        assert got.empty
+        pd.testing.assert_frame_equal(got, want)
+        assert got.dtypes.astype(str).tolist() == [
+            "object", "int64", "int64", "int64", "int64", "int64"]
 
 
 class TestBucketSizing:

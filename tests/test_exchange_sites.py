@@ -68,3 +68,16 @@ def test_no_hand_built_bucket_tags():
             assert "& np.int64(nb - 1)" not in src, path.name
             for tag in ("kb", "pb", "rb", "bb"):
                 assert f'groupby("{tag}")' not in src, (path.name, tag)
+
+
+def test_no_ray_sort_aggregates():
+    """Every group-aggregate whose groups fit the driver runs on
+    ``exchange.aggregate``: no module imports ``ray.data.aggregate``,
+    whose ``Count``/``Sum`` drive Ray's sort-based
+    ``groupby().aggregate`` exchange."""
+    for path in sorted(PKG.rglob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            mods = [n.module or ""] if isinstance(n, ast.ImportFrom) else \
+                [a.name for a in n.names] if isinstance(n, ast.Import) else []
+            assert not any(m.startswith("ray.data.aggregate") for m in mods), \
+                path.relative_to(PKG)
