@@ -10,17 +10,20 @@ architecture):
         actors, so a pool of n members starts n−1 actors)
       → parse (stateless DSR extract) → records/<kind>/wave=k parquet
       → outlinks → frontier ∪ new urls
-      → checkpoint (frontier, seen key log + cuckoo shard snapshot
-        by size, lineage, metrics)
+      → checkpoint (group commit: the waves since the last commit,
+        once they have selected ``wave_size`` urls or the crawl ends —
+        frontier, seen key logs + cuckoo shard snapshot by size,
+        lineage, metrics)
 
 Determinism contract: crawl order is defined by the frontier sort key
 (priority=depth, next_fetch_wave, url) — a total order — never by
-fetch completion; a killed run resumed from wave k reproduces waves
-k+1.. byte-identically (tested).  The seen set resumes from its newest
-shard snapshot at or before wave k plus a replay of the later waves'
+fetch completion; a killed run resumed from its last commit, at wave
+k, reproduces waves k+1.. byte-identically (tested), the waves it ran
+after that commit included.  The seen set resumes from its newest
+shard snapshot at or before wave k plus a replay of the later commits'
 key logs (``stages.seen``); a snapshot is written when the logs since
 the last one reach a snapshot's bytes, and at the crawl's last
-checkpoint.
+commit.
 
 Scale notes: the per-wave working set is bounded by ``wave_size``.
 Below ``distributed_select_threshold`` pending urls the frontier is a
@@ -233,9 +236,12 @@ def _shard_path(d: str, i: int) -> str:
     return os.path.join(d, f"seen_shard_{i}.bin")
 
 
-def _read_metrics(workdir: str, wave: int) -> dict:
+def _read_metrics(workdir: str, wave: int) -> list[dict]:
+    """The per-wave metrics dicts of the commit named by ``wave`` (a
+    one-wave checkpoint of an earlier release holds a single dict)."""
     with open(os.path.join(_ckpt_dir(workdir, wave), "metrics.json")) as f:
-        return json.load(f)
+        metrics = json.load(f)
+    return metrics if isinstance(metrics, list) else [metrics]
 
 
 def _parquet_dir_rows(d: str) -> int:
@@ -247,64 +253,113 @@ def _parquet_dir_rows(d: str) -> int:
     )
 
 
+@dataclass
+class _Span:
+    """The waves run since the last commit (group commit): their
+    lineage, metrics and seen key logs wait here, with the frontier
+    after the latest of them, until ``_write_checkpoint`` commits them
+    as one checkpoint."""
+    wave_size: int                    # commit once this many urls are selected
+    wave: int = -1                    # the latest wave held
+    frontier: object = None           # the frontier after that wave
+    selected: int = 0
+    lineages: list = field(default_factory=list)
+    metrics: list = field(default_factory=list)
+    logs: list = field(default_factory=list)
+
+
 def _write_checkpoint(workdir: str, wave: int, frontier,
                       seen: ShardedSeenSet, lineage: pa.Table,
                       metrics: dict, last: bool = False,
-                      prev_t_ckpt: float | None = None) -> int:
-    """Atomic per-wave checkpoint: tmp dir + rename, _SUCCESS marker.
+                      prev_t_ckpt: float | None = None,
+                      span: _Span | None = None) -> int:
+    """Hold one finished wave in ``span`` and commit the span when due.
 
-    ``frontier`` is either the driver Arrow table (small-frontier
+    The wave's lineage, its metrics (with the previous wave's
+    ``t_ckpt`` as ``prev_t_ckpt``: a wave's own is known only once
+    this call returns) and its seen key log (``seen.take_log()``) join
+    the span.  The span commits, as one checkpoint named by this wave,
+    when the urls selected since the last commit reach its
+    ``wave_size``, when this is the crawl's last wave (``last``: the
+    wave cap is reached; or no url is pending), or when ``frontier`` is
+    a ``ray.data.Dataset`` (large-frontier mode: the next wave re-enters
+    from the commit's ``frontier_parquet/``).  With no ``span`` the
+    wave commits alone.  A crash between commits loses the held waves,
+    and a resume re-runs them: at most one full wave's selections.
+
+    Returns the pending-row count and records it as
+    ``metrics['frontier_pending']`` (the Dataset path counts it during
+    the write, with no extra pass)."""
+    if span is None:
+        span = _Span(wave_size=0)  # commit this wave alone
+    if isinstance(frontier, pa.Table):
+        metrics["frontier_pending"] = frontier.num_rows
+    span.wave, span.frontier = wave, frontier
+    span.selected += lineage.num_rows
+    span.lineages.append(lineage)
+    span.logs.append(seen.take_log())
+    span.metrics.append({**metrics, "prev_t_ckpt": prev_t_ckpt})
+    if (isinstance(frontier, pa.Table) and not last and frontier.num_rows
+            and span.selected < span.wave_size):
+        return frontier.num_rows
+    metrics["frontier_pending"] = pending = _commit(workdir, span, seen, last)
+    return pending
+
+
+def _commit(workdir: str, span: _Span, seen: ShardedSeenSet, last: bool) -> int:
+    """Write the span's waves as one atomic checkpoint (tmp dir +
+    rename, ``_SUCCESS`` marker) named by its latest wave, then empty
+    the span; returns the pending-row count.
+
+    The frontier is either the driver Arrow table (small-frontier
     mode, single ``frontier.parquet``) or a ``ray.data.Dataset``
     (large-frontier mode: a distributed ``frontier_parquet/`` write —
-    the frontier never materializes on the driver).  Returns the
-    pending-row count and records it as ``metrics['frontier_pending']``
-    so the Dataset path needs no extra counting pass.
-
-    The seen set goes in as the wave's key log; the full
-    ``seen_shard_<i>.bin`` snapshot is added only when due by size, or
-    when this is the crawl's last checkpoint (``last``: the wave cap
-    is reached, or no url is pending).  ``metrics.json`` also carries
-    the previous wave's ``t_ckpt`` as ``prev_t_ckpt`` (a wave's own is
-    known only once its checkpoint is written)."""
-    final = _ckpt_dir(workdir, wave)
+    the frontier never materializes on the driver).
+    ``lineage.parquet`` holds every wave of the span, ``metrics.json``
+    one dict per wave and ``seen_log.bin`` the waves' key logs in wave
+    order.  The full ``seen_shard_<i>.bin`` snapshot is added only when
+    due by size, or at the crawl's last commit (``last``, or no url
+    pending)."""
+    final = _ckpt_dir(workdir, span.wave)
     tmp = final + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp, exist_ok=True)
-    if isinstance(frontier, pa.Table):
-        pq.write_table(frontier, os.path.join(tmp, "frontier.parquet"))
-        pending = frontier.num_rows
+    if isinstance(span.frontier, pa.Table):
+        pq.write_table(span.frontier, os.path.join(tmp, "frontier.parquet"))
+        pending = span.frontier.num_rows
     else:
         fdir = os.path.join(tmp, _FRONTIER_DIRNAME)
-        frontier.write_parquet(fdir)
-        pending = _parquet_dir_rows(fdir)
-    metrics["frontier_pending"] = pending
+        span.frontier.write_parquet(fdir)
+        pending = span.metrics[-1]["frontier_pending"] = _parquet_dir_rows(fdir)
     with open(os.path.join(tmp, _SEEN_LOG), "wb") as f:
-        f.write(seen.take_log())
+        f.write(b"".join(span.logs))
     if last or pending == 0 or seen.snapshot_due():
         for i, blob in enumerate(seen.checkpoint()):
             with open(_shard_path(tmp, i), "wb") as f:
                 f.write(blob)
-    pq.write_table(lineage, os.path.join(tmp, "lineage.parquet"))
+    pq.write_table(pa.concat_tables(span.lineages), os.path.join(tmp, "lineage.parquet"))
     with open(os.path.join(tmp, "metrics.json"), "w") as f:
-        json.dump({**metrics, "prev_t_ckpt": prev_t_ckpt}, f)
+        json.dump(span.metrics, f)
     with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
         f.write("ok\n")
     shutil.rmtree(final, ignore_errors=True)
     os.rename(tmp, final)
+    span.frontier, span.selected = None, 0
+    span.lineages, span.metrics, span.logs = [], [], []
     return pending
 
 
 def _load_checkpoint(workdir: str, wave: int, seen: ShardedSeenSet,
                      threshold: int):
-    """Restore (frontier, pending) from a wave checkpoint.  A frontier
+    """Restore (frontier, pending) from the commit named by ``wave``.  A frontier
     saved by the Dataset path comes back as a Dataset when still above
     the threshold, else collapses to the driver table; a driver-mode
     ``frontier.parquet`` always comes back as the driver table (the
     next wave moves it to a Dataset if it has grown past the
     threshold).  Either layout, pandas-written ones included, is cast
     to ``FRONTIER_SCHEMA``.  The seen set is the newest shard snapshot
-    at or before ``wave`` (else fresh shards) plus each later completed
-    wave's key log, replayed in wave order."""
+    at or before ``wave`` (else fresh shards) plus the key logs of each
+    later commit, replayed in wave order."""
     d = _ckpt_dir(workdir, wave)
     single = os.path.join(d, "frontier.parquet")
     if os.path.exists(single):
@@ -394,8 +449,9 @@ def run_crawl(
         return -(-selected_rows // cfg.fetch_batch_size)
 
     # per-wave phase times (metrics.json): each lap closes the phase
-    # that began at the previous one; t_wave spans from the previous
-    # wave's commit (or the pool start) to this wave's commit
+    # that began at the previous one; t_wave spans from the end of the
+    # previous wave's checkpoint call (or the pool start) to the end of
+    # this wave's
     t_mark = t_wave = time.perf_counter()
     phase_t: dict[str, float] = {}
 
@@ -427,7 +483,8 @@ def run_crawl(
             # a resume restarts the pool at the size the cut crawl had
             # reached, so the pool-size history is the uninterrupted one;
             # reported as the resumed run's first wave's t_pool_grow
-            pool.grow(max(pool_size(_read_metrics(workdir, w)["selected"]) for w in done))
+            pool.grow(max(pool_size(m["selected"])
+                          for w in done for m in _read_metrics(workdir, w)))
             seen.rehost(pool.actors)
             _lap("t_pool_grow")
         start_wave = 0
@@ -437,8 +494,9 @@ def run_crawl(
                 workdir, latest, seen, cfg.distributed_select_threshold
             )
             start_wave = latest + 1
-            # a crash between record writes and the wave checkpoint
-            # leaves partial records for waves >= start_wave; the
+            # a crash after the last commit leaves the records of the
+            # waves it held, and partial ones of the wave it cut, for
+            # waves >= start_wave; the
             # re-run may use a different actor count and therefore a
             # different part layout, so stale parts would survive and
             # duplicate that wave's records — wipe them first
@@ -446,6 +504,8 @@ def run_crawl(
         else:
             shutil.rmtree(os.path.join(workdir, "ckpt"), ignore_errors=True)
             shutil.rmtree(os.path.join(workdir, "records"), ignore_errors=True)
+            # there from the start, though the first commit may be waves away
+            os.makedirs(os.path.join(workdir, "ckpt"))
             frontier = make_frontier_rows(seeds, priority=0, wave=0, depth=0, seed="root")
             pending = frontier.num_rows
 
@@ -454,6 +514,9 @@ def run_crawl(
         metrics_all: list[dict] = []
         lineages: list[pa.Table] = []  # this run's waves, for the trace
         prev_t_ckpt = None
+        # group commit: small waves share one checkpoint per wave_size
+        # selected urls, so a crash redoes at most a full wave's work
+        span = _Span(cfg.wave_size)
         for wave in range(start_wave, cfg.max_waves):
             if pending == 0:
                 break
@@ -607,6 +670,7 @@ def run_crawl(
             pending = _write_checkpoint(
                 workdir, wave, new_frontier, seen, lineage, wave_metrics,
                 last=wave + 1 >= cfg.max_waves, prev_t_ckpt=prev_t_ckpt,
+                span=span,
             )
             if distributed:
                 # re-enter the next wave from the checkpoint Parquet: the
@@ -620,6 +684,10 @@ def run_crawl(
             t_wave = now
             metrics_all.append(wave_metrics)
             lineages.append(lineage)
+        if span.lineages:
+            # the wave cap ended the loop on waves that selected
+            # nothing, with earlier waves still held: they are the last
+            _commit(workdir, span, seen, last=True)
 
         actor_stats = pool.stats()
     finally:
@@ -630,8 +698,8 @@ def run_crawl(
         pool.shutdown()
         t_pool_stop = round(time.perf_counter() - t_stop, 4)
 
-    # the trace: waves of an earlier run (a resume) from their lineage
-    # checkpoints, then this run's waves from memory
+    # the trace: waves of an earlier run (a resume) from the lineage of
+    # each commit, then this run's waves from memory
     earlier = [
         pq.read_table(os.path.join(_ckpt_dir(workdir, w), "lineage.parquet"))
         .select(_LINEAGE_SCHEMA.names).cast(_LINEAGE_SCHEMA)

@@ -33,7 +33,13 @@ from crawler_tjce_ray.dsr.decode import (
 )
 
 # DM0 rows from which a page decodes faster by the kind's columnar plan
-# than by its scalar spec decoder (tools/decode_bench.py, warm memo)
+# than by its scalar spec decoder (tools/decode_bench.py, warm memo).
+# Move precatorios' only on a crawl measurement, not on the microbench
+# alone: at 16 rows the microbench has read columnar 0.53-0.56 ms
+# against scalar 0.40-0.78 ms, sometimes faster, but in crawl_narrow
+# crawls (16-row pages) a threshold of 16 cost +23% and +33% machine
+# CPU per page, lower in 3 of 14 alternating rounds each time
+# (BASELINE.md "Crawl group commit")
 PRECATORIOS_COLUMNAR_MIN_ROWS = 32
 EDITAIS_COLUMNAR_MIN_ROWS = 128
 
@@ -150,22 +156,21 @@ class _ExtractBase:
                 return self.decode_columns(resp)
         return self.scalar_columns(resp)
 
-    def _page_table(self, cols: dict[str, list], n: int, url: str) -> pa.Table:
-        """Typed Arrow table built column-wise.
+    def _table(self, cols: dict[str, list], urls: list[str]) -> pa.Table:
+        """Typed Arrow table built column-wise, one row per ``urls``
+        entry.
 
         ``Table.from_pylist`` pays ~60 µs/row of per-row dict protocol
         overhead; building each column with ``pa.array(values, type)``
         is ~25× faster at 384 rows/page (measured) and follows the same
         python→Arrow conversion rules, so the typed-conversion failure
-        semantics (e.g. "-" landing in an int column fails the page)
-        are unchanged.
+        semantics (e.g. "-" landing in an int column fails the
+        conversion) are unchanged.
         """
         arrays = []
         for field in self.schema:
-            if field.name == "url":
-                arrays.append(pa.array([url] * n, field.type))
-            else:
-                arrays.append(pa.array(cols[field.name], field.type))
+            values = urls if field.name == "url" else cols[field.name]
+            arrays.append(pa.array(values, field.type))
         return pa.Table.from_arrays(arrays, schema=self.schema)
 
     def extract_parsed(self, pages: list[tuple[str, dict | None]]) -> pa.Table:
@@ -175,28 +180,42 @@ class _ExtractBase:
         discovery) and hands the parsed dict here — no second
         ``json.loads`` and no intermediate Arrow copy of the html
         bytes.  A ``None`` doc marks a body that failed to parse.
+
+        The pages' decoded columns are joined and converted once, one
+        ``pa.array`` per column for the whole call (a wave's pages of
+        one kind); only when that typed conversion raises are the
+        pages converted one by one, so a bad page still fails alone.
         """
-        tables: list[pa.Table] = []
+        decoded: list[tuple[str, dict[str, list], int]] = []
         for url, resp in pages:
             # a corrupt page must never poison the batch (at corpus
             # scale malformed bodies are a certainty): skip and count,
-            # mirroring the reference's drop-invalid-row behavior.
-            # The TYPED Arrow conversion happens per page INSIDE the
-            # guard — e.g. a delta row whose exhausted-C default "-"
-            # lands in an int column (a faithful reference behavior,
-            # edital_crawler.py:600) fails conversion for that page
-            # only, not for every page in the batch.
+            # mirroring the reference's drop-invalid-row behavior
             try:
                 if resp is None:
                     raise ValueError("unparseable page body")
-                cols, n = self.decode_page_columns(resp)
-                tables.append(self._page_table(cols, n, url))
+                decoded.append((url, *self.decode_page_columns(resp)))
             except Exception:
                 self.pages_failed += 1
-                continue
-        if not tables:
-            return pa.Table.from_pylist([], schema=self.schema)
-        return pa.concat_tables(tables)
+        if not decoded:
+            return self.schema.empty_table()
+        try:
+            cols = {f.name: [v for _, c, _ in decoded for v in c[f.name]]
+                    for f in self.schema if f.name != "url"}
+            return self._table(cols, [u for u, _, n in decoded for _ in range(n)])
+        except Exception:
+            pass
+        # the TYPED conversion failed for some page — e.g. a delta row
+        # whose exhausted-C default "-" lands in an int column (a
+        # faithful reference behavior, edital_crawler.py:600): convert
+        # page by page so it fails that page only
+        tables: list[pa.Table] = []
+        for url, cols, n in decoded:
+            try:
+                tables.append(self._table(cols, [url] * n))
+            except Exception:
+                self.pages_failed += 1
+        return pa.concat_tables([self.schema.empty_table(), *tables])
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         pages: list[tuple[str, dict | None]] = []

@@ -18,7 +18,8 @@ Checkpoint = key log + snapshot by size.  A shard's bytes are a
 deterministic function of the keys it was sent (no RNG in the cuckoo
 insert), so the driver logs, per wave, the keys it sent to
 ``check_and_add`` and then to ``remove``: ``take_log`` serializes them
-(8 B per key after a fixed header) and ``replay`` applies one on a
+(8 B per key after a fixed header), a checkpoint holds one such
+segment per wave it commits, and ``replay`` applies them in order on a
 restore.  A full snapshot (``checkpoint``, every shard's bytes pulled
 from the hosts) is only due once the log since the last one reaches a
 snapshot's size (``snapshot_due``), so checkpoint bytes grow with the
@@ -164,21 +165,32 @@ class ShardedSeenSet:
         return log
 
     def replay(self, log: bytes) -> None:
-        """Apply one ``take_log`` output: its checked keys through
+        """Apply ``take_log`` outputs, one after another in ``log`` (a
+        group commit's waves): each one's checked keys through
         check_and_add, then its removed keys through remove."""
-        n_shards, log2_buckets, n_checked, n_removed = (
-            int(v) for v in np.frombuffer(log[:_LOG_HEADER], dtype=np.int64))
-        if (n_shards, log2_buckets) != (self.n_shards, self.log2_buckets):
-            raise ValueError(
-                f"seen log of {n_shards} shards × 2^{log2_buckets} buckets "
-                f"replayed onto {self.n_shards} × 2^{self.log2_buckets}")
-        keys = np.frombuffer(log[_LOG_HEADER:], dtype=np.uint64)
-        if len(keys) != n_checked + n_removed:
-            raise ValueError(f"seen log holds {len(keys)} keys, header says "
-                             f"{n_checked} + {n_removed}")
-        self.check_and_add(keys[:n_checked])
-        self.remove(keys[n_checked:])
-        self.take_log()  # the same log again: it counts toward log_bytes
+        at = 0
+        while at < len(log):
+            header = log[at:at + _LOG_HEADER]
+            if len(header) < _LOG_HEADER:
+                raise ValueError(f"seen log segment at byte {at} has a "
+                                 f"{len(header)}-byte header")
+            n_shards, log2_buckets, n_checked, n_removed = (
+                int(v) for v in np.frombuffer(header, dtype=np.int64))
+            if (n_shards, log2_buckets) != (self.n_shards, self.log2_buckets):
+                raise ValueError(
+                    f"seen log of {n_shards} shards × 2^{log2_buckets} buckets "
+                    f"replayed onto {self.n_shards} × 2^{self.log2_buckets}")
+            end = at + _LOG_HEADER + 8 * (n_checked + n_removed)
+            if n_checked < 0 or n_removed < 0 or end > len(log):
+                raise ValueError(
+                    f"seen log segment at byte {at} holds "
+                    f"{(len(log) - at - _LOG_HEADER) // 8} keys, header says "
+                    f"{n_checked} + {n_removed}")
+            keys = np.frombuffer(log[at + _LOG_HEADER:end], dtype=np.uint64)
+            self.check_and_add(keys[:n_checked])
+            self.remove(keys[n_checked:])
+            self.take_log()  # the same log again: it counts toward log_bytes
+            at = end
 
     def checkpoint(self) -> list[bytes]:
         """Every shard's bytes in shard order (a snapshot); the key log

@@ -36,19 +36,40 @@ def _final_seen(workdir, n_shards=2):
 
 
 def _seen_layout(workdir):
-    """Per completed wave: (wave, seen-log bytes, keys checked, keys
-    removed, holds a shard snapshot, metrics.json)."""
+    """Per commit: (its wave, its seen log's per-wave segments as
+    (bytes, keys checked, keys removed), holds a shard snapshot,
+    metrics.json's per-wave dicts)."""
     rows = []
     for wave in crawl._completed_waves(workdir):
         d = crawl._ckpt_dir(workdir, wave)
         with open(os.path.join(d, "seen_log.bin"), "rb") as f:
             log = f.read()
-        _, _, n_checked, n_removed = np.frombuffer(log[:32], dtype=np.int64)
+        segments, at = [], 0
+        while at < len(log):
+            _, _, n_checked, n_removed = np.frombuffer(log[at:at + 32], dtype=np.int64)
+            size = 32 + 8 * int(n_checked + n_removed)
+            segments.append((size, int(n_checked), int(n_removed)))
+            at += size
         with open(os.path.join(d, "metrics.json")) as f:
             metrics = json.load(f)
-        rows.append((wave, len(log), int(n_checked), int(n_removed),
+        rows.append((wave, segments,
                      os.path.exists(os.path.join(d, "seen_shard_0.bin")), metrics))
     return rows
+
+
+def _commit_waves(metrics, cfg):
+    """The waves the group-commit rule commits at, from a crawl's
+    per-wave metrics: once the waves since the last commit have
+    selected wave_size urls, at the wave cap, with no url pending, and
+    at the crawl's last wave."""
+    commits, since = [], 0
+    for i, m in enumerate(metrics):
+        since += m["selected"]
+        if (since >= cfg.wave_size or m["wave"] + 1 >= cfg.max_waves
+                or m["frontier_pending"] == 0 or i == len(metrics) - 1):
+            commits.append(m["wave"])
+            since = 0
+    return commits
 
 
 def _record_rows(records_dir):
@@ -164,6 +185,45 @@ def test_transport_keeps_only_its_bucket_share(tmp_path):
     for b in (6, 4, 2, 0):
         t._bucket_lookup(b)
     assert t.bucket_loads == 8
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_seen_log_segments_replay(tmp_path):
+    """Replaying take_log outputs joined end to end (a group commit's
+    seen_log.bin) equals replaying them one by one, and equals the set
+    that logged them.  A later segment whose header disagrees with the
+    set's geometry, or a truncated segment, raises ValueError."""
+    from crawler_tjce_ray.stages.fetch import DriverMember, FetchActor
+    from crawler_tjce_ray.stages.seen import ShardedSeenSet
+
+    def seen_set(log2_buckets=6):
+        s = ShardedSeenSet(3, log2_buckets)
+        s.rehost([DriverMember(FetchActor(str(tmp_path)))])
+        return s
+
+    keys = np.random.default_rng(3).integers(0, 2**63, 400, dtype=np.uint64)
+    src, logs = seen_set(), []
+    for wave in range(4):
+        batch = keys[wave * 80:wave * 80 + 120]  # overlaps: dups
+        src.check_and_add(batch)
+        src.remove(batch[::7])
+        logs.append(src.take_log())
+    one_by_one, joined = seen_set(), seen_set()
+    for log in logs:
+        one_by_one.replay(log)
+    joined.replay(b"".join(logs))
+    assert (joined.count, joined.log_bytes) == (one_by_one.count, one_by_one.log_bytes) \
+        == (src.count, src.log_bytes)
+    assert joined.checkpoint() == one_by_one.checkpoint() == src.checkpoint()
+
+    other = seen_set(log2_buckets=7)
+    other.check_and_add(keys[:5])
+    with pytest.raises(ValueError, match="2\\^7"):
+        seen_set().replay(logs[0] + other.take_log())
+    with pytest.raises(ValueError, match="header says"):
+        seen_set().replay(b"".join(logs)[:-8])
+    with pytest.raises(ValueError, match="header"):
+        seen_set().replay(logs[0] + logs[1][:20])
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -290,22 +350,25 @@ class TestCrawl:
         _assert_all_dead(_actor_ids() - before)
 
     def test_seen_checkpoint_layout_and_size(self, corpus, tmp_path):
-        """The seen set checkpoints as a per-wave key log: 8 B per key
-        checked or removed after a 32 B header.  A wave dir holds shard
-        blobs only when the logs since the last snapshot reach one
-        snapshot's bytes, and at the last checkpoint.  The driver's
-        seen_total equals the snapshot's shard counts, and each
-        metrics.json carries the previous wave's t_ckpt, its own
-        t_select, the live pool size fetch_actors (one actor per
-        fetch_batch_size urls of the largest wave so far, up to
-        fetch_concurrency), and t_pool_grow (actor and seen shard
-        start-up or move, blocking) on each wave that grew it, the
-        first wave included.  A wave's phases never sum past its
-        wall time t_wave (commit to commit; every value is rounded to
-        0.1 ms)."""
+        """Waves commit in groups: a checkpoint holds the waves since
+        the last one, once they have selected wave_size urls, and at
+        the crawl's last wave.  Its seen log is one segment per wave,
+        8 B per key checked or removed after a 32 B header; it holds
+        shard blobs only when the logs since the last snapshot reach
+        one snapshot's bytes, and at the last commit.  Its metrics.json
+        holds one dict per wave, with the t_* values of
+        CrawlResult.metrics.  The driver's seen_total equals the
+        snapshot's shard counts, and each wave's metrics carry the
+        previous wave's t_ckpt, its own t_select, the live pool size
+        fetch_actors (one actor per fetch_batch_size urls of the
+        largest wave so far, up to fetch_concurrency), and t_pool_grow
+        (actor and seen shard start-up or move, blocking) on each wave
+        that grew it, the first wave included.  A wave's phases never
+        sum past its wall time t_wave (checkpoint call to checkpoint
+        call; every value is rounded to 0.1 ms)."""
         pages, _ = corpus
         n_shards, log2_buckets = 2, 4
-        cfg = CrawlConfig(wave_size=64, per_host_budget=4, max_waves=60,
+        cfg = CrawlConfig(wave_size=8, per_host_budget=4, max_waves=60,
                           n_seen_shards=n_shards, log2_buckets=log2_buckets,
                           fetch_concurrency=2, fetch_batch_size=4,
                           extract_records=False, actor_token_rate=1)
@@ -314,38 +377,67 @@ class TestCrawl:
         layout = _seen_layout(workdir)
         denied = r.trace[r.trace["status"] == "budget_denied"].groupby("wave").size()
         assert denied.sum() > 0, "token rate 1 should cause requeues"
+        commits = _commit_waves(r.metrics, cfg)
+        assert [w for w, *_ in layout] == commits
+        assert 2 < len(commits) < len(r.metrics), commits
 
         snapshot_bytes = n_shards * CuckooFilter.blob_size(log2_buckets)
         since = 0
-        for i, (wave, size, n_checked, n_removed, snap, metrics) in enumerate(layout):
-            assert n_checked == r.metrics[i]["selected"]
-            assert n_removed == denied.get(wave, 0)
-            assert size == 32 + 8 * (n_checked + n_removed)
-            since += size
-            last = i == len(layout) - 1
+        for wave, segments, snap, metrics in layout:
+            assert len(segments) == len(metrics) and metrics[-1]["wave"] == wave
+            since += sum(size for size, _, _ in segments)
+            last = wave == commits[-1]
             assert snap == (since >= snapshot_bytes or last), wave
             if snap:
                 since = 0
             d = crawl._ckpt_dir(workdir, wave)
             blobs = sorted(n for n in os.listdir(d) if n.startswith("seen_shard_"))
             assert len(blobs) == (n_shards if snap else 0)
-            assert metrics["prev_t_ckpt"] == (r.metrics[i - 1]["t_ckpt"] if i else None)
-            assert metrics["seen_total"] == r.metrics[i]["seen_total"]
+            lineage = pq.read_table(os.path.join(d, "lineage.parquet")).to_pandas()
+            assert sorted(set(lineage["wave"])) == [m["wave"] for m in metrics]
+        waves = [(seg, m) for _, segments, _, ms in layout for seg, m in zip(segments, ms)]
+        assert [m["wave"] for _, m in waves] == [m["wave"] for m in r.metrics]
+        for i, ((size, n_checked, n_removed), metrics) in enumerate(waves):
             m = r.metrics[i]
-            assert metrics["t_select"] == m["t_select"] >= 0
+            assert n_checked == m["selected"]
+            assert n_removed == denied.get(m["wave"], 0)
+            assert size == 32 + 8 * (n_checked + n_removed)
+            assert metrics["prev_t_ckpt"] == (r.metrics[i - 1]["t_ckpt"] if i else None)
+            times = {k for k in metrics if k.startswith("t_")}
+            assert times == {k for k in m if k.startswith("t_")} - {"t_ckpt", "t_wave"}
+            assert {k: metrics[k] for k in times} == {k: m[k] for k in times}
+            assert metrics["seen_total"] == m["seen_total"]
+            assert metrics["t_select"] >= 0
             most = max(x["selected"] for x in r.metrics[:i + 1])
             assert metrics["fetch_actors"] == m["fetch_actors"] == min(2, -(-most // 4))
             grew = m["fetch_actors"] > (r.metrics[i - 1]["fetch_actors"] if i else 0)
             assert ("t_pool_grow" in metrics) == ("t_pool_grow" in m) == grew
             phases = [v for k, v in m.items() if k.startswith("t_") and k != "t_wave"]
             assert sum(phases) <= m["t_wave"] + 5e-5 * (len(phases) + 1), m
-        assert sum(snap for *_, snap, _ in layout) >= 2  # one by size, the last
+        assert sum(snap for _, _, snap, _ in layout) >= 2  # one by size, the last
         assert all("prev_t_ckpt" not in m for m in r.metrics)
         assert r.metrics[-1]["fetch_actors"] == 2 and r.t_pool_stop >= 0
 
         final = _final_seen(workdir, n_shards)
         assert [len(b) for b in final] == [CuckooFilter.blob_size(log2_buckets)] * n_shards
         assert sum(CuckooFilter.blob_header(b)[1] for b in final) == r.metrics[-1]["seen_total"]
+
+    def test_full_waves_commit_every_wave(self, corpus, tmp_path):
+        """A crawl whose every wave selects wave_size urls commits
+        every wave: one checkpoint per wave, each with that wave's
+        lineage, one metrics dict and one seen-log segment."""
+        pages, _ = corpus
+        cfg = CrawlConfig(wave_size=1, per_host_budget=4, max_waves=20,
+                          n_seen_shards=2, log2_buckets=12, fetch_concurrency=2,
+                          extract_records=False)
+        workdir = str(tmp_path / "run")
+        r = run_crawl(pages, workdir, config=cfg)
+        assert {m["selected"] for m in r.metrics} == {1} and len(r.metrics) == 20
+        layout = _seen_layout(workdir)
+        assert [w for w, *_ in layout] == [m["wave"] for m in r.metrics]
+        for (wave, segments, _, metrics), m in zip(layout, r.metrics):
+            assert [x["wave"] for x in metrics] == [wave]
+            assert segments == [(40, 1, 0)]
 
     def test_pool_grows_mid_crawl(self, corpus, tmp_path):
         """The fetch pool starts one member, the driver, at the first
@@ -448,19 +540,22 @@ class TestCrawl:
                     operator.truediv, 1, 0)
             return grow(pool, n)
 
-        monkeypatch.setattr(FetchPool, "grow", grow_broken)
         workdir = str(tmp_path / "run")
-        cfg = CrawlConfig(wave_size=64, per_host_budget=4, max_waves=60,
-                          n_seen_shards=2, log2_buckets=12, fetch_concurrency=2,
-                          fetch_batch_size=4, extract_records=False)
+        cfg = dict(wave_size=64, per_host_budget=4, n_seen_shards=2,
+                   log2_buckets=12, fetch_concurrency=2, fetch_batch_size=4,
+                   extract_records=False)
+        # wave 0 (3 urls, the driver alone) commits by the wave cap; the
+        # resumed crawl grows the pool on wave 1
+        run_crawl(pages, workdir, config=CrawlConfig(**cfg, max_waves=1))
+        monkeypatch.setattr(FetchPool, "grow", grow_broken)
         before = _actor_ids()
         with pytest.raises(ray.exceptions.RayActorError, match="ZeroDivisionError"):
-            run_crawl(pages, workdir, config=cfg)
+            run_crawl(pages, workdir, resume=True, config=CrawlConfig(**cfg, max_waves=60))
         actors = _actor_ids() - before
         assert _actor_classes(actors) == ["FetchActor"]  # member 1; member 0 is the driver
         _assert_all_dead(actors)
         done = crawl._completed_waves(workdir)
-        assert done and all(crawl._read_metrics(workdir, w)["fetch_actors"] == 1 for w in done)
+        assert done == [0] and crawl._read_metrics(workdir, 0)[0]["fetch_actors"] == 1
 
     def test_resume_from_pandas_written_checkpoint(self, corpus, tmp_path):
         """Checkpoints written by pandas ``to_parquet`` (the frontier
@@ -487,13 +582,99 @@ class TestCrawl:
             full.trace.reset_index(drop=True), resumed.trace.reset_index(drop=True)
         )
 
+    def test_resume_from_one_wave_checkpoints(self, corpus, tmp_path):
+        """A checkpoint in the layout of earlier releases, one directory
+        per wave with that wave's dict as metrics.json, resumes to the
+        uninterrupted crawl's trace and final seen blobs, and group
+        commits follow it.  The crawl is cut by its wave cap at each of
+        its first 4 waves (a one-wave commit each) and its shard
+        snapshots are dropped, so the resume replays every wave's log."""
+        full = self._run(corpus, str(tmp_path / "full"))
+        pages, _ = corpus
+        cfg = dict(wave_size=64, per_host_budget=4, n_seen_shards=2, log2_buckets=12,
+                   fetch_concurrency=2, fetch_batch_size=1, extract_records=False)
+        workdir = str(tmp_path / "cut")
+        for wave in range(4):
+            run_crawl(pages, workdir, resume=wave > 0,
+                      config=CrawlConfig(**cfg, max_waves=wave + 1))
+        assert crawl._completed_waves(workdir) == [0, 1, 2, 3]
+        for wave in range(4):
+            d = crawl._ckpt_dir(workdir, wave)
+            for name in os.listdir(d):
+                if name.startswith("seen_shard_"):
+                    os.remove(os.path.join(d, name))
+            [metrics] = crawl._read_metrics(workdir, wave)
+            with open(os.path.join(d, "metrics.json"), "w") as f:
+                json.dump(metrics, f)
+        resumed = run_crawl(pages, workdir, resume=True,
+                            config=CrawlConfig(**cfg, max_waves=60))
+        assert resumed.metrics[0]["wave"] == 4
+        pd.testing.assert_frame_equal(
+            full.trace.reset_index(drop=True), resumed.trace.reset_index(drop=True)
+        )
+        assert _final_seen(full.workdir) == _final_seen(workdir)
+        commits = _commit_waves(resumed.metrics, CrawlConfig(**cfg, max_waves=60))
+        assert crawl._completed_waves(workdir) == [0, 1, 2, 3, *commits]
+        assert len(commits) < len(resumed.metrics)
+
+    def test_resume_between_commits(self, corpus, tmp_path, monkeypatch):
+        """A crawl killed in a wave that the next commit would have
+        held (its records written, its checkpoint call raising) loses
+        the waves since its last commit; the resume drops their
+        records, re-runs them, and gives the uninterrupted crawl's
+        trace, record rows and final seen blobs."""
+        pages, _ = corpus
+
+        def cfg():
+            return CrawlConfig(wave_size=8, per_host_budget=4, max_waves=60,
+                               n_seen_shards=2, log2_buckets=12,
+                               fetch_concurrency=2, fetch_batch_size=4)
+
+        full = run_crawl(pages, str(tmp_path / "full"), config=cfg())
+        commits = _commit_waves(full.metrics, cfg())
+        # one wave held after the second commit, then the killed one
+        kill = commits[1] + 2
+        assert kill < commits[2], commits
+
+        class Killed(Exception):
+            pass
+
+        write = crawl._write_checkpoint
+
+        def write_or_die(workdir, wave, *args, **kw):
+            if wave == kill:
+                raise Killed
+            return write(workdir, wave, *args, **kw)
+
+        workdir = str(tmp_path / "cut")
+        with monkeypatch.context() as m:
+            m.setattr(crawl, "_write_checkpoint", write_or_die)
+            with pytest.raises(Killed):
+                run_crawl(pages, workdir, config=cfg())
+        assert crawl._completed_waves(workdir) == commits[:2]
+        records = os.path.join(workdir, "records")
+        written = {int(name[5:]) for kind in os.listdir(records)
+                   for name in os.listdir(os.path.join(records, kind))}
+        assert max(written) > commits[1]  # records of lost waves, on disk
+
+        resumed = run_crawl(pages, workdir, resume=True, config=cfg())
+        assert resumed.metrics[0]["wave"] == commits[1] + 1
+        pd.testing.assert_frame_equal(full.trace, resumed.trace)
+        full_rows, cut_rows = _record_rows(full.records_dir), _record_rows(resumed.records_dir)
+        assert list(full_rows) == list(cut_rows) and len(full_rows) == 3
+        for kind in full_rows:
+            pd.testing.assert_frame_equal(full_rows[kind], cut_rows[kind])
+        assert _final_seen(full.workdir) == _final_seen(workdir)
+        assert crawl._completed_waves(workdir) == commits
+
     @pytest.mark.parametrize("log2_buckets", [12, 4])
     def test_resume_between_snapshots(self, corpus, tmp_path, monkeypatch,
                                       log2_buckets):
-        """Kill a crawl right after a log-only wave whose log holds
-        budget_denied removes, then resume: trace, final shard blobs
-        and per-wave seen_total equal the uninterrupted crawl's on 2
-        fetch actors.  On 1 actor they equal a resume from a snapshot
+        """Kill a crawl in the first wave after a log-only commit whose
+        logs hold budget_denied removes (a wave the next commit would
+        have held), then resume: trace, final shard blobs and per-wave
+        seen_total equal the uninterrupted crawl's on 2 fetch actors.
+        On 1 actor they equal a resume from a snapshot
         of the same wave (the crawl stopped there by its wave cap): a
         finite actor_token_rate is per actor (``TokenBucket``), so an
         uninterrupted 2-actor crawl legitimately denies other urls.  At
@@ -505,7 +686,8 @@ class TestCrawl:
         pages, _ = corpus
 
         def cfg(**kw):
-            base = dict(wave_size=64, per_host_budget=4, max_waves=60,
+            # wave_size 8: several commits; no wave selects more than 6
+            base = dict(wave_size=8, per_host_budget=4, max_waves=60,
                         n_seen_shards=2, log2_buckets=log2_buckets,
                         fetch_concurrency=2, fetch_batch_size=4,
                         extract_records=False, actor_token_rate=1)
@@ -515,17 +697,18 @@ class TestCrawl:
         full = run_crawl(pages, workdir_full, config=cfg())
         layout = _seen_layout(workdir_full)
 
-        # cut after the latest log-only wave whose own log holds
+        # cut after the latest log-only commit whose own logs hold
         # removes: their urls are requeued into the resumed waves, so a
         # replay that mishandles removes changes the resumed trace
-        cut = max(w for w, _, _, n_removed, snap, _ in layout[:-1]
-                  if n_removed and not snap)
-        assert any(snap for w, *_, snap, _ in layout if w < cut) == (log2_buckets == 4)
+        cut = max(w for w, segments, snap, _ in layout[:-1]
+                  if any(n_removed for *_, n_removed in segments) and not snap)
+        assert cut + 1 not in [w for w, *_ in layout]  # the killed wave is held
+        assert any(snap for w, _, snap, _ in layout if w < cut) == (log2_buckets == 4)
         assert next(m for m in full.metrics if m["wave"] == cut)["fetch_actors"] == 2
 
         workdir_snap = str(tmp_path / "snap1")
         run_crawl(pages, workdir_snap, config=cfg(max_waves=cut + 1))
-        assert _seen_layout(workdir_snap)[-1][4]  # wave `cut`, a snapshot
+        assert _seen_layout(workdir_snap)[-1][2]  # wave `cut`, a snapshot
         expected = {
             2: (full.trace, workdir_full),
             1: (run_crawl(pages, workdir_snap, resume=True,
@@ -561,8 +744,9 @@ class TestCrawl:
                 resumed.trace.reset_index(drop=True),
             )
             assert _final_seen(workdir_expected) == _final_seen(workdir_cut)
-            assert ([m["seen_total"] for *_, m in _seen_layout(workdir_cut)]
-                    == [m["seen_total"] for *_, m in _seen_layout(workdir_expected)])
+            assert ([m["seen_total"] for *_, ms in _seen_layout(workdir_cut) for m in ms]
+                    == [m["seen_total"]
+                        for *_, ms in _seen_layout(workdir_expected) for m in ms])
 
     def test_robots_denied(self, corpus, tmp_path):
         pages, _ = corpus

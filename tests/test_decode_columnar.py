@@ -529,6 +529,50 @@ class TestFastPathActuallyRuns:
         assert out.num_rows == 40 and ex.pages_failed == 0
 
 
+class TestWaveTable:
+    """``extract_parsed`` converts a wave's pages of one kind into one
+    typed table, one ``pa.array`` per column; when that conversion
+    raises, it converts the pages one by one, so a bad page fails
+    alone."""
+
+    def _wave(self, bad_at=None):
+        urls = [PAGAMENTOS_URL.replace("page/0", f"page/{i}") for i in range(4)]
+        docs = [_aux_page("pagamentos", 10, i) for i in range(4)]
+        if bad_at is not None:
+            # an exhausted C row: its "-" defaults land in the int
+            # column exercicio, which decodes and fails the conversion
+            dm0 = docs[bad_at]["results"][0]["result"]["data"]["dsr"]["DS"][0]["PH"][0]["DM0"]
+            dm0[2]["R"], dm0[2]["C"] = 0, [1]
+        return list(zip(urls, docs))
+
+    def _per_page(self, pages):
+        import pyarrow as pa
+
+        from crawler_tjce_ray.stages.extract import ExtractPagamentos
+
+        ex = ExtractPagamentos(2024)
+        tables = [ex.extract_parsed([(u, copy.deepcopy(d))]) for u, d in pages]
+        return pa.concat_tables(t for t in tables if t.num_rows), ex.pages_failed
+
+    @pytest.mark.parametrize("bad_at", [None, 0, 2])
+    def test_one_table_per_wave(self, bad_at):
+        from crawler_tjce_ray.stages.extract import ExtractPagamentos
+
+        pages = self._wave(bad_at)
+        want, failed = self._per_page(pages)
+        assert failed == (bad_at is not None)
+        ex = ExtractPagamentos(2024)
+        convert = ex._table
+        calls = []
+        ex._table = lambda cols, urls: calls.append(len(urls)) or convert(cols, urls)
+        got = ex.extract_parsed([(u, copy.deepcopy(d)) for u, d in pages])
+        assert ex.pages_failed == failed
+        assert got.equals(want)
+        assert got.num_rows == 10 * (4 - failed)
+        # the wave's one conversion, then (on a failure) one per page
+        assert calls == [40] + ([10] * 4 if failed else [])
+
+
 class TestVectorKernelSweeps:
     """Dense numeric sweeps pinning the vectorized cell kernels to
     their scalar spec functions (beyond what page-level fuzz hits)."""

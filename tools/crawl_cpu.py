@@ -9,10 +9,11 @@ every process below it (gcs_server, raylet, Ray workers and actors)
 every 30 ms.  Prints one row per process: the CPU seconds it used
 during the measured crawl, whether it started or exited during it,
 and its role (``driver``, ``FetchActor``, ``raylet``, ``gcs_server``,
-the Ray task it last ran, ...), then the fetch pool's member count and
-the Ray actors the crawl started, then the total per role.  The fetch
-pool's member 0 runs in the driver, so its share is in the driver's
-row; only members 1… are ``FetchActor`` processes.
+the Ray task it last ran, ...), then the fetch pool's member count,
+the Ray actors the crawl started and the checkpoints it committed
+(count and bytes; small waves share a commit), then the total per
+role.  The fetch pool's member 0 runs in the driver, so its share is
+in the driver's row; only members 1… are ``FetchActor`` processes.
 
 The sampler keeps running for ``SETTLE`` seconds after the crawl
 returns, so CPU the crawl causes afterwards —
@@ -159,6 +160,15 @@ class Sampler:
         return sorted(out, key=lambda r: -(r["cpu_s"] + r["settle_s"]))
 
 
+def commits(workdir: str) -> tuple[int, int]:
+    """(count, bytes) of the crawl's committed checkpoints."""
+    from crawler_tjce_ray.pipelines.crawl import _ckpt_dir, _completed_waves
+
+    dirs = [_ckpt_dir(workdir, w) for w in _completed_waves(workdir)]
+    return len(dirs), sum(os.path.getsize(os.path.join(r, f))
+                          for d in dirs for r, _, fs in os.walk(d) for f in fs)
+
+
 def load_crawls():
     """``perfbench/crawls.py`` as a module, without importing perfbench."""
     spec = importlib.util.spec_from_file_location(
@@ -196,6 +206,7 @@ def main(argv: list[str] | None = None) -> int:
         sampler.mark()
         time.sleep(SETTLE)
     error = crawls.check_crawl(res, prep)
+    n_commits, ckpt_bytes = commits(prep["workdir"])
     table = ray._private.state.actors()
     started = sorted(table[a]["ActorClassName"] for a in set(table) - actors_before)
     ray.shutdown()
@@ -217,6 +228,7 @@ def main(argv: list[str] | None = None) -> int:
         "pool_members": max((m.get("fetch_actors") or 0 for m in res.metrics),
                             default=0) or None,
         "ray_actors_started": started,
+        "commits": n_commits, "checkpoint_bytes": ckpt_bytes,
         "cpu_s": round(sum(r["cpu_s"] for r in rows), 3),
         "by_role": dict(sorted(by_role.items(), key=lambda kv: -kv[1])),
         "settle_s": SETTLE,
@@ -235,6 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\nwall {summary['wall_s']} s, {ok} ok pages in {res.waves_run} waves, "
           f"{summary['pool_members'] or 'unreported'} pool members, "
           f"Ray actors started: {', '.join(started) or 'none'}; "
+          f"{n_commits} commits, {ckpt_bytes} checkpoint bytes; "
           f"CPU {summary['cpu_s']} s in total; "
           f"{'crawl correct' if error is None else 'crawl WRONG: ' + error}")
     for name, cpu in summary["by_role"].items():
